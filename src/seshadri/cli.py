@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -176,6 +177,8 @@ def cmd_jets(args) -> tuple[object, int]:
             Fraction(str(cb["pairing"])), int(cb["mult"]), bool(cb["meets_base_locus"])
         )
 
+    # Built once per multiple and shared by every sampled point.
+    @functools.cache
     def series(m: int) -> jets.LinearSystem:
         scaled = [jets.MultConstraint(point, m * order) for point, order in constraints]
         return jets.LinearSystem(nvars, m * degree, scaled)
@@ -475,13 +478,19 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         payload, code = args.handler(args)
-    except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        text = emit(args.format, payload)
+    except (
+        ValueError,
+        KeyError,
+        TypeError,
+        OSError,
+        ZeroDivisionError,
+        AssertionError,
+        RuntimeError,  # RecursionError included
+    ) as exc:
+        message = " ".join(str(exc).split()) or type(exc).__name__
+        print(f"error: {message}", file=sys.stderr)
         return 2
-    except RuntimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    text = emit(args.format, payload)
     sys.stdout.write(text if text.endswith("\n") else text + "\n")
     return code
 

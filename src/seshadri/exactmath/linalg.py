@@ -8,6 +8,7 @@ directly over the coefficient field.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -69,12 +70,29 @@ def _cleared_rows(m: ExactMatrix) -> list[Row]:
     return out
 
 
+def _integer_rows(m: ExactMatrix) -> list[list[int]]:
+    """The rows of an all-rational matrix scaled by their denominators' lcm,
+    as Python integers."""
+    out = []
+    for row in m.entries:
+        scale = lcm(*(x.denominator for x in row))
+        out.append([x.numerator * (scale // x.denominator) for x in row])
+    return out
+
+
 def exact_rank(m: ExactMatrix) -> int:
-    """Rank over the coefficient field via fraction-free (Bareiss) elimination."""
-    a = _cleared_rows(m)
+    """Rank over the coefficient field via fraction-free (Bareiss) elimination.
+
+    Every entry after a step is a minor of the cleared matrix, so dividing by
+    the previous pivot is exact: rational input runs on Python integers with
+    floor division, quadratic input on Z[sqrt(D)] with field division."""
+    if all(isinstance(x, Fraction) for row in m.entries for x in row):
+        a, divide = _integer_rows(m), operator.floordiv
+    else:
+        a, divide = _cleared_rows(m), operator.truediv
     nrows, ncols = len(a), (len(a[0]) if a else 0)
     rank = 0
-    denom: Scalar = Fraction(1)
+    denom: Scalar = 1
     for col in range(ncols):
         if rank == nrows:
             break
@@ -82,11 +100,11 @@ def exact_rank(m: ExactMatrix) -> int:
         if pivot is None:
             continue
         a[rank], a[pivot] = a[pivot], a[rank]
+        top, lead = a[rank][col:], a[rank][col]
         for i in range(rank + 1, nrows):
-            for j in range(col + 1, ncols):
-                a[i][j] = (a[rank][col] * a[i][j] - a[i][col] * a[rank][j]) / denom
-            a[i][col] = Fraction(0)
-        denom = a[rank][col]
+            factor = a[i][col]
+            a[i][col:] = [divide(lead * x - factor * y, denom) for x, y in zip(a[i][col:], top)]
+        denom = lead
         rank += 1
     return rank
 
@@ -181,8 +199,3 @@ def is_negative_definite(g: ExactMatrix) -> bool:
         if determinant(minor) <= 0:
             return False
     return True
-
-
-def matvec(m: ExactMatrix, v: Sequence) -> list[Scalar]:
-    vv = [to_scalar(x) for x in v]
-    return [sum((a * b for a, b in zip(row, vv)), start=Fraction(0)) for row in m.entries]

@@ -15,7 +15,6 @@ from fractions import Fraction
 from itertools import product
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
-from .scalars import Fraction as _Fraction  # noqa: F401  (re-export convenience)
 from .scalars import QuadExt, Scalar, to_scalar
 
 Exponent = Tuple[int, ...]
@@ -244,16 +243,6 @@ class WPolynomial:
             rest = tuple(0 if j == i else e for j, e in enumerate(exp))
             out = out + WPolynomial.monomial(rest, c) * powers[e_i]
         return WPolynomial(out.coeffs, self.nvars, self.weights)
-
-    def truncate_degree(self, max_degree: int) -> "WPolynomial":
-        return WPolynomial(
-            {e: c for e, c in self.coeffs.items() if sum(e) <= max_degree},
-            self.nvars,
-            self.weights,
-        )
-
-    def map_coefficients(self, fn) -> "WPolynomial":
-        return WPolynomial({e: fn(c) for e, c in self.coeffs.items()}, self.nvars, self.weights)
 
 
 # -- monomial bases and jets --------------------------------------------------

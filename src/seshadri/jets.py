@@ -13,15 +13,16 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb, lcm, prod
 from typing import Callable, Optional, Sequence, Tuple, Union
 
 from .exactmath import (
+    Exponent,
     ExactMatrix,
     WPolynomial,
     exact_rank,
     graded_lex_monomials,
     jet_basis_size,
-    jet_coefficients,
     nullspace_basis,
 )
 
@@ -64,9 +65,112 @@ class SpanConstraint:
 Constraint = Union[MultConstraint, SpanConstraint]
 
 
+# -- the engine -------------------------------------------------------------------
+#
+# A system W is the kernel of its constraint matrix C, whose rows are linear
+# forms on coefficient vectors over the monomials. The jets of order <= s at x
+# of the members of W then have rank
+#
+#     rank(J_s | W) = rank([C; J_s]) - rank(C),
+#
+# where J_s holds the Taylor jets of order <= s of the monomials themselves at
+# x. The rows of J_s are nested in s, so one elimination, grown one order at a
+# time, gives s(W, x) for every s.
+#
+# Every row is scaled to integers, which leaves each rank unchanged, and the
+# elimination runs modulo PRIME. The rank of an integer matrix modulo PRIME is
+# at most its rank over Q, and rank([C; J_s]) <= rank(C) + |J_s|, so a modular
+# rank of rank(C) + |J_s| proves full separation at order s. Any other modular
+# rank decides nothing, and exact elimination over Q decides that order and
+# the ones after it. That happens where separation truly stops, and also where
+# reduction modulo PRIME loses rank that Q keeps: x congruent to a constraint
+# point, C losing rank modulo PRIME, or a denominator divisible by PRIME (the
+# scaled rows then degenerate). Irrational entries have no residue, so such a
+# system is ranked exactly throughout.
+#
+# The exact step ranks [C; J_s] through the same identity with the origin
+# moved to x: written in the monomials of u = y - x, J_s picks the first |J_s|
+# coordinates, so rank([C; J_s]) = |J_s| + rank(C' without its first |J_s|
+# columns), where C' is C in those monomials. C' has only the rows of C.
+
+PRIME = 2**61 - 1
+
+
+def _taylor_tables(point: Point, degree: int) -> list[list[list[int]]]:
+    """tables[i][b][a] = C(a, b) * p^(a - b) * q^(degree - a) for x_i = p/q:
+    the coefficient of u^b in (u + x_i)^a, times q^(degree - b); zero for b > a."""
+    tables = []
+    for c in point:
+        p, q = c.numerator, c.denominator
+        tables.append(
+            [
+                [comb(a, b) * p ** (a - b) * q ** (degree - a) if b <= a else 0 for a in range(degree + 1)]
+                for b in range(degree + 1)
+            ]
+        )
+    return tables
+
+
+def _jet_rows(tables, betas: Sequence[Exponent], monomials: Sequence[Exponent]) -> list[list[int]]:
+    """Row beta, column alpha: the coefficient of u^beta in (u + x)^alpha, that
+    is, the order-|beta| Taylor coefficient of the monomial alpha at x, with the
+    row scaled by a positive integer."""
+    rows = []
+    for beta in betas:
+        factors = [table[b] for table, b in zip(tables, beta)]
+        rows.append([prod(f[a] for f, a in zip(factors, alpha)) for alpha in monomials])
+    return rows
+
+
+def _integral(row: list) -> list:
+    """A rational row scaled by the lcm of its denominators; any other row as it is."""
+    if not all(isinstance(x, Fraction) for x in row):
+        return row
+    scale = lcm(*(x.denominator for x in row))
+    return [x.numerator * (scale // x.denominator) for x in row]
+
+
+class _Echelon:
+    """Row echelon form modulo PRIME, grown one row at a time. The row stored
+    under a pivot column starts at that column, scaled to 1 there."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: Optional[dict] = None):
+        self.rows: dict[int, list[int]] = dict(rows or {})
+
+    @classmethod
+    def of(cls, rows) -> Optional["_Echelon"]:
+        """Echelon form of integer rows; None if an entry is not an integer."""
+        if not all(type(x) is int for row in rows for x in row):
+            return None
+        echelon = cls()
+        for row in rows:
+            echelon.add([x % PRIME for x in row])
+        return echelon
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def add(self, row: list[int]) -> None:
+        """Reduce a row of residues by the stored rows and keep what is left."""
+        for col in range(len(row)):
+            v = row[col]
+            if not v:
+                continue
+            pivot = self.rows.get(col)
+            if pivot is None:
+                inverse = pow(v, -1, PRIME)
+                self.rows[col] = [x * inverse % PRIME for x in row[col:]]
+                return
+            row[col:] = [(x - v * y) % PRIME for x, y in zip(row[col:], pivot)]
+
+
 class LinearSystem:
     """Subspace of the degree <= d polynomials in n variables cut out by exact
-    linear constraints; the basis is computed once at construction."""
+    linear constraints, kept as its constraint matrix C; the dimension is
+    (number of monomials) - rank(C)."""
 
     def __init__(self, nvars: int, degree: int, constraints: Sequence[Constraint] = ()):
         if nvars < 1 or degree < 0:
@@ -75,23 +179,20 @@ class LinearSystem:
         self.degree = degree
         self.constraints = tuple(constraints)
         self.monomials = graded_lex_monomials(nvars, degree)
-        ambient = len(self.monomials)
-        basis: list[list[Fraction]] = [
-            [Fraction(1) if i == j else Fraction(0) for j in range(ambient)]
-            for i in range(ambient)
-        ]
-        for constraint in self.constraints:
-            basis = self._apply(basis, constraint)
-            if not basis:
-                break
-        self.basis_vectors = basis
-        self.basis_polynomials = [self._to_poly(v) for v in basis]
-        self.dimension = len(basis)
+        self._rows = self._rows_at((Fraction(0),) * nvars)
+        # Full row rank modulo PRIME proves full row rank over Q.
+        self._echelon = _Echelon.of(self._rows)
+        if self._echelon is not None and self._echelon.rank == len(self._rows):
+            self._rank = len(self._rows)
+        else:
+            self._rank = exact_rank(ExactMatrix.from_rows(self._rows))
+        self.dimension = len(self.monomials) - self._rank
 
-    def _to_poly(self, vector: Sequence) -> WPolynomial:
-        return WPolynomial(
-            {e: c for e, c in zip(self.monomials, vector) if c}, self.nvars
-        )
+    def _check_point(self, point: Sequence) -> Point:
+        point = as_point(point)
+        if len(point) != self.nvars:
+            raise ValueError("point arity mismatch")
+        return point
 
     def _to_vector(self, f: WPolynomial) -> list[Fraction]:
         if f.nvars != self.nvars:
@@ -104,56 +205,58 @@ class LinearSystem:
             v[index[e]] = c
         return v
 
-    def _apply(self, basis, constraint) -> list:
-        if not basis:
-            return basis
-        if isinstance(constraint, MultConstraint):
-            conditions = self._jet_rows(basis, constraint.point, constraint.order - 1)
-        elif isinstance(constraint, SpanConstraint):
-            span = [self._to_vector(f) for f in constraint.basis]
-            if not span:
-                return []
-            # x lies in the span iff x is orthogonal to the span's annihilator.
-            annihilator = nullspace_basis(ExactMatrix.from_rows(span))
-            conditions = [
-                [sum(a * b for a, b in zip(v, bvec)) for bvec in basis] for v in annihilator
-            ]
-        else:
-            raise TypeError(f"unknown constraint {constraint!r}")
-        if not conditions:
-            return basis
-        combos = nullspace_basis(ExactMatrix.from_rows(conditions))
-        return [
-            [sum(c * bvec[j] for c, bvec in zip(combo, basis)) for j in range(len(basis[0]))]
-            for combo in combos
-        ]
+    def _rows_at(self, origin: Point) -> list[list]:
+        """The rows of C written in the monomials of u = y - origin, each
+        scaled to integers when it is rational."""
+        return [row for c in self.constraints for row in self._constraint_rows(c, origin)]
 
-    def _jet_rows(self, basis, point: Point, order: int) -> list[list[Fraction]]:
-        """Rows = jet conditions (one per monomial of degree <= order at the
-        point), columns = current basis elements."""
-        jets = [jet_coefficients(self._to_poly(v), point, order) for v in basis]
-        return [[jets[j][i] for j in range(len(basis))] for i in range(len(jets[0]))]
+    def _constraint_rows(self, constraint: Constraint, origin: Point) -> list[list]:
+        if isinstance(constraint, MultConstraint):
+            # Jets of order above the degree vanish on every member.
+            top = min(constraint.order - 1, self.degree)
+            point = self._check_point(constraint.point)
+            tables = _taylor_tables(tuple(a - b for a, b in zip(point, origin)), self.degree)
+            betas = self.monomials[: jet_basis_size(self.nvars, top)]
+            return _jet_rows(tables, betas, self.monomials)
+        if isinstance(constraint, SpanConstraint):
+            # f lies in the span iff f is orthogonal to the span's annihilator;
+            # an empty span spans the zero row.
+            span = [self._to_vector(f.shift(origin) if any(origin) else f) for f in constraint.basis]
+            annihilator = nullspace_basis(ExactMatrix.from_rows(span or [[0] * len(self.monomials)]))
+            return [_integral(row) for row in annihilator]
+        raise TypeError(f"unknown constraint {constraint!r}")
 
 
 def jet_separation(system: LinearSystem, point: Sequence) -> int:
     """Largest s >= 0 such that the system surjects onto all Taylor jets of
     order <= s at the point; -1 if the point is a base point (or the system is
     empty)."""
-    point = as_point(point)
+    point = system._check_point(point)
     if system.dimension == 0:
         return -1
-    shifted = [f.shift(point) for f in system.basis_polynomials]
+    n, monomials = system.nvars, system.monomials
+    residues = [
+        [[x % PRIME for x in row] for row in table] for table in _taylor_tables(point, system.degree)
+    ]
+    echelon = None if system._echelon is None else _Echelon(system._echelon.rows)
+    shifted = None
     best = -1
     for s in range(system.degree + 1):
-        target = jet_basis_size(system.nvars, s)
+        target = jet_basis_size(n, s)
         if target > system.dimension:
             break
-        monos = graded_lex_monomials(system.nvars, s)
-        rows = [[g.coeffs.get(e, Fraction(0)) for e in monos] for g in shifted]
-        if exact_rank(ExactMatrix.from_rows(rows)) == target:
-            best = s
-        else:
+        if echelon is not None:
+            for row in _jet_rows(residues, monomials[jet_basis_size(n, s - 1) : target], monomials):
+                echelon.add([x % PRIME for x in row])
+            if echelon.rank == system._rank + target:
+                best = s
+                continue
+            echelon = None
+        if shifted is None:
+            shifted = system._rows_at(point)
+        if exact_rank(ExactMatrix.from_rows([row[target:] for row in shifted])) < system._rank:
             break
+        best = s
     return best
 
 

@@ -377,3 +377,68 @@ def test_console_entry_point_runs_the_same_main():
         text=True,
     )
     assert proc.stdout == '{"weights":[1,1,2],"seshadri":"2","volume":"8"}\n'
+
+
+# -- error contract --------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "system",
+    [
+        {"n": 2, "d": 3, "constraints": [{"type": "mult", "point": [1], "order": 1}], "point": "random"},
+        {"n": 2, "d": 3, "constraints": [{"type": "mult", "point": [1, 2], "order": 1}], "point": [1]},
+        {"n": 2, "d": 3, "constraints": [], "point": [1, 2, 3], "m_max": 1},
+    ],
+)
+def test_jets_point_arity_mismatch_exits_2(capsys, system):
+    code, out, err = run_cli(capsys, "jets", json.dumps(system))
+    assert code == 2
+    assert out == ""
+    assert err == "error: point arity mismatch\n"
+
+
+def test_bounds_output_over_the_digit_limit_exits_2_without_a_traceback():
+    proc = subprocess.run(
+        [sys.executable, "-m", "seshadri.cli", "bounds", "--n", "100000", "--eps", "1"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "exc", [ZeroDivisionError("division by zero"), AssertionError(), RecursionError("too deep")]
+)
+def test_arithmetic_and_internal_errors_exit_2_with_one_line(capsys, monkeypatch, exc):
+    import seshadri.cli as cli
+
+    def broken(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_wps", broken)
+    code, out, err = run_cli(capsys, "wps", "--weights", "1,1,2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_jets_builds_each_multiple_once_for_the_sampled_points(capsys, monkeypatch):
+    import seshadri.jets as jets_module
+
+    built = []
+    original = jets_module.LinearSystem.__init__
+
+    def counted(self, nvars, degree, constraints=()):
+        built.append(degree)
+        original(self, nvars, degree, constraints)
+
+    monkeypatch.setattr(jets_module.LinearSystem, "__init__", counted)
+    system = {"n": 2, "d": 3, "constraints": [{"type": "mult", "point": [0, 0], "order": 1}],
+              "point": "random", "m_max": 3}
+    code, out, _ = run_cli(capsys, "jets", json.dumps(system))
+    assert code == 0
+    assert out == '{"s_values":[2,4,6],"lower":"2","upper":null,"certified":false}\n'
+    assert built == [3, 6, 9]

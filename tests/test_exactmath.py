@@ -2,6 +2,7 @@
 polynomials with jet extraction, and fraction-free linear algebra."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -251,6 +252,35 @@ def test_rank_over_quadratic_extension():
     # second row is sqrt(2) times the first
     m = ExactMatrix.from_rows([[1, r2], [r2, 2]])
     assert exact_rank(m) == 1
+
+
+def _random_rank_deficient(rng, nrows, ncols, rank):
+    """A product of random nrows x rank and rank x ncols rational matrices,
+    with an occasional row made zero."""
+    left = [[Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(rank)] for _ in range(nrows)]
+    right = [[Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(ncols)] for _ in range(rank)]
+    rows = [
+        [sum((row[k] * right[k][j] for k in range(rank)), Fraction(0)) for j in range(ncols)]
+        for row in left
+    ]
+    if rng.random() < 0.3:
+        rows[rng.randrange(nrows)] = [Fraction(0)] * ncols
+    return rows
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_integer_and_field_bareiss_agree_on_rank_deficient_matrices(seed):
+    # Rational entries run the integer path (floor division by the previous
+    # pivot); the same entries as Q(sqrt(2)) elements with zero sqrt(2) part
+    # run the field-division path. Both must give sympy's rank.
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(seed)
+    nrows, ncols = rng.randint(1, 8), rng.randint(1, 8)
+    rows = _random_rank_deficient(rng, nrows, ncols, rng.randint(0, min(nrows, ncols)))
+    as_quad = [[QuadExt(x, Fraction(0), 2) for x in row] for row in rows]
+    expected = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in rows]).rank()
+    assert exact_rank(ExactMatrix.from_rows(rows)) == expected
+    assert exact_rank(ExactMatrix.from_rows(as_quad)) == expected
 
 
 def test_determinant():

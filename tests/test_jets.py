@@ -5,7 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from seshadri.exactmath import WPolynomial
+import seshadri.jets as jets_module
+from seshadri.exactmath import (
+    ExactMatrix,
+    WPolynomial,
+    graded_lex_monomials,
+    jet_basis_size,
+    jet_coefficients,
+    nullspace_basis,
+)
 from seshadri.jets import (
     CurveBound,
     LinearSystem,
@@ -200,3 +208,190 @@ def test_random_point_heights_are_bounded():
         p = random_rational_point(rng, 3, height=50)
         assert len(p) == 3
         assert all(abs(c.numerator) <= 50 and c.denominator <= 50 for c in p)
+
+
+# -- input validation -------------------------------------------------------------
+
+
+def test_constraint_point_of_the_wrong_arity_is_rejected():
+    with pytest.raises(ValueError, match="point arity mismatch"):
+        LinearSystem(2, 3, [MultConstraint((Fraction(1),), 1)])
+
+
+def test_evaluation_point_of_the_wrong_arity_is_rejected():
+    system = LinearSystem(2, 3, [MultConstraint(ORIGIN, 1)])
+    with pytest.raises(ValueError, match="point arity mismatch"):
+        jet_separation(system, (Fraction(1),))
+    with pytest.raises(ValueError, match="point arity mismatch"):
+        jet_separation(system, (Fraction(1), Fraction(2), Fraction(3)))
+
+
+# -- oracle: nullspace basis, shifted jets, sympy rank -----------------------------
+#
+# A separate route: the jets of the monomials at a constraint point come from
+# WPolynomial.shift, W is an explicit nullspace basis of the constraint matrix,
+# and every rank is sympy's.
+
+
+def _sympy_rank(rows):
+    sympy = pytest.importorskip("sympy")
+    return sympy.Matrix(
+        [[sympy.Rational(int(x.numerator), int(x.denominator)) for x in row] for row in rows]
+    ).rank()
+
+
+def _oracle(nvars, degree, constraints, point):
+    """(dimension, s(W, x)) by the separate route."""
+    sympy = pytest.importorskip("sympy")
+    monomials = graded_lex_monomials(nvars, degree)
+    rows = []
+    for c in constraints:
+        if isinstance(c, MultConstraint):
+            cols = [jet_coefficients(WPolynomial.monomial(e), c.point, c.order - 1) for e in monomials]
+            rows.extend([col[i] for col in cols] for i in range(len(cols[0])))
+        else:
+            span = sympy.Matrix(
+                [[sympy.Rational(str(f.coeffs.get(e, 0))) for e in monomials] for f in c.basis]
+                or [[0] * len(monomials)]
+            )
+            rows.extend([Fraction(str(v)) for v in vec] for vec in span.nullspace())
+    if rows:
+        basis = nullspace_basis(ExactMatrix.from_rows(rows))
+    else:
+        basis = [[Fraction(int(i == j)) for j in range(len(monomials))] for i in range(len(monomials))]
+    members = [WPolynomial(dict(zip(monomials, v)), nvars) for v in basis]
+    if not members:
+        return 0, -1
+    best = -1
+    for s in range(degree + 1):
+        target = jet_basis_size(nvars, s)
+        if target > len(members):
+            break
+        if _sympy_rank([jet_coefficients(f, point, s) for f in members]) < target:
+            break
+        best = s
+    return len(members), best
+
+
+def _random_system(rng):
+    nvars = rng.randint(1, 3)
+    degree = rng.randint(2, 5 if nvars < 3 else 3)
+    monomials = graded_lex_monomials(nvars, degree)
+    points = [small_point(rng, nvars) for _ in range(rng.randint(1, 2))]
+    constraints = [MultConstraint(p, rng.randint(1, degree - 1)) for p in points]
+    for _ in range(rng.choice((0, 0, 1, 2))):
+        # Most monomials, plus a few random combinations: a large span.
+        kept = rng.sample(monomials, max(0, len(monomials) - rng.randint(1, 3)))
+        combos = [
+            {e: rng.randint(-3, 3) for e in rng.sample(monomials, min(3, len(monomials)))}
+            for _ in range(rng.randint(0, 2))
+        ]
+        basis = [WPolynomial.monomial(e) for e in kept] + [WPolynomial(c, nvars) for c in combos]
+        constraints.append(SpanConstraint(tuple(basis)))
+    rng.shuffle(constraints)
+    # A random point, a constraint point, and a point on the line through the
+    # constraint points (or through the origin), where separation can drop.
+    ends = points if len(points) == 2 else [(Fraction(0),) * nvars, points[0]]
+    line = tuple(2 * b - a for a, b in zip(*ends))
+    evaluation = [small_point(rng, nvars), points[0], line]
+    return nvars, degree, constraints, evaluation
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_engine_matches_the_nullspace_oracle(seed):
+    rng = random.Random(1000 + seed)
+    nvars, degree, constraints, evaluation = _random_system(rng)
+    system = LinearSystem(nvars, degree, constraints)
+    for x in evaluation:
+        dimension, s = _oracle(nvars, degree, constraints, x)
+        assert system.dimension == dimension
+        assert jet_separation(system, x) == s
+
+
+# -- the modular certificate and its exact fallbacks --------------------------------
+
+P = 2**61 - 1
+
+
+def _count_exact_ranks(monkeypatch):
+    calls = []
+    original = jets_module.exact_rank
+
+    def counted(matrix):
+        calls.append((matrix.rows, matrix.cols))
+        return original(matrix)
+
+    monkeypatch.setattr(jets_module, "exact_rank", counted)
+    return calls
+
+
+def test_prime_is_the_mersenne_prime_2_61_minus_1():
+    assert jets_module.PRIME == P
+
+
+def test_full_separation_is_certified_without_exact_elimination(monkeypatch):
+    calls = _count_exact_ranks(monkeypatch)
+    system = LinearSystem(2, 6, [MultConstraint(ORIGIN, 2)])
+    x = random_rational_point(random.Random(11), 2)
+    # Sextics double at the origin: s = 4 at x. The stop at s = 5 comes from
+    # the rank (21 jets against dimension 25), and only that step is decided
+    # exactly; every order up to 4 is certified by the modular rank alone.
+    assert jet_separation(LinearSystem(2, 3), x) == 3
+    assert calls == []
+    assert jet_separation(system, x) == 4
+    assert len(calls) == 1
+
+
+def test_point_congruent_to_the_base_point_falls_back_to_exact():
+    # x = p + (PRIME, 0) reduces to the base point modulo PRIME, where the
+    # modular rank is deficient already at s = 0; over Q, x is an ordinary
+    # point and the cubics through p separate its 2-jets.
+    p = (Fraction(1, 3), Fraction(2, 5))
+    system = LinearSystem(2, 3, [MultConstraint(p, 1)])
+    x = (p[0] + P, p[1])
+    assert jet_separation(system, x) == 2
+    assert _oracle(2, 3, system.constraints, x) == (9, 2)
+    assert jet_separation(system, p) == -1
+
+
+def test_base_points_congruent_modulo_the_prime_are_ranked_exactly(monkeypatch):
+    # Two distinct points that agree modulo PRIME: the constraint matrix loses
+    # rank modulo PRIME only, so its rank (and every jet rank) is exact.
+    calls = _count_exact_ranks(monkeypatch)
+    p, q = (Fraction(1), Fraction(2)), (Fraction(1 + P), Fraction(2))
+    constraints = [MultConstraint(p, 1), MultConstraint(q, 1)]
+    system = LinearSystem(2, 3, constraints)
+    assert system.dimension == 8
+    assert calls == [(2, 10)]
+    x = (Fraction(-3, 7), Fraction(5, 4))
+    assert jet_separation(system, x) == _oracle(2, 3, constraints, x)[1] == 2
+
+
+@pytest.mark.parametrize("where", ["constraint", "evaluation"])
+def test_denominator_divisible_by_the_prime_is_decided_exactly(where):
+    odd = (Fraction(1, P), Fraction(3, 2))
+    ordinary = (Fraction(-2, 3), Fraction(1, 5))
+    p, x = (odd, ordinary) if where == "constraint" else (ordinary, odd)
+    constraints = [MultConstraint(p, 2)]
+    system = LinearSystem(2, 4, constraints)
+    assert (system.dimension, jet_separation(system, x)) == _oracle(2, 4, constraints, x) == (12, 2)
+    assert jet_separation(system, p) == -1
+
+
+def test_empty_span_leaves_no_members():
+    system = LinearSystem(2, 2, [SpanConstraint(())])
+    assert system.dimension == 0
+    assert jet_separation(system, (Fraction(1), Fraction(2))) == -1
+
+
+def test_span_members_flat_at_a_point_stop_separation_there():
+    # W = span{1, (y - 1)^2}: every member has zero derivative at y = 1, so W
+    # separates only 0-jets there, but all 1-jets at y = 0. At y = 1 the
+    # modular rank falls short and the exact rank decides.
+    one = WPolynomial.constant(1, 1)
+    square = WPolynomial({(2,): 1, (1,): -2, (0,): 1}, 1)
+    system = LinearSystem(1, 2, [SpanConstraint((one, square))])
+    assert system.dimension == 2
+    assert jet_separation(system, (Fraction(1),)) == 0
+    assert jet_separation(system, (Fraction(0),)) == 1
+    assert jet_separation(system, (Fraction(1 + P),)) == 1
