@@ -139,6 +139,15 @@ def _read_json_arg(text: str):
     return json.loads(text)
 
 
+def _field(desc: dict, key: str, where: str):
+    """desc[key] from a JSON object, or an error naming the field and where
+    it is missing."""
+    try:
+        return desc[key]
+    except KeyError:
+        raise ValueError(f"{where}: missing field {key!r}") from None
+
+
 def _fraction_point(coords) -> tuple[Fraction, ...]:
     return tuple(Fraction(str(c)) for c in coords)
 
@@ -163,18 +172,24 @@ def cmd_whs(args) -> tuple[object, int]:
 
 def cmd_jets(args) -> tuple[object, int]:
     desc = _read_json_arg(args.system)
-    nvars, degree = int(desc["n"]), int(desc["d"])
+    nvars = int(_field(desc, "n", "jets system"))
+    degree = int(_field(desc, "d", "jets system"))
     constraints = []
-    for c in desc.get("constraints", ()):
+    for i, c in enumerate(desc.get("constraints", ())):
         if c.get("type") != "mult":
             raise ValueError(f"unknown constraint type {c.get('type')!r}")
-        constraints.append((_fraction_point(c["point"]), int(c["order"])))
+        where = f"constraints[{i}]"
+        constraints.append(
+            (_fraction_point(_field(c, "point", where)), int(_field(c, "order", where)))
+        )
     m_max = int(desc.get("m_max", args.m_max))
     curve_bound = None
     if desc.get("curve_bound"):
         cb = desc["curve_bound"]
         curve_bound = jets.seshadri_upper_via_curve(
-            Fraction(str(cb["pairing"])), int(cb["mult"]), bool(cb["meets_base_locus"])
+            Fraction(str(_field(cb, "pairing", "curve_bound"))),
+            int(_field(cb, "mult", "curve_bound")),
+            bool(_field(cb, "meets_base_locus", "curve_bound")),
         )
 
     # Built once per multiple and shared by every sampled point.
@@ -388,7 +403,10 @@ def _safe_display(value) -> str:
 # -- entry point --------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process.  Subcommands store their
+    handler's name, which `main` looks up in this module when it runs."""
     parser = argparse.ArgumentParser(
         prog="seshadri",
         description="Exact computations of Seshadri constants, jet separation, "
@@ -416,14 +434,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("wps", help="weighted projective space invariants")
     p.add_argument("--weights", required=True, help="comma-separated, e.g. 1,1,2")
-    p.set_defaults(handler=cmd_wps)
+    p.set_defaults(handler="cmd_wps")
 
     p = sub.add_parser("whs", help="weighted hypersurface bound and volume")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
-    p.set_defaults(handler=cmd_whs)
+    p.set_defaults(handler="cmd_whs")
 
     p = sub.add_parser("jets", help="jet separation of a constrained linear system")
     p.add_argument(
@@ -431,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
         help='JSON (or @file): {"n":2,"d":3,"constraints":[{"type":"mult",'
         '"point":[0,0],"order":1}],"point":[...]|"random","m_max":3}',
     )
-    p.set_defaults(handler=cmd_jets)
+    p.set_defaults(handler="cmd_jets")
 
     p = sub.add_parser("valuation", help="monomial/twisted valuation computations")
     p.add_argument("--weights", required=True, help="comma-separated, e.g. 1,2")
@@ -441,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f", help="polynomial in s,t,u; sqrt(2) allowed when twisted")
     p.add_argument("--k", type=int, default=None, help="ideal level")
     p.add_argument("--m", type=int, default=None, help="twist parameter m")
-    p.set_defaults(handler=cmd_valuation)
+    p.set_defaults(handler="cmd_valuation")
 
     p = sub.add_parser("zariski", help="Zariski decomposition on a declared lattice")
     p.add_argument(
@@ -450,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
         '"curves":[{"name":"E","coords":[1,0],"through":false,"mult":1},...],'
         '"D":{"coords":[2,8]}}',
     )
-    p.set_defaults(handler=cmd_zariski)
+    p.set_defaults(handler="cmd_zariski")
 
     p = sub.add_parser("ruled", help="ruled-surface model P(O+O(-D)) over a genus-g curve")
     p.add_argument("--g", type=int, default=None)
@@ -458,26 +476,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sweep", action="store_true", help="emit a (g,d) sweep")
     p.add_argument("--g-max", type=int, default=2)
     p.add_argument("--d-max", type=int, default=12)
-    p.set_defaults(handler=cmd_ruled)
+    p.set_defaults(handler="cmd_ruled")
 
     p = sub.add_parser("bounds", help="volume bound M(n, eps)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--eps", required=True, help="rational, e.g. 1 or 1/2")
     p.add_argument("--oracle-resolution", type=int, default=256)
-    p.set_defaults(handler=cmd_bounds)
+    p.set_defaults(handler="cmd_bounds")
 
     p = sub.add_parser("reproduce", help="re-derive the frozen example table")
     p.add_argument("--filter", default=None, help="only run case ids with this prefix")
-    p.set_defaults(handler=cmd_reproduce)
+    p.set_defaults(handler="cmd_reproduce")
 
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        payload, code = args.handler(args)
+        payload, code = globals()[args.handler](args)
         text = emit(args.format, payload)
     except (
         ValueError,

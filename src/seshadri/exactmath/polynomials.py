@@ -13,6 +13,7 @@ import math
 import re
 from fractions import Fraction
 from itertools import product
+from operator import add
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from .scalars import QuadExt, Scalar, to_scalar
@@ -61,6 +62,18 @@ class WPolynomial:
                 raise ValueError(f"bad weight vector {weights}")
         self.weights = weights
 
+    @classmethod
+    def _trusted(cls, coeffs: CoeffMap, nvars: int, weights) -> "WPolynomial":
+        """Wrap the result of a ring operation.  Its exponents are already int
+        tuples of the right length, its values already scalars and its weights
+        already checked, so only zero coefficients are dropped; coefficient
+        types are kept as they are."""
+        out = cls.__new__(cls)
+        out.coeffs = {e: c for e, c in coeffs.items() if c}
+        out.nvars = nvars
+        out.weights = weights
+        return out
+
     # -- constructors ---------------------------------------------------
 
     @classmethod
@@ -92,13 +105,15 @@ class WPolynomial:
         self._check_compatible(other)
         out = dict(self.coeffs)
         for exp, c in other.coeffs.items():
-            out[exp] = out.get(exp, Fraction(0)) + c
-        return WPolynomial(out, self.nvars, self.weights)
+            out[exp] = out[exp] + c if exp in out else c
+        return WPolynomial._trusted(out, self.nvars, self.weights)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return WPolynomial({e: -c for e, c in self.coeffs.items()}, self.nvars, self.weights)
+        return WPolynomial._trusted(
+            {e: -c for e, c in self.coeffs.items()}, self.nvars, self.weights
+        )
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction, QuadExt)):
@@ -111,14 +126,17 @@ class WPolynomial:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, QuadExt)):
             c = to_scalar(other)
-            return WPolynomial({e: v * c for e, v in self.coeffs.items()}, self.nvars, self.weights)
+            return WPolynomial._trusted(
+                {e: v * c for e, v in self.coeffs.items()}, self.nvars, self.weights
+            )
         self._check_compatible(other)
         out: CoeffMap = {}
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return WPolynomial(out, self.nvars, self.weights)
+                e = tuple(map(add, e1, e2))
+                c = c1 * c2
+                out[e] = out[e] + c if e in out else c
+        return WPolynomial._trusted(out, self.nvars, self.weights)
 
     __rmul__ = __mul__
 
@@ -229,31 +247,36 @@ class WPolynomial:
     def substitute(self, i: int, g: "WPolynomial") -> "WPolynomial":
         """Replace variable i by the polynomial g (same variable space)."""
         self._check_compatible(g)
-        powers: Dict[int, WPolynomial] = {0: WPolynomial.constant(1, self.nvars)}
-        out = WPolynomial.zero(self.nvars, self.weights)
+        powers = [WPolynomial.constant(1, self.nvars)]  # powers[k] = g^k
+        out: CoeffMap = {}
         for exp, c in self.coeffs.items():
             e_i = exp[i]
-            if e_i not in powers:
-                k = max(powers)
-                acc = powers[k]
-                while k < e_i:
-                    acc = acc * g
-                    k += 1
-                    powers[k] = acc
+            while len(powers) <= e_i:
+                powers.append(powers[-1] * g)
             rest = tuple(0 if j == i else e for j, e in enumerate(exp))
-            out = out + WPolynomial.monomial(rest, c) * powers[e_i]
-        return WPolynomial(out.coeffs, self.nvars, self.weights)
+            for pe, pc in powers[e_i].coeffs.items():
+                e = tuple(map(add, rest, pe))
+                term = c * pc
+                out[e] = out[e] + term if e in out else term
+        return WPolynomial._trusted(out, self.nvars, self.weights)
 
 
 # -- monomial bases and jets --------------------------------------------------
 
 
-def _compositions(total: int, parts: int) -> Iterable[Exponent]:
+def compositions(total: int, parts: int) -> Iterable[Exponent]:
+    """Every tuple of `parts` non-negative integers summing to `total`, in
+    ascending lexicographic order; the empty tuple is the one composition of
+    0 into no parts."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
     if parts == 1:
         yield (total,)
         return
     for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
+        for rest in compositions(total - first, parts - 1):
             yield (first,) + rest
 
 
@@ -262,7 +285,7 @@ def graded_lex_monomials(nvars: int, max_degree: int) -> list[Exponent]:
     (degree first, descending exponent tuple within a degree)."""
     out: list[Exponent] = []
     for d in range(max_degree + 1):
-        out.extend(sorted(_compositions(d, nvars), reverse=True))
+        out.extend(sorted(compositions(d, nvars), reverse=True))
     return out
 
 

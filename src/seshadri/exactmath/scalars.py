@@ -7,6 +7,7 @@ integer D >= 2.  There is no floating point anywhere; equality is exact.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -15,6 +16,7 @@ from typing import Union
 Rational = Fraction
 
 
+@functools.lru_cache(maxsize=64)
 def _is_square_free(d: int) -> bool:
     if d < 2:
         return False
@@ -47,8 +49,10 @@ class QuadExt:
     D: int
 
     def __post_init__(self):
-        object.__setattr__(self, "a", _as_fraction(self.a))
-        object.__setattr__(self, "b", _as_fraction(self.b))
+        if not isinstance(self.a, Fraction):
+            object.__setattr__(self, "a", _as_fraction(self.a))
+        if not isinstance(self.b, Fraction):
+            object.__setattr__(self, "b", _as_fraction(self.b))
         if not _is_square_free(self.D):
             raise ValueError(f"D must be a square-free integer >= 2, got {self.D}")
 
@@ -100,6 +104,8 @@ class QuadExt:
         return QuadExt(o.a - self.a, o.b - self.b, self.D)
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return QuadExt(self.a * other, self.b * other, self.D)
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented

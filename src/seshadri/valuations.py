@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from operator import mul
 from typing import Optional, Tuple
 
 from .exactmath import (
@@ -20,9 +20,9 @@ from .exactmath import (
     QuadExt,
     WPolynomial,
     nullspace_basis,
-    rational_parts,
     rref,
 )
+from .exactmath.polynomials import compositions
 
 SQRT2 = QuadExt(Fraction(0), Fraction(1), 2)
 
@@ -138,15 +138,6 @@ class ValuationIdealQuery:
             raise ValueError("ideal level k must be >= 1")
 
 
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def ideal_min_multiplicity(query: ValuationIdealQuery) -> tuple[int, Fraction]:
     """Minimal multiplicity of a nonzero member of I_k for an untwisted
     monomial valuation, and lambda = min_mult / k.
@@ -162,13 +153,25 @@ def ideal_min_multiplicity(query: ValuationIdealQuery) -> tuple[int, Fraction]:
     a = discrepancy(nu)
     target = a * query.k
     closed = -(-target // max(nu.weights))  # ceil
-    for total in range(closed):
-        for v in _compositions(total, nu.nvars):
-            if sum(w * e for w, e in zip(nu.weights, v)) >= target:
-                raise AssertionError(
-                    f"lattice scan beat the closed form at {v} (this is a bug)"
-                )
+    _scan_below(nu.weights, target, closed)
     return closed, Fraction(closed, query.k)
+
+
+def _scan_below(weights: Tuple[int, ...], target: int, closed: int) -> None:
+    """Raise AssertionError if a lattice point v with |v| < closed has
+    <weights, v> >= target.  Each such point is visited once: every prefix of
+    the first n-1 coordinates, then every last coordinate that keeps
+    |v| < closed."""
+    *head, w_last = weights
+    for used in range(closed):
+        for prefix in compositions(used, len(head)):
+            partial = sum(map(mul, head, prefix))
+            for last in range(closed - used):
+                if partial + w_last * last >= target:
+                    raise AssertionError(
+                        f"lattice scan beat the closed form at {prefix + (last,)} "
+                        "(this is a bug)"
+                    )
 
 
 # -- rational members of the twisted ideal (s^m, t - sqrt(2)*s^(m-1))^k -------
@@ -186,11 +189,14 @@ class GaloisMinMult:
 
 
 def _twisted_monomial_in_st(a: int, b: int, m: int) -> dict:
-    """Coefficients of s^a * y^b in (s, t), where y = t - sqrt(2)*s^(m-1)."""
+    """Coefficients of s^a * y^b in (s, t), where y = t - sqrt(2)*s^(m-1), as
+    integer pairs (rational part, sqrt(2) part), using
+    (-sqrt(2))^e = (-1)^e * 2^(e // 2) * sqrt(2)^(e % 2)."""
     out = {}
     for j in range(b + 1):
-        coeff = math.comb(b, j) * (-SQRT2) ** (b - j)
-        out[(a + (m - 1) * (b - j), j)] = coeff
+        e = b - j
+        c = math.comb(b, j) * 2 ** (e // 2)
+        out[(a + (m - 1) * e, j)] = (0, -c) if e % 2 else (c, 0)
     return out
 
 
@@ -209,35 +215,27 @@ def _rational_members_of_piece(m: int, k: int, level: int):
         {(level - (m - 1) * j, j) for j in range(level // (m - 1) + 1)},
         key=lambda e: (e[0] + e[1], e),
     )
+    # by_column[col][r] = (rat, irr): generator r's coefficient rat + irr*sqrt(2).
     col_index = {e: i for i, e in enumerate(columns)}
-    rows = []
-    for a, b in generators:
-        vec = [QuadExt(Fraction(0), Fraction(0), 2)] * len(columns)
-        for exp, c in _twisted_monomial_in_st(a, b, m).items():
-            vec[col_index[exp]] = c
-        rows.append(vec)
+    by_column = [[(0, 0)] * len(generators) for _ in columns]
+    for r, (a, b) in enumerate(generators):
+        for exp, pair in _twisted_monomial_in_st(a, b, m).items():
+            by_column[col_index[exp]][r] = pair
     # c_r = a_r + sqrt(2) b_r: the combination is rational iff for every
     # column the sqrt(2)-part sum a_r*irr + b_r*rat vanishes.
-    n = len(rows)
-    eqs = []
-    for col in range(len(columns)):
-        eq = []
-        for r in range(n):
-            _, irr = rational_parts(rows[r][col])
-            eq.append(irr)
-        for r in range(n):
-            rat, _ = rational_parts(rows[r][col])
-            eq.append(rat)
-        eqs.append(eq)
+    n = len(generators)
+    eqs = [[irr for _, irr in pairs] + [rat for rat, _ in pairs] for pairs in by_column]
     members = []
     for kernel in nullspace_basis(ExactMatrix.from_rows(eqs)):
         a_part, b_part = kernel[:n], kernel[n:]
         vec = []
-        for col in range(len(columns)):
+        for pairs in by_column:
             total = Fraction(0)
-            for r in range(n):
-                rat, irr = rational_parts(rows[r][col])
-                total += a_part[r] * rat + 2 * b_part[r] * irr
+            for a_r, b_r, (rat, irr) in zip(a_part, b_part, pairs):
+                if rat:
+                    total += a_r * rat
+                if irr:
+                    total += 2 * irr * b_r
             vec.append(total)
         if any(vec):
             members.append(vec)

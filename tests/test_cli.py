@@ -442,3 +442,42 @@ def test_jets_builds_each_multiple_once_for_the_sampled_points(capsys, monkeypat
     assert code == 0
     assert out == '{"s_values":[2,4,6],"lower":"2","upper":null,"certified":false}\n'
     assert built == [3, 6, 9]
+
+
+@pytest.mark.parametrize(
+    "system,message",
+    [
+        ({"n": 2}, "error: jets system: missing field 'd'\n"),
+        ({"d": 3}, "error: jets system: missing field 'n'\n"),
+        (
+            {"n": 2, "d": 3, "constraints": [{"type": "mult", "order": 1}]},
+            "error: constraints[0]: missing field 'point'\n",
+        ),
+        (
+            {"n": 2, "d": 3, "constraints": [{"type": "mult", "point": [0, 0], "order": 1},
+                                             {"type": "mult", "point": [1, 1]}]},
+            "error: constraints[1]: missing field 'order'\n",
+        ),
+        (
+            {"n": 2, "d": 3, "curve_bound": {"pairing": 1, "meets_base_locus": False}},
+            "error: curve_bound: missing field 'mult'\n",
+        ),
+    ],
+)
+def test_jets_missing_field_names_the_field_and_where(capsys, system, message):
+    code, out, err = run_cli(capsys, "jets", json.dumps(system))
+    assert code == 2
+    assert out == ""
+    assert err == message
+
+
+def test_valuation_minmult_with_a_single_weight(capsys):
+    code, out, _ = run_cli(capsys, "valuation", "--weights", "3", "--op", "minmult", "--k", "5")
+    assert code == 0
+    assert out == '{"weights":[3],"k":5,"min_mult":4,"lambda":"4/5"}\n'
+
+
+def test_parser_is_built_once_per_process():
+    import seshadri.cli as cli
+
+    assert cli.build_parser() is cli.build_parser()

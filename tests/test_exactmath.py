@@ -63,6 +63,25 @@ def test_quadext_rejects_non_squarefree_discriminant():
         QuadExt(Fraction(1), Fraction(1), 1)
 
 
+def test_quadext_checks_every_construction_and_normalises_its_parts():
+    for _ in range(2):
+        for d in (4, 8, 1, 0, -3):
+            with pytest.raises(ValueError):
+                QuadExt(Fraction(1), Fraction(1), d)
+    x = QuadExt(1, 2, 2)
+    assert type(x.a) is Fraction and type(x.b) is Fraction
+    with pytest.raises(TypeError):
+        QuadExt(0.5, 1, 2)
+
+
+@given(quad_scalars(), small_fractions)
+def test_quadext_times_a_rational_matches_the_field_product(x, q):
+    product = x * q
+    assert product == x * QuadExt(q, Fraction(0), 2) == q * x == x * QuadExt(q, 0, 2)
+    assert type(product.a) is Fraction and type(product.b) is Fraction
+    assert x * 3 == x * QuadExt(3, 0, 2)
+
+
 def test_quadext_basic_arithmetic():
     r2 = QuadExt(Fraction(0), Fraction(1), 2)
     assert r2 * r2 == 2
@@ -211,6 +230,55 @@ def test_substitute_variable():
     g = WPolynomial({(0, 1): Fraction(1), (2, 0): Fraction(1)}, 2)
     expected = parse_polynomial("t^2 + 2*s^2*t + s^4", ("s", "t"))
     assert f.substitute(1, g) == expected
+
+
+@st.composite
+def quad_polynomials(draw, nvars=2, max_degree=3, max_terms=5):
+    coeffs = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        e = tuple(draw(st.integers(0, max_degree)) for _ in range(nvars))
+        coeffs[e] = draw(st.one_of(small_fractions, quad_scalars()))
+    return WPolynomial(coeffs, nvars)
+
+
+@settings(max_examples=80, deadline=None)
+@given(quad_polynomials(), quad_polynomials(), small_fractions)
+def test_ring_ops_match_the_validating_constructor_and_store_no_zeros(f, g, c):
+    # The validating constructor sums repeated exponents and drops zeros, so
+    # it rebuilds sums and products from the raw term lists.
+    products = [
+        (tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+        for e1, c1 in f.coeffs.items()
+        for e2, c2 in g.coeffs.items()
+    ]
+    assert f + g == WPolynomial(list(f.coeffs.items()) + list(g.coeffs.items()), 2)
+    assert f * g == WPolynomial(products, 2)
+    assert f * c == WPolynomial([(e, v * c) for e, v in f.coeffs.items()], 2)
+    assert (f - f).coeffs == {}
+    point = (Fraction(2, 3), Fraction(-5, 7))
+    substituted = f.substitute(1, g)
+    assert substituted.evaluate(point) == f.evaluate((point[0], g.evaluate(point)))
+    for h in (f + g, f - g, -f, f * g, f * c, f * 0, substituted):
+        assert all(h.coeffs.values())
+
+
+@settings(max_examples=40, deadline=None)
+@given(polynomials(max_degree=3), polynomials(max_degree=3))
+def test_ring_ops_on_rational_polynomials_keep_fraction_coefficients(f, g):
+    for h in (f + g, f - g, f * g, f * 3, f.substitute(0, g)):
+        assert all(type(v) is Fraction for v in h.coeffs.values())
+
+
+def test_conjugate_product_equals_and_hashes_like_the_rational_norm_form():
+    names = ("s", "t")
+    h = parse_polynomial("t - sqrt(2)*s", names, D=2) * parse_polynomial(
+        "t + sqrt(2)*s", names, D=2
+    )
+    expected = parse_polynomial("t^2-2*s^2", names)
+    assert h == expected
+    assert hash(h) == hash(expected)
+    # 1*1 stays rational; -sqrt(2)*sqrt(2) stays a QuadExt with zero sqrt(2) part.
+    assert {e: type(v) for e, v in h.coeffs.items()} == {(0, 2): Fraction, (2, 0): QuadExt}
 
 
 # -- linear algebra ------------------------------------------------------------

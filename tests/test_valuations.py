@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seshadri.exactmath import INFINITY, WPolynomial, parse_polynomial
+from seshadri import valuations as valuations_module
+from seshadri.exactmath import INFINITY, WPolynomial, parse_polynomial, rational_parts
 from seshadri.valuations import (
     SQRT2,
     MonomialValuation,
@@ -307,3 +308,45 @@ def test_twisted_ideal_membership_scales_with_level():
 def test_sqrt2_constant():
     assert SQRT2 * SQRT2 == 2
     assert not SQRT2.is_rational
+
+
+# -- the valuations kernels against their QuadExt and brute-force forms -------------
+
+
+def test_twisted_rows_equal_the_quadext_expansion(monkeypatch):
+    # Record every (a, b, m) whose row the Galois scan builds for m = 2..6 and
+    # k <= 12 (the benchmark's pairs among them), then rebuild each row from
+    # QuadExt arithmetic.
+    original = valuations_module._twisted_monomial_in_st
+    used = set()
+
+    def recording(a, b, m):
+        used.add((a, b, m))
+        return original(a, b, m)
+
+    monkeypatch.setattr(valuations_module, "_twisted_monomial_in_st", recording)
+    for m in range(2, 7):
+        for k in range(1, 13):
+            galois_min_mult(m, k)
+    assert {m for _, _, m in used} == set(range(2, 7))
+    for a, b, m in used:
+        expected = {
+            (a + (m - 1) * (b - j), j): rational_parts(math.comb(b, j) * (-SQRT2) ** (b - j))
+            for j in range(b + 1)
+        }
+        assert original(a, b, m) == expected
+
+
+def test_single_weight_min_mult():
+    query = ValuationIdealQuery(MonomialValuation((3,)), 5)
+    assert ideal_min_multiplicity(query) == (4, Fraction(4, 5))
+
+
+@pytest.mark.parametrize("weights", [(3,), (1, 1), (2, 5), (1, 2, 3), (5, 1, 4), (1, 1, 1, 2)])
+@pytest.mark.parametrize("k", [1, 4, 7])
+def test_lattice_scan_raises_on_a_closed_form_one_too_large(weights, k):
+    target = (sum(weights) - 1) * k
+    closed = -(-target // max(weights))
+    valuations_module._scan_below(weights, target, closed)
+    with pytest.raises(AssertionError, match="beat the closed form"):
+        valuations_module._scan_below(weights, target, closed + 1)
