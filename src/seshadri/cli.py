@@ -280,16 +280,17 @@ def cmd_valuation(args) -> tuple[object, int]:
 
 
 def _lattice_from_json(desc) -> surfaces.SurfaceLattice:
-    generators = tuple(str(g) for g in desc["generators"])
+    where = "zariski description"
+    generators = tuple(str(g) for g in _field(desc, "generators", where))
     gram = ExactMatrix.from_rows(
-        [[Fraction(str(x)) for x in row] for row in desc["gram"]]
+        [[Fraction(str(x)) for x in row] for row in _field(desc, "gram", where)]
     )
     curves = []
-    for i, c in enumerate(desc["curves"]):
+    for i, c in enumerate(_field(desc, "curves", where)):
         curves.append(
             surfaces.CurveClass(
                 name=str(c.get("name", f"C{i}")),
-                coords=_fraction_point(c["coords"]),
+                coords=_fraction_point(_field(c, "coords", f"curves[{i}]")),
                 through_marked_point=bool(c.get("through", False)),
                 mult=int(c.get("mult", 1)),
             )
@@ -300,7 +301,8 @@ def _lattice_from_json(desc) -> surfaces.SurfaceLattice:
 def cmd_zariski(args) -> tuple[object, int]:
     desc = _read_json_arg(args.description)
     lat = _lattice_from_json(desc)
-    d_coords = desc["D"]["coords"] if isinstance(desc["D"], dict) else desc["D"]
+    d_spec = _field(desc, "D", "zariski description")
+    d_coords = _field(d_spec, "coords", "D") if isinstance(d_spec, dict) else d_spec
     divisor = surfaces.DivisorClass(_fraction_point(d_coords))
     dec = surfaces.zariski_decomposition(lat, divisor)
     support_curves = [c for c in lat.curves if c.name in dec.support]

@@ -1,9 +1,10 @@
 """Exact linear algebra: fraction-free rank, determinants, rref, nullspaces.
 
-Rank and determinant use Bareiss elimination after clearing denominators, so
+Rank, row reduction and the definiteness test first scale each row by the lcm
+of its denominators and then run fraction-free (Bareiss) elimination, so
 intermediate entries stay in Z (or Z[sqrt(D)]) and never blow up the way naive
-Gaussian elimination over Q can.  Row reduction and nullspace extraction work
-directly over the coefficient field.
+Gaussian elimination over Q can.  Row reduction divides each pivot row by its
+lead only once, at the end.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import List, Sequence
+from typing import Callable, List, Sequence
 
 from .scalars import QuadExt, Scalar, to_scalar
 
@@ -58,38 +59,32 @@ def _denominator_lcm(x: Scalar) -> int:
     return x.denominator
 
 
-def _cleared_rows(m: ExactMatrix) -> list[Row]:
-    """Scale each row by the lcm of its denominators: entries land in Z or
-    Z[sqrt(D)] without changing rank."""
+def _integral_rows(m: ExactMatrix) -> tuple[list[Row], Callable]:
+    """The rows of m, each scaled by the lcm of its denominators, and the exact
+    division for them: all-rational input becomes Python integers with floor
+    division, quadratic input Z[sqrt(D)] with field division.  Scaling a row
+    by a positive integer changes no rank, pivot column or sign of a minor."""
+    if all(isinstance(x, Fraction) for row in m.entries for x in row):
+        out = []
+        for row in m.entries:
+            scale = lcm(*(x.denominator for x in row))
+            out.append([x.numerator * (scale // x.denominator) for x in row])
+        return out, operator.floordiv
     out = []
     for row in m.entries:
         scale = 1
         for x in row:
             scale = lcm(scale, _denominator_lcm(x))
         out.append([x * scale for x in row])
-    return out
-
-
-def _integer_rows(m: ExactMatrix) -> list[list[int]]:
-    """The rows of an all-rational matrix scaled by their denominators' lcm,
-    as Python integers."""
-    out = []
-    for row in m.entries:
-        scale = lcm(*(x.denominator for x in row))
-        out.append([x.numerator * (scale // x.denominator) for x in row])
-    return out
+    return out, operator.truediv
 
 
 def exact_rank(m: ExactMatrix) -> int:
     """Rank over the coefficient field via fraction-free (Bareiss) elimination.
 
     Every entry after a step is a minor of the cleared matrix, so dividing by
-    the previous pivot is exact: rational input runs on Python integers with
-    floor division, quadratic input on Z[sqrt(D)] with field division."""
-    if all(isinstance(x, Fraction) for row in m.entries for x in row):
-        a, divide = _integer_rows(m), operator.floordiv
-    else:
-        a, divide = _cleared_rows(m), operator.truediv
+    the previous pivot is exact."""
+    a, divide = _integral_rows(m)
     nrows, ncols = len(a), (len(a[0]) if a else 0)
     rank = 0
     denom: Scalar = 1
@@ -107,6 +102,41 @@ def exact_rank(m: ExactMatrix) -> int:
         denom = lead
         rank += 1
     return rank
+
+
+def fraction_free_rref(
+    a: list[Row], divide: Callable = operator.floordiv
+) -> tuple[list[int], Scalar]:
+    """Fraction-free Gauss-Jordan elimination of integral rows, in place;
+    returns (pivot columns, lead).
+
+    Each step replaces every other row, above the pivot as well as below, by
+    (lead * row - row[col] * pivot_row) / previous_lead.  Every entry stays a
+    minor of the input, so each division is exact (`divide` is floor division
+    on Python integers, field division on Z[sqrt(D)]).  At the end row r is
+    `lead` times row r of the reduced row echelon form for r < rank, with
+    `lead` the last pivot (1 when there is none), and the other rows are zero.
+    """
+    nrows, ncols = len(a), (len(a[0]) if a else 0)
+    pivots: list[int] = []
+    prev: Scalar = 1
+    for col in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        pivot = next((i for i in range(r, nrows) if a[i][col]), None)
+        if pivot is None:
+            continue
+        a[r], a[pivot] = a[pivot], a[r]
+        top = a[r]
+        lead = top[col]
+        for i, row in enumerate(a):
+            if i != r:
+                factor = row[col]
+                a[i] = [divide(lead * x - factor * y, prev) for x, y in zip(row, top)]
+        prev = lead
+        pivots.append(col)
+    return pivots, prev
 
 
 def determinant(m: ExactMatrix) -> Scalar:
@@ -136,26 +166,13 @@ def determinant(m: ExactMatrix) -> Scalar:
 
 def rref(m: ExactMatrix) -> tuple[list[Row], list[int]]:
     """Reduced row echelon form over the field; returns (rows, pivot columns)."""
-    a = m.row_list()
-    nrows, ncols = len(a), (len(a[0]) if a else 0)
-    pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        if r == nrows:
-            break
-        pivot = next((i for i in range(r, nrows) if a[i][col]), None)
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        inv = Fraction(1) / a[r][col]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(nrows):
-            if i != r and a[i][col]:
-                factor = a[i][col]
-                a[i] = [x - factor * y for x, y in zip(a[i], a[r])]
-        pivots.append(col)
-        r += 1
-    return a, pivots
+    a, divide = _integral_rows(m)
+    pivots, lead = fraction_free_rref(a, divide)
+    if divide is operator.floordiv:
+        reduced = [[Fraction(x, lead) for x in row] for row in a[: len(pivots)]]
+    else:
+        reduced = [[x / lead for x in row] for row in a[: len(pivots)]]
+    return reduced + [[Fraction(0)] * m.cols for _ in range(m.rows - len(pivots))], pivots
 
 
 def nullspace_basis(m: ExactMatrix) -> list[list[Scalar]]:
@@ -188,14 +205,25 @@ def solve_unique(m: ExactMatrix, rhs: Sequence) -> list[Scalar]:
 
 
 def is_negative_definite(g: ExactMatrix) -> bool:
-    """Sylvester test on -G: every leading principal minor of -G is positive."""
+    """Sylvester test on -G: every leading principal minor of -G is positive.
+
+    Fraction-free elimination of -G without row swaps makes its k-th pivot the
+    k-th leading principal minor of the row-scaled -G, which has the sign of
+    that minor of -G; the test stops at the first pivot <= 0."""
     n = g.rows
     if n != g.cols:
         raise ValueError("definiteness of a non-square matrix")
-    for k in range(1, n + 1):
-        minor = ExactMatrix.from_rows(
-            [[-g.entries[i][j] for j in range(k)] for i in range(k)]
-        )
-        if determinant(minor) <= 0:
+    a, divide = _integral_rows(g)
+    a = [[-x for x in row] for row in a]
+    prev: Scalar = 1
+    for k in range(n):
+        lead, top = a[k][k], a[k][k + 1 :]
+        if lead <= 0:
             return False
+        for i in range(k + 1, n):
+            factor = a[i][k]
+            a[i][k + 1 :] = [
+                divide(lead * x - factor * y, prev) for x, y in zip(a[i][k + 1 :], top)
+            ]
+        prev = lead
     return True

@@ -143,6 +143,21 @@ class WPolynomial:
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise ValueError("polynomial powers must be non-negative integers")
+        if len(self.coeffs) == 2 and k:
+            # Binomial theorem: k + 1 distinct, nonzero terms and no products
+            # of polynomials.
+            (e1, c1), (e2, c2) = self.coeffs.items()
+            p1, p2 = [Fraction(1)], [Fraction(1)]
+            for _ in range(k):
+                p1.append(p1[-1] * c1)
+                p2.append(p2[-1] * c2)
+            out = {
+                tuple(i * x + (k - i) * y for x, y in zip(e1, e2)): math.comb(k, i)
+                * p1[i]
+                * p2[k - i]
+                for i in range(k + 1)
+            }
+            return WPolynomial._trusted(out, self.nvars, self.weights)
         out = WPolynomial.constant(1, self.nvars, self.weights)
         base = self
         while k:

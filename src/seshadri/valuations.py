@@ -14,14 +14,8 @@ from fractions import Fraction
 from operator import mul
 from typing import Optional, Tuple
 
-from .exactmath import (
-    INFINITY,
-    ExactMatrix,
-    QuadExt,
-    WPolynomial,
-    nullspace_basis,
-    rref,
-)
+from .exactmath import INFINITY, QuadExt, WPolynomial, rational_parts
+from .exactmath.linalg import fraction_free_rref
 from .exactmath.polynomials import compositions
 
 SQRT2 = QuadExt(Fraction(0), Fraction(1), 2)
@@ -64,15 +58,58 @@ class MonomialValuation:
 
     def rewrite(self, f: WPolynomial) -> WPolynomial:
         """Express f in the valuation's coordinates: substitute t = y + c*s^e
-        when twisted, identity otherwise."""
+        when twisted, identity otherwise.
+
+        With c = (p + q*sqrt(D))/r and f's coefficients over one common
+        denominator, t^b = sum_j C(b, j) y^j (c s^e)^(b-j) is expanded on
+        integer pairs; only the nonzero output terms become QuadExt values."""
         if self.twist is None:
             return f
         if f.nvars != 2:
             raise ValueError("twisted valuations act on two-variable polynomials")
-        substitution = WPolynomial(
-            {(0, 1): Fraction(1), (self.twist.e, 0): self.twist.c}, 2
-        )
-        return f.substitute(1, substitution)
+        e, c = self.twist.e, self.twist.c
+        D = c.D
+        r = math.lcm(c.a.denominator, c.b.denominator)
+        p, q = c.a.numerator * (r // c.a.denominator), c.b.numerator * (r // c.b.denominator)
+        for coeff in f.coeffs.values():
+            if isinstance(coeff, QuadExt) and coeff.D != D:
+                raise ValueError(f"mixed quadratic fields: sqrt({coeff.D}) vs sqrt({D})")
+        parts = [(exp, *rational_parts(coeff)) for exp, coeff in f.coeffs.items()]
+        den = math.lcm(*(x.denominator for _, alpha, beta in parts for x in (alpha, beta)))
+        top = max((b for (_, b), _, _ in parts), default=0)
+        den_r = den * r**top
+        out: dict = {}
+        for (a, b), alpha, beta in parts:
+            # (alpha + beta*sqrt(D)) over den_r: the term's own r^(b-j) is
+            # topped up to r^top.
+            alpha, beta = int(alpha * den), int(beta * den)
+            for j, (x, y) in enumerate(_binomial_pairs(b, p, q, D)):
+                scale = r ** (top - b + j)
+                key = (a + e * (b - j), j)
+                rat, irr = out.get(key, (0, 0))
+                out[key] = (
+                    rat + (alpha * x + D * beta * y) * scale,
+                    irr + (alpha * y + beta * x) * scale,
+                )
+        coeffs = {
+            key: QuadExt(Fraction(rat, den_r), Fraction(irr, den_r), D)
+            for key, (rat, irr) in out.items()
+            if rat or irr
+        }
+        return WPolynomial._trusted(coeffs, 2, f.weights)
+
+
+def _binomial_pairs(b: int, p: int, q: int, D: int) -> list[tuple[int, int]]:
+    """C(b, j) * (p + q*sqrt(D))^(b - j) for j = 0..b, each as an integer pair
+    (rational part, sqrt(D) part)."""
+    powers = [(1, 0)]
+    for _ in range(b):
+        x, y = powers[-1]
+        powers.append((x * p + D * y * q, x * q + y * p))
+    return [
+        (math.comb(b, j) * powers[b - j][0], math.comb(b, j) * powers[b - j][1])
+        for j in range(b + 1)
+    ]
 
 
 def valuation_eval(nu: MonomialValuation, f: WPolynomial):
@@ -190,14 +227,10 @@ class GaloisMinMult:
 
 def _twisted_monomial_in_st(a: int, b: int, m: int) -> dict:
     """Coefficients of s^a * y^b in (s, t), where y = t - sqrt(2)*s^(m-1), as
-    integer pairs (rational part, sqrt(2) part), using
-    (-sqrt(2))^e = (-1)^e * 2^(e // 2) * sqrt(2)^(e % 2)."""
-    out = {}
-    for j in range(b + 1):
-        e = b - j
-        c = math.comb(b, j) * 2 ** (e // 2)
-        out[(a + (m - 1) * e, j)] = (0, -c) if e % 2 else (c, 0)
-    return out
+    integer pairs (rational part, sqrt(2) part)."""
+    return {
+        (a + (m - 1) * (b - j), j): pair for j, pair in enumerate(_binomial_pairs(b, 0, -1, 2))
+    }
 
 
 def _rational_members_of_piece(m: int, k: int, level: int):
@@ -225,28 +258,23 @@ def _rational_members_of_piece(m: int, k: int, level: int):
     # column the sqrt(2)-part sum a_r*irr + b_r*rat vanishes.
     n = len(generators)
     eqs = [[irr for _, irr in pairs] + [rat for rat, _ in pairs] for pairs in by_column]
+    pivots, lead = fraction_free_rref(eqs)
+    # A free column gives the kernel vector with lead there and -eqs[r][free]
+    # at the r-th pivot column: lead times its nullspace basis vector.
     members = []
-    for kernel in nullspace_basis(ExactMatrix.from_rows(eqs)):
+    for free in sorted(set(range(2 * n)) - set(pivots)):
+        kernel = [0] * (2 * n)
+        kernel[free] = lead
+        for r, col in enumerate(pivots):
+            kernel[col] = -eqs[r][free]
         a_part, b_part = kernel[:n], kernel[n:]
-        vec = []
-        for pairs in by_column:
-            total = Fraction(0)
-            for a_r, b_r, (rat, irr) in zip(a_part, b_part, pairs):
-                if rat:
-                    total += a_r * rat
-                if irr:
-                    total += 2 * irr * b_r
-            vec.append(total)
+        vec = [
+            sum(a_r * rat + 2 * irr * b_r for a_r, b_r, (rat, irr) in zip(a_part, b_part, pairs))
+            for pairs in by_column
+        ]
         if any(vec):
             members.append(vec)
     return columns, members
-
-
-def _primitive(coeffs: dict) -> dict:
-    denom = math.lcm(*(c.denominator for c in coeffs.values()))
-    scaled = {e: c * denom for e, c in coeffs.items()}
-    g = math.gcd(*(abs(c.numerator) for c in scaled.values()))
-    return {e: Fraction(c, g) for e, c in scaled.items()}
 
 
 def galois_min_mult(
@@ -275,13 +303,18 @@ def galois_min_mult(
                 break
             columns, members = _rational_members_of_piece(m, k, level)
             if members:
-                reduced, pivots = rref(ExactMatrix.from_rows(members))
-                first_row, first_col = reduced[0], pivots[0]
-                mult = sum(columns[first_col])
+                # The first reduced row, divided by its lead, is the first row
+                # of the rref of the members' span; the witness is its
+                # primitive integer multiple.
+                pivots, lead = fraction_free_rref(members)
+                first_row = members[0]
+                mult = sum(columns[pivots[0]])
                 if mult < best_mult:
                     best_mult = mult
-                    coeffs = {columns[i]: c for i, c in enumerate(first_row) if c}
-                    best_witness = WPolynomial(_primitive(coeffs), 2)
+                    g = math.gcd(*first_row) * (1 if lead > 0 else -1)
+                    best_witness = WPolynomial(
+                        {columns[i]: x // g for i, x in enumerate(first_row) if x}, 2
+                    )
         # Minimality is proved once every level up to (m-1)*best_mult has been
         # scanned: deeper pieces only contain higher-multiplicity members.
         if best_mult is not INFINITY and (m - 1) * best_mult <= cap:

@@ -481,3 +481,41 @@ def test_parser_is_built_once_per_process():
     import seshadri.cli as cli
 
     assert cli.build_parser() is cli.build_parser()
+
+
+_ZARISKI = {
+    "generators": ["E", "F"],
+    "gram": [[-1, 1], [1, 0]],
+    "curves": [{"name": "E", "coords": [1, 0]}, {"name": "F", "coords": [0, 1]}],
+    "D": {"coords": [2, 8]},
+}
+
+
+def _without(desc: dict, *path):
+    """A deep copy of desc with the field at path removed."""
+    out = json.loads(json.dumps(desc))
+    node = out
+    for key in path[:-1]:
+        node = node[key]
+    del node[path[-1]]
+    return out
+
+
+@pytest.mark.parametrize(
+    "path,message",
+    [
+        (("generators",), "error: zariski description: missing field 'generators'\n"),
+        (("gram",), "error: zariski description: missing field 'gram'\n"),
+        (("curves",), "error: zariski description: missing field 'curves'\n"),
+        (("curves", 1, "coords"), "error: curves[1]: missing field 'coords'\n"),
+        (("D",), "error: zariski description: missing field 'D'\n"),
+        (("D", "coords"), "error: D: missing field 'coords'\n"),
+    ],
+)
+def test_zariski_missing_field_names_the_field_and_where(capsys, path, message):
+    code, out, _ = run_cli(capsys, "zariski", json.dumps(_ZARISKI))
+    assert code == 0 and json.loads(out)["P"] == ["2", "8"]
+    code, out, err = run_cli(capsys, "zariski", json.dumps(_without(_ZARISKI, *path)))
+    assert code == 2
+    assert out == ""
+    assert err == message

@@ -382,3 +382,157 @@ def test_negative_definiteness():
     assert not is_negative_definite(ExactMatrix.from_rows([[-2, 3], [3, -2]]))
     assert not is_negative_definite(ExactMatrix.from_rows([[0]]))
     assert not is_negative_definite(ExactMatrix.from_rows([[-10, 1], [1, 0]]))
+
+
+# -- rref, nullspace and solve against sympy ---------------------------------------
+
+
+def _random_entry(rng, quad):
+    rational = Fraction(0)
+    if rng.random() < 0.75:
+        rational = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+    if quad and rng.random() < 0.5:
+        return QuadExt(rational, Fraction(rng.randint(-3, 3), rng.randint(1, 3)), 2)
+    return rational
+
+
+def _random_matrix(rng, quad, nrows, ncols):
+    """A seeded matrix that is often rank-deficient: a product of random
+    nrows x rank and rank x ncols factors, sometimes with a zero row."""
+    rank = rng.randint(1, max(1, min(nrows, ncols)))
+    left = [[_random_entry(rng, quad) for _ in range(rank)] for _ in range(nrows)]
+    right = [[_random_entry(rng, quad) for _ in range(ncols)] for _ in range(rank)]
+    rows = [
+        [sum((row[k] * right[k][j] for k in range(rank)), Fraction(0)) for j in range(ncols)]
+        for row in left
+    ]
+    if nrows > 1 and rng.random() < 0.4:
+        rows[rng.randrange(nrows)] = [Fraction(0)] * ncols
+    return rows
+
+
+def _to_sympy(sympy, x):
+    if isinstance(x, QuadExt):
+        return sympy.Rational(x.a.numerator, x.a.denominator) + sympy.Rational(
+            x.b.numerator, x.b.denominator
+        ) * sympy.sqrt(x.D)
+    return sympy.Rational(x.numerator, x.denominator)
+
+
+def _sympy_rref(sympy, rows, ncols):
+    """sympy's rref of the matrix, with Q(sqrt(2)) zero tests done exactly."""
+    def canonical(x):
+        return sympy.expand(sympy.radsimp(x))
+
+    matrix = sympy.Matrix(len(rows), ncols, [_to_sympy(sympy, x) for row in rows for x in row])
+    reduced, pivots = matrix.rref(iszerofunc=lambda x: canonical(x) == 0, simplify=canonical)
+    canonical_rows = [[canonical(reduced[i, j]) for j in range(ncols)] for i in range(len(rows))]
+    return canonical_rows, list(pivots)
+
+
+def _same(sympy, ours, theirs) -> bool:
+    return sympy.expand(sympy.radsimp(_to_sympy(sympy, ours) - theirs)) == 0
+
+
+_SHAPES = [(0, 0), (1, 1), (1, 5), (5, 1), (3, 3), (4, 6), (6, 4), (5, 5)]
+
+
+@pytest.mark.parametrize("quad", [False, True], ids=["rational", "sqrt2"])
+@pytest.mark.parametrize("shape", _SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+@pytest.mark.parametrize("seed", range(3))
+def test_rref_and_nullspace_match_sympy(quad, shape, seed):
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(f"rref:{quad}:{shape}:{seed}")
+    nrows, ncols = shape
+    rows = _random_matrix(rng, quad, nrows, ncols) if nrows else []
+    m = ExactMatrix.from_rows(rows)
+    expected, expected_pivots = _sympy_rref(sympy, rows, ncols)
+    reduced, pivots = rref(m)
+    assert pivots == expected_pivots
+    assert len(reduced) == nrows
+    for ours, theirs in zip(reduced, expected):
+        assert len(ours) == ncols
+        assert all(_same(sympy, x, y) for x, y in zip(ours, theirs))
+    # sympy's nullspace basis uses the same convention: 1 at a free column,
+    # minus the rref entries at the pivot columns.
+    free = [c for c in range(ncols) if c not in expected_pivots]
+    basis = nullspace_basis(m)
+    assert len(basis) == len(free)
+    for f, v in zip(free, basis):
+        theirs = [sympy.Integer(0)] * ncols
+        theirs[f] = sympy.Integer(1)
+        for r, p in enumerate(expected_pivots):
+            theirs[p] = -expected[r][f]
+        assert all(_same(sympy, x, y) for x, y in zip(v, theirs))
+
+
+@pytest.mark.parametrize("quad", [False, True], ids=["rational", "sqrt2"])
+@pytest.mark.parametrize("n", [1, 2, 4])
+@pytest.mark.parametrize("seed", range(4))
+def test_solve_unique_matches_sympy(quad, n, seed):
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(f"solve:{quad}:{n}:{seed}")
+    rows = [[_random_entry(rng, quad) for _ in range(n)] for _ in range(n)]
+    rhs = [_random_entry(rng, quad) for _ in range(n)]
+    augmented, pivots = _sympy_rref(sympy, [row + [b] for row, b in zip(rows, rhs)], n + 1)
+    m = ExactMatrix.from_rows(rows)
+    if pivots != list(range(n)):
+        with pytest.raises(ValueError, match="singular"):
+            solve_unique(m, rhs)
+        return
+    solution = solve_unique(m, rhs)
+    assert all(_same(sympy, x, augmented[i][n]) for i, x in enumerate(solution))
+
+
+def test_rref_of_a_singular_system_keeps_zero_rows():
+    reduced, pivots = rref(ExactMatrix.from_rows([[2, 4, 6], [1, 2, 3], [0, 0, 0]]))
+    assert pivots == [0]
+    assert reduced == [[1, 2, 3], [0, 0, 0], [0, 0, 0]]
+    assert all(type(x) is Fraction for row in reduced for x in row)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_negative_definiteness_matches_sylvester(seed):
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(f"definite:{seed}")
+    n = rng.randint(1, 5)
+    a = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)] for _ in range(n)]
+    if seed % 2:
+        # -(A^T A) - c*I: negative definite for c > 0, semi-definite for c = 0.
+        c = Fraction(rng.randint(0, 2), 2)
+        g = [
+            [
+                -sum((a[k][i] * a[k][j] for k in range(n)), Fraction(0)) - (c if i == j else 0)
+                for j in range(n)
+            ]
+            for i in range(n)
+        ]
+    else:
+        g = [[a[i][j] + a[j][i] for j in range(n)] for i in range(n)]
+    minus_g = sympy.Matrix([[-_to_sympy(sympy, x) for x in row] for row in g])
+    expected = all(minus_g[:k, :k].det() > 0 for k in range(1, n + 1))
+    assert is_negative_definite(ExactMatrix.from_rows(g)) is expected
+
+
+# -- binomial powers -------------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    st.one_of(small_fractions.filter(bool), quad_scalars().filter(bool)),
+    st.one_of(small_fractions.filter(bool), quad_scalars().filter(bool)),
+    st.integers(0, 7),
+)
+def test_two_term_power_matches_repeated_multiplication(e1, e2, c1, c2, k):
+    base = WPolynomial({e1: c1, e2: c2}, 2, weights=(1, 2))
+    expected = WPolynomial.constant(1, 2)
+    for _ in range(k):
+        expected = expected * base
+    power = base**k
+    assert power == expected
+    assert power.weights == (1, 2)
+    assert all(power.coeffs.values())
+    if len(base.coeffs) == 2:
+        assert len(power.coeffs) == k + 1

@@ -2,6 +2,7 @@
 comparison, and minimal multiplicities in valuation ideals."""
 
 import math
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -10,7 +11,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seshadri import valuations as valuations_module
-from seshadri.exactmath import INFINITY, WPolynomial, parse_polynomial, rational_parts
+from seshadri.exactmath import (
+    INFINITY,
+    ExactMatrix,
+    QuadExt,
+    WPolynomial,
+    nullspace_basis,
+    parse_polynomial,
+    rational_parts,
+    rref,
+)
 from seshadri.valuations import (
     SQRT2,
     MonomialValuation,
@@ -350,3 +360,103 @@ def test_lattice_scan_raises_on_a_closed_form_one_too_large(weights, k):
     valuations_module._scan_below(weights, target, closed)
     with pytest.raises(AssertionError, match="beat the closed form"):
         valuations_module._scan_below(weights, target, closed + 1)
+
+
+# -- the integer-pair rewrite and Galois scan against their field forms -------------
+
+
+def _random_quad_polynomial(rng, D):
+    coeffs = {}
+    for _ in range(rng.randint(0, 6)):
+        rational = Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+        if rng.random() < 0.5:
+            c = QuadExt(rational, Fraction(rng.randint(-4, 4), rng.randint(1, 5)), D)
+        else:
+            c = rational
+        coeffs[(rng.randint(0, 4), rng.randint(0, 5))] = c
+    return WPolynomial(coeffs, 2)
+
+
+@pytest.mark.parametrize("D", [2, 3, 5])
+@pytest.mark.parametrize("seed", range(15))
+def test_rewrite_matches_substitution(D, seed):
+    rng = random.Random(f"rewrite:{D}:{seed}")
+    e = rng.randint(1, 3)
+    c = QuadExt(
+        Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+        Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 4)),
+        D,
+    )
+    nu = MonomialValuation((1, 2), Twist(e, c))
+    f = _random_quad_polynomial(rng, D)
+    expected = f.substitute(1, WPolynomial({(0, 1): Fraction(1), (e, 0): c}, 2))
+    rewritten = nu.rewrite(f)
+    assert rewritten == expected
+    assert all(rewritten.coeffs.values())
+    assert valuation_eval(nu, f) == expected.min_weighted_degree((1, 2))
+
+
+def test_rewrite_rejects_coefficients_from_another_field():
+    nu = MonomialValuation((1, 2), Twist(1))
+    f = WPolynomial({(0, 1): QuadExt(Fraction(0), Fraction(1), 3)}, 2)
+    with pytest.raises(ValueError, match="mixed quadratic fields"):
+        nu.rewrite(f)
+
+
+def _galois_by_field_linear_algebra(m, k):
+    """galois_min_mult(m, k) recomputed through QuadExt expansions and the
+    public ExactMatrix nullspace and rref, scanning levels upward until no
+    deeper level can beat the best multiplicity."""
+    best, witness = None, None
+    level = k * (m - 1)
+    while best is None or level <= (m - 1) * best:
+        generators = [
+            (level - (m - 1) * b, b)
+            for b in range(level // (m - 1) + 1)
+            if level - (m - 1) * b >= m * max(k - b, 0)
+        ]
+        columns = sorted(
+            {(level - (m - 1) * j, j) for j in range(level // (m - 1) + 1)},
+            key=lambda e: (sum(e), e),
+        )
+        # entries[col][r]: generator r's coefficient at column col in (s, t).
+        entries = {col: [Fraction(0)] * len(generators) for col in columns}
+        for r, (a, b) in enumerate(generators):
+            for j in range(b + 1):
+                entries[(a + (m - 1) * (b - j), j)][r] = math.comb(b, j) * (-SQRT2) ** (b - j)
+        parts = {col: [rational_parts(x) for x in row] for col, row in entries.items()}
+        n = len(generators)
+        # sum_r (x_r + sqrt(2) y_r) * (p_r + sqrt(2) q_r) is rational iff
+        # sum_r x_r q_r + y_r p_r = 0 at every column.
+        eqs = [[q for _, q in parts[col]] + [p for p, _ in parts[col]] for col in columns]
+        members = []
+        for v in nullspace_basis(ExactMatrix.from_rows(eqs)) if generators else []:
+            member = [
+                sum(
+                    (v[r] * p + 2 * v[n + r] * q for r, (p, q) in enumerate(parts[col])),
+                    Fraction(0),
+                )
+                for col in columns
+            ]
+            if any(member):
+                members.append(member)
+        if members:
+            reduced, pivots = rref(ExactMatrix.from_rows(members))
+            mult = sum(columns[pivots[0]])
+            if best is None or mult < best:
+                best = mult
+                denominator = math.lcm(*(x.denominator for x in reduced[0]))
+                scaled = [x * denominator for x in reduced[0]]
+                g = math.gcd(*(x.numerator for x in scaled))
+                witness = WPolynomial({col: x / g for col, x in zip(columns, scaled)}, 2)
+        level += 1
+    return best, witness
+
+
+@pytest.mark.parametrize("m", range(2, 7))
+def test_galois_scan_matches_field_linear_algebra(m):
+    for k in range(1, 13):
+        result = galois_min_mult(m, k)
+        assert (result.min_mult, result.witness) == _galois_by_field_linear_algebra(m, k)
+        coefficients = result.witness.coeffs.values()
+        assert all(type(c) is Fraction and c.denominator == 1 for c in coefficients)
