@@ -101,72 +101,3 @@ from .wps import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "INFINITY",
-    "ExactMatrix",
-    "QuadExt",
-    "WPolynomial",
-    "format_polynomial",
-    "format_scalar",
-    "jet_basis_size",
-    "jet_coefficients",
-    "multiplicity_at",
-    "parse_polynomial",
-    "parse_scalar",
-    "WeightVector",
-    "WeightedHypersurfaceSpec",
-    "catalog_seshadri",
-    "largest_representable",
-    "whs_record",
-    "whs_seshadri_bound",
-    "whs_volume",
-    "wps_anticanonical_volume",
-    "wps_seshadri",
-    "CurveBound",
-    "LinearSystem",
-    "MultConstraint",
-    "SeshadriEstimate",
-    "SpanConstraint",
-    "blowup_anticanonical_series",
-    "blowup_line_bound",
-    "jet_separation",
-    "moving_seshadri_lower",
-    "random_rational_point",
-    "seshadri_upper_via_curve",
-    "GaloisMinMult",
-    "IzumiCheck",
-    "MonomialValuation",
-    "Twist",
-    "ValuationIdealQuery",
-    "galois_min_mult",
-    "ideal_min_multiplicity",
-    "izumi_check",
-    "twisted_ideal_contains",
-    "valuation_eval",
-    "CurveClass",
-    "DivisorClass",
-    "RuledSurfaceModel",
-    "SeshadriAtPoint",
-    "SurfaceLattice",
-    "ZariskiDecomposition",
-    "ruled_surface_lattice",
-    "ruled_surface_model",
-    "seshadri_at_marked_point",
-    "zariski_decomposition",
-    "VolumeBoundParams",
-    "VolumeBoundResult",
-    "best_volume_bound",
-    "conjectured_optimal_comparison",
-    "grid_confirms_best",
-    "grid_volume_bound_minimum",
-    "volume_bound",
-    "volume_bound_predicate",
-    "CASES",
-    "DEFAULT_SEED",
-    "STATED_CASE_IDS",
-    "CaseResult",
-    "Report",
-    "ReproductionCase",
-    "run_reproduction",
-]

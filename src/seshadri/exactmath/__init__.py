@@ -4,7 +4,6 @@ from .scalars import (
     QuadExt,
     Rational,
     Scalar,
-    conjugate_scalar,
     format_scalar,
     is_zero,
     parse_scalar,
@@ -31,31 +30,3 @@ from .linalg import (
     rref,
     solve_unique,
 )
-
-__all__ = [
-    "QuadExt",
-    "Rational",
-    "Scalar",
-    "conjugate_scalar",
-    "format_scalar",
-    "is_zero",
-    "parse_scalar",
-    "rational_parts",
-    "to_scalar",
-    "INFINITY",
-    "Exponent",
-    "WPolynomial",
-    "format_polynomial",
-    "graded_lex_monomials",
-    "jet_basis_size",
-    "jet_coefficients",
-    "multiplicity_at",
-    "parse_polynomial",
-    "ExactMatrix",
-    "determinant",
-    "exact_rank",
-    "is_negative_definite",
-    "nullspace_basis",
-    "rref",
-    "solve_unique",
-]

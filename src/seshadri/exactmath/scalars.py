@@ -190,10 +190,6 @@ def rational_parts(x: Scalar) -> tuple[Fraction, Fraction]:
     return _as_fraction(x), Fraction(0)
 
 
-def conjugate_scalar(x: Scalar) -> Scalar:
-    return x.conjugate() if isinstance(x, QuadExt) else x
-
-
 def format_scalar(x: Scalar) -> str:
     """Canonical string form: "p/q" for rationals, "a+b*sqrt(D)" otherwise."""
     if isinstance(x, QuadExt):

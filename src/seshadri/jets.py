@@ -68,30 +68,28 @@ Constraint = Union[MultConstraint, SpanConstraint]
 # -- the engine -------------------------------------------------------------------
 #
 # A system W is the kernel of its constraint matrix C, whose rows are linear
-# forms on coefficient vectors over the monomials. The jets of order <= s at x
-# of the members of W then have rank
+# forms on coefficient vectors over the monomials. Let J_s hold the Taylor
+# jets of order <= s of the monomials themselves at x. The jets of the members
+# of W then have rank
 #
-#     rank(J_s | W) = rank([C; J_s]) - rank(C),
+#     rank(J_s | W) = rank([C; J_s]) - rank(C).
 #
-# where J_s holds the Taylor jets of order <= s of the monomials themselves at
-# x. The rows of J_s are nested in s, so one elimination, grown one order at a
-# time, gives s(W, x) for every s.
+# Move the origin to x: written in the monomials of u = y - x, J_s picks the
+# first |J_s| coordinates, so rank([C; J_s]) = |J_s| + rank(C'[:, |J_s|:]),
+# where C' is C in those monomials. W separates s-jets at x exactly when the
+# column suffix C'[:, |J_s|:] keeps the rank of C.
 #
-# Every row is scaled to integers, which leaves each rank unchanged, and the
-# elimination runs modulo PRIME. The rank of an integer matrix modulo PRIME is
-# at most its rank over Q, and rank([C; J_s]) <= rank(C) + |J_s|, so a modular
-# rank of rank(C) + |J_s| proves full separation at order s. Any other modular
-# rank decides nothing, and exact elimination over Q decides that order and
-# the ones after it. That happens where separation truly stops, and also where
-# reduction modulo PRIME loses rank that Q keeps: x congruent to a constraint
-# point, C losing rank modulo PRIME, or a denominator divisible by PRIME (the
-# scaled rows then degenerate). Irrational entries have no residue, so such a
-# system is ranked exactly throughout.
-#
-# The exact step ranks [C; J_s] through the same identity with the origin
-# moved to x: written in the monomials of u = y - x, J_s picks the first |J_s|
-# coordinates, so rank([C; J_s]) = |J_s| + rank(C' without its first |J_s|
-# columns), where C' is C in those monomials. C' has only the rows of C.
+# Every row of C' is scaled to integers, which leaves each rank unchanged, and
+# C' is eliminated once modulo PRIME, taking its columns from the last one
+# down. The rank of a suffix modulo PRIME is then its number of pivot columns,
+# and it is at most the rank over Q. So when the modular rank equals rank(C),
+# every order with |J_s| <= the lowest pivot column is proved. Each later
+# order is decided by the exact rank of its suffix over Q. Usually that is one
+# rank, at the order where separation truly stops. Reduction modulo PRIME can
+# also lose rank that Q keeps: x congruent to a constraint point, C losing
+# rank modulo PRIME, or a denominator divisible by PRIME (the scaled rows then
+# degenerate). Irrational entries have no residue. In those cases fewer orders
+# are proved, and the exact suffix ranks decide the rest.
 
 PRIME = 2**61 - 1
 
@@ -130,41 +128,26 @@ def _integral(row: list) -> list:
     return [x.numerator * (scale // x.denominator) for x in row]
 
 
-class _Echelon:
-    """Row echelon form modulo PRIME, grown one row at a time. The row stored
-    under a pivot column starts at that column, scaled to 1 there."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows: Optional[dict] = None):
-        self.rows: dict[int, list[int]] = dict(rows or {})
-
-    @classmethod
-    def of(cls, rows) -> Optional["_Echelon"]:
-        """Echelon form of integer rows; None if an entry is not an integer."""
-        if not all(type(x) is int for row in rows for x in row):
-            return None
-        echelon = cls()
-        for row in rows:
-            echelon.add([x % PRIME for x in row])
-        return echelon
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-    def add(self, row: list[int]) -> None:
-        """Reduce a row of residues by the stored rows and keep what is left."""
-        for col in range(len(row)):
+def _pivot_columns(rows: list[list]) -> Optional[list[int]]:
+    """Pivot columns of an integer matrix modulo PRIME, eliminating from the
+    last column down, so the rank of the columns [t:] modulo PRIME is the
+    number of pivots >= t; None if an entry is not an integer."""
+    if not all(type(x) is int for row in rows for x in row):
+        return None
+    pivots: dict[int, list[int]] = {}  # column -> row ending with 1 there
+    for row in rows:
+        row = [x % PRIME for x in row]
+        for col in range(len(row) - 1, -1, -1):
             v = row[col]
             if not v:
                 continue
-            pivot = self.rows.get(col)
+            pivot = pivots.get(col)
             if pivot is None:
                 inverse = pow(v, -1, PRIME)
-                self.rows[col] = [x * inverse % PRIME for x in row[col:]]
-                return
-            row[col:] = [(x - v * y) % PRIME for x, y in zip(row[col:], pivot)]
+                pivots[col] = [x * inverse % PRIME for x in row[: col + 1]]
+                break
+            row[: col + 1] = [(x - v * y) % PRIME for x, y in zip(row, pivot)]
+    return sorted(pivots)
 
 
 class LinearSystem:
@@ -179,13 +162,13 @@ class LinearSystem:
         self.degree = degree
         self.constraints = tuple(constraints)
         self.monomials = graded_lex_monomials(nvars, degree)
-        self._rows = self._rows_at((Fraction(0),) * nvars)
+        rows = self._rows_at((Fraction(0),) * nvars)
         # Full row rank modulo PRIME proves full row rank over Q.
-        self._echelon = _Echelon.of(self._rows)
-        if self._echelon is not None and self._echelon.rank == len(self._rows):
-            self._rank = len(self._rows)
+        pivots = _pivot_columns(rows)
+        if pivots is not None and len(pivots) == len(rows):
+            self._rank = len(rows)
         else:
-            self._rank = exact_rank(ExactMatrix.from_rows(self._rows))
+            self._rank = exact_rank(ExactMatrix.from_rows(rows))
         self.dimension = len(self.monomials) - self._rank
 
     def _check_point(self, point: Sequence) -> Point:
@@ -234,28 +217,21 @@ def jet_separation(system: LinearSystem, point: Sequence) -> int:
     point = system._check_point(point)
     if system.dimension == 0:
         return -1
-    n, monomials = system.nvars, system.monomials
-    residues = [
-        [[x % PRIME for x in row] for row in table] for table in _taylor_tables(point, system.degree)
-    ]
-    echelon = None if system._echelon is None else _Echelon(system._echelon.rows)
-    shifted = None
+    shifted = system._rows_at(point)
+    pivots = _pivot_columns(shifted)
+    # Every order with |J_s| <= proved is certified modulo PRIME.
+    proved = 0
+    if pivots is not None and len(pivots) == system._rank:
+        proved = min(pivots, default=len(system.monomials))
     best = -1
     for s in range(system.degree + 1):
-        target = jet_basis_size(n, s)
+        target = jet_basis_size(system.nvars, s)
         if target > system.dimension:
             break
-        if echelon is not None:
-            for row in _jet_rows(residues, monomials[jet_basis_size(n, s - 1) : target], monomials):
-                echelon.add([x % PRIME for x in row])
-            if echelon.rank == system._rank + target:
-                best = s
-                continue
-            echelon = None
-        if shifted is None:
-            shifted = system._rows_at(point)
-        if exact_rank(ExactMatrix.from_rows([row[target:] for row in shifted])) < system._rank:
-            break
+        if target > proved:
+            suffix = ExactMatrix.from_rows([row[target:] for row in shifted])
+            if exact_rank(suffix) < system._rank:
+                break
         best = s
     return best
 

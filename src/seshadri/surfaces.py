@@ -77,9 +77,13 @@ class SurfaceLattice:
             for j in range(n):
                 if self.gram.entries[i][j] != self.gram.entries[j][i]:
                     raise ValueError("gram matrix must be symmetric")
+        names = set()
         for c in self.curves:
             if len(c.coords) != n:
                 raise ValueError(f"curve {c.name!r} has wrong coordinate length")
+            if c.name in names:
+                raise ValueError(f"duplicate curve name {c.name!r}")
+            names.add(c.name)
 
     def pairing(self, a: DivisorClass, b: DivisorClass) -> Fraction:
         total = Fraction(0)

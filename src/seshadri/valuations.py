@@ -11,12 +11,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 from typing import Optional, Tuple
 
 from .exactmath import INFINITY, QuadExt, WPolynomial, rational_parts
 from .exactmath.linalg import fraction_free_rref
-from .exactmath.polynomials import compositions
 
 SQRT2 = QuadExt(Fraction(0), Fraction(1), 2)
 
@@ -179,36 +177,17 @@ def ideal_min_multiplicity(query: ValuationIdealQuery) -> tuple[int, Fraction]:
     """Minimal multiplicity of a nonzero member of I_k for an untwisted
     monomial valuation, and lambda = min_mult / k.
 
-    Closed form ceil(a*k / max(w)) with a = sum(w) - 1, re-verified here by an
-    exhaustive lattice scan below the closed-form value.
+    Closed form ceil(a*k / max(w)) with a = sum(w) - 1: a lattice point v
+    has <w, v> <= |v| * max(w), and v = closed * e_max reaches a*k.
     """
     nu = query.valuation
     if nu.twist is not None:
         raise ValueError("twisted valuations: use galois_min_mult instead")
     if query.field_restriction:
         raise ValueError("field restriction only applies to twisted ideals; use galois_min_mult")
-    a = discrepancy(nu)
-    target = a * query.k
+    target = discrepancy(nu) * query.k
     closed = -(-target // max(nu.weights))  # ceil
-    _scan_below(nu.weights, target, closed)
     return closed, Fraction(closed, query.k)
-
-
-def _scan_below(weights: Tuple[int, ...], target: int, closed: int) -> None:
-    """Raise AssertionError if a lattice point v with |v| < closed has
-    <weights, v> >= target.  Each such point is visited once: every prefix of
-    the first n-1 coordinates, then every last coordinate that keeps
-    |v| < closed."""
-    *head, w_last = weights
-    for used in range(closed):
-        for prefix in compositions(used, len(head)):
-            partial = sum(map(mul, head, prefix))
-            for last in range(closed - used):
-                if partial + w_last * last >= target:
-                    raise AssertionError(
-                        f"lattice scan beat the closed form at {prefix + (last,)} "
-                        "(this is a bug)"
-                    )
 
 
 # -- rational members of the twisted ideal (s^m, t - sqrt(2)*s^(m-1))^k -------

@@ -4,6 +4,7 @@ and seed-for-seed determinism of everything written to stdout."""
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -477,6 +478,15 @@ def test_valuation_minmult_with_a_single_weight(capsys):
     assert out == '{"weights":[3],"k":5,"min_mult":4,"lambda":"4/5"}\n'
 
 
+def test_valuation_minmult_at_a_large_level_is_immediate(capsys):
+    # minmult is a closed form, so its cost does not grow with k.
+    start = time.monotonic()
+    code, out, _ = run_cli(capsys, "valuation", "--weights", "1,2,3", "--op", "minmult", "--k", "1000")
+    assert time.monotonic() - start < 1.0
+    assert code == 0
+    assert out == '{"weights":[1,2,3],"k":1000,"min_mult":1667,"lambda":"1667/1000"}\n'
+
+
 def test_parser_is_built_once_per_process():
     import seshadri.cli as cli
 
@@ -519,3 +529,12 @@ def test_zariski_missing_field_names_the_field_and_where(capsys, path, message):
     assert code == 2
     assert out == ""
     assert err == message
+
+
+def test_zariski_rejects_duplicate_curve_names(capsys):
+    # Support curves are reported by name, so two curves named E are ambiguous.
+    desc = dict(RULED_LATTICE, curves=[{"name": "E", "coords": [1, 0]}, {"name": "E", "coords": [0, 1]}])
+    code, out, err = run_cli(capsys, "zariski", json.dumps(desc))
+    assert code == 2
+    assert out == ""
+    assert err == "error: duplicate curve name 'E'\n"

@@ -484,6 +484,19 @@ def test_solve_unique_matches_sympy(quad, n, seed):
     assert all(_same(sympy, x, augmented[i][n]) for i, x in enumerate(solution))
 
 
+@pytest.mark.parametrize("quad", [False, True], ids=["rational", "sqrt2"])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
+@pytest.mark.parametrize("seed", range(3))
+def test_determinant_matches_sympy(quad, n, seed):
+    # _random_matrix is a product through a random inner rank, so many of
+    # these matrices are singular.
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(f"det:{quad}:{n}:{seed}")
+    rows = _random_matrix(rng, quad, n, n) if n else []
+    expected = sympy.Matrix(n, n, [_to_sympy(sympy, x) for row in rows for x in row]).det()
+    assert _same(sympy, determinant(ExactMatrix.from_rows(rows)), expected)
+
+
 def test_rref_of_a_singular_system_keeps_zero_rows():
     reduced, pivots = rref(ExactMatrix.from_rows([[2, 4, 6], [1, 2, 3], [0, 0, 0]]))
     assert pivots == [0]

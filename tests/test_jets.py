@@ -1,6 +1,7 @@
 """Tests for jet separation of linear systems and moving-Seshadri estimates."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -329,6 +330,21 @@ def test_prime_is_the_mersenne_prime_2_61_minus_1():
     assert jets_module.PRIME == P
 
 
+@pytest.mark.parametrize("seed", range(10))
+def test_pivot_columns_count_the_rank_of_every_column_suffix(seed):
+    # Small entries: the modular rank is the rank over Q.
+    rng = random.Random(f"pivots:{seed}")
+    nrows, ncols = rng.randint(1, 5), rng.randint(1, 7)
+    rows = [[rng.choice((0, 0, rng.randint(-3, 3))) for _ in range(ncols)] for _ in range(nrows)]
+    if nrows > 1:
+        rows[-1] = [a - b for a, b in zip(rows[0], rows[1])]
+    pivots = jets_module._pivot_columns(rows)
+    for t in range(ncols + 1):
+        suffix = [[Fraction(x) for x in row[t:]] for row in rows]
+        assert sum(p >= t for p in pivots) == (_sympy_rank(suffix) if t < ncols else 0)
+    assert jets_module._pivot_columns([[1, Fraction(1, 2)]]) is None
+
+
 def test_full_separation_is_certified_without_exact_elimination(monkeypatch):
     calls = _count_exact_ranks(monkeypatch)
     system = LinearSystem(2, 6, [MultConstraint(ORIGIN, 2)])
@@ -340,6 +356,26 @@ def test_full_separation_is_certified_without_exact_elimination(monkeypatch):
     assert calls == []
     assert jet_separation(system, x) == 4
     assert len(calls) == 1
+
+
+def test_blowup_series_separates_n_times_m_jets_with_one_exact_rank(monkeypatch):
+    # The anticanonical systems of P^n blown up at a point separate n*m jets
+    # at a very general point. The shifted constraint matrix keeps its rank
+    # modulo PRIME there, so only the order where separation stops is ranked
+    # exactly.
+    calls = _count_exact_ranks(monkeypatch)
+    rng = random.Random(29)
+    start = time.monotonic()
+    for n, m_max in ((2, 6), (3, 3)):
+        series = blowup_anticanonical_series(n, random_rational_point(rng, n))
+        x = random_rational_point(rng, n)
+        for m in range(1, m_max + 1):
+            system = series(m)
+            assert len(jets_module._pivot_columns(system._rows_at(x))) == system._rank
+            calls.clear()
+            assert jet_separation(system, x) == n * m
+            assert len(calls) <= 1
+    assert time.monotonic() - start < 10.0
 
 
 def test_point_congruent_to_the_base_point_falls_back_to_exact():

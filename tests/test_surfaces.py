@@ -111,6 +111,12 @@ def test_lattice_validation():
             ExactMatrix.from_rows([[0, 1], [1, 0]]),
             (CurveClass("C", (Fraction(1),)),),  # wrong arity
         )
+    with pytest.raises(ValueError, match="duplicate curve name 'E'"):
+        SurfaceLattice(
+            ("E", "F"),
+            ExactMatrix.from_rows([[-10, 1], [1, 0]]),
+            (CurveClass("E", (Fraction(1), Fraction(0))), CurveClass("E", (Fraction(0), Fraction(1)))),
+        )
 
 
 # -- Seshadri at the marked point --------------------------------------------------

@@ -355,11 +355,13 @@ def test_single_weight_min_mult():
 @pytest.mark.parametrize("weights", [(3,), (1, 1), (2, 5), (1, 2, 3), (5, 1, 4), (1, 1, 1, 2)])
 @pytest.mark.parametrize("k", [1, 4, 7])
 def test_lattice_scan_raises_on_a_closed_form_one_too_large(weights, k):
+    # The exhaustive scan finds a lattice point reaching the target at the
+    # closed form and none below it, so a closed form one too large fails.
     target = (sum(weights) - 1) * k
     closed = -(-target // max(weights))
-    valuations_module._scan_below(weights, target, closed)
-    with pytest.raises(AssertionError, match="beat the closed form"):
-        valuations_module._scan_below(weights, target, closed + 1)
+    assert exhaustive_min_mult(weights, k) == closed
+    query = ValuationIdealQuery(MonomialValuation(weights), k)
+    assert ideal_min_multiplicity(query) == (closed, Fraction(closed, k))
 
 
 # -- the integer-pair rewrite and Galois scan against their field forms -------------
