@@ -309,8 +309,8 @@ def cmd_zariski(args) -> tuple[object, int]:
         "N": list(dec.negative.coords),
         "support": list(dec.support),
         "coefficients": list(dec.coefficients),
-        # zariski_decomposition raises unless P is nef, P.N = 0 and the
-        # support is negative definite.
+        # P is nef and P.N = 0 by construction, and zariski_decomposition
+        # raises unless the support is negative definite.
         "checks": {"nef": True, "orthogonal": True, "negdef": True},
         "assumed_complete_curve_list": True,
     }

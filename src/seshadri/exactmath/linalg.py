@@ -1,10 +1,18 @@
 """Exact linear algebra: fraction-free rank, determinants, rref, nullspaces.
 
-Rank, row reduction and the definiteness test first scale each row by the lcm
-of its denominators and then run fraction-free (Bareiss) elimination, so
-intermediate entries stay in Z (or Z[sqrt(D)]) and never blow up the way naive
-Gaussian elimination over Q can.  Row reduction divides each pivot row by its
-lead only once, at the end.
+Each row is first scaled by the lcm of its denominators: rational rows become
+Python integers (exact division is `//`), quadratic rows land in Z[sqrt(D)].
+Two fraction-free kernels (Bareiss, Math. Comp. 22, 1968) eliminate those
+rows in place; a step replaces a row by (lead * row - row[col] * pivot_row) /
+previous_lead, so every entry is a minor of the input and each division is
+exact.  The forward kernel `_bareiss` yields (source row, pivot column,
+pivot) at each step: `exact_rank` counts the steps, `determinant` signs the
+last pivot by the row swaps, and `is_negative_definite` wants n positive
+pivots taken from the diagonal without a swap.  The Gauss-Jordan kernel
+`fraction_free_rref` also clears above each pivot; `rref` and `solve_unique`
+divide by its final lead once.  `integral_nullspace` reads one kernel vector
+per free column off it, `lead` times the rref basis vector, which
+`nullspace_basis` divides by `lead`.
 """
 
 from __future__ import annotations
@@ -12,8 +20,8 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from typing import Callable, List, Sequence
+from math import lcm, prod
+from typing import Callable, Iterator, List, Sequence
 
 from .scalars import QuadExt, Scalar, to_scalar
 
@@ -46,20 +54,15 @@ class ExactMatrix:
     def row_list(self) -> list[Row]:
         return [list(r) for r in self.entries]
 
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(tuple(zip(*self.entries))) if self.entries else self
 
-    def rank(self) -> int:
-        return exact_rank(self)
-
-
-def _denominator_lcm(x: Scalar) -> int:
-    if isinstance(x, QuadExt):
-        return lcm(x.a.denominator, x.b.denominator)
-    return x.denominator
+def _row_scale(row: Sequence[Scalar]) -> int:
+    """The lcm of the denominators in the row."""
+    return lcm(
+        *(lcm(x.a.denominator, x.b.denominator) if isinstance(x, QuadExt) else x.denominator for x in row)
+    )
 
 
-def _integral_rows(m: ExactMatrix) -> tuple[list[Row], Callable]:
+def integral_rows(m: ExactMatrix) -> tuple[list[Row], Callable]:
     """The rows of m, each scaled by the lcm of its denominators, and the exact
     division for them: all-rational input becomes Python integers with floor
     division, quadratic input Z[sqrt(D)] with field division.  Scaling a row
@@ -70,38 +73,43 @@ def _integral_rows(m: ExactMatrix) -> tuple[list[Row], Callable]:
             scale = lcm(*(x.denominator for x in row))
             out.append([x.numerator * (scale // x.denominator) for x in row])
         return out, operator.floordiv
-    out = []
-    for row in m.entries:
-        scale = 1
-        for x in row:
-            scale = lcm(scale, _denominator_lcm(x))
-        out.append([x * scale for x in row])
-    return out, operator.truediv
+    scales = map(_row_scale, m.entries)
+    return [[x * scale for x in row] for row, scale in zip(m.entries, scales)], operator.truediv
+
+
+def _quotient(divide: Callable) -> Callable:
+    """Field division for entries of rows eliminated with `divide`: a Fraction
+    of two Python integers, or division in Q(sqrt(D))."""
+    return Fraction if divide is operator.floordiv else operator.truediv
+
+
+def _bareiss(a: list[Row], divide: Callable) -> Iterator[tuple[int, int, Scalar]]:
+    """Forward fraction-free elimination of the integral rows a, in place.
+
+    Step r takes the next column with a nonzero entry in rows r.., moves the
+    first such row (its source) to row r, yields (source, column, pivot) and
+    then clears the column below row r.  The pivot of step r is the minor of
+    the rows now in places 0..r on the pivot columns so far."""
+    nrows, ncols = len(a), (len(a[0]) if a else 0)
+    r, prev = 0, 1
+    for col in range(ncols):
+        if r == nrows:
+            return
+        source = next((i for i in range(r, nrows) if a[i][col]), None)
+        if source is None:
+            continue
+        a[r], a[source] = a[source], a[r]
+        top, lead = a[r][col:], a[r][col]
+        yield source, col, lead
+        for i in range(r + 1, nrows):
+            factor = a[i][col]
+            a[i][col:] = [divide(lead * x - factor * y, prev) for x, y in zip(a[i][col:], top)]
+        r, prev = r + 1, lead
 
 
 def exact_rank(m: ExactMatrix) -> int:
-    """Rank over the coefficient field via fraction-free (Bareiss) elimination.
-
-    Every entry after a step is a minor of the cleared matrix, so dividing by
-    the previous pivot is exact."""
-    a, divide = _integral_rows(m)
-    nrows, ncols = len(a), (len(a[0]) if a else 0)
-    rank = 0
-    denom: Scalar = 1
-    for col in range(ncols):
-        if rank == nrows:
-            break
-        pivot = next((i for i in range(rank, nrows) if a[i][col]), None)
-        if pivot is None:
-            continue
-        a[rank], a[pivot] = a[pivot], a[rank]
-        top, lead = a[rank][col:], a[rank][col]
-        for i in range(rank + 1, nrows):
-            factor = a[i][col]
-            a[i][col:] = [divide(lead * x - factor * y, denom) for x, y in zip(a[i][col:], top)]
-        denom = lead
-        rank += 1
-    return rank
+    """Rank over the coefficient field: the number of Bareiss steps."""
+    return sum(1 for _ in _bareiss(*integral_rows(m)))
 
 
 def fraction_free_rref(
@@ -139,55 +147,65 @@ def fraction_free_rref(
     return pivots, prev
 
 
+def integral_nullspace(
+    a: list[Row], divide: Callable = operator.floordiv
+) -> tuple[list[Row], Scalar]:
+    """Kernel of the integral rows a, eliminated in place by
+    `fraction_free_rref`; returns (vectors, lead).
+
+    There is one vector per free column f, in increasing order: `lead` at f,
+    minus column f of the reduced rows at the pivot columns and 0 elsewhere.
+    That is `lead` times the rref basis vector, so its entries stay in Z (or
+    Z[sqrt(D)])."""
+    ncols = len(a[0]) if a else 0
+    pivots, lead = fraction_free_rref(a, divide)
+    vectors = []
+    for free in sorted(set(range(ncols)).difference(pivots)):
+        v: Row = [0] * ncols
+        v[free] = lead
+        for r, col in enumerate(pivots):
+            v[col] = -a[r][free]
+        vectors.append(v)
+    return vectors, lead
+
+
 def determinant(m: ExactMatrix) -> Scalar:
-    """Exact determinant (Bareiss, with denominator tracking)."""
+    """Exact determinant: the last Bareiss pivot of the row-scaled matrix,
+    signed by the row swaps and divided by the row scales; 0 as soon as a
+    column has no pivot."""
     n = m.rows
     if n != m.cols:
         raise ValueError("determinant of a non-square matrix")
     if n == 0:
         return Fraction(1)
-    a = [list(r) for r in m.entries]
+    a, divide = integral_rows(m)
     sign = 1
-    denom: Scalar = Fraction(1)
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if a[i][col]), None)
-        if pivot is None:
+    for step, (source, col, _) in enumerate(_bareiss(a, divide)):
+        if col != step:
             return Fraction(0)
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
+        if source != step:
             sign = -sign
-        for i in range(col + 1, n):
-            for j in range(col + 1, n):
-                a[i][j] = (a[col][col] * a[i][j] - a[i][col] * a[col][j]) / denom
-            a[i][col] = Fraction(0)
-        denom = a[col][col]
-    return sign * a[n - 1][n - 1]
+    # Every column before the last had its pivot on the diagonal, so the
+    # corner is the last pivot, or 0 when the last column has none.
+    return _quotient(divide)(sign * a[-1][-1], prod(map(_row_scale, m.entries)))
 
 
 def rref(m: ExactMatrix) -> tuple[list[Row], list[int]]:
     """Reduced row echelon form over the field; returns (rows, pivot columns)."""
-    a, divide = _integral_rows(m)
+    a, divide = integral_rows(m)
     pivots, lead = fraction_free_rref(a, divide)
-    if divide is operator.floordiv:
-        reduced = [[Fraction(x, lead) for x in row] for row in a[: len(pivots)]]
-    else:
-        reduced = [[x / lead for x in row] for row in a[: len(pivots)]]
+    over = _quotient(divide)
+    reduced = [[over(x, lead) for x in row] for row in a[: len(pivots)]]
     return reduced + [[Fraction(0)] * m.cols for _ in range(m.rows - len(pivots))], pivots
 
 
 def nullspace_basis(m: ExactMatrix) -> list[list[Scalar]]:
-    """Basis of {v : M v = 0}, one vector per free column of the rref."""
-    a, pivots = rref(m)
-    ncols = m.cols
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v: list[Scalar] = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            v[p] = -a[r][f]
-        basis.append(v)
-    return basis
+    """Basis of {v : M v = 0}, one vector per free column of the rref: 1 there
+    and minus the rref entries at the pivot columns."""
+    a, divide = integral_rows(m)
+    vectors, lead = integral_nullspace(a, divide)
+    over = _quotient(divide)
+    return [[over(x, lead) for x in v] for v in vectors]
 
 
 def solve_unique(m: ExactMatrix, rhs: Sequence) -> list[Scalar]:
@@ -207,23 +225,19 @@ def solve_unique(m: ExactMatrix, rhs: Sequence) -> list[Scalar]:
 def is_negative_definite(g: ExactMatrix) -> bool:
     """Sylvester test on -G: every leading principal minor of -G is positive.
 
-    Fraction-free elimination of -G without row swaps makes its k-th pivot the
-    k-th leading principal minor of the row-scaled -G, which has the sign of
-    that minor of -G; the test stops at the first pivot <= 0."""
+    While Bareiss elimination of the row-scaled -G takes its pivots from the
+    diagonal without a swap, the k-th pivot is the k-th leading principal
+    minor, which has the sign of that minor of -G.  A swap or a skipped
+    column means that minor is 0, so the test fails there, as it does at the
+    first pivot <= 0."""
     n = g.rows
     if n != g.cols:
         raise ValueError("definiteness of a non-square matrix")
-    a, divide = _integral_rows(g)
+    a, divide = integral_rows(g)
     a = [[-x for x in row] for row in a]
-    prev: Scalar = 1
-    for k in range(n):
-        lead, top = a[k][k], a[k][k + 1 :]
-        if lead <= 0:
+    steps = 0
+    for source, col, pivot in _bareiss(a, divide):
+        if not (source == col == steps and pivot > 0):
             return False
-        for i in range(k + 1, n):
-            factor = a[i][k]
-            a[i][k + 1 :] = [
-                divide(lead * x - factor * y, prev) for x, y in zip(a[i][k + 1 :], top)
-            ]
-        prev = lead
-    return True
+        steps += 1
+    return steps == n

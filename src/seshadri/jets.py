@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, lcm, prod
+from math import comb, prod
 from typing import Callable, Optional, Sequence, Tuple, Union
 
 from .exactmath import (
@@ -23,8 +23,8 @@ from .exactmath import (
     exact_rank,
     graded_lex_monomials,
     jet_basis_size,
-    nullspace_basis,
 )
+from .exactmath.linalg import integral_nullspace, integral_rows
 
 Point = Tuple[Fraction, ...]
 
@@ -120,14 +120,6 @@ def _jet_rows(tables, betas: Sequence[Exponent], monomials: Sequence[Exponent]) 
     return rows
 
 
-def _integral(row: list) -> list:
-    """A rational row scaled by the lcm of its denominators; any other row as it is."""
-    if not all(isinstance(x, Fraction) for x in row):
-        return row
-    scale = lcm(*(x.denominator for x in row))
-    return [x.numerator * (scale // x.denominator) for x in row]
-
-
 def _pivot_columns(rows: list[list]) -> Optional[list[int]]:
     """Pivot columns of an integer matrix modulo PRIME, eliminating from the
     last column down, so the rank of the columns [t:] modulo PRIME is the
@@ -202,11 +194,11 @@ class LinearSystem:
             betas = self.monomials[: jet_basis_size(self.nvars, top)]
             return _jet_rows(tables, betas, self.monomials)
         if isinstance(constraint, SpanConstraint):
-            # f lies in the span iff f is orthogonal to the span's annihilator;
-            # an empty span spans the zero row.
+            # f lies in the span iff f is orthogonal to the span's annihilator,
+            # taken integral; an empty span spans the zero row.
             span = [self._to_vector(f.shift(origin) if any(origin) else f) for f in constraint.basis]
-            annihilator = nullspace_basis(ExactMatrix.from_rows(span or [[0] * len(self.monomials)]))
-            return [_integral(row) for row in annihilator]
+            span_rows = integral_rows(ExactMatrix.from_rows(span or [[0] * len(self.monomials)]))
+            return integral_nullspace(*span_rows)[0]
         raise TypeError(f"unknown constraint {constraint!r}")
 
 

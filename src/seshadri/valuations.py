@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Optional, Tuple
 
 from .exactmath import INFINITY, QuadExt, WPolynomial, rational_parts
-from .exactmath.linalg import fraction_free_rref
+from .exactmath.linalg import fraction_free_rref, integral_nullspace
 
 SQRT2 = QuadExt(Fraction(0), Fraction(1), 2)
 
@@ -237,15 +237,8 @@ def _rational_members_of_piece(m: int, k: int, level: int):
     # column the sqrt(2)-part sum a_r*irr + b_r*rat vanishes.
     n = len(generators)
     eqs = [[irr for _, irr in pairs] + [rat for rat, _ in pairs] for pairs in by_column]
-    pivots, lead = fraction_free_rref(eqs)
-    # A free column gives the kernel vector with lead there and -eqs[r][free]
-    # at the r-th pivot column: lead times its nullspace basis vector.
     members = []
-    for free in sorted(set(range(2 * n)) - set(pivots)):
-        kernel = [0] * (2 * n)
-        kernel[free] = lead
-        for r, col in enumerate(pivots):
-            kernel[col] = -eqs[r][free]
+    for kernel in integral_nullspace(eqs)[0]:
         a_part, b_part = kernel[:n], kernel[n:]
         vec = [
             sum(a_r * rat + 2 * irr * b_r for a_r, b_r, (rat, irr) in zip(a_part, b_part, pairs))

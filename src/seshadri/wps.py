@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Tuple
 
 
@@ -87,13 +88,15 @@ class WeightedHypersurfaceSpec:
 
 
 def largest_representable(d: int, k: int, l: int) -> int:
-    """Largest integer <= d of the form a*k + b*l with a, b >= 0 (exhaustive
-    numerical-semigroup scan)."""
-    best = 0
-    for a in range(d // k + 1):
-        rest = d - a * k
-        best = max(best, a * k + (rest // l) * l)
-    return best
+    """Largest integer <= d of the form a*k + b*l with a, b >= 0.
+
+    With b copies of the larger weight, the best value is d minus
+    (d - b*big) mod small, and that residue repeats with period
+    small / gcd(k, l) in b.  So b runs over at most one period, which is at
+    most sqrt(d) + 1 values, as small <= big."""
+    small, big = sorted((k, l))
+    top = min(d // big, small // gcd(k, l) - 1)
+    return d - min((d - b * big) % small for b in range(top + 1))
 
 
 def whs_seshadri_bound(spec: WeightedHypersurfaceSpec) -> tuple[Fraction, bool]:
@@ -101,9 +104,11 @@ def whs_seshadri_bound(spec: WeightedHypersurfaceSpec) -> tuple[Fraction, bool]:
     of X_d, with m the largest integer <= d representable by the weights k, l.
     The flag is True exactly when d <= k*l, the regime where the bound is an
     equality."""
-    m = largest_representable(spec.d, spec.k, spec.l)
-    bound = Fraction((spec.n - spec.r) * m, spec.k * spec.l)
-    return bound, spec.d <= spec.k * spec.l
+    return _whs_bound(spec, largest_representable(spec.d, spec.k, spec.l))
+
+
+def _whs_bound(spec: WeightedHypersurfaceSpec, m: int) -> tuple[Fraction, bool]:
+    return Fraction((spec.n - spec.r) * m, spec.k * spec.l), spec.d <= spec.k * spec.l
 
 
 def whs_volume(spec: WeightedHypersurfaceSpec) -> Fraction:
@@ -113,14 +118,15 @@ def whs_volume(spec: WeightedHypersurfaceSpec) -> Fraction:
 
 def whs_record(spec: WeightedHypersurfaceSpec) -> dict:
     """CLI-facing record for a weighted hypersurface."""
-    bound, equality = whs_seshadri_bound(spec)
+    m = largest_representable(spec.d, spec.k, spec.l)
+    bound, equality = _whs_bound(spec, m)
     return {
         "n": spec.n,
         "k": spec.k,
         "l": spec.l,
         "d": spec.d,
         "r": spec.r,
-        "m": largest_representable(spec.d, spec.k, spec.l),
+        "m": m,
         "bound": bound,
         "equality": equality,
         "volume": whs_volume(spec),

@@ -117,6 +117,18 @@ def test_whs_flagship_record(capsys):
     }
 
 
+def test_whs_with_a_huge_weight_is_immediate(capsys):
+    # largest_representable scans one period of the residues, not d / k values.
+    start = time.monotonic()
+    code, out, _ = run_cli(
+        capsys, "whs", "--n", "3", "--k", "2", "--l", "100000000001", "--d", "10000000000"
+    )
+    assert time.monotonic() - start < 1.0
+    assert code == 0
+    record = json.loads(out)
+    assert (record["m"], record["equality"]) == (10000000000, True)
+
+
 def test_ruled_flagship_record(capsys):
     code, out, _ = run_cli(capsys, "ruled", "--g", "2", "--d", "10")
     assert code == 0

@@ -354,6 +354,12 @@ def test_integer_and_field_bareiss_agree_on_rank_deficient_matrices(seed):
 def test_determinant():
     m = ExactMatrix.from_rows([[Fraction(1, 2), 1], [3, 4]])
     assert determinant(m) == Fraction(1, 2) * 4 - 3
+    # Every Bareiss pivot of a permutation matrix is 1, so the sign comes
+    # from the row swaps alone.
+    for permutation, sign in [((1, 0), -1), ((0, 2, 1), -1), ((1, 2, 0), 1), ((1, 0, 3, 2), 1), ((1, 2, 3, 0), -1)]:
+        n = len(permutation)
+        p = ExactMatrix.from_rows([[int(j == permutation[i]) for j in range(n)] for i in range(n)])
+        assert determinant(p) == sign
 
 
 def test_rref_and_nullspace():
@@ -382,6 +388,10 @@ def test_negative_definiteness():
     assert not is_negative_definite(ExactMatrix.from_rows([[-2, 3], [3, -2]]))
     assert not is_negative_definite(ExactMatrix.from_rows([[0]]))
     assert not is_negative_definite(ExactMatrix.from_rows([[-10, 1], [1, 0]]))
+    # A zero leading minor: a swapping elimination of -G sees only positive
+    # pivots in the first, and the second has no pivot in its last column.
+    assert not is_negative_definite(ExactMatrix.from_rows([[0, -1], [-1, 0]]))
+    assert not is_negative_definite(ExactMatrix.from_rows([[-1, 0], [0, 0]]))
 
 
 # -- rref, nullspace and solve against sympy ---------------------------------------

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from seshadri import surfaces
 from seshadri.exactmath import ExactMatrix
 from seshadri.surfaces import (
     CurveClass,
@@ -34,6 +35,24 @@ def assert_zariski_axioms(lat, divisor, dec):
     assert all(
         a + b == c for a, b, c in zip(p.coords, n.coords, divisor.coords)
     )
+
+
+_decompose = surfaces.zariski_decomposition
+
+
+@pytest.fixture(autouse=True)
+def _every_decomposition_satisfies_the_axioms(monkeypatch):
+    """zariski_decomposition does not re-check its result, so every
+    decomposition built in this file, directly or through
+    ruled_surface_model, is checked here."""
+
+    def checked(lat, divisor):
+        dec = _decompose(lat, divisor)
+        assert_zariski_axioms(lat, divisor, dec)
+        return dec
+
+    monkeypatch.setattr(surfaces, "zariski_decomposition", checked)
+    monkeypatch.setitem(globals(), "zariski_decomposition", checked)
 
 
 # -- Zariski decomposition -------------------------------------------------------
@@ -200,6 +219,15 @@ def test_ruled_family_matches_closed_form(g):
         # anticanonical volume through the decomposition
         vol = model.seshadri.self_intersection
         assert vol == (1 - Fraction(2 * g - 2, d)) ** 2 * d
+
+
+def test_ruled_model_meets_the_closed_form_on_a_grid():
+    # ruled_surface_model does not check its value; the closed form
+    # 1 - (2g-2)/d holds on the whole admissible range.
+    for g in range(16):
+        for d in range(2 if g == 0 else max(1, 2 * g - 1), 2 * g + 41):
+            model = ruled_surface_model(g, d)
+            assert model.epsilon_m == 1 - Fraction(2 * g - 2, d)
 
 
 def test_ruled_model_domain():

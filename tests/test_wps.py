@@ -103,8 +103,10 @@ def test_whs_spec_validation():
         WeightedHypersurfaceSpec(3, 2, 3, 0)
 
 
-@pytest.mark.parametrize("k,l", [(1, 2), (2, 3), (3, 4), (2, 5), (3, 7)])
-@pytest.mark.parametrize("d", range(1, 13))
+@pytest.mark.parametrize(
+    "k,l", [(1, 2), (2, 3), (3, 4), (2, 5), (3, 7), (4, 6), (6, 9), (5, 5), (7, 3), (8, 12), (9, 13)]
+)
+@pytest.mark.parametrize("d", [*range(1, 13), 29, 47, 61, 100, 143])
 def test_largest_representable_against_exhaustive_scan(k, l, d):
     representable = {
         a * k + b * l
