@@ -1,7 +1,7 @@
 """Command-line front door.
 
 Subcommands: wps, whs, jets, valuation, zariski, ruled, bounds, reproduce.
-Global flags: --format json|csv, --seed, --m-max, --degree-cap.  All numbers
+Global flags: --format json|csv, --seed, --m-max.  All numbers
 are emitted as exact strings ("p/q", "a+b*sqrt(D)"); nothing is rounded.
 Exit codes: 0 success, 1 reproduction failure, 2 input error.
 """
@@ -138,6 +138,20 @@ def _read_json_arg(text: str):
     return json.loads(text)
 
 
+_KINDS = {dict: "a JSON object", list: "a JSON array", int: "an integer", bool: "true or false"}
+
+
+def _typed(value, kind: type, where: str):
+    """value if it has JSON type kind (dict, list, int or bool), else an error
+    naming where it sits.  An integral float such as 2.0 counts as an int; 1.5
+    is not truncated, and neither a number nor "false" counts as a bool."""
+    if kind is int and isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ValueError(f"{where}: expected {_KINDS[kind]}")
+    return value
+
+
 def _field(desc: dict, key: str, where: str):
     """desc[key] from a JSON object, or an error naming the field and where
     it is missing."""
@@ -147,8 +161,8 @@ def _field(desc: dict, key: str, where: str):
         raise ValueError(f"{where}: missing field {key!r}") from None
 
 
-def _fraction_point(coords) -> tuple[Fraction, ...]:
-    return tuple(Fraction(str(c)) for c in coords)
+def _fraction_point(coords, where: str) -> tuple[Fraction, ...]:
+    return tuple(Fraction(str(c)) for c in _typed(coords, list, where))
 
 
 # -- subcommands --------------------------------------------------------------
@@ -170,25 +184,30 @@ def cmd_whs(args) -> tuple[object, int]:
 
 
 def cmd_jets(args) -> tuple[object, int]:
-    desc = _read_json_arg(args.system)
-    nvars = int(_field(desc, "n", "jets system"))
-    degree = int(_field(desc, "d", "jets system"))
+    where = "jets system"
+    desc = _typed(_read_json_arg(args.system), dict, where)
+    nvars = _typed(_field(desc, "n", where), int, "n")
+    degree = _typed(_field(desc, "d", where), int, "d")
     constraints = []
-    for i, c in enumerate(desc.get("constraints", ())):
-        if c.get("type") != "mult":
+    for i, c in enumerate(_typed(desc.get("constraints", []), list, "constraints")):
+        at = f"constraints[{i}]"
+        if _typed(c, dict, at).get("type") != "mult":
             raise ValueError(f"unknown constraint type {c.get('type')!r}")
-        where = f"constraints[{i}]"
         constraints.append(
-            (_fraction_point(_field(c, "point", where)), int(_field(c, "order", where)))
+            (
+                _fraction_point(_field(c, "point", at), f"{at}.point"),
+                _typed(_field(c, "order", at), int, f"{at}.order"),
+            )
         )
-    m_max = int(desc.get("m_max", args.m_max))
+    m_max = _typed(desc.get("m_max", args.m_max), int, "m_max")
     curve_bound = None
-    if desc.get("curve_bound"):
-        cb = desc["curve_bound"]
+    if desc.get("curve_bound") is not None:
+        at = "curve_bound"
+        cb = _typed(desc[at], dict, at)
         curve_bound = jets.seshadri_upper_via_curve(
-            Fraction(str(_field(cb, "pairing", "curve_bound"))),
-            int(_field(cb, "mult", "curve_bound")),
-            bool(_field(cb, "meets_base_locus", "curve_bound")),
+            Fraction(str(_field(cb, "pairing", at))),
+            _typed(_field(cb, "mult", at), int, f"{at}.mult"),
+            _typed(_field(cb, "meets_base_locus", at), bool, f"{at}.meets_base_locus"),
         )
 
     # Built once per multiple and shared by every sampled point.
@@ -211,7 +230,7 @@ def cmd_jets(args) -> tuple[object, int]:
         )
     else:
         estimate = jets.moving_seshadri_lower(
-            series, _fraction_point(point_spec), m_max, curve_bound
+            series, _fraction_point(point_spec, "point"), m_max, curve_bound
         )
     record = {
         "s_values": list(estimate.s_values),
@@ -267,7 +286,7 @@ def cmd_valuation(args) -> tuple[object, int]:
     if args.op == "galois":
         if args.m is None or args.k is None:
             raise ValueError("--m and --k are required for op 'galois'")
-        result = valuations.galois_min_mult(args.m, args.k, args.degree_cap)
+        result = valuations.galois_min_mult(args.m, args.k)
         return {
             "m": args.m,
             "k": args.k,
@@ -280,29 +299,30 @@ def cmd_valuation(args) -> tuple[object, int]:
 
 def _lattice_from_json(desc) -> surfaces.SurfaceLattice:
     where = "zariski description"
-    generators = tuple(str(g) for g in _field(desc, "generators", where))
-    gram = ExactMatrix.from_rows(
-        [[Fraction(str(x)) for x in row] for row in _field(desc, "gram", where)]
-    )
+    generators = _typed(_field(desc, "generators", where), list, "generators")
+    generators = tuple(str(g) for g in generators)
+    rows = _typed(_field(desc, "gram", where), list, "gram")
+    gram = ExactMatrix.from_rows([_fraction_point(row, f"gram[{i}]") for i, row in enumerate(rows)])
     curves = []
-    for i, c in enumerate(_field(desc, "curves", where)):
+    for i, c in enumerate(_typed(_field(desc, "curves", where), list, "curves")):
+        at = f"curves[{i}]"
         curves.append(
             surfaces.CurveClass(
-                name=str(c.get("name", f"C{i}")),
-                coords=_fraction_point(_field(c, "coords", f"curves[{i}]")),
-                through_marked_point=bool(c.get("through", False)),
-                mult=int(c.get("mult", 1)),
+                name=str(_typed(c, dict, at).get("name", f"C{i}")),
+                coords=_fraction_point(_field(c, "coords", at), f"{at}.coords"),
+                through_marked_point=_typed(c.get("through", False), bool, f"{at}.through"),
+                mult=_typed(c.get("mult", 1), int, f"{at}.mult"),
             )
         )
     return surfaces.SurfaceLattice(generators, gram, tuple(curves))
 
 
 def cmd_zariski(args) -> tuple[object, int]:
-    desc = _read_json_arg(args.description)
+    desc = _typed(_read_json_arg(args.description), dict, "zariski description")
     lat = _lattice_from_json(desc)
     d_spec = _field(desc, "D", "zariski description")
     d_coords = _field(d_spec, "coords", "D") if isinstance(d_spec, dict) else d_spec
-    divisor = surfaces.DivisorClass(_fraction_point(d_coords))
+    divisor = surfaces.DivisorClass(_fraction_point(d_coords, "D"))
     dec = surfaces.zariski_decomposition(lat, divisor)
     record = {
         "P": list(dec.positive.coords),
@@ -357,7 +377,7 @@ def cmd_bounds(args) -> tuple[object, int]:
         "b": result.b,
         "c": result.c,
         "attained": result.attained,
-        "oracle_checked": bounds.grid_confirms_best(args.n, eps, args.oracle_resolution),
+        "oracle_checked": bounds.grid_confirms_best(args.n, eps),
         "conjectured_optimal_comparison": bounds.conjectured_optimal_comparison(args.n, eps),
     }
     return record, 0
@@ -413,12 +433,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--m-max", type=int, default=3, help="largest multiple for jet series (default 3)"
     )
-    parser.add_argument(
-        "--degree-cap",
-        type=int,
-        default=None,
-        help="weighted-degree cap for the galois brute force (default 4mk)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("wps", help="weighted projective space invariants")
@@ -470,7 +484,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", help="volume bound M(n, eps)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--eps", required=True, help="rational, e.g. 1 or 1/2")
-    p.add_argument("--oracle-resolution", type=int, default=256)
     p.set_defaults(handler="cmd_bounds")
 
     p = sub.add_parser("reproduce", help="re-derive the frozen example table")

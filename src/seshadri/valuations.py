@@ -249,65 +249,39 @@ def _rational_members_of_piece(m: int, k: int, level: int):
     return columns, members
 
 
-def galois_min_mult(
-    m: int, k: int, degree_cap: Optional[int] = None
-) -> GaloisMinMult:
+def galois_min_mult(m: int, k: int) -> GaloisMinMult:
     """Scan the weighted-graded pieces of (s^m, t - sqrt(2)*s^(m-1))^k for
     rational-coefficient members of minimal multiplicity at the origin.
 
-    The scan runs over weighted degrees up to degree_cap (default 4mk, doubled
-    automatically up to 16mk if nothing is found); once a member of
-    multiplicity mu is known, degrees beyond (m-1)*mu cannot improve it and the
-    scan stops.  The result always satisfies min_mult >= ceil(2mk/(2m-1)).
+    Under wt(s) = 1, wt(t) = m - 1 a piece of weighted degree `level` holds
+    only members of multiplicity >= level/(m-1), so once a member of
+    multiplicity mu is known the scan stops after level (m-1)*mu.  The norm
+    form (t^2 - 2*s^(2m-2))^k = y^k * conj(y)^k is a rational member of
+    multiplicity 2k at level 2k(m-1), so mu starts at 2k and the scan visits
+    levels k(m-1) .. (m-1)*min_mult, each once.
     """
     if m < 2 or k < 1:
         raise ValueError("need m >= 2 and k >= 1")
-    cap = degree_cap if degree_cap is not None else 4 * m * k
-    if cap < 1:
-        raise ValueError("degree_cap must be >= 1")
-    ceiling = max(16 * m * k, cap)
-    bound = Fraction(2 * m * k, 2 * m - 1)
-    best_mult: float | int = INFINITY
-    best_witness: Optional[WPolynomial] = None
-    while True:
-        for level in range(k * (m - 1), cap + 1):
-            if best_mult is not INFINITY and level > (m - 1) * best_mult:
-                break
-            columns, members = _rational_members_of_piece(m, k, level)
-            if members:
-                # The first reduced row, divided by its lead, is the first row
-                # of the rref of the members' span; the witness is its
-                # primitive integer multiple.
-                pivots, lead = fraction_free_rref(members)
-                first_row = members[0]
-                mult = sum(columns[pivots[0]])
-                if mult < best_mult:
-                    best_mult = mult
-                    g = math.gcd(*first_row) * (1 if lead > 0 else -1)
-                    best_witness = WPolynomial(
-                        {columns[i]: x // g for i, x in enumerate(first_row) if x}, 2
-                    )
-        # Minimality is proved once every level up to (m-1)*best_mult has been
-        # scanned: deeper pieces only contain higher-multiplicity members.
-        if best_mult is not INFINITY and (m - 1) * best_mult <= cap:
-            break
-        if cap >= ceiling:
-            if best_mult is not INFINITY:
-                raise RuntimeError(
-                    f"found multiplicity {best_mult} but could not certify minimality "
-                    f"within weighted degree {cap}; raise degree_cap"
+    best_mult, best_witness = 2 * k, None
+    level = k * (m - 1)
+    while level <= (m - 1) * best_mult:
+        columns, members = _rational_members_of_piece(m, k, level)
+        if members:
+            # The first reduced row, divided by its lead, is the first row of
+            # the rref of the members' span; the witness is its primitive
+            # integer multiple.
+            pivots, lead = fraction_free_rref(members)
+            first_row = members[0]
+            mult = sum(columns[pivots[0]])
+            # Where min_mult is 2k the witness is the first member reaching it.
+            if mult < best_mult or (best_witness is None and mult == best_mult):
+                best_mult = mult
+                g = math.gcd(*first_row) * (1 if lead > 0 else -1)
+                best_witness = WPolynomial(
+                    {columns[i]: x // g for i, x in enumerate(first_row) if x}, 2
                 )
-            raise RuntimeError(
-                f"no rational member of (s^{m}, t-sqrt(2)*s^{m-1})^{k} found up to "
-                f"weighted degree {cap}"
-            )
-        cap = min(2 * cap, ceiling)
-    min_mult = int(best_mult)
-    if min_mult < -(-2 * m * k // (2 * m - 1)):
-        raise AssertionError(
-            f"brute force found multiplicity {min_mult} below the 2mk/(2m-1) bound"
-        )
-    return GaloisMinMult(min_mult, bound, best_witness)
+        level += 1
+    return GaloisMinMult(best_mult, Fraction(2 * m * k, 2 * m - 1), best_witness)
 
 
 def twisted_ideal_contains(m: int, k: int, f: WPolynomial) -> bool:

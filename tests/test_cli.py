@@ -1,11 +1,14 @@
 """Tests for the command-line interface: serialization, subcommands, exit codes,
 and seed-for-seed determinism of everything written to stdout."""
 
+import argparse
 import json
+import re
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -550,3 +553,121 @@ def test_zariski_rejects_duplicate_curve_names(capsys):
     assert code == 2
     assert out == ""
     assert err == "error: duplicate curve name 'E'\n"
+
+
+_JETS = {
+    "n": 2,
+    "d": 3,
+    "constraints": [{"type": "mult", "point": [0, 0], "order": 1}],
+    "point": [1, 2],
+    "m_max": 2,
+    "curve_bound": {"pairing": 2, "mult": 1, "meets_base_locus": False},
+}
+
+
+def _with(desc: dict, value, *path) -> str:
+    """desc as JSON text, with the field at path set to value."""
+    out = json.loads(json.dumps(desc))
+    node = out
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return json.dumps(out)
+
+
+_WRONG_KINDS = [
+    ("jets", '{"n":2,"d":3,"constraints":[5]}', "constraints[0]: expected a JSON object"),
+    ("jets", "5", "jets system: expected a JSON object"),
+    ("jets", '{"n":2,"d":3,"constraints":5}', "constraints: expected a JSON array"),
+    ("jets", '{"n":2,"d":3,"curve_bound":5}', "curve_bound: expected a JSON object"),
+    ("jets", '{"n":2,"d":3,"curve_bound":false}', "curve_bound: expected a JSON object"),
+    ("jets", '{"n":2,"d":3,"curve_bound":{}}', "curve_bound: missing field 'pairing'"),
+    ("jets", '{"n":2,"d":3,"point":"12"}', "point: expected a JSON array"),
+    ("jets", _with(_JETS, 7, "constraints", 0, "point"), "constraints[0].point: expected a JSON array"),
+    ("jets", _with(_JETS, 1.5, "n"), "n: expected an integer"),
+    ("jets", _with(_JETS, 3.5, "d"), "d: expected an integer"),
+    ("jets", _with(_JETS, "3", "d"), "d: expected an integer"),
+    ("jets", _with(_JETS, 2.5, "m_max"), "m_max: expected an integer"),
+    ("jets", _with(_JETS, True, "m_max"), "m_max: expected an integer"),
+    ("jets", _with(_JETS, 1.5, "constraints", 0, "order"), "constraints[0].order: expected an integer"),
+    ("jets", _with(_JETS, 1.5, "curve_bound", "mult"), "curve_bound.mult: expected an integer"),
+    (
+        "jets",
+        _with(_JETS, "false", "curve_bound", "meets_base_locus"),
+        "curve_bound.meets_base_locus: expected true or false",
+    ),
+    (
+        "jets",
+        _with(_JETS, 0, "curve_bound", "meets_base_locus"),
+        "curve_bound.meets_base_locus: expected true or false",
+    ),
+    (
+        "zariski",
+        '{"generators":["E"],"gram":[[1]],"curves":[5],"D":[1]}',
+        "curves[0]: expected a JSON object",
+    ),
+    ("zariski", "[]", "zariski description: expected a JSON object"),
+    ("zariski", _with(_ZARISKI, "EF", "generators"), "generators: expected a JSON array"),
+    ("zariski", _with(_ZARISKI, 1, "gram", 0), "gram[0]: expected a JSON array"),
+    ("zariski", _with(_ZARISKI, {}, "curves"), "curves: expected a JSON array"),
+    ("zariski", _with(_ZARISKI, 5, "D"), "D: expected a JSON array"),
+    ("zariski", _with(_ZARISKI, 1.5, "curves", 0, "mult"), "curves[0].mult: expected an integer"),
+    (
+        "zariski",
+        _with(_ZARISKI, "false", "curves", 1, "through"),
+        "curves[1].through: expected true or false",
+    ),
+]
+
+
+@pytest.mark.parametrize("command,text,message", _WRONG_KINDS, ids=[m for _, _, m in _WRONG_KINDS])
+def test_json_values_of_the_wrong_kind_exit_2_naming_where(capsys, command, text, message):
+    # A list element that is not an object used to raise AttributeError, 1.5
+    # was truncated to 1, and "false" read as true.
+    code, out, err = run_cli(capsys, command, text)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_integral_floats_read_as_integers(capsys):
+    code, out, _ = run_cli(capsys, "jets", json.dumps(_JETS))
+    assert code == 0 and out == '{"s_values":[2,4],"lower":"2","upper":"2","certified":true}\n'
+    constraints = [{"type": "mult", "point": [0, 0], "order": 1.0}]
+    floats = dict(_JETS, n=2.0, d=3.0, m_max=2.0, constraints=constraints)
+    assert run_cli(capsys, "jets", json.dumps(floats)) == (code, out, "")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--degree-cap", "5", "valuation", "--weights", "1,1", "--op", "galois", "--m", "2", "--k", "1"),
+        ("bounds", "--n", "3", "--eps", "1", "--oracle-resolution", "9"),
+    ],
+)
+def test_removed_flags_are_usage_errors(argv):
+    proc = subprocess.run([sys.executable, "-m", "seshadri.cli", *argv], capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("usage: seshadri") and "seshadri: error:" in proc.stderr
+
+
+def _global_flags_named_in(text: str) -> set[str]:
+    sentence = re.search(r"Global flags:(.*?)\.\s", text, re.S).group(1)
+    return set(re.findall(r"--[a-z][a-z-]*", sentence))
+
+
+def test_documented_global_flags_are_exactly_the_parser_options():
+    import seshadri.cli as cli
+
+    parser = cli.build_parser()
+    options = {
+        option
+        for action in parser._actions
+        if not isinstance(action, argparse._HelpAction)
+        for option in action.option_strings
+    }
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    assert _global_flags_named_in(readme) == options
+    assert _global_flags_named_in(cli.__doc__) == options

@@ -308,6 +308,36 @@ def test_galois_rejects_bad_parameters():
         galois_min_mult(2, 0)
 
 
+@pytest.mark.parametrize("m", range(2, 7))
+def test_norm_form_is_a_rational_member_of_multiplicity_2k(m):
+    # (t^2 - 2 s^(2m-2))^k = y^k conj(y)^k bounds the Galois scan: a rational
+    # member of multiplicity 2k, weighted-homogeneous of degree 2k(m-1).
+    for k in range(1, 13):
+        f = poly(f"(t^2 - 2*s^{2 * m - 2})^{k}")
+        assert twisted_ideal_contains(m, k, f)
+        assert {a + (m - 1) * b for a, b in f.coeffs} == {2 * k * (m - 1)}
+        assert f.multiplicity() == 2 * k
+        assert all(isinstance(c, Fraction) for c in f.coeffs.values())
+
+
+def test_galois_scan_visits_each_level_up_to_the_minimum_once(monkeypatch):
+    # A member of multiplicity mu sits at weighted level <= (m-1)*mu, so the
+    # scan must stop right after level (m-1)*min_mult, and no sooner.
+    original = valuations_module._rational_members_of_piece
+    levels = []
+
+    def recording(m, k, level):
+        levels.append(level)
+        return original(m, k, level)
+
+    monkeypatch.setattr(valuations_module, "_rational_members_of_piece", recording)
+    for m in range(2, 7):
+        for k in range(1, 13):
+            levels.clear()
+            result = galois_min_mult(m, k)
+            assert levels == list(range(k * (m - 1), (m - 1) * result.min_mult + 1)), (m, k)
+
+
 def test_twisted_ideal_membership_scales_with_level():
     # s^(2k) is always in the k-th power of (s^2, t - sqrt2 s)
     for k in (1, 2, 3):
