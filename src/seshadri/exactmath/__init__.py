@@ -2,10 +2,8 @@
 
 from .scalars import (
     QuadExt,
-    Rational,
     Scalar,
     format_scalar,
-    is_zero,
     parse_scalar,
     rational_parts,
     to_scalar,

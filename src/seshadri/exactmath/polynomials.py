@@ -24,10 +24,6 @@ CoeffMap = Dict[Exponent, Scalar]
 INFINITY = math.inf
 
 
-def _binomial(n: int, k: int) -> int:
-    return math.comb(n, k)
-
-
 class WPolynomial:
     """Exact multivariate polynomial, optionally weighted-graded.
 
@@ -250,7 +246,7 @@ class WPolynomial:
                 if not p:
                     per_var.append([(e, Fraction(1))])
                 else:
-                    per_var.append([(j, _binomial(e, j) * p ** (e - j)) for j in range(e + 1)])
+                    per_var.append([(j, math.comb(e, j) * p ** (e - j)) for j in range(e + 1)])
             for combo in product(*per_var):
                 new_exp = tuple(j for j, _ in combo)
                 coeff = c
@@ -305,7 +301,7 @@ def graded_lex_monomials(nvars: int, max_degree: int) -> list[Exponent]:
 
 
 def jet_basis_size(nvars: int, order: int) -> int:
-    return _binomial(nvars + order, nvars)
+    return math.comb(nvars + order, nvars)
 
 
 def multiplicity_at(f: WPolynomial, point: Sequence) -> float | int:
@@ -454,12 +450,12 @@ def parse_polynomial(
     return _Parser(_tokenize(text), names, D).parse()
 
 
-def format_polynomial(f: WPolynomial, names: Optional[Sequence[str]] = None) -> str:
-    """Human-readable form with terms in descending graded lex order."""
+def format_polynomial(f: WPolynomial) -> str:
+    """Human-readable form with terms in descending graded lex order, in the
+    variables s, t, u (x0, x1, ... beyond three)."""
     if f.is_zero():
         return "0"
-    if names is None:
-        names = ["s", "t", "u"][: f.nvars] if f.nvars <= 3 else [f"x{i}" for i in range(f.nvars)]
+    names = ["s", "t", "u"][: f.nvars] if f.nvars <= 3 else [f"x{i}" for i in range(f.nvars)]
     parts = []
     for exp in sorted(f.coeffs, key=lambda e: (-sum(e), tuple(-x for x in e))):
         c = f.coeffs[exp]

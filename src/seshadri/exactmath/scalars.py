@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-Rational = Fraction
-
 
 @functools.lru_cache(maxsize=64)
 def _is_square_free(d: int) -> bool:
@@ -177,10 +175,6 @@ def to_scalar(x) -> Scalar:
     if isinstance(x, QuadExt):
         return x
     return _as_fraction(x)
-
-
-def is_zero(x: Scalar) -> bool:
-    return not x
 
 
 def rational_parts(x: Scalar) -> tuple[Fraction, Fraction]:

@@ -85,8 +85,7 @@ def _jets_blowup_n2(rng: random.Random) -> tuple:
 
 def _galois_m2k3(_rng) -> tuple:
     res = valuations.galois_min_mult(2, 3)
-    witness = res.witness.coeffs if res.witness is not None else None
-    return res.min_mult, res.bound, witness
+    return res.min_mult, res.bound, res.witness.coeffs
 
 
 _SQUARED_NORM_FORM = WPolynomial(

@@ -2,8 +2,8 @@
 
 Covers valuation evaluation, log discrepancies, the two-sided multiplicity
 comparison (Izumi-type inequality), minimal multiplicities of valuation
-ideals, and a graded brute-force certifier for the minimal multiplicity of
-rational members of the twisted ideal (s^m, t - sqrt(2)*s^(m-1))^k.
+ideals, and the minimal multiplicity of rational members of the twisted ideal
+(s^m, t - sqrt(2)*s^(m-1))^k, read off the norm form t^2 - 2*s^(2m-2).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Optional, Tuple
 
 from .exactmath import INFINITY, QuadExt, WPolynomial, rational_parts
-from .exactmath.linalg import fraction_free_rref, integral_nullspace
+from .exactmath.linalg import fraction_free_rref
 
 SQRT2 = QuadExt(Fraction(0), Fraction(1), 2)
 
@@ -195,93 +195,63 @@ def ideal_min_multiplicity(query: ValuationIdealQuery) -> tuple[int, Fraction]:
 
 @dataclass(frozen=True)
 class GaloisMinMult:
-    """Brute-force certificate: minimal multiplicity over nonzero rational
-    members of the twisted ideal, the 2mk/(2m-1) comparison bound, and a
-    canonical minimal witness."""
+    """Minimal multiplicity over nonzero rational members of the twisted
+    ideal, the 2mk/(2m-1) comparison bound, and a canonical minimal witness."""
 
     min_mult: int
     bound: Fraction
-    witness: Optional[WPolynomial]
-
-
-def _twisted_monomial_in_st(a: int, b: int, m: int) -> dict:
-    """Coefficients of s^a * y^b in (s, t), where y = t - sqrt(2)*s^(m-1), as
-    integer pairs (rational part, sqrt(2) part)."""
-    return {
-        (a + (m - 1) * (b - j), j): pair for j, pair in enumerate(_binomial_pairs(b, 0, -1, 2))
-    }
-
-
-def _rational_members_of_piece(m: int, k: int, level: int):
-    """Rational-coefficient members of the weight-`level` graded piece of
-    (s^m, y)^k, wt(s) = 1, wt(t) = wt(y) = m - 1; returns (columns, vectors)
-    where columns are (s,t)-exponents and vectors span the rational members."""
-    generators = []
-    for b in range(level // (m - 1) + 1):
-        a = level - (m - 1) * b
-        if a >= m * max(k - b, 0):
-            generators.append((a, b))
-    if not generators:
-        return [], []
-    columns = sorted(
-        {(level - (m - 1) * j, j) for j in range(level // (m - 1) + 1)},
-        key=lambda e: (e[0] + e[1], e),
-    )
-    # by_column[col][r] = (rat, irr): generator r's coefficient rat + irr*sqrt(2).
-    col_index = {e: i for i, e in enumerate(columns)}
-    by_column = [[(0, 0)] * len(generators) for _ in columns]
-    for r, (a, b) in enumerate(generators):
-        for exp, pair in _twisted_monomial_in_st(a, b, m).items():
-            by_column[col_index[exp]][r] = pair
-    # c_r = a_r + sqrt(2) b_r: the combination is rational iff for every
-    # column the sqrt(2)-part sum a_r*irr + b_r*rat vanishes.
-    n = len(generators)
-    eqs = [[irr for _, irr in pairs] + [rat for rat, _ in pairs] for pairs in by_column]
-    members = []
-    for kernel in integral_nullspace(eqs)[0]:
-        a_part, b_part = kernel[:n], kernel[n:]
-        vec = [
-            sum(a_r * rat + 2 * irr * b_r for a_r, b_r, (rat, irr) in zip(a_part, b_part, pairs))
-            for pairs in by_column
-        ]
-        if any(vec):
-            members.append(vec)
-    return columns, members
+    witness: WPolynomial
 
 
 def galois_min_mult(m: int, k: int) -> GaloisMinMult:
-    """Scan the weighted-graded pieces of (s^m, t - sqrt(2)*s^(m-1))^k for
-    rational-coefficient members of minimal multiplicity at the origin.
+    """Minimal multiplicity at the origin of a nonzero rational member of
+    I = (s^m, y)^k, y = t - sqrt(2)*s^(m-1), read off the norm form.
 
-    Under wt(s) = 1, wt(t) = m - 1 a piece of weighted degree `level` holds
-    only members of multiplicity >= level/(m-1), so once a member of
-    multiplicity mu is known the scan stops after level (m-1)*mu.  The norm
-    form (t^2 - 2*s^(2m-2))^k = y^k * conj(y)^k is a rational member of
-    multiplicity 2k at level 2k(m-1), so mu starts at 2k and the scan visits
-    levels k(m-1) .. (m-1)*min_mult, each once.
+    Under wt(s) = 1, wt(t) = wt(y) = m - 1, the piece of I of weighted degree
+    `level` >= k(m-1) is y^b times every form of degree level - (m-1)b, with
+    b = max(0, mk - level).  A rational member is fixed by sqrt(2) -> -sqrt(2),
+    so conj(y)^b divides it as well: it is N^b * g, with the norm form
+    N = y*conj(y) = t^2 - 2*s^(2m-2) and g a rational form of degree
+    r = level - 2(m-1)b.  The members of the level are therefore spanned by
+    N^b * s^(r-(m-1)j) * t^j for j = 0..r//(m-1) (none when r < 0), and their
+    least multiplicity is 2b + r - (m-2)*(r//(m-1)).  N^k has multiplicity 2k
+    at level 2k(m-1), and a member of degree `level` has multiplicity at least
+    level/(m-1), so the levels k(m-1)..2k(m-1) hold the minimum.  The witness
+    is the first row of the reduced echelon form of the span at the first
+    level reaching it, made a primitive integer polynomial with a positive
+    entry at its pivot.  The columns run by decreasing t-exponent, which is
+    increasing total degree (for m = 2, increasing s-exponent), so the pivot
+    of that row has the least multiplicity.
     """
     if m < 2 or k < 1:
         raise ValueError("need m >= 2 and k >= 1")
-    best_mult, best_witness = 2 * k, None
-    level = k * (m - 1)
-    while level <= (m - 1) * best_mult:
-        columns, members = _rational_members_of_piece(m, k, level)
-        if members:
-            # The first reduced row, divided by its lead, is the first row of
-            # the rref of the members' span; the witness is its primitive
-            # integer multiple.
-            pivots, lead = fraction_free_rref(members)
-            first_row = members[0]
-            mult = sum(columns[pivots[0]])
-            # Where min_mult is 2k the witness is the first member reaching it.
-            if mult < best_mult or (best_witness is None and mult == best_mult):
-                best_mult = mult
-                g = math.gcd(*first_row) * (1 if lead > 0 else -1)
-                best_witness = WPolynomial(
-                    {columns[i]: x // g for i, x in enumerate(first_row) if x}, 2
-                )
-        level += 1
-    return GaloisMinMult(best_mult, Fraction(2 * m * k, 2 * m - 1), best_witness)
+
+    def split(level: int) -> tuple[int, int]:
+        b = max(0, m * k - level)
+        return b, level - 2 * (m - 1) * b
+
+    def least_mult(level: int):
+        b, r = split(level)
+        return 2 * b + r - (m - 2) * (r // (m - 1)) if r >= 0 else math.inf
+
+    level = min(range(k * (m - 1), 2 * k * (m - 1) + 1), key=least_mult)
+    b, r = split(level)
+    top = level // (m - 1)
+    # Column c holds s^(level - (m-1)(top-c)) * t^(top-c); N^b has
+    # C(b, i) * (-2)^(b-i) at t^(2i).
+    norm = [math.comb(b, i) * (-2) ** (b - i) for i in range(b + 1)]
+    rows = []
+    for j in range(r // (m - 1) + 1):
+        row = [0] * (top + 1)
+        for i, coeff in enumerate(norm):
+            row[top - j - 2 * i] = coeff
+        rows.append(row)
+    _, lead = fraction_free_rref(rows)
+    g = math.gcd(*rows[0]) * (1 if lead > 0 else -1)
+    witness = WPolynomial(
+        {(level - (m - 1) * (top - c), top - c): x // g for c, x in enumerate(rows[0]) if x}, 2
+    )
+    return GaloisMinMult(least_mult(level), Fraction(2 * m * k, 2 * m - 1), witness)
 
 
 def twisted_ideal_contains(m: int, k: int, f: WPolynomial) -> bool:

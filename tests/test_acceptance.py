@@ -151,7 +151,8 @@ def test_ideal_min_multiplicity_matches_exhaustive_search_and_closed_forms():
 
 
 # 5. Rational members of the Galois-twisted ideal (s^m, t - sqrt(2)s^(m-1))^k
-#    need multiplicity >= 2mk/(2m-1); brute force, with the pinned witness.
+#    need multiplicity >= 2mk/(2m-1); read off the norm form, with the pinned
+#    witness.
 
 
 def test_galois_twisted_ideals_force_extra_multiplicity():

@@ -3,7 +3,10 @@ and seed-for-seed determinism of everything written to stdout."""
 
 import argparse
 import json
+import math
+import os
 import re
+import shutil
 import subprocess
 import sys
 import time
@@ -245,6 +248,19 @@ def test_valuation_galois_witness(capsys):
     }
 
 
+@pytest.mark.parametrize(("mk", "budget"), [(50, 1.0), (200, 5.0)])
+def test_valuation_galois_large_m_and_k_within_budget(capsys, mk, budget):
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "valuation", "--weights", "1,1", "--op", "galois", "--m", str(mk), "--k", str(mk)
+    )
+    elapsed = time.perf_counter() - start
+    assert (code, err) == (0, "")
+    assert elapsed < budget
+    record = json.loads(out)
+    assert record["min_mult"] >= math.ceil(Fraction(record["bound"]))
+
+
 def test_valuation_minmult_record(capsys):
     code, out, _ = run_cli(capsys, "valuation", "--weights", "1,2", "--op", "minmult", "--k", "3")
     assert code == 0
@@ -383,6 +399,30 @@ def _reproduce_stdout() -> bytes:
 
 def test_reproduce_stdout_is_byte_identical_across_runs():
     assert _reproduce_stdout() == _reproduce_stdout()
+
+
+def test_reproduce_passes_on_the_oldest_supported_python():
+    # pyproject.toml declares requires-python >= 3.10.  A pyenv shim runs
+    # python3.10 only when a 3.10 version is selected, hence PYENV_VERSION.
+    python = shutil.which("python3.10")
+    if python is None:
+        pytest.skip("python3.10 is not on PATH")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), PYENV_VERSION="3.10")
+    probe = subprocess.run(
+        [python, "-c", "import sys; print(sys.version_info[:2])"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    if probe.returncode != 0:
+        pytest.skip("python3.10 on PATH does not run")
+    assert probe.stdout == "(3, 10)\n"
+    proc = subprocess.run(
+        [python, "-m", "seshadri.cli", "reproduce"], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "21/21" in proc.stderr
 
 
 def test_console_entry_point_runs_the_same_main():

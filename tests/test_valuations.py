@@ -320,22 +320,22 @@ def test_norm_form_is_a_rational_member_of_multiplicity_2k(m):
         assert all(isinstance(c, Fraction) for c in f.coeffs.values())
 
 
-def test_galois_scan_visits_each_level_up_to_the_minimum_once(monkeypatch):
-    # A member of multiplicity mu sits at weighted level <= (m-1)*mu, so the
-    # scan must stop right after level (m-1)*min_mult, and no sooner.
-    original = valuations_module._rational_members_of_piece
-    levels = []
+def test_galois_min_mult_runs_one_elimination(monkeypatch):
+    # The minimum is read off the norm form level by level; only the witness
+    # needs linear algebra, one elimination at the first minimal level.
+    original = valuations_module.fraction_free_rref
+    calls = []
 
-    def recording(m, k, level):
-        levels.append(level)
-        return original(m, k, level)
+    def counting(rows, *args):
+        calls.append(len(rows))
+        return original(rows, *args)
 
-    monkeypatch.setattr(valuations_module, "_rational_members_of_piece", recording)
+    monkeypatch.setattr(valuations_module, "fraction_free_rref", counting)
     for m in range(2, 7):
         for k in range(1, 13):
-            levels.clear()
-            result = galois_min_mult(m, k)
-            assert levels == list(range(k * (m - 1), (m - 1) * result.min_mult + 1)), (m, k)
+            calls.clear()
+            galois_min_mult(m, k)
+            assert len(calls) == 1, (m, k)
 
 
 def test_twisted_ideal_membership_scales_with_level():
@@ -353,28 +353,31 @@ def test_sqrt2_constant():
 # -- the valuations kernels against their QuadExt and brute-force forms -------------
 
 
-def test_twisted_rows_equal_the_quadext_expansion(monkeypatch):
-    # Record every (a, b, m) whose row the Galois scan builds for m = 2..6 and
-    # k <= 12 (the benchmark's pairs among them), then rebuild each row from
-    # QuadExt arithmetic.
-    original = valuations_module._twisted_monomial_in_st
-    used = set()
-
-    def recording(a, b, m):
-        used.add((a, b, m))
-        return original(a, b, m)
-
-    monkeypatch.setattr(valuations_module, "_twisted_monomial_in_st", recording)
+def test_norm_form_multiples_span_the_rational_members():
+    # The fact galois_min_mult rests on: with N = t^2 - 2*s^(2m-2),
+    # b = max(0, mk - L) and r = L - 2(m-1)b, the rational members of weighted
+    # degree L are spanned by N^b * s^(r-(m-1)j) * t^j for j = 0..r//(m-1),
+    # and there are none when r < 0.  The members come from the QuadExt oracle.
     for m in range(2, 7):
-        for k in range(1, 13):
-            galois_min_mult(m, k)
-    assert {m for _, _, m in used} == set(range(2, 7))
-    for a, b, m in used:
-        expected = {
-            (a + (m - 1) * (b - j), j): rational_parts(math.comb(b, j) * (-SQRT2) ** (b - j))
-            for j in range(b + 1)
-        }
-        assert original(a, b, m) == expected
+        norm = poly(f"t^2 - 2*s^{2 * m - 2}")
+        for k in range(1, 5):
+            for level in range(k * (m - 1), 2 * k * (m - 1) + 1):
+                b = max(0, m * k - level)
+                r = level - 2 * (m - 1) * b
+                basis = [
+                    norm**b * WPolynomial({(r - (m - 1) * j, j): Fraction(1)}, 2)
+                    for j in range(r // (m - 1) + 1)
+                ]
+                for f in basis:
+                    assert twisted_ideal_contains(m, k, f), (m, k, level)
+                    assert {a + (m - 1) * j for a, j in f.coeffs} == {level}
+                columns, members = _field_rational_members(m, k, level)
+                dimension = len(rref(ExactMatrix.from_rows(members))[1]) if members else 0
+                assert dimension == (r // (m - 1) + 1 if r >= 0 else 0), (m, k, level)
+                if basis:
+                    rows = [[f.coeffs.get(col, Fraction(0)) for col in columns] for f in basis]
+                    assert len(rref(ExactMatrix.from_rows(rows))[1]) == dimension
+                    assert len(rref(ExactMatrix.from_rows(members + rows))[1]) == dimension
 
 
 def test_single_weight_min_mult():
@@ -435,43 +438,52 @@ def test_rewrite_rejects_coefficients_from_another_field():
         nu.rewrite(f)
 
 
+def _field_rational_members(m, k, level):
+    """The (s, t)-exponents of weighted degree `level`, in increasing total
+    degree, and a spanning set of the rational members of that piece of
+    (s^m, t - sqrt(2)*s^(m-1))^k, through QuadExt expansions and the public
+    ExactMatrix nullspace."""
+    generators = [
+        (level - (m - 1) * b, b)
+        for b in range(level // (m - 1) + 1)
+        if level - (m - 1) * b >= m * max(k - b, 0)
+    ]
+    columns = sorted(
+        {(level - (m - 1) * j, j) for j in range(level // (m - 1) + 1)},
+        key=lambda e: (sum(e), e),
+    )
+    # entries[col][r]: generator r's coefficient at column col in (s, t).
+    entries = {col: [Fraction(0)] * len(generators) for col in columns}
+    for r, (a, b) in enumerate(generators):
+        for j in range(b + 1):
+            entries[(a + (m - 1) * (b - j), j)][r] = math.comb(b, j) * (-SQRT2) ** (b - j)
+    parts = {col: [rational_parts(x) for x in row] for col, row in entries.items()}
+    n = len(generators)
+    # sum_r (x_r + sqrt(2) y_r) * (p_r + sqrt(2) q_r) is rational iff
+    # sum_r x_r q_r + y_r p_r = 0 at every column.
+    eqs = [[q for _, q in parts[col]] + [p for p, _ in parts[col]] for col in columns]
+    members = []
+    for v in nullspace_basis(ExactMatrix.from_rows(eqs)) if generators else []:
+        member = [
+            sum(
+                (v[r] * p + 2 * v[n + r] * q for r, (p, q) in enumerate(parts[col])),
+                Fraction(0),
+            )
+            for col in columns
+        ]
+        if any(member):
+            members.append(member)
+    return columns, members
+
+
 def _galois_by_field_linear_algebra(m, k):
-    """galois_min_mult(m, k) recomputed through QuadExt expansions and the
-    public ExactMatrix nullspace and rref, scanning levels upward until no
-    deeper level can beat the best multiplicity."""
+    """galois_min_mult(m, k) recomputed level by level from
+    `_field_rational_members` and the public rref, scanning levels upward
+    until no deeper level can beat the best multiplicity."""
     best, witness = None, None
     level = k * (m - 1)
     while best is None or level <= (m - 1) * best:
-        generators = [
-            (level - (m - 1) * b, b)
-            for b in range(level // (m - 1) + 1)
-            if level - (m - 1) * b >= m * max(k - b, 0)
-        ]
-        columns = sorted(
-            {(level - (m - 1) * j, j) for j in range(level // (m - 1) + 1)},
-            key=lambda e: (sum(e), e),
-        )
-        # entries[col][r]: generator r's coefficient at column col in (s, t).
-        entries = {col: [Fraction(0)] * len(generators) for col in columns}
-        for r, (a, b) in enumerate(generators):
-            for j in range(b + 1):
-                entries[(a + (m - 1) * (b - j), j)][r] = math.comb(b, j) * (-SQRT2) ** (b - j)
-        parts = {col: [rational_parts(x) for x in row] for col, row in entries.items()}
-        n = len(generators)
-        # sum_r (x_r + sqrt(2) y_r) * (p_r + sqrt(2) q_r) is rational iff
-        # sum_r x_r q_r + y_r p_r = 0 at every column.
-        eqs = [[q for _, q in parts[col]] + [p for p, _ in parts[col]] for col in columns]
-        members = []
-        for v in nullspace_basis(ExactMatrix.from_rows(eqs)) if generators else []:
-            member = [
-                sum(
-                    (v[r] * p + 2 * v[n + r] * q for r, (p, q) in enumerate(parts[col])),
-                    Fraction(0),
-                )
-                for col in columns
-            ]
-            if any(member):
-                members.append(member)
+        columns, members = _field_rational_members(m, k, level)
         if members:
             reduced, pivots = rref(ExactMatrix.from_rows(members))
             mult = sum(columns[pivots[0]])
