@@ -1,9 +1,9 @@
 """Exact-arithmetic toolkit for Seshadri constants and related invariants.
 
-Everything here computes over the rationals (optionally extended by a fixed
-quadratic irrational) — no floating point.  The pieces:
+Everything here computes over the rationals (extended by sqrt(2) where a
+Galois twist needs it) — no floating point.  The pieces:
 
-- ``exactmath``: rationals plus sqrt(D), weighted polynomials, fraction-free
+- ``exactmath``: rationals plus sqrt(2), weighted polynomials, fraction-free
   linear algebra.
 - ``wps``: Seshadri constants and anticanonical volumes of weighted projective
   spaces, and bounds for hypersurfaces inside them.
@@ -11,7 +11,7 @@ quadratic irrational) — no floating point.  The pieces:
   moving Seshadri constants with curve-based upper bounds.
 - ``valuations``: monomial and quadratic-twist valuations, log discrepancies,
   a sharp Izumi-type comparison, and minimal multiplicities in valuation
-  ideals (including a Galois brute force for the twisted case).
+  ideals (for the twisted case, of rational members, read off the norm form).
 - ``surfaces``: Zariski decompositions on declared curve lattices and
   Seshadri constants at a marked point; ruled-surface models.
 - ``bounds``: the closed-form anticanonical volume bound M(n, eps) with a

@@ -2,7 +2,7 @@
 
 Subcommands: wps, whs, jets, valuation, zariski, ruled, bounds, reproduce.
 Global flags: --format json|csv, --seed, --m-max.  All numbers
-are emitted as exact strings ("p/q", "a+b*sqrt(D)"); nothing is rounded.
+are emitted as exact strings ("p/q", "a+b*sqrt(2)"); nothing is rounded.
 Exit codes: 0 success, 1 reproduction failure, 2 input error.
 """
 
@@ -253,7 +253,7 @@ def cmd_valuation(args) -> tuple[object, int]:
     if args.op in ("eval", "izumi"):
         if args.f is None:
             raise ValueError(f"--f is required for op {args.op!r}")
-        f = parse_polynomial(args.f, names, D=2 if twist is not None else None)
+        f = parse_polynomial(args.f, names, sqrt2=twist is not None)
         if args.op == "eval":
             return {
                 "weights": list(weights),

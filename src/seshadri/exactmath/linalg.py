@@ -1,7 +1,7 @@
 """Exact linear algebra: fraction-free rank, determinants, rref, nullspaces.
 
 Each row is first scaled by the lcm of its denominators: rational rows become
-Python integers (exact division is `//`), quadratic rows land in Z[sqrt(D)].
+Python integers (exact division is `//`), quadratic rows land in Z[sqrt(2)].
 Two fraction-free kernels (Bareiss, Math. Comp. 22, 1968) eliminate those
 rows in place; a step replaces a row by (lead * row - row[col] * pivot_row) /
 previous_lead, so every entry is a minor of the input and each division is
@@ -65,7 +65,7 @@ def _row_scale(row: Sequence[Scalar]) -> int:
 def integral_rows(m: ExactMatrix) -> tuple[list[Row], Callable]:
     """The rows of m, each scaled by the lcm of its denominators, and the exact
     division for them: all-rational input becomes Python integers with floor
-    division, quadratic input Z[sqrt(D)] with field division.  Scaling a row
+    division, quadratic input Z[sqrt(2)] with field division.  Scaling a row
     by a positive integer changes no rank, pivot column or sign of a minor."""
     if all(isinstance(x, Fraction) for row in m.entries for x in row):
         out = []
@@ -79,7 +79,7 @@ def integral_rows(m: ExactMatrix) -> tuple[list[Row], Callable]:
 
 def _quotient(divide: Callable) -> Callable:
     """Field division for entries of rows eliminated with `divide`: a Fraction
-    of two Python integers, or division in Q(sqrt(D))."""
+    of two Python integers, or division in Q(sqrt(2))."""
     return Fraction if divide is operator.floordiv else operator.truediv
 
 
@@ -121,7 +121,7 @@ def fraction_free_rref(
     Each step replaces every other row, above the pivot as well as below, by
     (lead * row - row[col] * pivot_row) / previous_lead.  Every entry stays a
     minor of the input, so each division is exact (`divide` is floor division
-    on Python integers, field division on Z[sqrt(D)]).  At the end row r is
+    on Python integers, field division on Z[sqrt(2)]).  At the end row r is
     `lead` times row r of the reduced row echelon form for r < rank, with
     `lead` the last pivot (1 when there is none), and the other rows are zero.
     """
@@ -156,7 +156,7 @@ def integral_nullspace(
     There is one vector per free column f, in increasing order: `lead` at f,
     minus column f of the reduced rows at the pivot columns and 0 elsewhere.
     That is `lead` times the rref basis vector, so its entries stay in Z (or
-    Z[sqrt(D)])."""
+    Z[sqrt(2)])."""
     ncols = len(a[0]) if a else 0
     pivots, lead = fraction_free_rref(a, divide)
     vectors = []

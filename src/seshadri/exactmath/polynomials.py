@@ -1,7 +1,7 @@
 """Multivariate polynomials with exact coefficients.
 
-A ``WPolynomial`` maps exponent tuples to nonzero scalars and may carry an
-optional weight vector for weighted gradings.  The fixed monomial order used
+A ``WPolynomial`` maps exponent tuples to nonzero scalars; weighted degrees
+take the weight vector as an argument.  The fixed monomial order used
 for jet bases everywhere in this package is *graded lexicographic*: monomials
 are sorted by total degree, ties broken by descending exponent tuple, so for
 two variables (s, t) the degree <= 1 basis reads (1, s, t).
@@ -14,7 +14,7 @@ import re
 from fractions import Fraction
 from itertools import product
 from operator import add
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Sequence, Tuple
 
 from .scalars import QuadExt, Scalar, to_scalar
 
@@ -25,20 +25,15 @@ INFINITY = math.inf
 
 
 class WPolynomial:
-    """Exact multivariate polynomial, optionally weighted-graded.
+    """Exact multivariate polynomial.
 
     coeffs maps exponent tuples (one entry per variable) to nonzero scalars;
     zero coefficients are dropped on construction.
     """
 
-    __slots__ = ("coeffs", "nvars", "weights")
+    __slots__ = ("coeffs", "nvars")
 
-    def __init__(
-        self,
-        coeffs: CoeffMap | Iterable[tuple[Exponent, Scalar]],
-        nvars: int,
-        weights: Optional[Sequence[int]] = None,
-    ):
+    def __init__(self, coeffs: CoeffMap | Iterable[tuple[Exponent, Scalar]], nvars: int):
         items = coeffs.items() if isinstance(coeffs, dict) else coeffs
         clean: CoeffMap = {}
         for exp, c in items:
@@ -52,42 +47,36 @@ class WPolynomial:
                     del clean[exp]
         self.coeffs = clean
         self.nvars = nvars
-        if weights is not None:
-            weights = tuple(int(w) for w in weights)
-            if len(weights) != nvars or any(w < 1 for w in weights):
-                raise ValueError(f"bad weight vector {weights}")
-        self.weights = weights
 
     @classmethod
-    def _trusted(cls, coeffs: CoeffMap, nvars: int, weights) -> "WPolynomial":
+    def _trusted(cls, coeffs: CoeffMap, nvars: int) -> "WPolynomial":
         """Wrap the result of a ring operation.  Its exponents are already int
-        tuples of the right length, its values already scalars and its weights
-        already checked, so only zero coefficients are dropped; coefficient
-        types are kept as they are."""
+        tuples of the right length and its values already scalars, so only
+        zero coefficients are dropped; coefficient types are kept as they
+        are."""
         out = cls.__new__(cls)
         out.coeffs = {e: c for e, c in coeffs.items() if c}
         out.nvars = nvars
-        out.weights = weights
         return out
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def zero(cls, nvars: int, weights=None) -> "WPolynomial":
-        return cls({}, nvars, weights)
+    def zero(cls, nvars: int) -> "WPolynomial":
+        return cls({}, nvars)
 
     @classmethod
-    def constant(cls, c, nvars: int, weights=None) -> "WPolynomial":
-        return cls({(0,) * nvars: to_scalar(c)}, nvars, weights)
+    def constant(cls, c, nvars: int) -> "WPolynomial":
+        return cls({(0,) * nvars: to_scalar(c)}, nvars)
 
     @classmethod
-    def monomial(cls, exp: Exponent, c=1, weights=None) -> "WPolynomial":
-        return cls({tuple(exp): to_scalar(c)}, len(tuple(exp)), weights)
+    def monomial(cls, exp: Exponent, c=1) -> "WPolynomial":
+        return cls({tuple(exp): to_scalar(c)}, len(tuple(exp)))
 
     @classmethod
-    def variable(cls, i: int, nvars: int, weights=None) -> "WPolynomial":
+    def variable(cls, i: int, nvars: int) -> "WPolynomial":
         exp = tuple(1 if j == i else 0 for j in range(nvars))
-        return cls({exp: Fraction(1)}, nvars, weights)
+        return cls({exp: Fraction(1)}, nvars)
 
     # -- ring structure ---------------------------------------------------
 
@@ -102,14 +91,12 @@ class WPolynomial:
         out = dict(self.coeffs)
         for exp, c in other.coeffs.items():
             out[exp] = out[exp] + c if exp in out else c
-        return WPolynomial._trusted(out, self.nvars, self.weights)
+        return WPolynomial._trusted(out, self.nvars)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return WPolynomial._trusted(
-            {e: -c for e, c in self.coeffs.items()}, self.nvars, self.weights
-        )
+        return WPolynomial._trusted({e: -c for e, c in self.coeffs.items()}, self.nvars)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction, QuadExt)):
@@ -122,9 +109,7 @@ class WPolynomial:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, QuadExt)):
             c = to_scalar(other)
-            return WPolynomial._trusted(
-                {e: v * c for e, v in self.coeffs.items()}, self.nvars, self.weights
-            )
+            return WPolynomial._trusted({e: v * c for e, v in self.coeffs.items()}, self.nvars)
         self._check_compatible(other)
         out: CoeffMap = {}
         for e1, c1 in self.coeffs.items():
@@ -132,7 +117,7 @@ class WPolynomial:
                 e = tuple(map(add, e1, e2))
                 c = c1 * c2
                 out[e] = out[e] + c if e in out else c
-        return WPolynomial._trusted(out, self.nvars, self.weights)
+        return WPolynomial._trusted(out, self.nvars)
 
     __rmul__ = __mul__
 
@@ -153,8 +138,8 @@ class WPolynomial:
                 * p2[k - i]
                 for i in range(k + 1)
             }
-            return WPolynomial._trusted(out, self.nvars, self.weights)
-        out = WPolynomial.constant(1, self.nvars, self.weights)
+            return WPolynomial._trusted(out, self.nvars)
+        out = WPolynomial.constant(1, self.nvars)
         base = self
         while k:
             if k & 1:
@@ -211,11 +196,8 @@ class WPolynomial:
             return -INFINITY
         return max(sum(w * e for w, e in zip(weights, exp)) for exp in self.coeffs)
 
-    def is_weighted_homogeneous(self, weights: Optional[Sequence[int]] = None) -> bool:
-        w = weights if weights is not None else self.weights
-        if w is None:
-            raise ValueError("no weight vector given")
-        degs = {sum(wi * e for wi, e in zip(w, exp)) for exp in self.coeffs}
+    def is_weighted_homogeneous(self, weights: Sequence[int]) -> bool:
+        degs = {sum(w * e for w, e in zip(weights, exp)) for exp in self.coeffs}
         return len(degs) <= 1
 
     # -- evaluation and substitution ------------------------------------
@@ -253,7 +235,7 @@ class WPolynomial:
                 for _, factor in combo:
                     coeff = coeff * factor
                 out[new_exp] = out.get(new_exp, Fraction(0)) + coeff
-        return WPolynomial(out, self.nvars, self.weights)
+        return WPolynomial(out, self.nvars)
 
     def substitute(self, i: int, g: "WPolynomial") -> "WPolynomial":
         """Replace variable i by the polynomial g (same variable space)."""
@@ -269,7 +251,7 @@ class WPolynomial:
                 e = tuple(map(add, rest, pe))
                 term = c * pc
                 out[e] = out[e] + term if e in out else term
-        return WPolynomial._trusted(out, self.nvars, self.weights)
+        return WPolynomial._trusted(out, self.nvars)
 
 
 # -- monomial bases and jets --------------------------------------------------
@@ -350,13 +332,14 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
 
 class _Parser:
     """Recursive-descent parser for +, -, *, /, ^ over variables and rational
-    or sqrt(D) literals; no implicit multiplication."""
+    or sqrt(2) literals; no implicit multiplication.  A unary minus negates
+    the whole factor after it, so 2*-s^2 is -2*s^2."""
 
-    def __init__(self, tokens, names: Sequence[str], D: Optional[int]):
+    def __init__(self, tokens, names: Sequence[str], sqrt2: bool):
         self.tokens = tokens
         self.pos = 0
         self.names = list(names)
-        self.D = D
+        self.sqrt2 = sqrt2
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
@@ -403,6 +386,9 @@ class _Parser:
         return out
 
     def factor(self) -> WPolynomial:
+        if self.peek() == ("op", "-"):
+            self.take()
+            return -self.factor()
         base = self.atom()
         if self.peek() == ("op", "^"):
             self.take()
@@ -422,11 +408,11 @@ class _Parser:
                 self.expect("op", "(")
                 d = int(self.expect("num")[1])
                 self.expect("op", ")")
-                if self.D is None:
+                if not self.sqrt2:
                     raise ValueError("sqrt(...) is not allowed in this context")
-                if d != self.D:
-                    raise ValueError(f"sqrt({d}) not allowed here (expected sqrt({self.D}))")
-                return WPolynomial.constant(QuadExt(Fraction(0), Fraction(1), d), n)
+                if d != QuadExt.D:
+                    raise ValueError(f"sqrt({d}) not allowed here (expected sqrt({QuadExt.D}))")
+                return WPolynomial.constant(QuadExt(Fraction(0), Fraction(1)), n)
             if value in self.names:
                 return WPolynomial.variable(self.names.index(value), n)
             raise ValueError(f"unknown variable {value!r} (expected one of {self.names})")
@@ -434,20 +420,18 @@ class _Parser:
             out = self.expr()
             self.expect("op", ")")
             return out
-        if (kind, value) == ("op", "-"):
-            return -self.atom()
         raise ValueError(f"unexpected token {(kind, value)} in polynomial")
 
 
 def parse_polynomial(
-    text: str, names: Sequence[str] = ("s", "t", "u"), D: Optional[int] = None
+    text: str, names: Sequence[str] = ("s", "t", "u"), sqrt2: bool = False
 ) -> WPolynomial:
     """Parse a polynomial string such as "t^2 - 2*s^2" or "y^2 + 2*sqrt(2)*s*y".
 
-    names fixes the variable set (arity = len(names)); sqrt(D) literals are
-    accepted only when D is given.
+    names fixes the variable set (arity = len(names)); sqrt(2) literals are
+    accepted only when sqrt2 is set.
     """
-    return _Parser(_tokenize(text), names, D).parse()
+    return _Parser(_tokenize(text), names, sqrt2).parse()
 
 
 def format_polynomial(f: WPolynomial) -> str:

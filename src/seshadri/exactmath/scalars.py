@@ -1,29 +1,16 @@
-"""Exact scalar arithmetic: rationals and real quadratic extensions Q(sqrt(D)).
+"""Exact scalar arithmetic: rationals and the real quadratic field Q(sqrt(2)).
 
 Every number in this package is either a ``fractions.Fraction`` or a
-``QuadExt`` element a + b*sqrt(D) with rational a, b and a fixed square-free
-integer D >= 2.  There is no floating point anywhere; equality is exact.
+``QuadExt`` element a + b*sqrt(2) with rational a, b.  There is no floating
+point anywhere; equality is exact.
 """
 
 from __future__ import annotations
 
-import functools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
-
-
-@functools.lru_cache(maxsize=64)
-def _is_square_free(d: int) -> bool:
-    if d < 2:
-        return False
-    p = 2
-    while p * p <= d:
-        if d % (p * p) == 0:
-            return False
-        p += 1
-    return True
+from typing import ClassVar, Union
 
 
 def _as_fraction(x) -> Fraction:
@@ -36,33 +23,26 @@ def _as_fraction(x) -> Fraction:
 
 @dataclass(frozen=True)
 class QuadExt:
-    """Element a + b*sqrt(D) of the real quadratic field Q(sqrt(D)).
-
-    D must be square-free and >= 2 so that sqrt(D) is irrational; arithmetic
-    between two QuadExt values requires matching D.
-    """
+    """Element a + b*sqrt(D) of the real quadratic field Q(sqrt(D)), D = 2:
+    the one quadratic irrational the package needs."""
 
     a: Fraction
     b: Fraction
-    D: int
+    D: ClassVar[int] = 2
 
     def __post_init__(self):
         if not isinstance(self.a, Fraction):
             object.__setattr__(self, "a", _as_fraction(self.a))
         if not isinstance(self.b, Fraction):
             object.__setattr__(self, "b", _as_fraction(self.b))
-        if not _is_square_free(self.D):
-            raise ValueError(f"D must be a square-free integer >= 2, got {self.D}")
 
     # -- helpers ------------------------------------------------------------
 
     def _coerce(self, other) -> "QuadExt":
         if isinstance(other, QuadExt):
-            if other.D != self.D:
-                raise ValueError(f"mixed quadratic fields: sqrt({self.D}) vs sqrt({other.D})")
             return other
         if isinstance(other, (int, Fraction)):
-            return QuadExt(_as_fraction(other), Fraction(0), self.D)
+            return QuadExt(_as_fraction(other), Fraction(0))
         return NotImplemented  # type: ignore[return-value]
 
     @property
@@ -70,7 +50,7 @@ class QuadExt:
         return self.b == 0
 
     def conjugate(self) -> "QuadExt":
-        return QuadExt(self.a, -self.b, self.D)
+        return QuadExt(self.a, -self.b)
 
     def norm(self) -> Fraction:
         """Field norm a^2 - D*b^2."""
@@ -82,35 +62,34 @@ class QuadExt:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return QuadExt(self.a + o.a, self.b + o.b, self.D)
+        return QuadExt(self.a + o.a, self.b + o.b)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadExt(-self.a, -self.b, self.D)
+        return QuadExt(-self.a, -self.b)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return QuadExt(self.a - o.a, self.b - o.b, self.D)
+        return QuadExt(self.a - o.a, self.b - o.b)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return QuadExt(o.a - self.a, o.b - self.b, self.D)
+        return QuadExt(o.a - self.a, o.b - self.b)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return QuadExt(self.a * other, self.b * other, self.D)
+            return QuadExt(self.a * other, self.b * other)
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
         return QuadExt(
             self.a * o.a + self.D * self.b * o.b,
             self.a * o.b + self.b * o.a,
-            self.D,
         )
 
     __rmul__ = __mul__
@@ -121,8 +100,8 @@ class QuadExt:
             return NotImplemented
         n = o.norm()
         if n == 0:
-            raise ZeroDivisionError("division by zero in Q(sqrt(D))")
-        inv = QuadExt(o.a / n, -o.b / n, o.D)
+            raise ZeroDivisionError("division by zero in Q(sqrt(2))")
+        inv = QuadExt(o.a / n, -o.b / n)
         return self * inv
 
     def __rtruediv__(self, other):
@@ -134,7 +113,7 @@ class QuadExt:
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise ValueError("QuadExt powers must be non-negative integers")
-        out = QuadExt(Fraction(1), Fraction(0), self.D)
+        out = QuadExt(Fraction(1), Fraction(0))
         base = self
         while k:
             if k & 1:
@@ -148,8 +127,6 @@ class QuadExt:
 
     def __eq__(self, other):
         if isinstance(other, QuadExt):
-            if other.D != self.D:
-                return self.is_rational and other.is_rational and self.a == other.a
             return self.a == other.a and self.b == other.b
         if isinstance(other, (int, Fraction)):
             return self.b == 0 and self.a == other
@@ -158,10 +135,10 @@ class QuadExt:
     def __hash__(self):
         if self.b == 0:
             return hash(self.a)
-        return hash((self.a, self.b, self.D))
+        return hash((self.a, self.b))
 
     def __repr__(self):
-        return f"QuadExt({self.a!r}, {self.b!r}, D={self.D})"
+        return f"QuadExt({self.a!r}, {self.b!r})"
 
     def __str__(self):
         return format_scalar(self)
@@ -178,14 +155,14 @@ def to_scalar(x) -> Scalar:
 
 
 def rational_parts(x: Scalar) -> tuple[Fraction, Fraction]:
-    """Split x = a + b*sqrt(D) into (a, b); b = 0 for plain rationals."""
+    """Split x = a + b*sqrt(2) into (a, b); b = 0 for plain rationals."""
     if isinstance(x, QuadExt):
         return x.a, x.b
     return _as_fraction(x), Fraction(0)
 
 
 def format_scalar(x: Scalar) -> str:
-    """Canonical string form: "p/q" for rationals, "a+b*sqrt(D)" otherwise."""
+    """Canonical string form: "p/q" for rationals, "a+b*sqrt(2)" otherwise."""
     if isinstance(x, QuadExt):
         if x.b == 0:
             return str(x.a)
@@ -196,12 +173,12 @@ def format_scalar(x: Scalar) -> str:
 
 _QUAD_RE = re.compile(
     r"^\s*(?P<a>[+-]?\d+(?:/\d+)?)\s*(?P<sign>[+-])\s*"
-    r"(?P<b>\d+(?:/\d+)?)\s*\*\s*sqrt\(\s*(?P<D>\d+)\s*\)\s*$"
+    r"(?P<b>\d+(?:/\d+)?)\s*\*\s*sqrt\(\s*2\s*\)\s*$"
 )
 
 
 def parse_scalar(text: str) -> Scalar:
-    """Inverse of format_scalar; accepts "p", "p/q", and "a+b*sqrt(D)"."""
+    """Inverse of format_scalar; accepts "p", "p/q", and "a+b*sqrt(2)"."""
     try:
         return Fraction(text.strip())
     except ValueError:
@@ -212,4 +189,4 @@ def parse_scalar(text: str) -> Scalar:
     b = Fraction(m.group("b"))
     if m.group("sign") == "-":
         b = -b
-    return QuadExt(Fraction(m.group("a")), b, int(m.group("D")))
+    return QuadExt(Fraction(m.group("a")), b)

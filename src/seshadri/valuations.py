@@ -14,30 +14,26 @@ from fractions import Fraction
 from typing import Optional, Tuple
 
 from .exactmath import INFINITY, QuadExt, WPolynomial, rational_parts
-from .exactmath.linalg import fraction_free_rref
 
-SQRT2 = QuadExt(Fraction(0), Fraction(1), 2)
+SQRT2 = QuadExt(Fraction(0), Fraction(1))
 
 
 @dataclass(frozen=True)
 class Twist:
-    """Coordinate change t -> t - c*s^e ahead of monomial evaluation: the
-    valuation measures exponents in (s, y) with y = t - c*s^e."""
+    """Coordinate change t -> t - sqrt(2)*s^e ahead of monomial evaluation:
+    the valuation measures exponents in (s, y) with y = t - sqrt(2)*s^e."""
 
     e: int
-    c: QuadExt = SQRT2
 
     def __post_init__(self):
         if self.e < 1:
             raise ValueError("twist exponent e must be >= 1")
-        if not isinstance(self.c, QuadExt) or self.c.is_rational:
-            raise ValueError("twist constant must be a quadratic irrational")
 
 
 @dataclass(frozen=True)
 class MonomialValuation:
     """Divisorial valuation with nu(x_i) = weights[i]; an optional twist (only
-    in two variables) replaces the second coordinate by y = t - c*s^e."""
+    in two variables) replaces the second coordinate by y = t - sqrt(2)*s^e."""
 
     weights: Tuple[int, ...]
     twist: Optional[Twist] = None
@@ -55,59 +51,37 @@ class MonomialValuation:
         return len(self.weights)
 
     def rewrite(self, f: WPolynomial) -> WPolynomial:
-        """Express f in the valuation's coordinates: substitute t = y + c*s^e
-        when twisted, identity otherwise.
+        """Express f in the valuation's coordinates: substitute
+        t = y + sqrt(2)*s^e when twisted, identity otherwise.
 
-        With c = (p + q*sqrt(D))/r and f's coefficients over one common
-        denominator, t^b = sum_j C(b, j) y^j (c s^e)^(b-j) is expanded on
-        integer pairs; only the nonzero output terms become QuadExt values."""
+        With f's coefficients alpha + beta*sqrt(2) over one common
+        denominator, t^b = sum_j C(b, j) y^j (sqrt(2) s^e)^(b-j) is expanded
+        on integer pairs: sqrt(2)^n is 2^(n//2), times sqrt(2) when n is odd,
+        which turns (alpha, beta) into (2*beta, alpha).  Only the nonzero
+        output terms become QuadExt values."""
         if self.twist is None:
             return f
         if f.nvars != 2:
             raise ValueError("twisted valuations act on two-variable polynomials")
-        e, c = self.twist.e, self.twist.c
-        D = c.D
-        r = math.lcm(c.a.denominator, c.b.denominator)
-        p, q = c.a.numerator * (r // c.a.denominator), c.b.numerator * (r // c.b.denominator)
-        for coeff in f.coeffs.values():
-            if isinstance(coeff, QuadExt) and coeff.D != D:
-                raise ValueError(f"mixed quadratic fields: sqrt({coeff.D}) vs sqrt({D})")
+        e = self.twist.e
         parts = [(exp, *rational_parts(coeff)) for exp, coeff in f.coeffs.items()]
         den = math.lcm(*(x.denominator for _, alpha, beta in parts for x in (alpha, beta)))
-        top = max((b for (_, b), _, _ in parts), default=0)
-        den_r = den * r**top
         out: dict = {}
         for (a, b), alpha, beta in parts:
-            # (alpha + beta*sqrt(D)) over den_r: the term's own r^(b-j) is
-            # topped up to r^top.
             alpha, beta = int(alpha * den), int(beta * den)
-            for j, (x, y) in enumerate(_binomial_pairs(b, p, q, D)):
-                scale = r ** (top - b + j)
-                key = (a + e * (b - j), j)
+            for j in range(b + 1):
+                n = b - j
+                x, y = (2 * beta, alpha) if n & 1 else (alpha, beta)
+                scale = math.comb(b, j) << (n // 2)
+                key = (a + e * n, j)
                 rat, irr = out.get(key, (0, 0))
-                out[key] = (
-                    rat + (alpha * x + D * beta * y) * scale,
-                    irr + (alpha * y + beta * x) * scale,
-                )
+                out[key] = (rat + x * scale, irr + y * scale)
         coeffs = {
-            key: QuadExt(Fraction(rat, den_r), Fraction(irr, den_r), D)
+            key: QuadExt(Fraction(rat, den), Fraction(irr, den))
             for key, (rat, irr) in out.items()
             if rat or irr
         }
-        return WPolynomial._trusted(coeffs, 2, f.weights)
-
-
-def _binomial_pairs(b: int, p: int, q: int, D: int) -> list[tuple[int, int]]:
-    """C(b, j) * (p + q*sqrt(D))^(b - j) for j = 0..b, each as an integer pair
-    (rational part, sqrt(D) part)."""
-    powers = [(1, 0)]
-    for _ in range(b):
-        x, y = powers[-1]
-        powers.append((x * p + D * y * q, x * q + y * p))
-    return [
-        (math.comb(b, j) * powers[b - j][0], math.comb(b, j) * powers[b - j][1])
-        for j in range(b + 1)
-    ]
+        return WPolynomial._trusted(coeffs, 2)
 
 
 def valuation_eval(nu: MonomialValuation, f: WPolynomial):
@@ -130,7 +104,7 @@ def maximal_ideal_valuation(nu: MonomialValuation) -> int:
     if nu.twist is None:
         return min(nu.weights)
     w0, w1 = nu.weights
-    # nu(s) = w0; nu(t) = nu(y + c*s^e) = min(w1, w0*e).
+    # nu(s) = w0; nu(t) = nu(y + sqrt(2)*s^e) = min(w1, w0*e).
     return min(w0, w1, w0 * nu.twist.e)
 
 
@@ -161,12 +135,10 @@ def izumi_check(nu: MonomialValuation, f: WPolynomial) -> IzumiCheck:
 
 @dataclass(frozen=True)
 class ValuationIdealQuery:
-    """Level-k valuation ideal I_k = {f : nu(f) >= discrepancy(nu) * k}, with
-    an optional restriction to rational-coefficient members."""
+    """Level-k valuation ideal I_k = {f : nu(f) >= discrepancy(nu) * k}."""
 
     valuation: MonomialValuation
     k: int
-    field_restriction: bool = False
 
     def __post_init__(self):
         if self.k < 1:
@@ -183,8 +155,6 @@ def ideal_min_multiplicity(query: ValuationIdealQuery) -> tuple[int, Fraction]:
     nu = query.valuation
     if nu.twist is not None:
         raise ValueError("twisted valuations: use galois_min_mult instead")
-    if query.field_restriction:
-        raise ValueError("field restriction only applies to twisted ideals; use galois_min_mult")
     target = discrepancy(nu) * query.k
     closed = -(-target // max(nu.weights))  # ceil
     return closed, Fraction(closed, query.k)
@@ -218,10 +188,11 @@ def galois_min_mult(m: int, k: int) -> GaloisMinMult:
     at level 2k(m-1), and a member of degree `level` has multiplicity at least
     level/(m-1), so the levels k(m-1)..2k(m-1) hold the minimum.  The witness
     is the first row of the reduced echelon form of the span at the first
-    level reaching it, made a primitive integer polynomial with a positive
-    entry at its pivot.  The columns run by decreasing t-exponent, which is
-    increasing total degree (for m = 2, increasing s-exponent), so the pivot
-    of that row has the least multiplicity.
+    level reaching it, with the columns by decreasing t-exponent, which is
+    increasing total degree (for m = 2, increasing s-exponent).  With
+    J = r//(m-1), that row is the member t^(2b+J) - R whose R has t-degree
+    below 2b: R is t^(2b+J) mod N^b, and N^b is monic in t, so integer long
+    division gives it with lead 1 and no content to remove.
     """
     if m < 2 or k < 1:
         raise ValueError("need m >= 2 and k >= 1")
@@ -236,21 +207,19 @@ def galois_min_mult(m: int, k: int) -> GaloisMinMult:
 
     level = min(range(k * (m - 1), 2 * k * (m - 1) + 1), key=least_mult)
     b, r = split(level)
-    top = level // (m - 1)
-    # Column c holds s^(level - (m-1)(top-c)) * t^(top-c); N^b has
-    # C(b, i) * (-2)^(b-i) at t^(2i).
+    top = 2 * b + r // (m - 1)
+    # rem[d] is the coefficient of t^d (the level fixes the s-exponent); N^b
+    # has C(b, i) * (-2)^(b-i) at t^(2i).
     norm = [math.comb(b, i) * (-2) ** (b - i) for i in range(b + 1)]
-    rows = []
-    for j in range(r // (m - 1) + 1):
-        row = [0] * (top + 1)
-        for i, coeff in enumerate(norm):
-            row[top - j - 2 * i] = coeff
-        rows.append(row)
-    _, lead = fraction_free_rref(rows)
-    g = math.gcd(*rows[0]) * (1 if lead > 0 else -1)
-    witness = WPolynomial(
-        {(level - (m - 1) * (top - c), top - c): x // g for c, x in enumerate(rows[0]) if x}, 2
-    )
+    rem = [0] * top + [1]
+    for d in range(top, 2 * b - 1, -1):
+        q = rem[d]
+        if q:
+            for i, coeff in enumerate(norm):
+                rem[d - 2 * b + 2 * i] -= q * coeff
+    terms = {d: -x for d, x in enumerate(rem[: 2 * b]) if x}
+    terms[top] = 1
+    witness = WPolynomial({(level - (m - 1) * d, d): x for d, x in terms.items()}, 2)
     return GaloisMinMult(least_mult(level), Fraction(2 * m * k, 2 * m - 1), witness)
 
 

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -31,7 +32,7 @@ def run_cli(capsys, *argv):
 def test_to_jsonable_renders_exact_scalars_as_strings():
     assert to_jsonable(Fraction(4, 5)) == "4/5"
     assert to_jsonable(Fraction(-7)) == "-7"
-    assert to_jsonable(QuadExt(Fraction(1), Fraction(2), 2)) == "1+2*sqrt(2)"
+    assert to_jsonable(QuadExt(Fraction(1), Fraction(2))) == "1+2*sqrt(2)"
 
 
 def test_to_jsonable_keeps_bools_and_ints():
@@ -215,6 +216,14 @@ def test_valuation_eval_twisted(capsys):
         "f": "t^2 - 2*s^2",
         "value": 3,
     }
+
+
+def test_valuation_of_a_zero_polynomial_with_a_unary_minus_is_infinite(capsys):
+    code, out, err = run_cli(
+        capsys, "valuation", "--weights", "1,2", "--op", "eval", "--f", "t^2 + -t^2"
+    )
+    assert (code, err) == (0, "")
+    assert out == '{"weights":[1,2],"twist":null,"f":"t^2 + -t^2","value":"inf"}\n'
 
 
 def test_valuation_izumi_record(capsys):
@@ -711,3 +720,25 @@ def test_documented_global_flags_are_exactly_the_parser_options():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     assert _global_flags_named_in(readme) == options
     assert _global_flags_named_in(cli.__doc__) == options
+
+
+def _readme_examples_with_json_output() -> list[tuple[str, str]]:
+    """Each `$ seshadri ...` line of README.md whose next line is its JSON
+    output, as (command, output) pairs."""
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8").splitlines()
+    return [
+        (line[len("$ seshadri ") :], nxt)
+        for line, nxt in zip(lines, lines[1:])
+        if line.startswith("$ seshadri ") and nxt.startswith("{")
+    ]
+
+
+def test_readme_examples_print_their_documented_output(capsys):
+    examples = _readme_examples_with_json_output()
+    assert [shlex.split(cmd)[0] for cmd, _ in examples] == [
+        "wps", "whs", "ruled", "jets", "valuation", "valuation", "bounds",
+    ]
+    for cmd, expected in examples:
+        code, out, err = run_cli(capsys, *shlex.split(cmd))
+        assert (code, err) == (0, ""), cmd
+        assert out == expected + "\n", cmd

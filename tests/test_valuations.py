@@ -3,6 +3,7 @@ comparison, and minimal multiplicities in valuation ideals."""
 
 import math
 import random
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -10,7 +11,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seshadri import valuations as valuations_module
 from seshadri.exactmath import (
     INFINITY,
     ExactMatrix,
@@ -38,8 +38,8 @@ from seshadri.valuations import (
 ST = ("s", "t")
 
 
-def poly(text, names=ST, D=None):
-    return parse_polynomial(text, names, D=D)
+def poly(text, names=ST):
+    return parse_polynomial(text, names)
 
 
 # -- strategies ------------------------------------------------------------------
@@ -106,8 +106,6 @@ def test_validation_of_weights_and_twists():
         MonomialValuation((1, 1, 1), Twist(1))  # twists live on two variables
     with pytest.raises(ValueError):
         Twist(0)
-    with pytest.raises(ValueError):
-        Twist(1, c=Fraction(2))  # the twist constant must be irrational
 
 
 @given(monomial_valuations(), st.data())
@@ -203,10 +201,6 @@ def test_min_mult_rejects_twisted_and_restricted_queries():
     with pytest.raises(ValueError):
         ideal_min_multiplicity(
             ValuationIdealQuery(MonomialValuation((1, 2), Twist(1)), 1)
-        )
-    with pytest.raises(ValueError):
-        ideal_min_multiplicity(
-            ValuationIdealQuery(MonomialValuation((1, 2)), 1, field_restriction=True)
         )
 
 
@@ -320,22 +314,15 @@ def test_norm_form_is_a_rational_member_of_multiplicity_2k(m):
         assert all(isinstance(c, Fraction) for c in f.coeffs.values())
 
 
-def test_galois_min_mult_runs_one_elimination(monkeypatch):
-    # The minimum is read off the norm form level by level; only the witness
-    # needs linear algebra, one elimination at the first minimal level.
-    original = valuations_module.fraction_free_rref
-    calls = []
-
-    def counting(rows, *args):
-        calls.append(len(rows))
-        return original(rows, *args)
-
-    monkeypatch.setattr(valuations_module, "fraction_free_rref", counting)
-    for m in range(2, 7):
-        for k in range(1, 13):
-            calls.clear()
-            galois_min_mult(m, k)
-            assert len(calls) == 1, (m, k)
+def test_galois_min_mult_m200_k200_within_budget():
+    # The minimum is read off the norm form and the witness off one long
+    # division by N^b; no elimination runs, so the largest probed case stays
+    # well inside half a second.
+    start = time.perf_counter()
+    result = galois_min_mult(200, 200)
+    elapsed = time.perf_counter() - start
+    assert result.witness.multiplicity() == result.min_mult
+    assert elapsed < 0.5, f"galois_min_mult(200, 200) took {elapsed:.2f}s"
 
 
 def test_twisted_ideal_membership_scales_with_level():
@@ -400,42 +387,31 @@ def test_lattice_scan_raises_on_a_closed_form_one_too_large(weights, k):
 # -- the integer-pair rewrite and Galois scan against their field forms -------------
 
 
-def _random_quad_polynomial(rng, D):
+def _random_quad_polynomial(rng):
     coeffs = {}
     for _ in range(rng.randint(0, 6)):
         rational = Fraction(rng.randint(-6, 6), rng.randint(1, 5))
         if rng.random() < 0.5:
-            c = QuadExt(rational, Fraction(rng.randint(-4, 4), rng.randint(1, 5)), D)
+            c = QuadExt(rational, Fraction(rng.randint(-4, 4), rng.randint(1, 5)))
         else:
             c = rational
         coeffs[(rng.randint(0, 4), rng.randint(0, 5))] = c
     return WPolynomial(coeffs, 2)
 
 
-@pytest.mark.parametrize("D", [2, 3, 5])
+# 45 random cases; `stream` only selects the random stream of a case.
+@pytest.mark.parametrize("stream", [2, 3, 5])
 @pytest.mark.parametrize("seed", range(15))
-def test_rewrite_matches_substitution(D, seed):
-    rng = random.Random(f"rewrite:{D}:{seed}")
+def test_rewrite_matches_substitution(stream, seed):
+    rng = random.Random(f"rewrite:{stream}:{seed}")
     e = rng.randint(1, 3)
-    c = QuadExt(
-        Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
-        Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 4)),
-        D,
-    )
-    nu = MonomialValuation((1, 2), Twist(e, c))
-    f = _random_quad_polynomial(rng, D)
-    expected = f.substitute(1, WPolynomial({(0, 1): Fraction(1), (e, 0): c}, 2))
+    nu = MonomialValuation((1, 2), Twist(e))
+    f = _random_quad_polynomial(rng)
+    expected = f.substitute(1, WPolynomial({(0, 1): Fraction(1), (e, 0): SQRT2}, 2))
     rewritten = nu.rewrite(f)
     assert rewritten == expected
     assert all(rewritten.coeffs.values())
     assert valuation_eval(nu, f) == expected.min_weighted_degree((1, 2))
-
-
-def test_rewrite_rejects_coefficients_from_another_field():
-    nu = MonomialValuation((1, 2), Twist(1))
-    f = WPolynomial({(0, 1): QuadExt(Fraction(0), Fraction(1), 3)}, 2)
-    with pytest.raises(ValueError, match="mixed quadratic fields"):
-        nu.rewrite(f)
 
 
 def _field_rational_members(m, k, level):
