@@ -352,15 +352,35 @@ def _ruled_record(g: int, d: int) -> dict:
     }
 
 
+# The most rows of `ruled --sweep`: about 2.5 s at 0.6 ms per row on a
+# 2-core Xeon machine.
+MAX_SWEEP_ROWS = 4096
+
+
+def _sweep_pairs(g_max: int, d_max: int) -> list[tuple[int, int]]:
+    """The (g, d) of `ruled --sweep`: g <= g_max, d <= d_max and d > 2g - 2
+    (d >= 2 when g = 0), by increasing g, then d.  No degree is left once
+    2g - 2 >= d_max.  Each genus adds its count of degrees before any pair is
+    listed, and every genus g >= 1 adds at least one, so a sweep of more than
+    MAX_SWEEP_ROWS rows raises ValueError within that many genera."""
+    firsts, count = [], 0
+    for g in range(g_max + 1):
+        if 2 * g - 2 >= d_max:
+            break
+        first = 2 if g == 0 else 2 * g - 1
+        count += max(0, d_max - first + 1)
+        if count > MAX_SWEEP_ROWS:
+            raise ValueError(
+                f"ruled --sweep with --g-max {g_max} --d-max {d_max} has more than "
+                f"{MAX_SWEEP_ROWS} rows; lower --g-max or --d-max"
+            )
+        firsts.append((g, first))
+    return [(g, d) for g, first in firsts for d in range(first, d_max + 1)]
+
+
 def cmd_ruled(args) -> tuple[object, int]:
     if args.sweep:
-        rows = []
-        for g in range(args.g_max + 1):
-            for d in range(1, args.d_max + 1):
-                if d <= 2 * g - 2 or (g == 0 and d < 2):
-                    continue
-                rows.append(_ruled_record(g, d))
-        return rows, 0
+        return [_ruled_record(g, d) for g, d in _sweep_pairs(args.g_max, args.d_max)], 0
     if args.g is None or args.d is None:
         raise ValueError("either --sweep or both --g and --d are required")
     return _ruled_record(args.g, args.d), 0

@@ -21,7 +21,6 @@ from .polynomials import (
 )
 from .linalg import (
     ExactMatrix,
-    determinant,
     exact_rank,
     is_negative_definite,
     nullspace_basis,

@@ -132,12 +132,12 @@ class WPolynomial:
             for _ in range(k):
                 p1.append(p1[-1] * c1)
                 p2.append(p2[-1] * c2)
-            out = {
-                tuple(i * x + (k - i) * y for x, y in zip(e1, e2)): math.comb(k, i)
-                * p1[i]
-                * p2[k - i]
-                for i in range(k + 1)
-            }
+            out = {}
+            binomial = 1  # C(k, i), carried from i to i + 1
+            for i in range(k + 1):
+                exp = tuple(i * x + (k - i) * y for x, y in zip(e1, e2))
+                out[exp] = binomial * p1[i] * p2[k - i]
+                binomial = binomial * (k - i) // (i + 1)
             return WPolynomial._trusted(out, self.nvars)
         out = WPolynomial.constant(1, self.nvars)
         base = self

@@ -88,8 +88,8 @@ Constraint = Union[MultConstraint, SpanConstraint]
 # rank, at the order where separation truly stops. Reduction modulo PRIME can
 # also lose rank that Q keeps: x congruent to a constraint point, C losing
 # rank modulo PRIME, or a denominator divisible by PRIME (the scaled rows then
-# degenerate). Irrational entries have no residue. In those cases fewer orders
-# are proved, and the exact suffix ranks decide the rest.
+# degenerate). In those cases fewer orders are proved, and the exact suffix
+# ranks decide the rest.
 
 PRIME = 2**61 - 1
 
@@ -120,12 +120,10 @@ def _jet_rows(tables, betas: Sequence[Exponent], monomials: Sequence[Exponent]) 
     return rows
 
 
-def _pivot_columns(rows: list[list]) -> Optional[list[int]]:
+def _pivot_columns(rows: list[list[int]]) -> list[int]:
     """Pivot columns of an integer matrix modulo PRIME, eliminating from the
     last column down, so the rank of the columns [t:] modulo PRIME is the
-    number of pivots >= t; None if an entry is not an integer."""
-    if not all(type(x) is int for row in rows for x in row):
-        return None
+    number of pivots >= t."""
     pivots: dict[int, list[int]] = {}  # column -> row ending with 1 there
     for row in rows:
         row = [x % PRIME for x in row]
@@ -156,8 +154,7 @@ class LinearSystem:
         self.monomials = graded_lex_monomials(nvars, degree)
         rows = self._rows_at((Fraction(0),) * nvars)
         # Full row rank modulo PRIME proves full row rank over Q.
-        pivots = _pivot_columns(rows)
-        if pivots is not None and len(pivots) == len(rows):
+        if len(_pivot_columns(rows)) == len(rows):
             self._rank = len(rows)
         else:
             self._rank = exact_rank(ExactMatrix.from_rows(rows))
@@ -180,12 +177,12 @@ class LinearSystem:
             v[index[e]] = c
         return v
 
-    def _rows_at(self, origin: Point) -> list[list]:
+    def _rows_at(self, origin: Point) -> list[list[int]]:
         """The rows of C written in the monomials of u = y - origin, each
-        scaled to integers when it is rational."""
+        scaled to integers."""
         return [row for c in self.constraints for row in self._constraint_rows(c, origin)]
 
-    def _constraint_rows(self, constraint: Constraint, origin: Point) -> list[list]:
+    def _constraint_rows(self, constraint: Constraint, origin: Point) -> list[list[int]]:
         if isinstance(constraint, MultConstraint):
             # Jets of order above the degree vanish on every member.
             top = min(constraint.order - 1, self.degree)
@@ -198,7 +195,7 @@ class LinearSystem:
             # taken integral; an empty span spans the zero row.
             span = [self._to_vector(f.shift(origin) if any(origin) else f) for f in constraint.basis]
             span_rows = integral_rows(ExactMatrix.from_rows(span or [[0] * len(self.monomials)]))
-            return integral_nullspace(*span_rows)[0]
+            return integral_nullspace(span_rows)[0]
         raise TypeError(f"unknown constraint {constraint!r}")
 
 
@@ -213,7 +210,7 @@ def jet_separation(system: LinearSystem, point: Sequence) -> int:
     pivots = _pivot_columns(shifted)
     # Every order with |J_s| <= proved is certified modulo PRIME.
     proved = 0
-    if pivots is not None and len(pivots) == system._rank:
+    if len(pivots) == system._rank:
         proved = min(pivots, default=len(system.monomials))
     best = -1
     for s in range(system.degree + 1):

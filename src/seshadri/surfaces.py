@@ -114,7 +114,20 @@ class ZariskiDecomposition:
 def zariski_decomposition(lat: SurfaceLattice, d: DivisorClass) -> ZariskiDecomposition:
     """Iterative support enlargement: start from the curves D meets negatively,
     solve for the effective part orthogonalizing them, and grow the support
-    until the remainder is nef against every declared curve."""
+    until the remainder is nef against every declared curve.  A nef class on a
+    surface has P^2 >= 0, so P^2 < 0 means the declared lattice is impossible
+    and raises ValueError."""
+    dec = _enlarge_support(lat, d)
+    p2 = lat.self_intersection(dec.positive)
+    if p2 < 0:
+        raise ValueError(
+            f"the positive part has P^2 = {p2} < 0, but a nef class has P^2 >= 0; "
+            "the declared lattice is inconsistent"
+        )
+    return dec
+
+
+def _enlarge_support(lat: SurfaceLattice, d: DivisorClass) -> ZariskiDecomposition:
     if len(d.coords) != len(lat.generators):
         raise ValueError("divisor coordinate length mismatch")
     support = [i for i, c in enumerate(lat.curves) if lat.pairing(d, c.divisor) < 0]

@@ -69,13 +69,15 @@ class MonomialValuation:
         out: dict = {}
         for (a, b), alpha, beta in parts:
             alpha, beta = int(alpha * den), int(beta * den)
+            binomial = 1  # C(b, j), carried from j to j + 1
             for j in range(b + 1):
                 n = b - j
                 x, y = (2 * beta, alpha) if n & 1 else (alpha, beta)
-                scale = math.comb(b, j) << (n // 2)
+                scale = binomial << (n // 2)
                 key = (a + e * n, j)
                 rat, irr = out.get(key, (0, 0))
                 out[key] = (rat + x * scale, irr + y * scale)
+                binomial = binomial * n // (j + 1)
         coeffs = {
             key: QuadExt(Fraction(rat, den), Fraction(irr, den))
             for key, (rat, irr) in out.items()

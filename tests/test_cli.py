@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from seshadri import cli
 from seshadri.cli import decode, emit, main, to_jsonable
 from seshadri.exactmath import INFINITY, QuadExt, WPolynomial
 
@@ -270,6 +271,25 @@ def test_valuation_galois_large_m_and_k_within_budget(capsys, mk, budget):
     assert record["min_mult"] >= math.ceil(Fraction(record["bound"]))
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--f", "t^6000", "--twist-e", "1"),
+        ("--f", "(s+t)^6000"),
+    ],
+    ids=["twisted-rewrite", "two-term-power"],
+)
+def test_valuation_of_a_binomial_power_within_budget(capsys, argv):
+    # Each binomial coefficient comes from the previous one, so the 6001
+    # terms cost no 6001 separate binomials (about 3 s in total).
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "valuation", "--weights", "1,2", "--op", "eval", *argv)
+    elapsed = time.perf_counter() - start
+    assert (code, err) == (0, "")
+    assert elapsed < 1.0
+    assert json.loads(out)["value"] == 6000
+
+
 def test_valuation_minmult_record(capsys):
     code, out, _ = run_cli(capsys, "valuation", "--weights", "1,2", "--op", "minmult", "--k", "3")
     assert code == 0
@@ -312,6 +332,47 @@ def test_ruled_sweep_csv_has_header_plus_one_row_per_surface(capsys):
     # g=0 gives d in 2..12, g=1 gives d in 1..12, g=2 gives d in 3..12
     assert len(lines) == 1 + (11 + 12 + 10)
     assert lines[0].startswith("g,d,")
+
+
+def test_sweep_pairs_are_the_admissible_pairs_in_order():
+    for g_max in range(-1, 7):
+        for d_max in range(-1, 15):
+            expected = [
+                (g, d)
+                for g in range(g_max + 1)
+                for d in range(1, d_max + 1)
+                if d > 2 * g - 2 and not (g == 0 and d < 2)
+            ]
+            assert cli._sweep_pairs(g_max, d_max) == expected, (g_max, d_max)
+
+
+def test_sweep_row_count_is_capped_before_any_row_is_built():
+    # g = 0 gives the degrees 2..d_max, so d_max = cap + 1 is exactly at the cap.
+    cap = cli.MAX_SWEEP_ROWS
+    assert len(cli._sweep_pairs(0, cap + 1)) == cap
+    with pytest.raises(ValueError, match="--g-max 0 --d-max 4098"):
+        cli._sweep_pairs(0, cap + 2)
+
+
+@pytest.mark.parametrize(
+    ("g_max", "d_max", "code"),
+    [("1000000000", "1", 0), ("100000", "100000", 2), ("1000000000", "1000000000", 2)],
+)
+def test_ruled_sweep_is_bounded_before_any_work(capsys, g_max, d_max, code):
+    # The genus loop ends where 2g - 2 >= d_max, and a sweep over the row cap
+    # exits 2 before building a row.
+    start = time.perf_counter()
+    got, out, err = run_cli(capsys, "ruled", "--sweep", "--g-max", g_max, "--d-max", d_max)
+    assert time.perf_counter() - start < 1.0
+    assert got == code
+    if code == 0:
+        assert [(row["g"], row["d"]) for row in json.loads(out)] == [(1, 1)]
+    else:
+        assert out == ""
+        assert err == (
+            f"error: ruled --sweep with --g-max {g_max} --d-max {d_max} has more than "
+            f"4096 rows; lower --g-max or --d-max\n"
+        )
 
 
 # -- exit codes ----------------------------------------------------------------
@@ -602,6 +663,24 @@ def test_zariski_rejects_duplicate_curve_names(capsys):
     assert code == 2
     assert out == ""
     assert err == "error: duplicate curve name 'E'\n"
+
+
+def test_zariski_rejects_a_positive_part_of_negative_square(capsys):
+    # Gram -I with D = -E - F: D meets both curves positively, so P = D, but
+    # P^2 = -2 and a nef class on a surface has P^2 >= 0.
+    desc = {
+        "generators": ["E", "F"],
+        "gram": [[-1, 0], [0, -1]],
+        "curves": [{"name": "E", "coords": [1, 0]}, {"name": "F", "coords": [0, 1]}],
+        "D": [-1, -1],
+    }
+    code, out, err = run_cli(capsys, "zariski", json.dumps(desc))
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: the positive part has P^2 = -2 < 0, but a nef class has P^2 >= 0; "
+        "the declared lattice is inconsistent\n"
+    )
 
 
 _JETS = {

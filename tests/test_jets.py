@@ -9,6 +9,7 @@ import pytest
 import seshadri.jets as jets_module
 from seshadri.exactmath import (
     ExactMatrix,
+    QuadExt,
     WPolynomial,
     graded_lex_monomials,
     jet_basis_size,
@@ -82,6 +83,15 @@ def test_span_constraint_restricts_the_system():
     x = (Fraction(1, 3), Fraction(2, 5))
     assert jet_separation(full, x) == 1
     assert jet_separation(system, x) == 0
+
+
+def test_span_constraint_with_a_sqrt2_coefficient_is_refused():
+    # Systems are linear algebra over Q: an irrational span coefficient
+    # raises when the constraint matrix is first built.
+    one = WPolynomial.constant(1, 2)
+    twisted = WPolynomial({(1, 0): 1, (0, 1): QuadExt(0, 1)}, 2)
+    with pytest.raises(TypeError, match="integer or Fraction"):
+        LinearSystem(2, 1, [SpanConstraint((one, twisted))])
 
 
 @pytest.mark.parametrize(
@@ -342,7 +352,6 @@ def test_pivot_columns_count_the_rank_of_every_column_suffix(seed):
     for t in range(ncols + 1):
         suffix = [[Fraction(x) for x in row[t:]] for row in rows]
         assert sum(p >= t for p in pivots) == (_sympy_rank(suffix) if t < ncols else 0)
-    assert jets_module._pivot_columns([[1, Fraction(1, 2)]]) is None
 
 
 def test_full_separation_is_certified_without_exact_elimination(monkeypatch):

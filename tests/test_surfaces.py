@@ -120,6 +120,22 @@ def test_decomposition_rejects_indefinite_support():
         zariski_decomposition(lat, DivisorClass((Fraction(0), Fraction(-1))))
 
 
+def test_decomposition_rejects_a_positive_part_of_negative_square():
+    # A nef class on a surface has P^2 >= 0, so these declared lattices are
+    # impossible: with gram -I, D = -E - F is its own positive part (P^2 = -2),
+    # and D = E - F has support {E} and P = -F (P^2 = -1).
+    lat = SurfaceLattice(
+        ("E", "F"),
+        ExactMatrix.from_rows([[-1, 0], [0, -1]]),
+        (CurveClass("E", (1, 0)), CurveClass("F", (0, 1))),
+    )
+    with pytest.raises(ValueError, match=r"P\^2 = -2 < 0.*declared lattice is inconsistent"):
+        zariski_decomposition(lat, DivisorClass((-1, -1)))
+    only_e = SurfaceLattice(lat.generators, lat.gram, lat.curves[:1])
+    with pytest.raises(ValueError, match=r"P\^2 = -1 < 0"):
+        zariski_decomposition(only_e, DivisorClass((1, -1)))
+
+
 def test_lattice_validation():
     asym = ExactMatrix.from_rows([[0, 1], [2, 0]])
     with pytest.raises(ValueError):
