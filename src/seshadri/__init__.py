@@ -37,8 +37,6 @@ from .exactmath import (
     format_polynomial,
     format_scalar,
     jet_basis_size,
-    jet_coefficients,
-    multiplicity_at,
     parse_polynomial,
     parse_scalar,
 )
@@ -47,7 +45,6 @@ from .jets import (
     LinearSystem,
     MultConstraint,
     SeshadriEstimate,
-    SpanConstraint,
     blowup_anticanonical_series,
     blowup_line_bound,
     jet_separation,

@@ -63,11 +63,9 @@ class VolumeBoundResult:
     attained: bool = False
 
 
-def best_volume_bound(n: int, eps: Fraction) -> VolumeBoundResult:
-    """Closed-form infimum: put a at its constraint floor, then split the
-    remaining budget s = 1 - a so the two max-terms agree, giving
-    M = ((n+1-eps/2)/s)^n."""
-    eps = Fraction(eps)
+def _closed_form(n: int, eps: Fraction) -> tuple[Fraction, Fraction, Fraction]:
+    """(a, s, base) of the closed form for valid (n, eps): a at its
+    constraint floor, s = 1 - a and M = base^n with base = (n+1-eps/2)/s."""
     if n < 1:
         raise ValueError("dimension n must be >= 1")
     if eps <= 0:
@@ -79,11 +77,40 @@ def best_volume_bound(n: int, eps: Fraction) -> VolumeBoundResult:
         )
     a = (n - 1 + eps / 2) / (n - 1 + eps)
     s = 1 - a  # = (eps/2) / (n-1+eps)
+    return a, s, (n + 1 - eps / 2) / s
+
+
+def best_volume_bound(n: int, eps: Fraction) -> VolumeBoundResult:
+    """Closed-form infimum: put a at its constraint floor, then split the
+    remaining budget s = 1 - a so the two max-terms agree, giving
+    M = ((n+1-eps/2)/s)^n."""
+    eps = Fraction(eps)
+    a, s, base = _closed_form(n, eps)
     denom = (1 - eps / 2) + n
     b = s * (1 - eps / 2) / denom
     c = s * Fraction(n) / denom
-    m_value = ((n + 1 - eps / 2) / s) ** n
-    return VolumeBoundResult(m_value, a, b, c)
+    return VolumeBoundResult(base**n, a, b, c)
+
+
+def volume_bound_exceeds_digits(n: int, eps: Fraction, digits: int) -> bool:
+    """True when the numerator or the denominator of M(n, eps) has more than
+    `digits` decimal digits, decided before M is computed.
+
+    M = base^n with the base in lowest terms, so the parts of M are the n-th
+    powers of the parts of the base.  A part of bit length L has an n-th
+    power in [2^((L-1)n), 2^(Ln)).  Only when that range straddles
+    10^digits is the power taken, and then it has fewer than twice the bits
+    of 10^digits."""
+    base = _closed_form(n, Fraction(eps))[2]
+    limit = 10**digits
+    bits = limit.bit_length()  # 2^(bits-1) <= limit < 2^bits
+    for part in (base.numerator, base.denominator):
+        length = part.bit_length()
+        if (length - 1) * n >= bits:
+            return True
+        if length * n >= bits and part**n >= limit:
+            return True
+    return False
 
 
 def grid_volume_bound_minimum(

@@ -386,8 +386,18 @@ def cmd_ruled(args) -> tuple[object, int]:
     return _ruled_record(args.g, args.d), 0
 
 
+# The most decimal digits of M's numerator or denominator that `bounds`
+# prints: CPython's default limit on converting an int to a string.
+MAX_BOUND_DIGITS = 4300
+
+
 def cmd_bounds(args) -> tuple[object, int]:
     eps = _parse_fraction(args.eps)
+    if bounds.volume_bound_exceeds_digits(args.n, eps, MAX_BOUND_DIGITS):
+        raise ValueError(
+            f"bounds with --n {args.n} --eps {args.eps} has an M of more than "
+            f"{MAX_BOUND_DIGITS} digits; lower --n"
+        )
     result = bounds.best_volume_bound(args.n, eps)
     record = {
         "n": args.n,

@@ -15,15 +15,10 @@ from .polynomials import (
     format_polynomial,
     graded_lex_monomials,
     jet_basis_size,
-    jet_coefficients,
-    multiplicity_at,
     parse_polynomial,
 )
 from .linalg import (
     ExactMatrix,
     exact_rank,
-    is_negative_definite,
-    nullspace_basis,
-    rref,
-    solve_unique,
+    negative_definite_solve,
 )

@@ -1,18 +1,14 @@
-"""Exact linear algebra over Q: fraction-free rank, rref, nullspaces.
+"""Exact linear algebra over Q: fraction-free rank and the Zariski solve.
 
 Entries are ints or Fractions; a QuadExt entry is rejected.  Each row is
 first scaled by the lcm of its denominators, so it becomes a row of Python
-integers.  Two fraction-free kernels (Bareiss, Math. Comp. 22, 1968)
-eliminate those rows in place; a step replaces a row by (lead * row -
-row[col] * pivot_row) // previous_lead, so every entry is a minor of the
-input and each division is exact.  The forward kernel `_bareiss` yields
+integers.  One fraction-free kernel (Bareiss, Math. Comp. 22, 1968),
+`_bareiss`, eliminates those rows in place; a step replaces each row below
+the pivot by (lead * row - row[col] * pivot_row) // previous_lead, so every
+entry is a minor of the input and each division is exact.  It yields
 (source row, pivot column, pivot) at each step: `exact_rank` counts the
-steps, and `is_negative_definite` wants n positive pivots taken from the
-diagonal without a swap.  The Gauss-Jordan kernel `fraction_free_rref` also
-clears above each pivot; `rref` and `solve_unique` divide by its final lead
-once.  `integral_nullspace` reads one kernel vector per free column off it,
-`lead` times the rref basis vector, which `nullspace_basis` divides by
-`lead`.
+steps, and `negative_definite_solve` wants n positive pivots taken from the
+diagonal without a swap, then back-substitutes on the echelon rows.
 """
 
 from __future__ import annotations
@@ -49,9 +45,6 @@ class ExactMatrix:
     @property
     def cols(self) -> int:
         return len(self.entries[0]) if self.entries else 0
-
-    def row_list(self) -> list[list[Fraction]]:
-        return [list(r) for r in self.entries]
 
 
 def integral_rows(m: ExactMatrix) -> list[Row]:
@@ -94,99 +87,30 @@ def exact_rank(m: ExactMatrix) -> int:
     return sum(1 for _ in _bareiss(integral_rows(m)))
 
 
-def fraction_free_rref(a: list[Row]) -> tuple[list[int], int]:
-    """Fraction-free Gauss-Jordan elimination of integer rows, in place;
-    returns (pivot columns, lead).
+def negative_definite_solve(g: ExactMatrix, rhs: Sequence) -> list[Fraction] | None:
+    """The solution x of G x = rhs when G is negative definite, else None.
 
-    Each step replaces every other row, above the pivot as well as below, by
-    (lead * row - row[col] * pivot_row) // previous_lead.  Every entry stays a
-    minor of the input, so each division is exact.  At the end row r is
-    `lead` times row r of the reduced row echelon form for r < rank, with
-    `lead` the last pivot (1 when there is none), and the other rows are zero.
-    """
-    nrows, ncols = len(a), (len(a[0]) if a else 0)
-    pivots: list[int] = []
-    prev = 1
-    for col in range(ncols):
-        r = len(pivots)
-        if r == nrows:
-            break
-        pivot = next((i for i in range(r, nrows) if a[i][col]), None)
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        top = a[r]
-        lead = top[col]
-        for i, row in enumerate(a):
-            if i != r:
-                factor = row[col]
-                a[i] = [(lead * x - factor * y) // prev for x, y in zip(row, top)]
-        prev = lead
-        pivots.append(col)
-    return pivots, prev
-
-
-def integral_nullspace(a: list[Row]) -> tuple[list[Row], int]:
-    """Kernel of the integer rows a, eliminated in place by
-    `fraction_free_rref`; returns (vectors, lead).
-
-    There is one vector per free column f, in increasing order: `lead` at f,
-    minus column f of the reduced rows at the pivot columns and 0 elsewhere.
-    That is `lead` times the rref basis vector, so its entries stay integers."""
-    ncols = len(a[0]) if a else 0
-    pivots, lead = fraction_free_rref(a)
-    vectors = []
-    for free in sorted(set(range(ncols)).difference(pivots)):
-        v = [0] * ncols
-        v[free] = lead
-        for r, col in enumerate(pivots):
-            v[col] = -a[r][free]
-        vectors.append(v)
-    return vectors, lead
-
-
-def rref(m: ExactMatrix) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over Q; returns (rows, pivot columns)."""
-    a = integral_rows(m)
-    pivots, lead = fraction_free_rref(a)
-    reduced = [[Fraction(x, lead) for x in row] for row in a[: len(pivots)]]
-    return reduced + [[Fraction(0)] * m.cols for _ in range(m.rows - len(pivots))], pivots
-
-
-def nullspace_basis(m: ExactMatrix) -> list[list[Fraction]]:
-    """Basis of {v : M v = 0}, one vector per free column of the rref: 1 there
-    and minus the rref entries at the pivot columns."""
-    vectors, lead = integral_nullspace(integral_rows(m))
-    return [[Fraction(x, lead) for x in v] for v in vectors]
-
-
-def solve_unique(m: ExactMatrix, rhs: Sequence) -> list[Fraction]:
-    """Solve M x = rhs when M is square and invertible."""
-    n = m.rows
-    if n != m.cols or len(rhs) != n:
-        raise ValueError("solve_unique needs a square system")
-    aug = ExactMatrix.from_rows([list(row) + [b] for row, b in zip(m.entries, rhs)])
-    a, pivots = rref(aug)
-    if pivots != list(range(n)):
-        raise ValueError("singular system in solve_unique")
-    return [a[i][n] for i in range(n)]
-
-
-def is_negative_definite(g: ExactMatrix) -> bool:
-    """Sylvester test on -G: every leading principal minor of -G is positive.
-
-    While Bareiss elimination of the row-scaled -G takes its pivots from the
-    diagonal without a swap, the k-th pivot is the k-th leading principal
-    minor, which has the sign of that minor of -G.  A swap or a skipped
-    column means that minor is 0, so the test fails there, as it does at the
-    first pivot <= 0."""
+    One Bareiss pass over the row-scaled [-G | -rhs].  While it takes its
+    pivots from the diagonal without a swap, the k-th pivot is the k-th
+    leading principal minor of the scaled -G, which has the sign of that
+    minor of -G.  By Sylvester's criterion G is negative definite exactly
+    when all n of them are positive; a swap or a skipped column means a
+    minor is 0.  The rows are then upper triangular, and back substitution
+    gives x."""
     n = g.rows
-    if n != g.cols:
-        raise ValueError("definiteness of a non-square matrix")
-    a = [[-x for x in row] for row in integral_rows(g)]
+    if n != g.cols or len(rhs) != n:
+        raise ValueError("negative_definite_solve needs a square system")
+    aug = ExactMatrix.from_rows([list(row) + [b] for row, b in zip(g.entries, rhs)])
+    a = [[-x for x in row] for row in integral_rows(aug)]
     steps = 0
     for source, col, pivot in _bareiss(a):
         if not (source == col == steps and pivot > 0):
-            return False
+            return None
         steps += 1
-    return steps == n
+    if steps < n:
+        return None
+    x = [Fraction(0)] * n
+    for i in range(n - 1, -1, -1):
+        row = a[i]
+        x[i] = Fraction(row[n] - sum(row[j] * x[j] for j in range(i + 1, n)), row[i])
+    return x

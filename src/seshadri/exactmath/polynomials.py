@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from itertools import product
 from operator import add
 from typing import Dict, Iterable, Sequence, Tuple
 
@@ -191,68 +190,6 @@ class WPolynomial:
             return INFINITY
         return min(sum(w * e for w, e in zip(weights, exp)) for exp in self.coeffs)
 
-    def max_weighted_degree(self, weights: Sequence[int]):
-        if not self.coeffs:
-            return -INFINITY
-        return max(sum(w * e for w, e in zip(weights, exp)) for exp in self.coeffs)
-
-    def is_weighted_homogeneous(self, weights: Sequence[int]) -> bool:
-        degs = {sum(w * e for w, e in zip(weights, exp)) for exp in self.coeffs}
-        return len(degs) <= 1
-
-    # -- evaluation and substitution ------------------------------------
-
-    def evaluate(self, point: Sequence) -> Scalar:
-        if len(point) != self.nvars:
-            raise ValueError("point arity mismatch")
-        pt = [to_scalar(p) for p in point]
-        total: Scalar = Fraction(0)
-        for exp, c in self.coeffs.items():
-            term = c
-            for p, e in zip(pt, exp):
-                if e:
-                    term = term * p**e
-            total = total + term
-        return total
-
-    def shift(self, point: Sequence) -> "WPolynomial":
-        """Translate the origin to ``point``: returns g with g(u) = f(u + point)."""
-        if len(point) != self.nvars:
-            raise ValueError("point arity mismatch")
-        pt = [to_scalar(p) for p in point]
-        out: CoeffMap = {}
-        for exp, c in self.coeffs.items():
-            per_var = []
-            for i, e in enumerate(exp):
-                p = pt[i]
-                if not p:
-                    per_var.append([(e, Fraction(1))])
-                else:
-                    per_var.append([(j, math.comb(e, j) * p ** (e - j)) for j in range(e + 1)])
-            for combo in product(*per_var):
-                new_exp = tuple(j for j, _ in combo)
-                coeff = c
-                for _, factor in combo:
-                    coeff = coeff * factor
-                out[new_exp] = out.get(new_exp, Fraction(0)) + coeff
-        return WPolynomial(out, self.nvars)
-
-    def substitute(self, i: int, g: "WPolynomial") -> "WPolynomial":
-        """Replace variable i by the polynomial g (same variable space)."""
-        self._check_compatible(g)
-        powers = [WPolynomial.constant(1, self.nvars)]  # powers[k] = g^k
-        out: CoeffMap = {}
-        for exp, c in self.coeffs.items():
-            e_i = exp[i]
-            while len(powers) <= e_i:
-                powers.append(powers[-1] * g)
-            rest = tuple(0 if j == i else e for j, e in enumerate(exp))
-            for pe, pc in powers[e_i].coeffs.items():
-                e = tuple(map(add, rest, pe))
-                term = c * pc
-                out[e] = out[e] + term if e in out else term
-        return WPolynomial._trusted(out, self.nvars)
-
 
 # -- monomial bases and jets --------------------------------------------------
 
@@ -284,25 +221,6 @@ def graded_lex_monomials(nvars: int, max_degree: int) -> list[Exponent]:
 
 def jet_basis_size(nvars: int, order: int) -> int:
     return math.comb(nvars + order, nvars)
-
-
-def multiplicity_at(f: WPolynomial, point: Sequence) -> float | int:
-    """Order of vanishing of f at the point: min total degree after translating
-    the point to the origin; +inf iff f = 0."""
-    if f.is_zero():
-        return INFINITY
-    if any(to_scalar(p) for p in point):
-        f = f.shift(point)
-    return f.multiplicity()
-
-
-def jet_coefficients(f: WPolynomial, point: Sequence, order: int) -> list[Scalar]:
-    """Taylor coefficients of f at the point for all monomials of total degree
-    <= order, listed in graded lex order; length C(nvars + order, nvars)."""
-    if order < 0:
-        raise ValueError("jet order must be >= 0")
-    g = f.shift(point) if any(to_scalar(p) for p in point) else f
-    return [g.coeffs.get(e, Fraction(0)) for e in graded_lex_monomials(f.nvars, order)]
 
 
 # -- parsing and formatting ---------------------------------------------------

@@ -3,9 +3,9 @@ Seshadri lower bounds over finitely many multiples, and curve-based upper
 bounds.
 
 A linear system lives in one fixed affine chart: polynomials of total degree
-<= d in n variables, cut down by exact linear constraints.  "Very general
-point" is realized by sampling random rational points of large height from an
-explicitly passed RNG, so runs are reproducible given the seed.
+<= d in n variables that vanish to given orders at given rational points.
+"Very general point" is realized by sampling random rational points of large
+height from an explicitly passed RNG, so runs are reproducible given the seed.
 """
 
 from __future__ import annotations
@@ -14,17 +14,15 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, prod
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import Callable, Optional, Sequence, Tuple
 
 from .exactmath import (
     Exponent,
     ExactMatrix,
-    WPolynomial,
     exact_rank,
     graded_lex_monomials,
     jet_basis_size,
 )
-from .exactmath.linalg import integral_nullspace, integral_rows
 
 Point = Tuple[Fraction, ...]
 
@@ -53,16 +51,6 @@ class MultConstraint:
         object.__setattr__(self, "point", as_point(self.point))
         if self.order < 1:
             raise ValueError("multiplicity constraints need order >= 1")
-
-
-@dataclass(frozen=True)
-class SpanConstraint:
-    """Membership in the span of an explicit list of polynomials."""
-
-    basis: Tuple[WPolynomial, ...]
-
-
-Constraint = Union[MultConstraint, SpanConstraint]
 
 
 # -- the engine -------------------------------------------------------------------
@@ -141,11 +129,12 @@ def _pivot_columns(rows: list[list[int]]) -> list[int]:
 
 
 class LinearSystem:
-    """Subspace of the degree <= d polynomials in n variables cut out by exact
-    linear constraints, kept as its constraint matrix C; the dimension is
+    """Subspace of the degree <= d polynomials in n variables cut out by
+    multiplicity constraints, kept as its constraint matrix C (the Taylor
+    jets below each constraint's order at its point); the dimension is
     (number of monomials) - rank(C)."""
 
-    def __init__(self, nvars: int, degree: int, constraints: Sequence[Constraint] = ()):
+    def __init__(self, nvars: int, degree: int, constraints: Sequence[MultConstraint] = ()):
         if nvars < 1 or degree < 0:
             raise ValueError("need nvars >= 1 and degree >= 0")
         self.nvars = nvars
@@ -166,37 +155,20 @@ class LinearSystem:
             raise ValueError("point arity mismatch")
         return point
 
-    def _to_vector(self, f: WPolynomial) -> list[Fraction]:
-        if f.nvars != self.nvars:
-            raise ValueError("polynomial arity mismatch")
-        if f.total_degree() > self.degree:
-            raise ValueError("polynomial degree exceeds the system degree")
-        index = {e: i for i, e in enumerate(self.monomials)}
-        v = [Fraction(0)] * len(self.monomials)
-        for e, c in f.coeffs.items():
-            v[index[e]] = c
-        return v
-
     def _rows_at(self, origin: Point) -> list[list[int]]:
         """The rows of C written in the monomials of u = y - origin, each
         scaled to integers."""
         return [row for c in self.constraints for row in self._constraint_rows(c, origin)]
 
-    def _constraint_rows(self, constraint: Constraint, origin: Point) -> list[list[int]]:
-        if isinstance(constraint, MultConstraint):
-            # Jets of order above the degree vanish on every member.
-            top = min(constraint.order - 1, self.degree)
-            point = self._check_point(constraint.point)
-            tables = _taylor_tables(tuple(a - b for a, b in zip(point, origin)), self.degree)
-            betas = self.monomials[: jet_basis_size(self.nvars, top)]
-            return _jet_rows(tables, betas, self.monomials)
-        if isinstance(constraint, SpanConstraint):
-            # f lies in the span iff f is orthogonal to the span's annihilator,
-            # taken integral; an empty span spans the zero row.
-            span = [self._to_vector(f.shift(origin) if any(origin) else f) for f in constraint.basis]
-            span_rows = integral_rows(ExactMatrix.from_rows(span or [[0] * len(self.monomials)]))
-            return integral_nullspace(span_rows)[0]
-        raise TypeError(f"unknown constraint {constraint!r}")
+    def _constraint_rows(self, constraint: MultConstraint, origin: Point) -> list[list[int]]:
+        if not isinstance(constraint, MultConstraint):
+            raise TypeError(f"unknown constraint {constraint!r}")
+        # Jets of order above the degree vanish on every member.
+        top = min(constraint.order - 1, self.degree)
+        point = self._check_point(constraint.point)
+        tables = _taylor_tables(tuple(a - b for a, b in zip(point, origin)), self.degree)
+        betas = self.monomials[: jet_basis_size(self.nvars, top)]
+        return _jet_rows(tables, betas, self.monomials)
 
 
 def jet_separation(system: LinearSystem, point: Sequence) -> int:

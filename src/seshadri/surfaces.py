@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
-from .exactmath import ExactMatrix, is_negative_definite, solve_unique
+from .exactmath import ExactMatrix, negative_definite_solve
 
 
 @dataclass(frozen=True)
@@ -139,14 +139,14 @@ def _enlarge_support(lat: SurfaceLattice, d: DivisorClass) -> ZariskiDecompositi
         gram = ExactMatrix.from_rows(
             [[lat.pairing(a.divisor, b.divisor) for b in curves] for a in curves]
         )
-        if not is_negative_definite(gram):
+        rhs = [lat.pairing(d, c.divisor) for c in curves]
+        coeffs = negative_definite_solve(gram, rhs)
+        if coeffs is None:
             names = ", ".join(c.name for c in curves)
             raise ValueError(
                 f"gram matrix on candidate support {{{names}}} is not negative "
                 "definite; the declared curve set is inconsistent"
             )
-        rhs = [lat.pairing(d, c.divisor) for c in curves]
-        coeffs = solve_unique(gram, rhs)
         bad = [c.name for c, x in zip(curves, coeffs) if x < 0]
         if bad:
             raise ValueError(

@@ -16,7 +16,7 @@ import pytest
 
 from seshadri.bounds import best_volume_bound, grid_confirms_best
 from seshadri.cli import main
-from seshadri.exactmath import WPolynomial, is_negative_definite, parse_polynomial
+from seshadri.exactmath import WPolynomial, negative_definite_solve, parse_polynomial
 from seshadri.exactmath.linalg import ExactMatrix
 from seshadri.jets import (
     blowup_anticanonical_series,
@@ -197,7 +197,14 @@ def test_ruled_pipeline_reproduces_the_closed_form_with_axioms():
                             for a in support
                         ]
                     )
-                    assert is_negative_definite(gram)
+                    # Negative definite, and N's coefficients solve
+                    # gram * x = (-K.C) on the support.
+                    rhs = [lattice.pairing(minus_k, c.divisor) for c in support]
+                    solution = negative_definite_solve(gram, rhs)
+                    assert solution is not None
+                    assert dict(zip((c.name for c in support), solution)) == dict(
+                        zip(dec.support, dec.coefficients)
+                    )
                 marked = seshadri_at_marked_point(lattice, positive)
                 assert marked.value == 1 - Fraction(2 * g - 2, d)
                 assert marked.certified

@@ -11,6 +11,7 @@ from seshadri.bounds import (
     grid_confirms_best,
     grid_volume_bound_minimum,
     volume_bound,
+    volume_bound_exceeds_digits,
     volume_bound_predicate,
 )
 from seshadri.wps import WeightVector, wps_anticanonical_volume
@@ -161,3 +162,27 @@ def test_family_volumes_inside_their_own_window(n):
 def test_conjectured_comparison_column():
     assert conjectured_optimal_comparison(2, ONE) == 4
     assert conjectured_optimal_comparison(3, Fraction(1, 2)) == 54
+
+
+# -- the digit count of M, decided before M is computed ------------------------------
+
+
+@pytest.mark.parametrize("digits", (1, 7, 60, 300))
+@pytest.mark.parametrize(
+    "eps", (Fraction(1, 1000), Fraction(1, 7), Fraction(1, 2), ONE, Fraction(19, 10))
+)
+def test_digit_check_matches_the_digits_of_m(digits, eps):
+    # Across each boundary: below it M is computed and its digits counted.
+    for n in range(1, 80):
+        m = best_volume_bound(n, eps).M
+        longest = max(len(str(m.numerator)), len(str(m.denominator)))
+        assert volume_bound_exceeds_digits(n, eps, digits) == (longest > digits), n
+
+
+def test_digit_check_validates_like_the_closed_form():
+    for n, eps in ((0, ONE), (2, Fraction(0)), (2, Fraction(2))):
+        with pytest.raises(ValueError) as closed:
+            best_volume_bound(n, eps)
+        with pytest.raises(ValueError) as check:
+            volume_bound_exceeds_digits(n, eps, 10)
+        assert str(check.value) == str(closed.value)

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from seshadri import cli
+from seshadri import bounds, cli
 from seshadri.cli import decode, emit, main, to_jsonable
 from seshadri.exactmath import INFINITY, QuadExt, WPolynomial
 
@@ -533,6 +533,26 @@ def test_bounds_output_over_the_digit_limit_exits_2_without_a_traceback():
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("n", [700, 800, 10**5, 10**9])
+def test_bounds_with_a_huge_m_exits_2_with_its_own_message(capsys, n):
+    # The numerator of M(700, 1) has 4195 digits, and it is printed. From
+    # n = 716 on, eps = 1 gives more than 4300, and `bounds` refuses before
+    # it computes M.
+    start = time.monotonic()
+    code, out, err = run_cli(capsys, "bounds", "--n", str(n), "--eps", "1")
+    assert time.monotonic() - start < 1.0
+    if n == 700:
+        assert code == 0 and err == ""
+        assert json.loads(out)["M"] == str(bounds.best_volume_bound(700, Fraction(1)).M)
+        return
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"error: bounds with --n {n} --eps 1 has an M of more than "
+        f"{cli.MAX_BOUND_DIGITS} digits; lower --n\n"
+    )
 
 
 @pytest.mark.parametrize(

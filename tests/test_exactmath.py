@@ -1,5 +1,5 @@
 """Tests for the exact-arithmetic substrate: Q(sqrt(2)) scalars, weighted
-polynomials with jet extraction, and fraction-free linear algebra over Q."""
+polynomials, and fraction-free linear algebra over Q."""
 
 import math
 import random
@@ -18,15 +18,9 @@ from seshadri.exactmath import (
     format_polynomial,
     format_scalar,
     graded_lex_monomials,
-    is_negative_definite,
-    jet_basis_size,
-    jet_coefficients,
-    multiplicity_at,
-    nullspace_basis,
+    negative_definite_solve,
     parse_polynomial,
     parse_scalar,
-    rref,
-    solve_unique,
 )
 
 # -- strategies ----------------------------------------------------------------
@@ -122,62 +116,22 @@ def test_format_scalar_examples():
 
 def test_multiplicity_product_of_linear_forms():
     st_poly = parse_polynomial("s*t", ("s", "t"))
-    assert multiplicity_at(st_poly, (0, 0)) == 2
+    assert st_poly.multiplicity() == 2
 
 
 def test_multiplicity_lowest_degree_term_wins():
     f = parse_polynomial("t^2 + s^7", ("s", "t"))
-    assert multiplicity_at(f, (0, 0)) == 2
+    assert f.multiplicity() == 2
 
 
 def test_multiplicity_of_zero_is_infinite():
-    assert multiplicity_at(WPolynomial.zero(2), (0, 0)) == INFINITY
     assert WPolynomial.zero(2).multiplicity() == INFINITY
-
-
-def test_multiplicity_at_shifted_point():
-    f = parse_polynomial("(s - 1)^2 * t", ("s", "t"))
-    assert multiplicity_at(f, (1, 0)) == 3
-    assert multiplicity_at(f, (0, 0)) == 1
 
 
 @given(nonzero(polynomials()), nonzero(polynomials()))
 @settings(max_examples=60)
 def test_multiplicity_is_additive_on_products(f, g):
-    x = (Fraction(0), Fraction(0))
-    assert multiplicity_at(f * g, x) == multiplicity_at(f, x) + multiplicity_at(g, x)
-
-
-def test_jet_coefficients_reads_off_linear_terms():
-    f = parse_polynomial("1 + 2*s + 3*t", ("s", "t"))
-    assert jet_coefficients(f, (0, 0), 1) == [1, 2, 3]
-
-
-def test_jet_coefficients_double_root():
-    f = parse_polynomial("(s - 1)^2", ("s",))
-    assert jet_coefficients(f, (Fraction(1),), 1) == [0, 0]
-
-
-def test_jet_coefficients_product_at_shifted_point():
-    # s*t at (1,1) expands to 1 + u + v + u*v in shifted coordinates.
-    f = parse_polynomial("s*t", ("s", "t"))
-    assert jet_coefficients(f, (1, 1), 2) == [1, 1, 1, 0, 1, 0]
-
-
-def test_jet_coefficients_length():
-    f = parse_polynomial("s^2 + t^3", ("s", "t"))
-    for order in range(4):
-        assert len(jet_coefficients(f, (2, 3), order)) == jet_basis_size(2, order)
-
-
-@given(polynomials(), polynomials(), small_fractions, small_fractions)
-@settings(max_examples=40)
-def test_jet_coefficients_linear_in_the_polynomial(f, g, a, b):
-    x = (Fraction(1, 2), Fraction(-1, 3))
-    lhs = jet_coefficients(a * f + b * g, x, 3)
-    jf = jet_coefficients(f, x, 3)
-    jg = jet_coefficients(g, x, 3)
-    assert lhs == [a * u + b * v for u, v in zip(jf, jg)]
+    assert (f * g).multiplicity() == f.multiplicity() + g.multiplicity()
 
 
 def test_graded_lex_order_is_degree_then_reverse_lex():
@@ -226,17 +180,8 @@ def test_unary_minus_after_an_operator_negates_the_whole_factor():
 def test_weighted_degrees():
     f = WPolynomial({(2, 0): Fraction(1), (0, 1): Fraction(1)}, 2)
     assert f.min_weighted_degree((1, 3)) == 2
-    assert f.max_weighted_degree((1, 3)) == 3
-    assert not f.is_weighted_homogeneous((1, 3))
-    assert f.is_weighted_homogeneous((1, 2))
-
-
-def test_substitute_variable():
-    # t |-> u + s^2 inside t^2: (u + s^2)^2
-    f = WPolynomial({(0, 2): Fraction(1)}, 2)
-    g = WPolynomial({(0, 1): Fraction(1), (2, 0): Fraction(1)}, 2)
-    expected = parse_polynomial("t^2 + 2*s^2*t + s^4", ("s", "t"))
-    assert f.substitute(1, g) == expected
+    assert f.min_weighted_degree((1, 2)) == 2
+    assert WPolynomial.zero(2).min_weighted_degree((1, 3)) == INFINITY
 
 
 @st.composite
@@ -262,17 +207,14 @@ def test_ring_ops_match_the_validating_constructor_and_store_no_zeros(f, g, c):
     assert f * g == WPolynomial(products, 2)
     assert f * c == WPolynomial([(e, v * c) for e, v in f.coeffs.items()], 2)
     assert (f - f).coeffs == {}
-    point = (Fraction(2, 3), Fraction(-5, 7))
-    substituted = f.substitute(1, g)
-    assert substituted.evaluate(point) == f.evaluate((point[0], g.evaluate(point)))
-    for h in (f + g, f - g, -f, f * g, f * c, f * 0, substituted):
+    for h in (f + g, f - g, -f, f * g, f * c, f * 0):
         assert all(h.coeffs.values())
 
 
 @settings(max_examples=40, deadline=None)
 @given(polynomials(max_degree=3), polynomials(max_degree=3))
 def test_ring_ops_on_rational_polynomials_keep_fraction_coefficients(f, g):
-    for h in (f + g, f - g, f * g, f * 3, f.substitute(0, g)):
+    for h in (f + g, f - g, f * g, f * 3):
         assert all(type(v) is Fraction for v in h.coeffs.values())
 
 
@@ -303,11 +245,17 @@ def test_rank_ignores_repeated_rows():
 def test_rank_of_cubic_jet_map_through_one_point():
     # Plane cubics vanishing at the origin: the nine monomials of degree 1..3.
     # Their order-2 jet matrix at a random rational point has full rank 6.
+    # The coefficient of u^beta in (u + x)^alpha is prod C(a_i, b_i) x_i^(a_i - b_i).
     basis = [e for e in graded_lex_monomials(2, 3) if sum(e) >= 1]
     assert len(basis) == 9
     x = (Fraction(2, 3), Fraction(5, 7))
-    cols = [jet_coefficients(WPolynomial.monomial(e), x, 2) for e in basis]
-    m = ExactMatrix.from_rows([[col[i] for col in cols] for i in range(6)])
+
+    def taylor(alpha, beta):
+        return math.prod(math.comb(a, b) * c ** max(a - b, 0) for a, b, c in zip(alpha, beta, x))
+
+    m = ExactMatrix.from_rows(
+        [[taylor(alpha, beta) for alpha in basis] for beta in graded_lex_monomials(2, 2)]
+    )
     assert (m.rows, m.cols) == (6, 9)
     assert exact_rank(m) == 6
 
@@ -315,7 +263,7 @@ def test_rank_of_cubic_jet_map_through_one_point():
 @given(st.lists(st.lists(st.integers(-9, 9), min_size=4, max_size=4), min_size=3, max_size=3))
 def test_rank_invariant_under_row_swap_and_scaling(rows):
     m = ExactMatrix.from_rows([[Fraction(x) for x in row] for row in rows])
-    r = m.row_list()
+    r = [list(row) for row in m.entries]
     swapped = ExactMatrix.from_rows([r[2], r[1], r[0]])
     scaled = ExactMatrix.from_rows([[Fraction(5, 3) * x for x in r[0]], r[1], r[2]])
     assert exact_rank(swapped) == exact_rank(m)
@@ -357,39 +305,40 @@ def test_integer_and_field_bareiss_agree_on_rank_deficient_matrices(seed):
     assert exact_rank(ExactMatrix.from_rows(rows)) == expected
 
 
-def test_rref_and_nullspace():
-    m = ExactMatrix.from_rows([[1, 2, 3], [2, 4, 6]])
-    _, pivots = rref(m)
-    assert pivots == [0]
-    basis = nullspace_basis(m)
-    assert len(basis) == 2
-    for v in basis:
-        assert all(
-            sum(m.entries[i][j] * v[j] for j in range(3)) == 0 for i in range(2)
-        )
-
-
 def test_solve_unique():
-    m = ExactMatrix.from_rows([[2, 1], [1, 3]])
-    sol = solve_unique(m, [5, 10])
-    assert sol == [Fraction(1), Fraction(3)]
-    singular = ExactMatrix.from_rows([[1, 1], [2, 2]])
-    with pytest.raises(ValueError):
-        solve_unique(singular, [1, 1])
+    m = ExactMatrix.from_rows([[-2, 1], [1, -3]])
+    sol = negative_definite_solve(m, [0, 5])
+    assert sol == [Fraction(-1), Fraction(-2)]
+    assert all(type(x) is Fraction for x in sol)
+    half = ExactMatrix.from_rows([[Fraction(-1, 2)]])
+    assert negative_definite_solve(half, [Fraction(1, 3)]) == [Fraction(-2, 3)]
+    singular = ExactMatrix.from_rows([[-1, -1], [-2, -2]])
+    assert negative_definite_solve(singular, [1, 1]) is None
+    with pytest.raises(ValueError, match="square"):
+        negative_definite_solve(ExactMatrix.from_rows([[-1, 0]]), [1])
+    with pytest.raises(ValueError, match="square"):
+        negative_definite_solve(ExactMatrix.from_rows([[-1]]), [1, 2])
 
 
 def test_negative_definiteness():
-    assert is_negative_definite(ExactMatrix.from_rows([[-2, 1], [1, -2]]))
-    assert not is_negative_definite(ExactMatrix.from_rows([[-2, 3], [3, -2]]))
-    assert not is_negative_definite(ExactMatrix.from_rows([[0]]))
-    assert not is_negative_definite(ExactMatrix.from_rows([[-10, 1], [1, 0]]))
+    def definite(rows):
+        # With rhs 0 a singular G gives no pivot in the rhs column either.
+        g = ExactMatrix.from_rows(rows)
+        answers = {negative_definite_solve(g, [b] * len(rows)) is not None for b in (0, 1)}
+        assert len(answers) == 1
+        return answers.pop()
+
+    assert definite([[-2, 1], [1, -2]])
+    assert not definite([[-2, 3], [3, -2]])
+    assert not definite([[0]])
+    assert not definite([[-10, 1], [1, 0]])
     # A zero leading minor: a swapping elimination of -G sees only positive
     # pivots in the first, and the second has no pivot in its last column.
-    assert not is_negative_definite(ExactMatrix.from_rows([[0, -1], [-1, 0]]))
-    assert not is_negative_definite(ExactMatrix.from_rows([[-1, 0], [0, 0]]))
+    assert not definite([[0, -1], [-1, 0]])
+    assert not definite([[-1, 0], [0, 0]])
 
 
-# -- rref, nullspace and solve against sympy ---------------------------------------
+# -- definiteness and solve against sympy ------------------------------------------
 
 
 def _random_entry(rng):
@@ -398,94 +347,12 @@ def _random_entry(rng):
     return Fraction(0)
 
 
-def _random_matrix(rng, nrows, ncols):
-    """A seeded matrix that is often rank-deficient: a product of random
-    nrows x rank and rank x ncols factors, sometimes with a zero row."""
-    rank = rng.randint(1, max(1, min(nrows, ncols)))
-    left = [[_random_entry(rng) for _ in range(rank)] for _ in range(nrows)]
-    right = [[_random_entry(rng) for _ in range(ncols)] for _ in range(rank)]
-    rows = [
-        [sum((row[k] * right[k][j] for k in range(rank)), Fraction(0)) for j in range(ncols)]
-        for row in left
-    ]
-    if nrows > 1 and rng.random() < 0.4:
-        rows[rng.randrange(nrows)] = [Fraction(0)] * ncols
-    return rows
-
-
 def _to_sympy(sympy, x):
     return sympy.Rational(x.numerator, x.denominator)
 
 
-def _sympy_rref(sympy, rows, ncols):
-    """sympy's rref of the rational matrix, as lists of rows."""
-    matrix = sympy.Matrix(len(rows), ncols, [_to_sympy(sympy, x) for row in rows for x in row])
-    reduced, pivots = matrix.rref()
-    return [[reduced[i, j] for j in range(ncols)] for i in range(len(rows))], list(pivots)
-
-
 def _same(sympy, ours, theirs) -> bool:
     return type(ours) is Fraction and _to_sympy(sympy, ours) == theirs
-
-
-_SHAPES = [(0, 0), (1, 1), (1, 5), (5, 1), (3, 3), (4, 6), (6, 4), (5, 5)]
-
-
-# The one `field` value keeps the test ids `...-rational`, and the random
-# streams "rref:False:..." and "solve:False:..." keep the matrices those ids
-# have always drawn.
-@pytest.mark.parametrize("field", ["rational"])
-@pytest.mark.parametrize("shape", _SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
-@pytest.mark.parametrize("seed", range(3))
-def test_rref_and_nullspace_match_sympy(field, shape, seed):
-    sympy = pytest.importorskip("sympy")
-    rng = random.Random(f"rref:False:{shape}:{seed}")
-    nrows, ncols = shape
-    rows = _random_matrix(rng, nrows, ncols) if nrows else []
-    m = ExactMatrix.from_rows(rows)
-    expected, expected_pivots = _sympy_rref(sympy, rows, ncols)
-    reduced, pivots = rref(m)
-    assert pivots == expected_pivots
-    assert len(reduced) == nrows
-    for ours, theirs in zip(reduced, expected):
-        assert len(ours) == ncols
-        assert all(_same(sympy, x, y) for x, y in zip(ours, theirs))
-    # sympy's nullspace basis uses the same convention: 1 at a free column,
-    # minus the rref entries at the pivot columns.
-    free = [c for c in range(ncols) if c not in expected_pivots]
-    basis = nullspace_basis(m)
-    assert len(basis) == len(free)
-    for f, v in zip(free, basis):
-        theirs = [sympy.Integer(0)] * ncols
-        theirs[f] = sympy.Integer(1)
-        for r, p in enumerate(expected_pivots):
-            theirs[p] = -expected[r][f]
-        assert all(_same(sympy, x, y) for x, y in zip(v, theirs))
-
-
-@pytest.mark.parametrize("field", ["rational"])
-@pytest.mark.parametrize("n", [1, 2, 4])
-@pytest.mark.parametrize("seed", range(4))
-def test_solve_unique_matches_sympy(field, n, seed):
-    sympy = pytest.importorskip("sympy")
-    rng = random.Random(f"solve:False:{n}:{seed}")
-    rows = [[_random_entry(rng) for _ in range(n)] for _ in range(n)]
-    rhs = [_random_entry(rng) for _ in range(n)]
-    augmented, pivots = _sympy_rref(sympy, [row + [b] for row, b in zip(rows, rhs)], n + 1)
-    m = ExactMatrix.from_rows(rows)
-    if pivots != list(range(n)):
-        with pytest.raises(ValueError, match="singular"):
-            solve_unique(m, rhs)
-        return
-    solution = solve_unique(m, rhs)
-    assert all(_same(sympy, x, augmented[i][n]) for i, x in enumerate(solution))
-
-
-def test_rref_of_a_singular_system_keeps_zero_rows():
-    reduced, pivots = rref(ExactMatrix.from_rows([[2, 4, 6], [1, 2, 3], [0, 0, 0]]))
-    assert pivots == [0]
-    assert reduced == [[1, 2, 3], [0, 0, 0], [0, 0, 0]]
-    assert all(type(x) is Fraction for row in reduced for x in row)
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -506,9 +373,17 @@ def test_negative_definiteness_matches_sylvester(seed):
         ]
     else:
         g = [[a[i][j] + a[j][i] for j in range(n)] for i in range(n)]
+    # Drawn after g, so each seed keeps the g it has always drawn.
+    rhs = [_random_entry(rng) for _ in range(n)]
     minus_g = sympy.Matrix([[-_to_sympy(sympy, x) for x in row] for row in g])
-    expected = all(minus_g[:k, :k].det() > 0 for k in range(1, n + 1))
-    assert is_negative_definite(ExactMatrix.from_rows(g)) is expected
+    definite = all(minus_g[:k, :k].det() > 0 for k in range(1, n + 1))
+    solution = negative_definite_solve(ExactMatrix.from_rows(g), rhs)
+    if not definite:
+        assert solution is None
+        return
+    expected = (-minus_g).LUsolve(sympy.Matrix([_to_sympy(sympy, b) for b in rhs]))
+    assert len(solution) == n
+    assert all(_same(sympy, x, expected[i]) for i, x in enumerate(solution))
 
 
 # -- binomial powers -------------------------------------------------------------

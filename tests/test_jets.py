@@ -1,5 +1,6 @@
 """Tests for jet separation of linear systems and moving-Seshadri estimates."""
 
+import math
 import random
 import time
 from fractions import Fraction
@@ -7,21 +8,12 @@ from fractions import Fraction
 import pytest
 
 import seshadri.jets as jets_module
-from seshadri.exactmath import (
-    ExactMatrix,
-    QuadExt,
-    WPolynomial,
-    graded_lex_monomials,
-    jet_basis_size,
-    jet_coefficients,
-    nullspace_basis,
-)
+from seshadri.exactmath import graded_lex_monomials, jet_basis_size
 from seshadri.jets import (
     CurveBound,
     LinearSystem,
     MultConstraint,
     SeshadriEstimate,
-    SpanConstraint,
     blowup_anticanonical_series,
     blowup_line_bound,
     jet_separation,
@@ -70,28 +62,6 @@ def test_high_order_vanishing_lowers_separation_at_the_point():
     # all vanish, so separation fails at s = 0 already.
     system = LinearSystem(2, 4, [MultConstraint(ORIGIN, 2)])
     assert jet_separation(system, ORIGIN) == -1
-
-
-def test_span_constraint_restricts_the_system():
-    # Restrict degree-1 polynomials to span{1, s+t}: order-1 jets at a point
-    # need 3 independent directions, so separation drops to 0.
-    full = LinearSystem(2, 1)
-    one = WPolynomial.constant(1, 2)
-    s_plus_t = WPolynomial({(1, 0): 1, (0, 1): 1}, 2)
-    system = LinearSystem(2, 1, [SpanConstraint((one, s_plus_t))])
-    assert system.dimension == 2
-    x = (Fraction(1, 3), Fraction(2, 5))
-    assert jet_separation(full, x) == 1
-    assert jet_separation(system, x) == 0
-
-
-def test_span_constraint_with_a_sqrt2_coefficient_is_refused():
-    # Systems are linear algebra over Q: an irrational span coefficient
-    # raises when the constraint matrix is first built.
-    one = WPolynomial.constant(1, 2)
-    twisted = WPolynomial({(1, 0): 1, (0, 1): QuadExt(0, 1)}, 2)
-    with pytest.raises(TypeError, match="integer or Fraction"):
-        LinearSystem(2, 1, [SpanConstraint((one, twisted))])
 
 
 @pytest.mark.parametrize(
@@ -237,68 +207,71 @@ def test_evaluation_point_of_the_wrong_arity_is_rejected():
         jet_separation(system, (Fraction(1), Fraction(2), Fraction(3)))
 
 
-# -- oracle: nullspace basis, shifted jets, sympy rank -----------------------------
+# -- oracle: sympy nullspace, closed-form jets, sympy rank ---------------------------
 #
-# A separate route: the jets of the monomials at a constraint point come from
-# WPolynomial.shift, W is an explicit nullspace basis of the constraint matrix,
-# and every rank is sympy's.
+# A separate route: the jets of the monomials come from the closed form of
+# (u + x)^alpha, W is sympy's nullspace basis of the constraint matrix, and
+# every rank is sympy's.
+
+
+def _sympy_matrix(rows):
+    """The rational rows as a sympy DomainMatrix over QQ."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    entries = [[sympy.QQ(int(x.numerator), int(x.denominator)) for x in row] for row in rows]
+    return DomainMatrix(entries, (len(rows), len(rows[0])), sympy.QQ)
 
 
 def _sympy_rank(rows):
-    sympy = pytest.importorskip("sympy")
-    return sympy.Matrix(
-        [[sympy.Rational(int(x.numerator), int(x.denominator)) for x in row] for row in rows]
-    ).rank()
+    return _sympy_matrix(rows).rank()
+
+
+def _taylor_coefficient(alpha, beta, x):
+    """The coefficient of u^beta in (u + x)^alpha, the order-|beta| Taylor
+    coefficient of the monomial alpha at x: prod C(a_i, b_i) x_i^(a_i - b_i),
+    and 0 unless beta <= alpha."""
+    if any(b > a for a, b in zip(alpha, beta)):
+        return Fraction(0)
+    terms = (math.comb(a, b) * c ** (a - b) for a, b, c in zip(alpha, beta, x))
+    return math.prod(terms, start=Fraction(1))
 
 
 def _oracle(nvars, degree, constraints, point):
     """(dimension, s(W, x)) by the separate route."""
-    sympy = pytest.importorskip("sympy")
     monomials = graded_lex_monomials(nvars, degree)
-    rows = []
-    for c in constraints:
-        if isinstance(c, MultConstraint):
-            cols = [jet_coefficients(WPolynomial.monomial(e), c.point, c.order - 1) for e in monomials]
-            rows.extend([col[i] for col in cols] for i in range(len(cols[0])))
-        else:
-            span = sympy.Matrix(
-                [[sympy.Rational(str(f.coeffs.get(e, 0))) for e in monomials] for f in c.basis]
-                or [[0] * len(monomials)]
-            )
-            rows.extend([Fraction(str(v)) for v in vec] for vec in span.nullspace())
+    rows = [
+        [_taylor_coefficient(alpha, beta, c.point) for alpha in monomials]
+        for c in constraints
+        for beta in graded_lex_monomials(nvars, c.order - 1)
+    ]
     if rows:
-        basis = nullspace_basis(ExactMatrix.from_rows(rows))
+        kernel = _sympy_matrix(rows).nullspace().to_list()
+        basis = [[Fraction(int(x.numerator), int(x.denominator)) for x in v] for v in kernel]
     else:
         basis = [[Fraction(int(i == j)) for j in range(len(monomials))] for i in range(len(monomials))]
-    members = [WPolynomial(dict(zip(monomials, v)), nvars) for v in basis]
-    if not members:
+    if not basis:
         return 0, -1
+    # jets[beta][alpha]: the order-|beta| Taylor coefficient of alpha at the
+    # point; the jets of order <= s are the first |J_s| rows.
+    jets = [[_taylor_coefficient(alpha, beta, point) for alpha in monomials] for beta in monomials]
     best = -1
     for s in range(degree + 1):
         target = jet_basis_size(nvars, s)
-        if target > len(members):
+        if target > len(basis):
             break
-        if _sympy_rank([jet_coefficients(f, point, s) for f in members]) < target:
+        member_jets = [[sum(a * b for a, b in zip(row, v)) for row in jets[:target]] for v in basis]
+        if _sympy_rank(member_jets) < target:
             break
         best = s
-    return len(members), best
+    return len(basis), best
 
 
 def _random_system(rng):
     nvars = rng.randint(1, 3)
     degree = rng.randint(2, 5 if nvars < 3 else 3)
-    monomials = graded_lex_monomials(nvars, degree)
     points = [small_point(rng, nvars) for _ in range(rng.randint(1, 2))]
     constraints = [MultConstraint(p, rng.randint(1, degree - 1)) for p in points]
-    for _ in range(rng.choice((0, 0, 1, 2))):
-        # Most monomials, plus a few random combinations: a large span.
-        kept = rng.sample(monomials, max(0, len(monomials) - rng.randint(1, 3)))
-        combos = [
-            {e: rng.randint(-3, 3) for e in rng.sample(monomials, min(3, len(monomials)))}
-            for _ in range(rng.randint(0, 2))
-        ]
-        basis = [WPolynomial.monomial(e) for e in kept] + [WPolynomial(c, nvars) for c in combos]
-        constraints.append(SpanConstraint(tuple(basis)))
     rng.shuffle(constraints)
     # A random point, a constraint point, and a point on the line through the
     # constraint points (or through the origin), where separation can drop.
@@ -423,20 +396,21 @@ def test_denominator_divisible_by_the_prime_is_decided_exactly(where):
     assert jet_separation(system, p) == -1
 
 
-def test_empty_span_leaves_no_members():
-    system = LinearSystem(2, 2, [SpanConstraint(())])
-    assert system.dimension == 0
-    assert jet_separation(system, (Fraction(1), Fraction(2))) == -1
+def test_constraint_of_another_kind_is_refused():
+    with pytest.raises(TypeError, match="unknown constraint"):
+        LinearSystem(2, 2, [(ORIGIN, 1)])
 
 
-def test_span_members_flat_at_a_point_stop_separation_there():
-    # W = span{1, (y - 1)^2}: every member has zero derivative at y = 1, so W
-    # separates only 0-jets there, but all 1-jets at y = 0. At y = 1 the
-    # modular rank falls short and the exact rank decides.
-    one = WPolynomial.constant(1, 1)
-    square = WPolynomial({(2,): 1, (1,): -2, (0,): 1}, 1)
-    system = LinearSystem(1, 2, [SpanConstraint((one, square))])
+def test_span_members_flat_at_a_point_stop_separation_there(monkeypatch):
+    # W = cubics in y with a double root at y = 1: every member is flat at 1,
+    # a base point, and W separates all 1-jets at y = 0. At y = 1 + PRIME,
+    # which reduces to the constraint point modulo PRIME, the modular rank
+    # falls short and the exact rank decides.
+    calls = _count_exact_ranks(monkeypatch)
+    system = LinearSystem(1, 3, [MultConstraint((1,), 2)])
     assert system.dimension == 2
-    assert jet_separation(system, (Fraction(1),)) == 0
     assert jet_separation(system, (Fraction(0),)) == 1
+    assert jet_separation(system, (Fraction(1),)) == -1
+    calls.clear()
     assert jet_separation(system, (Fraction(1 + P),)) == 1
+    assert len(calls) >= 1

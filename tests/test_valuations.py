@@ -13,13 +13,10 @@ from hypothesis import strategies as st
 
 from seshadri.exactmath import (
     INFINITY,
-    ExactMatrix,
     QuadExt,
     WPolynomial,
-    nullspace_basis,
     parse_polynomial,
     rational_parts,
-    rref,
 )
 from seshadri.valuations import (
     SQRT2,
@@ -359,12 +356,12 @@ def test_norm_form_multiples_span_the_rational_members():
                     assert twisted_ideal_contains(m, k, f), (m, k, level)
                     assert {a + (m - 1) * j for a, j in f.coeffs} == {level}
                 columns, members = _field_rational_members(m, k, level)
-                dimension = len(rref(ExactMatrix.from_rows(members))[1]) if members else 0
+                dimension = _sympy_matrix(members).rank() if members else 0
                 assert dimension == (r // (m - 1) + 1 if r >= 0 else 0), (m, k, level)
                 if basis:
                     rows = [[f.coeffs.get(col, Fraction(0)) for col in columns] for f in basis]
-                    assert len(rref(ExactMatrix.from_rows(rows))[1]) == dimension
-                    assert len(rref(ExactMatrix.from_rows(members + rows))[1]) == dimension
+                    assert _sympy_matrix(rows).rank() == dimension
+                    assert _sympy_matrix(members + rows).rank() == dimension
 
 
 def test_single_weight_min_mult():
@@ -407,18 +404,38 @@ def test_rewrite_matches_substitution(stream, seed):
     e = rng.randint(1, 3)
     nu = MonomialValuation((1, 2), Twist(e))
     f = _random_quad_polynomial(rng)
-    expected = f.substitute(1, WPolynomial({(0, 1): Fraction(1), (e, 0): SQRT2}, 2))
+    # t -> t + sqrt(2)*s^e, one factor at a time.
+    twisted_t = WPolynomial({(0, 1): Fraction(1), (e, 0): SQRT2}, 2)
+    expected = WPolynomial.zero(2)
+    for (a, b), c in f.coeffs.items():
+        term = WPolynomial.monomial((a, 0), c)
+        for _ in range(b):
+            term = term * twisted_t
+        expected = expected + term
     rewritten = nu.rewrite(f)
     assert rewritten == expected
     assert all(rewritten.coeffs.values())
     assert valuation_eval(nu, f) == expected.min_weighted_degree((1, 2))
 
 
+def _sympy_matrix(rows):
+    """The rational rows as a sympy DomainMatrix over QQ."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    entries = [[sympy.QQ(x.numerator, x.denominator) for x in row] for row in rows]
+    return DomainMatrix(entries, (len(rows), len(rows[0])), sympy.QQ)
+
+
+def _fraction(x):
+    return Fraction(int(x.numerator), int(x.denominator))
+
+
 def _field_rational_members(m, k, level):
     """The (s, t)-exponents of weighted degree `level`, in increasing total
     degree, and a spanning set of the rational members of that piece of
-    (s^m, t - sqrt(2)*s^(m-1))^k, through QuadExt expansions and the public
-    ExactMatrix nullspace."""
+    (s^m, t - sqrt(2)*s^(m-1))^k, through QuadExt expansions and sympy's
+    nullspace."""
     generators = [
         (level - (m - 1) * b, b)
         for b in range(level // (m - 1) + 1)
@@ -439,7 +456,8 @@ def _field_rational_members(m, k, level):
     # sum_r x_r q_r + y_r p_r = 0 at every column.
     eqs = [[q for _, q in parts[col]] + [p for p, _ in parts[col]] for col in columns]
     members = []
-    for v in nullspace_basis(ExactMatrix.from_rows(eqs)) if generators else []:
+    for vec in _sympy_matrix(eqs).nullspace().to_list() if generators else []:
+        v = [_fraction(x) for x in vec]
         member = [
             sum(
                 (v[r] * p + 2 * v[n + r] * q for r, (p, q) in enumerate(parts[col])),
@@ -454,14 +472,15 @@ def _field_rational_members(m, k, level):
 
 def _galois_by_field_linear_algebra(m, k):
     """galois_min_mult(m, k) recomputed level by level from
-    `_field_rational_members` and the public rref, scanning levels upward
+    `_field_rational_members` and sympy's rref, scanning levels upward
     until no deeper level can beat the best multiplicity."""
     best, witness = None, None
     level = k * (m - 1)
     while best is None or level <= (m - 1) * best:
         columns, members = _field_rational_members(m, k, level)
         if members:
-            reduced, pivots = rref(ExactMatrix.from_rows(members))
+            matrix, pivots = _sympy_matrix(members).rref()
+            reduced = [[_fraction(x) for x in matrix.to_list()[0]]]
             mult = sum(columns[pivots[0]])
             if best is None or mult < best:
                 best = mult
