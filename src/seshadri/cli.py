@@ -127,7 +127,32 @@ def _parse_weights(text: str) -> tuple[int, ...]:
         raise ValueError(f"bad weight list {text!r}: {exc}") from None
 
 
-def _parse_fraction(text: str) -> Fraction:
+# The most decimal digits in the numerator or the denominator of an input
+# number: CPython's default limit on converting a string to an int.
+MAX_NUMBER_DIGITS = 4300
+
+
+class _LongInteger(str):
+    """The text of a JSON integer of more than MAX_NUMBER_DIGITS digits.
+    json.loads would fail on it without naming its field; `_typed` and
+    `_fraction` name it."""
+
+
+def _json_int(text: str):
+    return _LongInteger(text) if len(text.lstrip("-")) > MAX_NUMBER_DIGITS else int(text)
+
+
+def _too_many_digits(where: str) -> ValueError:
+    return ValueError(f"{where}: a number of more than {MAX_NUMBER_DIGITS} digits")
+
+
+def _fraction(value, where: str) -> Fraction:
+    """A JSON number or string, or a flag's text, as a rational; a numerator
+    or a denominator of more than MAX_NUMBER_DIGITS digits is an error that
+    names where it sits."""
+    text = str(value)
+    if any(sum(c.isdigit() for c in part) > MAX_NUMBER_DIGITS for part in text.split("/")):
+        raise _too_many_digits(where)
     return Fraction(text)
 
 
@@ -135,7 +160,7 @@ def _read_json_arg(text: str):
     if text.startswith("@"):
         with open(text[1:], "r", encoding="utf-8") as handle:
             text = handle.read()
-    return json.loads(text)
+    return json.loads(text, parse_int=_json_int)
 
 
 _KINDS = {dict: "a JSON object", list: "a JSON array", int: "an integer", bool: "true or false"}
@@ -145,6 +170,8 @@ def _typed(value, kind: type, where: str):
     """value if it has JSON type kind (dict, list, int or bool), else an error
     naming where it sits.  An integral float such as 2.0 counts as an int; 1.5
     is not truncated, and neither a number nor "false" counts as a bool."""
+    if isinstance(value, _LongInteger):
+        raise _too_many_digits(where)
     if kind is int and isinstance(value, float) and value.is_integer():
         value = int(value)
     if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
@@ -162,7 +189,7 @@ def _field(desc: dict, key: str, where: str):
 
 
 def _fraction_point(coords, where: str) -> tuple[Fraction, ...]:
-    return tuple(Fraction(str(c)) for c in _typed(coords, list, where))
+    return tuple(_fraction(c, f"{where}[{i}]") for i, c in enumerate(_typed(coords, list, where)))
 
 
 # -- subcommands --------------------------------------------------------------
@@ -205,7 +232,7 @@ def cmd_jets(args) -> tuple[object, int]:
         at = "curve_bound"
         cb = _typed(desc[at], dict, at)
         curve_bound = jets.seshadri_upper_via_curve(
-            Fraction(str(_field(cb, "pairing", at))),
+            _fraction(_field(cb, "pairing", at), f"{at}.pairing"),
             _typed(_field(cb, "mult", at), int, f"{at}.mult"),
             _typed(_field(cb, "meets_base_locus", at), bool, f"{at}.meets_base_locus"),
         )
@@ -388,11 +415,11 @@ def cmd_ruled(args) -> tuple[object, int]:
 
 # The most decimal digits of M's numerator or denominator that `bounds`
 # prints: CPython's default limit on converting an int to a string.
-MAX_BOUND_DIGITS = 4300
+MAX_BOUND_DIGITS = MAX_NUMBER_DIGITS
 
 
 def cmd_bounds(args) -> tuple[object, int]:
-    eps = _parse_fraction(args.eps)
+    eps = _fraction(args.eps, "--eps")
     if bounds.volume_bound_exceeds_digits(args.n, eps, MAX_BOUND_DIGITS):
         raise ValueError(
             f"bounds with --n {args.n} --eps {args.eps} has an M of more than "

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterator, List, Sequence
+from typing import Iterable, Iterator, List, Sequence
 
 from .scalars import _as_fraction
 
@@ -25,9 +25,9 @@ Row = List[int]
 
 @dataclass(frozen=True)
 class ExactMatrix:
-    """Immutable matrix of rationals."""
+    """Immutable matrix of rationals, held as ints or Fractions."""
 
-    entries: tuple[tuple[Fraction, ...], ...]
+    entries: tuple[tuple[int | Fraction, ...], ...]
 
     def __post_init__(self):
         widths = {len(r) for r in self.entries}
@@ -37,6 +37,12 @@ class ExactMatrix:
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "ExactMatrix":
         return cls(tuple(tuple(_as_fraction(x) for x in row) for row in rows))
+
+    @classmethod
+    def from_integer_rows(cls, rows: Iterable[Sequence[int]]) -> "ExactMatrix":
+        """Integer rows, kept as ints rather than turned into Fractions that
+        `integral_rows` would turn back."""
+        return cls(tuple(map(tuple, rows)))
 
     @property
     def rows(self) -> int:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import comb, prod
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -23,6 +24,7 @@ from .exactmath import (
     graded_lex_monomials,
     jet_basis_size,
 )
+from .exactmath.linalg import _bareiss
 
 Point = Tuple[Fraction, ...]
 
@@ -65,17 +67,33 @@ class MultConstraint:
 # Move the origin to x: written in the monomials of u = y - x, J_s picks the
 # first |J_s| coordinates, so rank([C; J_s]) = |J_s| + rank(C'[:, |J_s|:]),
 # where C' is C in those monomials. W separates s-jets at x exactly when the
-# column suffix C'[:, |J_s|:] keeps the rank of C.
+# column suffix C'[:, |J_s|:] keeps the rank of C. An order with |J_s| > dim W
+# cannot be separated.
 #
-# Every row of C' is scaled to integers, which leaves each rank unchanged, and
-# C' is eliminated once modulo PRIME, taking its columns from the last one
-# down. The rank of a suffix modulo PRIME is then its number of pivot columns,
-# and it is at most the rank over Q. So when the modular rank equals rank(C),
-# every order with |J_s| <= the lowest pivot column is proved. Each later
-# order is decided by the exact rank of its suffix over Q. Usually that is one
-# rank, at the order where separation truly stops. Reduction modulo PRIME can
-# also lose rank that Q keeps: x congruent to a constraint point, C losing
-# rank modulo PRIME, or a denominator divisible by PRIME (the scaled rows then
+# Step A, one constraint. Let it be order k at p, top = min(k - 1, d) and
+# delta = p - x. Row beta of C' (|beta| <= top) has the entry
+# prod_i C(alpha_i, beta_i) delta_i^(alpha_i - beta_i) in column alpha. When
+# no delta_i is 0, multiplying row beta by delta^beta and dividing column
+# alpha by delta^alpha leaves B[beta][alpha] = prod_i C(alpha_i, beta_i): C'
+# at delta = (1, ..., 1), the same matrix for every such x. Scaling a row or a
+# column by a nonzero number changes the rank of no column suffix, so B is
+# eliminated exactly, once per system, with its columns reversed, and each of
+# those points reads its stop order from B's suffix ranks. rank(C) needs no
+# elimination at all: B[beta][alpha] is 0 unless beta <= alpha, and 1 when
+# beta = alpha, so in graded order the columns |alpha| <= top of B form a
+# unitriangular block, and rank(C) = rank(B) = |J_top|.
+#
+# The shifted path decides every other case: a point with some x_i = p_i
+# (x = p among them), and every system of several constraints or none. Every
+# row of C' is scaled to integers, which leaves each rank unchanged, and C' is
+# eliminated once modulo PRIME, taking its columns from the last one down. The
+# rank of a suffix modulo PRIME is then its number of pivot columns, and it is
+# at most the rank over Q. So when the modular rank equals rank(C), every
+# order with |J_s| <= the lowest pivot column is proved. Each later order is
+# decided by the exact rank of its suffix over Q. Usually that is one rank, at
+# the order where separation truly stops. Reduction modulo PRIME can also lose
+# rank that Q keeps: x congruent to a constraint point, C losing rank modulo
+# PRIME, or a denominator divisible by PRIME (the scaled rows then
 # degenerate). In those cases fewer orders are proved, and the exact suffix
 # ranks decide the rest.
 
@@ -140,13 +158,21 @@ class LinearSystem:
         self.nvars = nvars
         self.degree = degree
         self.constraints = tuple(constraints)
+        for constraint in self.constraints:
+            if not isinstance(constraint, MultConstraint):
+                raise TypeError(f"unknown constraint {constraint!r}")
+            self._check_point(constraint.point)
         self.monomials = graded_lex_monomials(nvars, degree)
-        rows = self._rows_at((Fraction(0),) * nvars)
-        # Full row rank modulo PRIME proves full row rank over Q.
-        if len(_pivot_columns(rows)) == len(rows):
-            self._rank = len(rows)
+        if len(self.constraints) == 1:
+            # rank(B) = |J_top|, as the engine notes above show.
+            self._rank = jet_basis_size(nvars, self._top(self.constraints[0]))
         else:
-            self._rank = exact_rank(ExactMatrix.from_rows(rows))
+            rows = self._rows_at((Fraction(0),) * nvars)
+            # Full row rank modulo PRIME proves full row rank over Q.
+            if len(_pivot_columns(rows)) == len(rows):
+                self._rank = len(rows)
+            else:
+                self._rank = exact_rank(ExactMatrix.from_integer_rows(rows))
         self.dimension = len(self.monomials) - self._rank
 
     def _check_point(self, point: Sequence) -> Point:
@@ -155,20 +181,54 @@ class LinearSystem:
             raise ValueError("point arity mismatch")
         return point
 
+    def _top(self, constraint: MultConstraint) -> int:
+        """The highest jet order the constraint sets to 0; jets of order above
+        the degree vanish on every member."""
+        return min(constraint.order - 1, self.degree)
+
     def _rows_at(self, origin: Point) -> list[list[int]]:
         """The rows of C written in the monomials of u = y - origin, each
         scaled to integers."""
         return [row for c in self.constraints for row in self._constraint_rows(c, origin)]
 
     def _constraint_rows(self, constraint: MultConstraint, origin: Point) -> list[list[int]]:
-        if not isinstance(constraint, MultConstraint):
-            raise TypeError(f"unknown constraint {constraint!r}")
-        # Jets of order above the degree vanish on every member.
-        top = min(constraint.order - 1, self.degree)
-        point = self._check_point(constraint.point)
-        tables = _taylor_tables(tuple(a - b for a, b in zip(point, origin)), self.degree)
-        betas = self.monomials[: jet_basis_size(self.nvars, top)]
+        tables = _taylor_tables(tuple(a - b for a, b in zip(constraint.point, origin)), self.degree)
+        betas = self.monomials[: jet_basis_size(self.nvars, self._top(constraint))]
         return _jet_rows(tables, betas, self.monomials)
+
+    @cached_property
+    def _suffix_ranks(self) -> list[int]:
+        """Step A, for a system of one constraint: ranks[t] is the rank of the
+        columns [t:] of B, and so of C' at every point with no x_i equal to
+        p_i. One exact elimination of B with its columns reversed: the rank of
+        the suffix [t:] is its number of pivot columns."""
+        (constraint,) = self.constraints
+        tables = _taylor_tables((Fraction(1),) * self.nvars, self.degree)
+        betas = self.monomials[: jet_basis_size(self.nvars, self._top(constraint))]
+        size = len(self.monomials)
+        pivots = {size - 1 - col for _, col, _ in _bareiss(_jet_rows(tables, betas, self.monomials[::-1]))}
+        ranks = [0] * (size + 1)
+        for t in range(size - 1, -1, -1):
+            ranks[t] = ranks[t + 1] + (t in pivots)
+        return ranks
+
+
+def _shifted_suffix_rank(system: LinearSystem, point: Point) -> Callable[[int], int]:
+    """t -> rank(C'[:, t:]) at the point, by the shifted path: rank(C) for
+    every t up to the lowest pivot column when the modular rank of C' is
+    full, else the exact rank of the suffix."""
+    shifted = system._rows_at(point)
+    pivots = _pivot_columns(shifted)
+    proved = 0
+    if len(pivots) == system._rank:
+        proved = min(pivots, default=len(system.monomials))
+
+    def suffix_rank(t: int) -> int:
+        if t <= proved:
+            return system._rank
+        return exact_rank(ExactMatrix.from_integer_rows(row[t:] for row in shifted))
+
+    return suffix_rank
 
 
 def jet_separation(system: LinearSystem, point: Sequence) -> int:
@@ -178,21 +238,16 @@ def jet_separation(system: LinearSystem, point: Sequence) -> int:
     point = system._check_point(point)
     if system.dimension == 0:
         return -1
-    shifted = system._rows_at(point)
-    pivots = _pivot_columns(shifted)
-    # Every order with |J_s| <= proved is certified modulo PRIME.
-    proved = 0
-    if len(pivots) == system._rank:
-        proved = min(pivots, default=len(system.monomials))
+    constraints = system.constraints
+    if len(constraints) == 1 and all(p != x for p, x in zip(constraints[0].point, point)):
+        suffix_rank = system._suffix_ranks.__getitem__
+    else:
+        suffix_rank = _shifted_suffix_rank(system, point)
     best = -1
     for s in range(system.degree + 1):
         target = jet_basis_size(system.nvars, s)
-        if target > system.dimension:
+        if target > system.dimension or suffix_rank(target) < system._rank:
             break
-        if target > proved:
-            suffix = ExactMatrix.from_rows([row[target:] for row in shifted])
-            if exact_rank(suffix) < system._rank:
-                break
         best = s
     return best
 

@@ -555,6 +555,50 @@ def test_bounds_with_a_huge_m_exits_2_with_its_own_message(capsys, n):
     )
 
 
+LONG = "9" * (cli.MAX_NUMBER_DIGITS + 1)
+
+
+@pytest.mark.parametrize(
+    "argv,where",
+    [
+        (["bounds", "--n", "2", "--eps", f"1/{LONG}"], "--eps"),
+        (["bounds", "--n", "2", "--eps", LONG], "--eps"),
+        (["jets", f'{{"n":1,"d":2,"constraints":[],"point":[{LONG}]}}'], "point[0]"),
+        (["jets", f'{{"n":1,"d":2,"constraints":[],"point":["-{LONG}/7"]}}'], "point[0]"),
+        (["jets", f'{{"n":{LONG},"d":2}}'], "n"),
+        (
+            ["jets", f'{{"n":2,"d":2,"constraints":[{{"type":"mult","point":[0,{LONG}],"order":1}}]}}'],
+            "constraints[0].point[1]",
+        ),
+        (
+            [
+                "jets",
+                f'{{"n":1,"d":2,"point":[1],"curve_bound":'
+                f'{{"pairing":{LONG},"mult":1,"meets_base_locus":false}}}}',
+            ],
+            "curve_bound.pairing",
+        ),
+        (["zariski", f'{{"generators":["E"],"gram":[[{LONG}]],"curves":[],"D":[1]}}'], "gram[0][0]"),
+    ],
+)
+def test_a_number_over_the_digit_limit_exits_2_naming_where(capsys, argv, where):
+    # CPython refuses to convert more than 4300 digits to an int; the message
+    # names the flag or the field instead of quoting that limit.
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {where}: a number of more than {cli.MAX_NUMBER_DIGITS} digits\n"
+
+
+def test_a_number_at_the_digit_limit_is_read(capsys):
+    most = "9" * cli.MAX_NUMBER_DIGITS
+    system = f'{{"n":1,"d":2,"point":[1],"curve_bound":{{"pairing":{most},"mult":1,"meets_base_locus":false}}}}'
+    code, out, err = run_cli(capsys, "jets", system)
+    assert code == 0 and json.loads(out)["upper"] == most
+    code, out, err = run_cli(capsys, "bounds", "--n", "2", "--eps", f"{most}/{most}")
+    assert code == 0 and json.loads(out)["eps"] == "1"
+
+
 @pytest.mark.parametrize(
     "exc", [ZeroDivisionError("division by zero"), AssertionError(), RecursionError("too deep")]
 )

@@ -1,5 +1,6 @@
 """Tests for jet separation of linear systems and moving-Seshadri estimates."""
 
+import json
 import math
 import random
 import time
@@ -8,7 +9,8 @@ from fractions import Fraction
 import pytest
 
 import seshadri.jets as jets_module
-from seshadri.exactmath import graded_lex_monomials, jet_basis_size
+from seshadri import cli
+from seshadri.exactmath import ExactMatrix, exact_rank, graded_lex_monomials, jet_basis_size
 from seshadri.jets import (
     CurveBound,
     LinearSystem,
@@ -329,14 +331,17 @@ def test_pivot_columns_count_the_rank_of_every_column_suffix(seed):
 
 def test_full_separation_is_certified_without_exact_elimination(monkeypatch):
     calls = _count_exact_ranks(monkeypatch)
-    system = LinearSystem(2, 6, [MultConstraint(ORIGIN, 2)])
-    x = random_rational_point(random.Random(11), 2)
-    # Sextics double at the origin: s = 4 at x. The stop at s = 5 comes from
-    # the rank (21 jets against dimension 25), and only that step is decided
-    # exactly; every order up to 4 is certified by the modular rank alone.
+    constraints = [MultConstraint(ORIGIN, 2)]
+    system = LinearSystem(2, 6, constraints)
+    # x sits on the axis x_1 = 0 through the double point, so the shifted
+    # path decides it. Sextics double at the origin: the stop at s = 5 comes
+    # from the rank (21 jets against dimension 25), and only that step is
+    # decided exactly; every order up to 4 is certified by the modular rank
+    # alone.
+    x = (Fraction(0), random_rational_point(random.Random(11), 1)[0])
     assert jet_separation(LinearSystem(2, 3), x) == 3
     assert calls == []
-    assert jet_separation(system, x) == 4
+    assert jet_separation(system, x) == _oracle(2, 6, constraints, x)[1] == 4
     assert len(calls) == 1
 
 
@@ -402,15 +407,105 @@ def test_constraint_of_another_kind_is_refused():
 
 
 def test_span_members_flat_at_a_point_stop_separation_there(monkeypatch):
-    # W = cubics in y with a double root at y = 1: every member is flat at 1,
-    # a base point, and W separates all 1-jets at y = 0. At y = 1 + PRIME,
-    # which reduces to the constraint point modulo PRIME, the modular rank
-    # falls short and the exact rank decides.
+    # W = quartics in y with a double root at y = 1 and a root at y = -1:
+    # every member is flat at 1, a base point, and W separates all 1-jets at
+    # y = 0. At y = 1 + PRIME, which reduces to the double point modulo PRIME,
+    # the modular rank falls short and the exact rank decides; two
+    # constraints keep the system on that path.
     calls = _count_exact_ranks(monkeypatch)
-    system = LinearSystem(1, 3, [MultConstraint((1,), 2)])
+    constraints = [MultConstraint((1,), 2), MultConstraint((-1,), 1)]
+    system = LinearSystem(1, 4, constraints)
     assert system.dimension == 2
-    assert jet_separation(system, (Fraction(0),)) == 1
-    assert jet_separation(system, (Fraction(1),)) == -1
+    for y, s in ((0, 1), (1, -1)):
+        assert jet_separation(system, (Fraction(y),)) == _oracle(1, 4, constraints, (Fraction(y),))[1] == s
     calls.clear()
-    assert jet_separation(system, (Fraction(1 + P),)) == 1
+    far = (Fraction(1 + P),)
+    assert jet_separation(system, far) == _oracle(1, 4, constraints, far)[1] == 1
     assert len(calls) >= 1
+
+
+# -- step A: one constraint, read off the binomial matrix ---------------------------
+
+
+def _one_point_system(rng):
+    nvars = rng.randint(1, 3)
+    degree = rng.randint(1, (8, 5, 3)[nvars - 1])
+    p = small_point(rng, nvars)
+    return LinearSystem(nvars, degree, [MultConstraint(p, rng.randint(1, degree + 2))])
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_step_a_matches_the_shifted_path(seed):
+    rng = random.Random(f"step-a:{seed}")
+    system = _one_point_system(rng)
+    (constraint,) = system.constraints
+    p = constraint.point
+    # The constraint twice cuts out the same W, and a system of two
+    # constraints always takes the shifted path.
+    twin = LinearSystem(system.nvars, system.degree, [constraint, constraint])
+    assert system.dimension == twin.dimension
+    x = small_point(rng, system.nvars)
+    while any(a == b for a, b in zip(x, p)):
+        x = small_point(rng, system.nvars)
+    i = rng.randrange(system.nvars)
+    on_hyperplane = x[:i] + (p[i],) + x[i + 1 :]
+    for y in (x, on_hyperplane, p):
+        assert jet_separation(system, y) == jet_separation(twin, y)
+    # Every column suffix of C' at x, not only the one where separation stops.
+    shifted = system._rows_at(x)
+    size = len(system.monomials)
+    expected = [exact_rank(ExactMatrix.from_integer_rows(row[t:] for row in shifted)) for t in range(size)]
+    assert system._suffix_ranks == expected + [0]
+    assert system._suffix_ranks[0] == system._rank
+
+
+def test_step_a_shifts_no_rows_and_ranks_nothing_exactly(monkeypatch):
+    calls = _count_exact_ranks(monkeypatch)
+
+    def refused(self, origin):
+        raise AssertionError("the shifted path ran")
+
+    monkeypatch.setattr(LinearSystem, "_rows_at", refused)
+    rng = random.Random(31)
+    for n, m in ((1, 5), (2, 4), (3, 2)):
+        series = blowup_anticanonical_series(n, random_rational_point(rng, n))
+        x = random_rational_point(rng, n)
+        assert jet_separation(series(m), x) == n * m
+    assert calls == []
+
+
+def test_readme_jets_example_with_m_max_8_is_quick(capsys):
+    # The blowup of P^2 at a point separates 2m jets of -mK at a very general
+    # point (see test_blowup_series_separates_n_times_m_jets_with_one_exact_rank).
+    system = '{"n":2,"d":3,"constraints":[{"type":"mult","point":[0,0],"order":1}],"point":"random","m_max":8}'
+    start = time.monotonic()
+    assert cli.main(["jets", system]) == 0
+    assert time.monotonic() - start < 5.0
+    record = json.loads(capsys.readouterr().out)
+    assert record["s_values"] == [2 * m for m in range(1, 9)]
+    assert record["lower"] == "2"
+
+
+# -- several constraints: the del Pezzo surfaces of degree 7, 6 and 5 -----------------
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_plane_blown_up_at_r_points_has_epsilon_two(r):
+    # -K of P^2 blown up at r general points: degree 3m, multiplicity >= m at
+    # each point. The line through x and a blown-up point has -K.L = 3 - 1 = 2
+    # and multiplicity 1 at x, so s(m) <= 2m; s(1) = 2 meets it. Up to m = 3
+    # the shifted path runs its modular certificate, and for r = 2 and 3 its
+    # exact stop step too.
+    rng = random.Random(f"del-pezzo:{r}")
+    points = [random_rational_point(rng, 2) for _ in range(r)]
+    x = random_rational_point(rng, 2)
+
+    def series(m):
+        return LinearSystem(2, 3 * m, [MultConstraint(p, m) for p in points])
+
+    start = time.monotonic()
+    est = moving_seshadri_lower(series, x, 3, seshadri_upper_via_curve(Fraction(2), 1, False))
+    assert time.monotonic() - start < 2.0
+    assert est.s_values[0] == 2
+    assert est.lower == est.upper == 2
+    assert est.certified_equal
