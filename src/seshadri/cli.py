@@ -20,7 +20,7 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
-from . import bounds, jets, surfaces, valuations, wps
+from . import DEFAULT_SEED
 from .exactmath import (
     ExactMatrix,
     QuadExt,
@@ -30,7 +30,6 @@ from .exactmath import (
     parse_polynomial,
     parse_scalar,
 )
-from .reproduce import DEFAULT_SEED, run_reproduction
 
 # -- serialization ------------------------------------------------------------
 
@@ -193,9 +192,14 @@ def _fraction_point(coords, where: str) -> tuple[Fraction, ...]:
 
 
 # -- subcommands --------------------------------------------------------------
+#
+# Each handler imports the module it runs, so that importing this module and
+# building the parser load only `exactmath`, and a call loads what it uses.
 
 
 def cmd_wps(args) -> tuple[object, int]:
+    from . import wps
+
     w = wps.WeightVector(_parse_weights(args.weights))
     record = {
         "weights": list(w.weights),
@@ -206,11 +210,15 @@ def cmd_wps(args) -> tuple[object, int]:
 
 
 def cmd_whs(args) -> tuple[object, int]:
+    from . import wps
+
     spec = wps.WeightedHypersurfaceSpec(args.n, args.k, args.l, args.d)
     return wps.whs_record(spec), 0
 
 
 def cmd_jets(args) -> tuple[object, int]:
+    from . import jets
+
     where = "jets system"
     desc = _typed(_read_json_arg(args.system), dict, where)
     nvars = _typed(_field(desc, "n", where), int, "n")
@@ -268,7 +276,20 @@ def cmd_jets(args) -> tuple[object, int]:
     return record, 0
 
 
+# The largest sum of (b+1)^2 over the terms s^a t^b of a twisted `--f`.  The
+# rewrite t -> y + sqrt(2)*s^e takes b+1 steps per term on binomials of about
+# b bits, so one term t^b costs about b^2: under a cap on the sum of b+1
+# alone, t^b would cost the square of that cap (t^48000 takes 3.6 s).  At
+# the cap, with coefficients of a few digits, the rewrite takes up to about
+# 2.3 s on a 2-core Xeon machine (`(3*s-7*t)^584` with e = 2); `(s+t)^2000`
+# is 40 times over.  Coefficient size is not weighed: `(10^200*s+t)^400`,
+# at a third of the cap, takes 9.4 s.
+MAX_TWISTED_REWRITE_COST = 1 << 26
+
+
 def cmd_valuation(args) -> tuple[object, int]:
+    from . import valuations
+
     weights = _parse_weights(args.weights)
     twist = None
     if args.twist_e is not None:
@@ -281,6 +302,14 @@ def cmd_valuation(args) -> tuple[object, int]:
         if args.f is None:
             raise ValueError(f"--f is required for op {args.op!r}")
         f = parse_polynomial(args.f, names, sqrt2=twist is not None)
+        if twist is not None:
+            cost = sum((b + 1) ** 2 for _, b in f.coeffs)
+            if cost > MAX_TWISTED_REWRITE_COST:
+                raise ValueError(
+                    f"--f is too large for the twisted rewrite: its terms s^a t^b have a sum "
+                    f"of (b+1)^2 of {cost}, over {MAX_TWISTED_REWRITE_COST}; lower the degree "
+                    "of --f in t"
+                )
         if args.op == "eval":
             return {
                 "weights": list(weights),
@@ -324,7 +353,11 @@ def cmd_valuation(args) -> tuple[object, int]:
     raise ValueError(f"unknown valuation op {args.op!r}")
 
 
-def _lattice_from_json(desc) -> surfaces.SurfaceLattice:
+def _lattice_from_json(desc):
+    """The declared curve lattice of a zariski description, as a
+    `surfaces.SurfaceLattice`."""
+    from . import surfaces
+
     where = "zariski description"
     generators = _typed(_field(desc, "generators", where), list, "generators")
     generators = tuple(str(g) for g in generators)
@@ -345,6 +378,8 @@ def _lattice_from_json(desc) -> surfaces.SurfaceLattice:
 
 
 def cmd_zariski(args) -> tuple[object, int]:
+    from . import surfaces
+
     desc = _typed(_read_json_arg(args.description), dict, "zariski description")
     lat = _lattice_from_json(desc)
     d_spec = _field(desc, "D", "zariski description")
@@ -365,6 +400,8 @@ def cmd_zariski(args) -> tuple[object, int]:
 
 
 def _ruled_record(g: int, d: int) -> dict:
+    from . import surfaces
+
     model = surfaces.ruled_surface_model(g, d)
     dec, ses = model.decomposition, model.seshadri
     return {
@@ -419,6 +456,8 @@ MAX_BOUND_DIGITS = MAX_NUMBER_DIGITS
 
 
 def cmd_bounds(args) -> tuple[object, int]:
+    from . import bounds
+
     eps = _fraction(args.eps, "--eps")
     if bounds.volume_bound_exceeds_digits(args.n, eps, MAX_BOUND_DIGITS):
         raise ValueError(
@@ -441,6 +480,8 @@ def cmd_bounds(args) -> tuple[object, int]:
 
 
 def cmd_reproduce(args) -> tuple[object, int]:
+    from .reproduce import run_reproduction
+
     report = run_reproduction(args.filter, args.seed)
     payload = {
         "cases_run": report.cases_run,

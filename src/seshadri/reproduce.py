@@ -15,10 +15,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Tuple
 
-from . import bounds, jets, surfaces, valuations, wps
+from . import DEFAULT_SEED, bounds, jets, surfaces, valuations, wps
 from .exactmath import WPolynomial
-
-DEFAULT_SEED = 1729
 
 
 @dataclass(frozen=True)

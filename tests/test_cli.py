@@ -290,6 +290,39 @@ def test_valuation_of_a_binomial_power_within_budget(capsys, argv):
     assert json.loads(out)["value"] == 6000
 
 
+@pytest.mark.parametrize("op", ["eval", "izumi"])
+def test_a_twisted_f_over_the_rewrite_cap_exits_2_before_the_rewrite(capsys, monkeypatch, op):
+    # (s+t)^2000 has the terms s^(2000-b) t^b, b = 0..2000.  Unbounded, its
+    # rewrite would take about 11 s.
+    from seshadri.valuations import MonomialValuation
+
+    def refused(self, f):
+        pytest.fail("the rewrite ran on an input over its cap")
+
+    monkeypatch.setattr(MonomialValuation, "rewrite", refused)
+    code, out, err = run_cli(
+        capsys, "valuation", "--weights", "1,2", "--op", op, "--f", "(s+t)^2000", "--twist-e", "1"
+    )
+    cost, cap = sum(k * k for k in range(1, 2002)), cli.MAX_TWISTED_REWRITE_COST
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: --f is too large for the twisted rewrite: its terms s^a t^b have a sum of "
+        f"(b+1)^2 of {cost}, over {cap}; lower the degree of --f in t\n"
+    )
+
+
+def test_the_twisted_rewrite_cap_admits_a_sum_equal_to_it(capsys, monkeypatch):
+    # t^2 - 2*s^2 has terms t^2 and s^2: a sum of (b+1)^2 of 9 + 1.
+    argv = ("valuation", "--weights", "1,2", "--op", "eval", "--f", "t^2 - 2*s^2", "--twist-e", "1")
+    monkeypatch.setattr(cli, "MAX_TWISTED_REWRITE_COST", 10)
+    code, out, _ = run_cli(capsys, *argv)
+    assert (code, json.loads(out)["value"]) == (0, 3)
+    monkeypatch.setattr(cli, "MAX_TWISTED_REWRITE_COST", 9)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "sum of (b+1)^2 of 10, over 9" in err
+
+
 def test_valuation_minmult_record(capsys):
     code, out, _ = run_cli(capsys, "valuation", "--weights", "1,2", "--op", "minmult", "--k", "3")
     assert code == 0
@@ -503,6 +536,46 @@ def test_console_entry_point_runs_the_same_main():
         text=True,
     )
     assert proc.stdout == '{"weights":[1,1,2],"seshadri":"2","volume":"8"}\n'
+
+
+# -- fresh interpreters ----------------------------------------------------------
+#
+# In-process tests run with every module already imported, so they cannot see
+# an eager import come back; these start the CLI as a new process.
+
+
+def test_building_the_parser_loads_no_subcommand_module():
+    code = (
+        "import sys, seshadri.cli as cli; cli.build_parser(); "
+        "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'seshadri'))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, check=True, text=True)
+    loaded = proc.stdout.split()
+    assert {"seshadri", "seshadri.cli", "seshadri.exactmath"} <= set(loaded)
+    others = [m for m in loaded if m not in ("seshadri", "seshadri.cli")]
+    assert [m for m in others if not m.startswith("seshadri.exactmath")] == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("wps", "--weights", "1,1,2"),
+        ("whs", "--n", "3", "--k", "2", "--l", "3", "--d", "5"),
+        ("jets", '{"n":2,"d":3,"constraints":[{"type":"mult","point":[0,0],"order":1}],'
+                 '"point":"random","m_max":3}'),
+        ("valuation", "--weights", "1,2", "--op", "izumi", "--f", "t^2 - 2*s^2", "--twist-e", "1"),
+        ("zariski", json.dumps(RULED_LATTICE)),
+        ("ruled", "--g", "2", "--d", "10"),
+        ("bounds", "--n", "2", "--eps", "1/2"),
+        ("reproduce", "--filter", "ex1"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_each_subcommand_prints_in_a_fresh_interpreter_what_it_prints_in_process(capsys, argv):
+    proc = subprocess.run([sys.executable, "-m", "seshadri.cli", *argv], capture_output=True, text=True)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert (proc.returncode, proc.stdout) == (0, out), proc.stderr
 
 
 # -- error contract --------------------------------------------------------------
