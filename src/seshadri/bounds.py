@@ -4,7 +4,8 @@ over the feasible parameter region
 
     a, b, c > 0,  a + b + c < 1,  (n-1+eps)*a >= n-1+eps/2,
 
-its closed-form infimum, and an independent grid-search oracle.
+its closed-form infimum, and an independent grid-search oracle that runs on
+integers.
 """
 
 from __future__ import annotations
@@ -122,29 +123,43 @@ def grid_volume_bound_minimum(
     For fixed a the max of a decreasing and an increasing term is minimized
     where they cross, so only the grid neighbours of the crossing need to be
     evaluated; spending the whole remaining budget on b + c always helps.
+
+    The search runs on integers.  With eps = e/f in lowest terms, a = i/R is
+    feasible when 2(f(n-1)+e)*i >= (2f(n-1)+e)*R, the crossing for a budget
+    B = j + k is at j = B(2f-e)/(2f(n+1)-e), and a point's value is the n-th
+    power of max((2f-e)R/(2f*j), nR/k).  x -> x^n is increasing on x > 0, so
+    the bases are compared by cross-multiplication and only the least is
+    raised to the n-th power.
     """
     eps = Fraction(eps)
     if eps <= 0 or eps >= 2:
         raise ValueError("grid oracle needs 0 < eps < 2")
+    if n < 1:
+        raise ValueError("dimension n must be >= 1")
+    e, f = eps.numerator, eps.denominator
     r = resolution
-    one_minus_half_eps = 1 - eps / 2
-    best: Optional[Fraction] = None
+    feasible_i, feasible_r = 2 * (f * (n - 1) + e), (2 * f * (n - 1) + e) * r
+    b_num, b_den = 2 * f - e, 2 * f  # 1 - eps/2
+    crossing_den = 2 * f * (n + 1) - e  # (1 - eps/2 + n) * 2f
+    best: Optional[tuple[int, int]] = None  # (num, den) of the least base
     for i in range(1, r - 1):
-        a = Fraction(i, r)
-        if (n - 1 + eps) * a < n - 1 + eps / 2:
+        if feasible_i * i < feasible_r:
             continue
         budget = r - 1 - i  # j + k <= budget, both >= 1
         if budget < 2:
             continue
-        crossing = budget * one_minus_half_eps / (one_minus_half_eps + n)
-        floor = int(crossing)
+        floor = budget * b_num // crossing_den
         for j in (floor, floor + 1):
             j = min(max(j, 1), budget - 1)
-            params = VolumeBoundParams(n, eps, a, Fraction(j, r), Fraction(budget - j, r))
-            value = volume_bound(params)
-            if best is None or value < best:
-                best = value
-    return best
+            k = budget - j
+            # max((1 - eps/2)/b, n/c) with b = j/R and c = k/R
+            if b_num * k >= b_den * n * j:
+                num, den = b_num * r, b_den * j
+            else:
+                num, den = n * r, k
+            if best is None or num * best[1] < best[0] * den:
+                best = (num, den)
+    return None if best is None else Fraction(*best) ** n
 
 
 def grid_confirms_best(n: int, eps: Fraction, resolution: int = 256) -> bool:

@@ -17,6 +17,11 @@ from typing import Tuple
 from .exactmath import ExactMatrix, negative_definite_solve
 
 
+def _fractions(coords) -> Tuple[Fraction, ...]:
+    """coords as a tuple of Fractions; a Fraction is kept, not rebuilt."""
+    return tuple(c if isinstance(c, Fraction) else Fraction(c) for c in coords)
+
+
 @dataclass(frozen=True)
 class DivisorClass:
     """Rational coordinate vector against the lattice's generator basis."""
@@ -24,7 +29,7 @@ class DivisorClass:
     coords: Tuple[Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(Fraction(c) for c in self.coords))
+        object.__setattr__(self, "coords", _fractions(self.coords))
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         return DivisorClass(tuple(a + b for a, b in zip(self.coords, other.coords)))
@@ -51,7 +56,7 @@ class CurveClass:
     mult: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(Fraction(c) for c in self.coords))
+        object.__setattr__(self, "coords", _fractions(self.coords))
         if self.mult < 1:
             raise ValueError(f"curve {self.name!r} needs multiplicity >= 1")
 

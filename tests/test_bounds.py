@@ -1,5 +1,6 @@
 """Tests for the anticanonical volume bound M(n, eps) and its grid oracle."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -132,6 +133,64 @@ def test_grid_never_beats_the_closed_form(n, eps):
         else:
             assert grid >= closed
         assert grid_confirms_best(n, eps, resolution)
+
+
+def _full_grid_minimum(n, eps, r):
+    """volume_bound minimized over every feasible (i, j, k) with i + j + k < r:
+    neither the crossing nor the whole-budget shortcut of the oracle."""
+    floor_a = (n - 1 + eps / 2) / (n - 1 + eps)
+    values = [
+        volume_bound(VolumeBoundParams(n, eps, Fraction(i, r), Fraction(j, r), Fraction(k, r)))
+        for i in range(1, r)
+        if Fraction(i, r) >= floor_a
+        for j in range(1, r - i)
+        for k in range(1, r - i - j)
+    ]
+    return min(values, default=None)
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+@pytest.mark.parametrize(
+    "eps", (Fraction(1, 7), Fraction(1, 2), Fraction(2, 3), ONE, Fraction(3, 2), Fraction(13, 7))
+)
+def test_grid_oracle_equals_the_full_grid_minimum(n, eps):
+    for r in range(3, 17):
+        assert grid_volume_bound_minimum(n, eps, r) == _full_grid_minimum(n, eps, r), r
+
+
+@pytest.mark.parametrize(
+    ("n", "eps"), ((0, ONE), (-1, Fraction(1, 2)), (2, Fraction(0)), (2, Fraction(2)), (2, Fraction(-1)))
+)
+def test_grid_oracle_rejects_invalid_input(n, eps):
+    with pytest.raises(ValueError):
+        grid_volume_bound_minimum(n, eps)
+
+
+@pytest.mark.parametrize("resolution", (0, 1, 2, 3, 4))
+def test_grid_oracle_without_a_feasible_point_returns_none(resolution):
+    assert grid_volume_bound_minimum(2, ONE, resolution) is None
+
+
+def test_grid_oracle_keeps_the_point_on_the_a_floor():
+    # n = 2, eps = 1: the floor of a is exactly 3/4 = 192/256, and the
+    # minimum sits there at (j, k) = (13, 50).  The first point past the
+    # floor (i = 193) gives a larger value.
+    at_floor = volume_bound(VolumeBoundParams(2, ONE, Fraction(192, 256), Fraction(13, 256), Fraction(50, 256)))
+    past_floor = min(
+        volume_bound(VolumeBoundParams(2, ONE, Fraction(193, 256), Fraction(j, 256), Fraction(62 - j, 256)))
+        for j in range(1, 62)
+    )
+    assert grid_volume_bound_minimum(2, ONE, 256) == at_floor == Fraction(65536, 625) < past_floor
+
+
+def test_grid_oracle_is_cheap_on_the_toolkit_inputs():
+    # every n in 2..6 and every eps = p/q in (0, 2) with q <= 7: 175 pairs
+    pairs = {(n, Fraction(p, q)) for n in range(2, 7) for q in range(1, 8) for p in range(1, 2 * q)}
+    assert len(pairs) == 175
+    start = time.perf_counter()
+    assert all(grid_confirms_best(n, eps) for n, eps in pairs)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 0.5, f"{elapsed:.2f}s"
 
 
 def test_grid_minimum_tightens_with_resolution():

@@ -19,6 +19,7 @@ import pytest
 from seshadri import bounds, cli
 from seshadri.cli import decode, emit, main, to_jsonable
 from seshadri.exactmath import INFINITY, QuadExt, WPolynomial
+from seshadri.exactmath.polynomials import MAX_PARSE_PRODUCTS
 
 
 def run_cli(capsys, *argv):
@@ -308,6 +309,16 @@ def test_a_twisted_f_over_the_rewrite_cap_exits_2_before_the_rewrite(capsys, mon
     assert err == (
         "error: --f is too large for the twisted rewrite: its terms s^a t^b have a sum of "
         f"(b+1)^2 of {cost}, over {cap}; lower the degree of --f in t\n"
+    )
+
+
+def test_a_polynomial_power_over_the_parse_cap_exits_2_with_one_line(capsys):
+    # unchecked, expanding (s+t+1)^80 takes about 3.4 s
+    code, out, err = run_cli(capsys, "valuation", "--weights", "1,2", "--op", "eval", "--f", "(s+t+1)^80")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: polynomial too large to expand: a 3-term base to the power 80 takes more than "
+        f"{MAX_PARSE_PRODUCTS} coefficient products\n"
     )
 
 

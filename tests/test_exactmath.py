@@ -22,6 +22,7 @@ from seshadri.exactmath import (
     parse_polynomial,
     parse_scalar,
 )
+from seshadri.exactmath.polynomials import MAX_PARSE_PRODUCTS, power_products
 
 # -- strategies ----------------------------------------------------------------
 
@@ -175,6 +176,62 @@ def test_unary_minus_after_an_operator_negates_the_whole_factor():
     assert parse_polynomial("(-s)^2", names) == s2
     with pytest.raises(ValueError, match="negative exponents"):
         parse_polynomial("2^-1", names)
+
+
+@pytest.mark.parametrize("text", ("s+t+1", "s^3+t^2+s*t+1", "s+t+u+1", "sqrt(2)*s+t-1", "s*t+u^2+s+2"))
+def test_power_products_bounds_the_products_of_binary_powering(monkeypatch, text):
+    base = parse_polynomial(text, ("s", "t", "u"), sqrt2=True)
+    products = []
+    multiply = WPolynomial.__mul__
+
+    def counting(self, other):
+        if isinstance(other, WPolynomial) and len(self.coeffs) > 1:
+            products.append(len(self.coeffs) * len(other.coeffs))
+        return multiply(self, other)
+
+    expected = WPolynomial.constant(1, 3)
+    for k in range(13):
+        products.clear()
+        monkeypatch.setattr(WPolynomial, "__mul__", counting)
+        power = base**k
+        monkeypatch.setattr(WPolynomial, "__mul__", multiply)
+        assert power == expected, k
+        # the bound leaves out the product by the starting constant 1
+        assert sum(products) <= power_products(base, k, math.inf), k
+        expected = expected * base
+
+
+def test_a_power_over_the_parse_cap_is_refused_before_it_is_expanded(monkeypatch):
+    # (s+t+1)^49 stays under the cap (about 0.7 s); ^50 is over it, and ^80
+    # would take about 3.4 s.
+    base = parse_polynomial("s+t+1", ("s", "t"))
+    assert power_products(base, 49, MAX_PARSE_PRODUCTS) <= MAX_PARSE_PRODUCTS
+    assert power_products(base, 50, MAX_PARSE_PRODUCTS) > MAX_PARSE_PRODUCTS
+
+    def refused(self, k):
+        pytest.fail("a power over the cap was expanded")
+
+    monkeypatch.setattr(WPolynomial, "__pow__", refused)
+    for k in ("50", "80", "9" * 4000):
+        power = f"the power {k}" if len(k) <= 12 else f"a power of {len(k)} digits"
+        message = f"^polynomial too large to expand: a 3-term base to {power} takes more than"
+        with pytest.raises(ValueError, match=message):
+            parse_polynomial(f"(s+t+1)^{k}", ("s", "t"))
+
+
+def test_the_parse_cap_weighs_products_and_sqrt2_coefficients(monkeypatch):
+    names = ("s", "t")
+    # 3 x 3 terms: 9 products, each worth five rational ones with sqrt(2)
+    monkeypatch.setattr("seshadri.exactmath.polynomials.MAX_PARSE_PRODUCTS", 9)
+    assert parse_polynomial("(s+t+1)*(s-t+2)", names) == parse_polynomial("s^2-t^2+3*s+t+2", names)
+    monkeypatch.setattr("seshadri.exactmath.polynomials.MAX_PARSE_PRODUCTS", 8)
+    with pytest.raises(ValueError, match="a product of 3 by 3 terms takes more than 8"):
+        parse_polynomial("(s+t+1)*(s-t+2)", names)
+    monkeypatch.setattr("seshadri.exactmath.polynomials.MAX_PARSE_PRODUCTS", 45)
+    parse_polynomial("(sqrt(2)*s+t+1)*(s-t+2)", names, sqrt2=True)
+    monkeypatch.setattr("seshadri.exactmath.polynomials.MAX_PARSE_PRODUCTS", 44)
+    with pytest.raises(ValueError, match="a product of 3 by 3 terms"):
+        parse_polynomial("(sqrt(2)*s+t+1)*(s-t+2)", names, sqrt2=True)
 
 
 def test_weighted_degrees():
