@@ -148,7 +148,10 @@ def _too_many_digits(where: str) -> ValueError:
 def _fraction(value, where: str) -> Fraction:
     """A JSON number or string, or a flag's text, as a rational; a numerator
     or a denominator of more than MAX_NUMBER_DIGITS digits is an error that
-    names where it sits."""
+    names where it sits.  A JSON int, whose digits `_json_int` has bounded,
+    is taken as it is; a bool is not an int here."""
+    if type(value) is int:
+        return Fraction(value)
     text = str(value)
     if any(sum(c.isdigit() for c in part) > MAX_NUMBER_DIGITS for part in text.split("/")):
         raise _too_many_digits(where)
@@ -282,9 +285,34 @@ def cmd_jets(args) -> tuple[object, int]:
 # alone, t^b would cost the square of that cap (t^48000 takes 3.6 s).  At
 # the cap, with coefficients of a few digits, the rewrite takes up to about
 # 2.3 s on a 2-core Xeon machine (`(3*s-7*t)^584` with e = 2); `(s+t)^2000`
-# is 40 times over.  Coefficient size is not weighed: `(10^200*s+t)^400`,
-# at a third of the cap, takes 9.4 s.
+# is 40 times over.
 MAX_TWISTED_REWRITE_COST = 1 << 26
+
+# The most bit products the twisted rewrite may take, as `_twisted_rewrite_work`
+# estimates them: large coefficients and denominators cost what the sum of
+# (b+1)^2 does not see.  At the cap the rewrite took 0.4-1.7 s on a 2-core
+# Xeon machine over `(2/3*s+5/7*t)^329`, `(10^200*s+t)^221`, `(s/3+t/7)^376`,
+# `(10^50*s+t)^313`, `10^100000*t^642`, `(10^20*s+t/7^20)^103`,
+# `(2/3*s+5/7*sqrt(2)*t)^323` and `((2/3+5/7*sqrt(2))*s+t)^266`.
+# `(s/3+t/7)^584`, under the degree cap, took 6.0 s and is 5.8 times over.
+MAX_TWISTED_REWRITE_WORK = 1 << 37
+
+
+def _twisted_rewrite_work(f: WPolynomial) -> int:
+    """Estimated bit products of the twisted rewrite of f.  It puts the
+    rational and sqrt(2) parts of the coefficients of f over one denominator
+    of d bits; a nonzero part x of the coefficient of s^a t^b then has about
+    B = d + 1 + bits(numerator of x) - bits(denominator of x) bits, and takes
+    b + 1 products of B bits by a binomial of about b bits and, for each
+    output, a gcd of about B by d bits: (b + 1) * (b + d) * B in all."""
+    den, parts = 1, []
+    for (_, b), c in f.coeffs.items():
+        for x in (c.a, c.b) if isinstance(c, QuadExt) else (c,):
+            if x:
+                den = math.lcm(den, x.denominator)
+                parts.append((b, abs(x.numerator).bit_length() - x.denominator.bit_length()))
+    d = den.bit_length()
+    return sum((b + 1) * (b + d) * (d + 1 + bits) for b, bits in parts)
 
 
 def cmd_valuation(args) -> tuple[object, int]:
@@ -309,6 +337,13 @@ def cmd_valuation(args) -> tuple[object, int]:
                     f"--f is too large for the twisted rewrite: its terms s^a t^b have a sum "
                     f"of (b+1)^2 of {cost}, over {MAX_TWISTED_REWRITE_COST}; lower the degree "
                     "of --f in t"
+                )
+            work = _twisted_rewrite_work(f)
+            if work > MAX_TWISTED_REWRITE_WORK:
+                raise ValueError(
+                    f"--f is too large for the twisted rewrite: its coefficients take about "
+                    f"{work} bit products, over {MAX_TWISTED_REWRITE_WORK}; lower the size of "
+                    "the coefficients of --f or its degree in t"
                 )
         if args.op == "eval":
             return {
@@ -416,7 +451,7 @@ def _ruled_record(g: int, d: int) -> dict:
     }
 
 
-# The most rows of `ruled --sweep`: about 2.5 s at 0.6 ms per row on a
+# The most rows of `ruled --sweep`: about 1.1 s at 0.26 ms per row on a
 # 2-core Xeon machine.
 MAX_SWEEP_ROWS = 4096
 

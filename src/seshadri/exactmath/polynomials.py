@@ -259,6 +259,52 @@ def power_products(f: WPolynomial, k: int, limit: int) -> int:
     return total
 
 
+# Caps on a power of a base of one or two terms, from the estimates of
+# `power_bits`: the bits of all of its coefficients (memory), and the product
+# of those with the bits of its largest coefficient (time: each coefficient
+# is built by products and gcds on numbers of up to that size).  A
+# coefficient a + b*sqrt(2) with a and b both nonzero multiplies the time
+# estimate by QUADRATIC_POWER_WEIGHT: such a power took 10-15 times as long
+# per bit product.  At the caps the slowest powers measured on a 2-core Xeon
+# take about 1 s: `(2/3+5/7*sqrt(2))^52428*s` 1.0 s, `(2/3*s+5/7*t)^3529`
+# 0.9 s, `(2/3)^524287*s` 0.8 s.  `(s+t)^6000` is 5 times under the time cap
+# (0.14 s); `(s+t)^20000` is over both, and would take 109 MB.
+MAX_POWER_BITS = 1 << 27
+MAX_POWER_WORK = 1 << 40
+QUADRATIC_POWER_WEIGHT = 16
+
+
+def _size(c) -> int:
+    """About log2 of |numerator| * denominator of a coefficient: each bit length
+    less one, so that 1 has size 0.  A sqrt(2) part adds one."""
+    if isinstance(c, QuadExt):
+        return max(_size(c.a), _size(c.b)) + 1
+    return (abs(c.numerator).bit_length() or 1) + c.denominator.bit_length() - 2
+
+
+def power_bits(f: WPolynomial, k: int) -> tuple[int, int]:
+    """(largest, total): estimated bits of the largest coefficient of f^k and
+    of all of its coefficients, for f of at most two terms.  A coefficient c
+    raised to the k-th power has about k * size(c) bits; a binomial C(k, i) has
+    fewer than k + 1, and f^k has k + 1 terms when f has two."""
+    largest = k * max(map(_size, f.coeffs.values()), default=0) + 1
+    if len(f.coeffs) < 2:
+        return largest, largest
+    largest += k
+    return largest, (k + 1) * largest
+
+
+def _power_work(f: WPolynomial, k: int) -> tuple[int, int]:
+    """(total, work): the memory and time estimates that MAX_POWER_BITS and
+    MAX_POWER_WORK cap, for f^k with f of at most two terms."""
+    largest, total = power_bits(f, k)
+    weight = 1
+    for c in f.coeffs.values():
+        if isinstance(c, QuadExt) and c.a and c.b:
+            weight = QUADRATIC_POWER_WEIGHT
+    return total, largest * total * weight
+
+
 def _product_limit(*factors: WPolynomial) -> int:
     """MAX_PARSE_PRODUCTS counted in products of these factors' coefficients."""
     if any(isinstance(c, QuadExt) for f in factors for c in f.coeffs.values()):
@@ -364,11 +410,18 @@ class _Parser:
                 raise ValueError("negative exponents are not allowed")
             digits = self.expect("num")[1]
             k = int(digits)
+            power = f"the power {k}" if len(digits) <= 12 else f"a power of {len(digits)} digits"
             if len(base.coeffs) > 2:  # two terms expand binomially, with no products
                 limit = _product_limit(base)
                 if power_products(base, k, limit) > limit:
-                    power = f"the power {k}" if len(digits) <= 12 else f"a power of {len(digits)} digits"
                     raise _too_large(f"a {len(base.coeffs)}-term base to {power}")
+            else:
+                total, work = _power_work(base, k)
+                what = f"polynomial too large to expand: a {len(base.coeffs)}-term base to {power}"
+                if total > MAX_POWER_BITS:
+                    raise ValueError(f"{what} has more than {MAX_POWER_BITS} coefficient bits")
+                if work > MAX_POWER_WORK:
+                    raise ValueError(f"{what} takes more than {MAX_POWER_WORK} bit products")
             base = base**k
         return base
 

@@ -6,13 +6,25 @@ P(O + O(-D)) over a genus-g curve.
 Negative curves are declared, never discovered: the declared list is asserted
 by the caller to contain every relevant negative class, and that assumption is
 echoed in the outputs.
+
+Intersection numbers are taken on integers.  A lattice holds its Gram matrix
+once as integer rows over one positive denominator, and a class its
+coordinates as integer numerators over their lcm, so a pairing is one integer
+bilinear form and one Fraction, and `SurfaceLattice.curve_pairings` gives a
+class's pairings with every declared curve from one product G*d and one
+integer dot per curve.  The signs that steer the support scan and the nef test
+are read off those numerators; only reported or solved values become
+Fractions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Tuple
+from functools import cached_property
+from math import lcm
+from operator import mul
+from typing import List, Tuple
 
 from .exactmath import ExactMatrix, negative_definite_solve
 
@@ -20,6 +32,10 @@ from .exactmath import ExactMatrix, negative_definite_solve
 def _fractions(coords) -> Tuple[Fraction, ...]:
     """coords as a tuple of Fractions; a Fraction is kept, not rebuilt."""
     return tuple(c if isinstance(c, Fraction) else Fraction(c) for c in coords)
+
+
+def _dot(a, b) -> int:
+    return sum(map(mul, a, b))
 
 
 @dataclass(frozen=True)
@@ -31,18 +47,18 @@ class DivisorClass:
     def __post_init__(self):
         object.__setattr__(self, "coords", _fractions(self.coords))
 
-    def __add__(self, other: "DivisorClass") -> "DivisorClass":
-        return DivisorClass(tuple(a + b for a, b in zip(self.coords, other.coords)))
-
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
         return DivisorClass(tuple(a - b for a, b in zip(self.coords, other.coords)))
 
-    def scaled(self, factor) -> "DivisorClass":
-        f = Fraction(factor)
-        return DivisorClass(tuple(f * a for a in self.coords))
-
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
+
+    @cached_property
+    def integral(self) -> Tuple[Tuple[int, ...], int]:
+        """(numerators, den): the coordinates are numerators[i] / den, with den
+        the lcm of their denominators.  Built once per class."""
+        den = lcm(*(c.denominator for c in self.coords))
+        return tuple(c.numerator * (den // c.denominator) for c in self.coords), den
 
 
 @dataclass(frozen=True)
@@ -60,7 +76,7 @@ class CurveClass:
         if self.mult < 1:
             raise ValueError(f"curve {self.name!r} needs multiplicity >= 1")
 
-    @property
+    @cached_property
     def divisor(self) -> DivisorClass:
         return DivisorClass(self.coords)
 
@@ -90,15 +106,39 @@ class SurfaceLattice:
                 raise ValueError(f"duplicate curve name {c.name!r}")
             names.add(c.name)
 
+    @cached_property
+    def _integer_gram(self) -> Tuple[List[List[int]], int]:
+        """(rows, den): the Gram matrix is rows / den, with den the lcm of the
+        denominators of its entries."""
+        den = lcm(*(x.denominator for row in self.gram.entries for x in row))
+        return [[x.numerator * (den // x.denominator) for x in row] for row in self.gram.entries], den
+
+    @cached_property
+    def _integer_curves(self) -> Tuple[List[Tuple[int, ...]], int]:
+        """(rows, den): the declared curves' coordinates are rows[i] / den,
+        over the lcm of their own denominators."""
+        forms = [c.divisor.integral for c in self.curves]
+        den = lcm(*(d for _, d in forms))
+        return [tuple(x * (den // d) for x in nums) for nums, d in forms], den
+
+    def _gram_times(self, d: DivisorClass) -> Tuple[List[int], int]:
+        """(numerators, den) of G*d."""
+        nums, dden = d.integral
+        rows, gden = self._integer_gram
+        return [_dot(row, nums) for row in rows], gden * dden
+
     def pairing(self, a: DivisorClass, b: DivisorClass) -> Fraction:
-        total = Fraction(0)
-        for i, x in enumerate(a.coords):
-            if not x:
-                continue
-            for j, y in enumerate(b.coords):
-                if y:
-                    total += x * y * self.gram.entries[i][j]
-        return total
+        gb, den = self._gram_times(b)
+        nums, aden = a.integral
+        return Fraction(_dot(nums, gb), aden * den)
+
+    def curve_pairings(self, d: DivisorClass) -> Tuple[List[int], int]:
+        """(numerators, den): d.C = numerators[i] / den for the i-th declared
+        curve C, with den > 0.  G*d is formed once, then each curve takes one
+        integer dot."""
+        gd, den = self._gram_times(d)
+        rows, cden = self._integer_curves
+        return [_dot(row, gd) for row in rows], den * cden
 
     def self_intersection(self, d: DivisorClass) -> Fraction:
         return self.pairing(d, d)
@@ -135,7 +175,8 @@ def zariski_decomposition(lat: SurfaceLattice, d: DivisorClass) -> ZariskiDecomp
 def _enlarge_support(lat: SurfaceLattice, d: DivisorClass) -> ZariskiDecomposition:
     if len(d.coords) != len(lat.generators):
         raise ValueError("divisor coordinate length mismatch")
-    support = [i for i, c in enumerate(lat.curves) if lat.pairing(d, c.divisor) < 0]
+    d_dots, d_den = lat.curve_pairings(d)
+    support = [i for i, x in enumerate(d_dots) if x < 0]
     for _ in range(len(lat.curves) + 1):
         if not support:
             zero = DivisorClass((Fraction(0),) * len(lat.generators))
@@ -144,7 +185,7 @@ def _enlarge_support(lat: SurfaceLattice, d: DivisorClass) -> ZariskiDecompositi
         gram = ExactMatrix.from_rows(
             [[lat.pairing(a.divisor, b.divisor) for b in curves] for a in curves]
         )
-        rhs = [lat.pairing(d, c.divisor) for c in curves]
+        rhs = [Fraction(d_dots[i], d_den) for i in support]
         coeffs = negative_definite_solve(gram, rhs)
         if coeffs is None:
             names = ", ".join(c.name for c in curves)
@@ -158,15 +199,12 @@ def _enlarge_support(lat: SurfaceLattice, d: DivisorClass) -> ZariskiDecompositi
                 f"negative coefficient on {', '.join(bad)}: the divisor is not "
                 "pseudo-effective relative to the declared curves"
             )
-        negative = DivisorClass((Fraction(0),) * len(lat.generators))
-        for c, x in zip(curves, coeffs):
-            negative = negative + c.divisor.scaled(x)
+        negative = DivisorClass(
+            tuple(sum(map(mul, coeffs, column)) for column in zip(*(c.coords for c in curves)))
+        )
         positive = d - negative
-        extra = [
-            i
-            for i, c in enumerate(lat.curves)
-            if i not in support and lat.pairing(positive, c.divisor) < 0
-        ]
+        p_dots, _ = lat.curve_pairings(positive)
+        extra = [i for i, x in enumerate(p_dots) if x < 0 and i not in support]
         if not extra:
             # P is nef, P.C = 0 on the support and P.N = 0 by construction:
             # `extra` is empty, so P meets no declared curve negatively; the
@@ -200,13 +238,17 @@ def seshadri_at_marked_point(lat: SurfaceLattice, ell: DivisorClass) -> Seshadri
     """Seshadri constant of a nef class at the marked point, computed against
     the declared curves through it; certified when the value passes the
     sqrt(L^2) cap (compared via squares, exactly)."""
-    for c in lat.curves:
-        if lat.pairing(ell, c.divisor) < 0:
+    dots, den = lat.curve_pairings(ell)
+    for c, x in zip(lat.curves, dots):
+        if x < 0:
             raise ValueError(f"class is not nef: negative against declared curve {c.name}")
-    through = [c for c in lat.curves if c.through_marked_point]
+    through = [(x, c.mult) for c, x in zip(lat.curves, dots) if c.through_marked_point]
     if not through:
         raise ValueError("no declared curve passes through the marked point")
-    value = min(lat.pairing(ell, c.divisor) / c.mult for c in through)
+    # The least dots[i] / mult, compared over the lcm of the multiplicities.
+    scale = lcm(*(m for _, m in through))
+    x, m = min(through, key=lambda pair: pair[0] * (scale // pair[1]))
+    value = Fraction(x, den * m)
     ell2 = lat.self_intersection(ell)
     return SeshadriAtPoint(value, value * value <= ell2, value * value, ell2)
 

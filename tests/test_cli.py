@@ -18,7 +18,7 @@ import pytest
 
 from seshadri import bounds, cli
 from seshadri.cli import decode, emit, main, to_jsonable
-from seshadri.exactmath import INFINITY, QuadExt, WPolynomial
+from seshadri.exactmath import INFINITY, QuadExt, WPolynomial, parse_polynomial
 from seshadri.exactmath.polynomials import MAX_PARSE_PRODUCTS
 
 
@@ -332,6 +332,56 @@ def test_the_twisted_rewrite_cap_admits_a_sum_equal_to_it(capsys, monkeypatch):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert "sum of (b+1)^2 of 10, over 9" in err
+
+
+@pytest.mark.parametrize("op", ["eval", "izumi"])
+def test_a_twisted_f_over_the_rewrite_work_cap_exits_2_before_the_rewrite(capsys, monkeypatch, op):
+    # (s/3+t/7)^584 is under the degree cap (a sum of (b+1)^2 of 66905085),
+    # but its coefficients over 7^584 * 3^584 make the rewrite take about 6 s.
+    from seshadri.valuations import MonomialValuation
+
+    def refused(self, f):
+        pytest.fail("the rewrite ran on an input over its cap")
+
+    monkeypatch.setattr(MonomialValuation, "rewrite", refused)
+    code, out, err = run_cli(
+        capsys, "valuation", "--weights", "1,2", "--op", op, "--f", "(s/3+t/7)^584", "--twist-e", "2"
+    )
+    assert (code, out) == (2, "")
+    assert re.fullmatch(
+        r"error: --f is too large for the twisted rewrite: its coefficients take about \d+ bit "
+        rf"products, over {cli.MAX_TWISTED_REWRITE_WORK}; lower the size of the coefficients of "
+        r"--f or its degree in t\n",
+        err,
+    )
+
+
+def test_the_twisted_rewrite_work_cap_admits_an_estimate_equal_to_it(capsys, monkeypatch):
+    # Over the denominator 1 (d = 1 bit): t^2 takes 3 * (2 + 1) * 2 and
+    # -2*s^2 takes 1 * (0 + 1) * 3, 21 bit products in all.
+    argv = ("valuation", "--weights", "1,2", "--op", "eval", "--f", "t^2 - 2*s^2", "--twist-e", "1")
+    monkeypatch.setattr(cli, "MAX_TWISTED_REWRITE_WORK", 21)
+    code, out, _ = run_cli(capsys, *argv)
+    assert (code, json.loads(out)["value"]) == (0, 3)
+    monkeypatch.setattr(cli, "MAX_TWISTED_REWRITE_WORK", 20)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "take about 21 bit products, over 20" in err
+
+
+def test_the_twisted_rewrite_work_grows_with_coefficient_size_and_denominators():
+    def work(text):
+        return cli._twisted_rewrite_work(parse_polynomial(text, ("s", "t"), sqrt2=True))
+
+    assert work("t^2 - 2*s^2") == 21
+    # Over the denominator 3 (d = 2 bits) the coefficient of t/3 has
+    # 2 + 1 + (1 - 2) = 2 bits: 2 * (1 + 2) * 2 bit products.
+    assert work("t/3") == 12
+    assert work("(10^200*s+t)^100") > 100 * work("(s+t)^100")
+    assert work("(s/7+t)^100") > 2 * work("(7*s+t)^100")
+    # The largest requests of the valuations benchmark are far under the cap.
+    for f in ("s^5*(t-sqrt(2)*s^2)^12*(t+sqrt(2)*s^2)^12", "s^5*(t^2-2*s^4)^12"):
+        assert work(f) < cli.MAX_TWISTED_REWRITE_WORK // 10**6
 
 
 def test_valuation_minmult_record(capsys):
@@ -904,6 +954,63 @@ def test_json_values_of_the_wrong_kind_exit_2_naming_where(capsys, command, text
     assert code == 2
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+_JSON_NUMBER_FIELDS = {
+    "gram": (
+        "zariski",
+        '{"generators":["E","F"],"gram":[[-10,V],[V,0]],"curves":[{"name":"E","coords":[1,0]},'
+        '{"name":"F","coords":[0,1],"through":true}],"D":[2,8]}',
+        "gram[0][1]",
+    ),
+    "curve-coords": (
+        "zariski",
+        '{"generators":["E","F"],"gram":[[-10,1],[1,0]],"curves":[{"name":"E","coords":[V,0]},'
+        '{"name":"F","coords":[0,1],"through":true}],"D":[2,8]}',
+        "curves[0].coords[0]",
+    ),
+    "D": (
+        "zariski",
+        '{"generators":["E","F"],"gram":[[-10,1],[1,0]],"curves":[{"name":"E","coords":[1,0]},'
+        '{"name":"F","coords":[0,1],"through":true}],"D":{"coords":[2,V]}}',
+        "D[1]",
+    ),
+    "curve-bound-pairing": (
+        "jets",
+        '{"n":1,"d":2,"point":[1],"curve_bound":{"pairing":V,"mult":1,"meets_base_locus":false}}',
+        "curve_bound.pairing",
+    ),
+}
+_MOST_DIGITS = "7" * cli.MAX_NUMBER_DIGITS
+
+
+@pytest.mark.parametrize("field", _JSON_NUMBER_FIELDS)
+@pytest.mark.parametrize(
+    "value,same_as",
+    [
+        ("5", '"5"'),
+        ("2.0", '"2"'),
+        ('"1/2"', "0.5"),
+        (_MOST_DIGITS, f'"{_MOST_DIGITS}"'),
+        (f"-{_MOST_DIGITS}", f'"-{_MOST_DIGITS}"'),
+    ],
+    ids=["int", "integral-float", "string", "4300-digits", "minus-4300-digits"],
+)
+def test_a_json_number_reads_as_the_same_number_written_as_a_string(capsys, field, value, same_as):
+    # A JSON int is read as it is; everything else goes through its text.
+    command, template, _ = _JSON_NUMBER_FIELDS[field]
+    got = run_cli(capsys, command, template.replace("V", value))
+    assert got == run_cli(capsys, command, template.replace("V", same_as))
+
+
+@pytest.mark.parametrize("field", _JSON_NUMBER_FIELDS)
+def test_json_true_and_a_4301_digit_integer_in_a_number_field_exit_2(capsys, field):
+    command, template, where = _JSON_NUMBER_FIELDS[field]
+    code, out, err = run_cli(capsys, command, template.replace("V", "true"))
+    assert (code, out, err) == (2, "", "error: Invalid literal for Fraction: 'True'\n")
+    code, out, err = run_cli(capsys, command, template.replace("V", "7" + _MOST_DIGITS))
+    assert (code, out) == (2, "")
+    assert err == f"error: {where}: a number of more than {cli.MAX_NUMBER_DIGITS} digits\n"
 
 
 def test_integral_floats_read_as_integers(capsys):

@@ -3,6 +3,7 @@ polynomials, and fraction-free linear algebra over Q."""
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -22,7 +23,7 @@ from seshadri.exactmath import (
     parse_polynomial,
     parse_scalar,
 )
-from seshadri.exactmath.polynomials import MAX_PARSE_PRODUCTS, power_products
+from seshadri.exactmath.polynomials import MAX_PARSE_PRODUCTS, power_bits, power_products
 
 # -- strategies ----------------------------------------------------------------
 
@@ -217,6 +218,87 @@ def test_a_power_over_the_parse_cap_is_refused_before_it_is_expanded(monkeypatch
         message = f"^polynomial too large to expand: a 3-term base to {power} takes more than"
         with pytest.raises(ValueError, match=message):
             parse_polynomial(f"(s+t+1)^{k}", ("s", "t"))
+
+
+def _log_size(c) -> int:
+    """bit lengths of |numerator| and denominator, less one each; the larger
+    part's for a sqrt(2) coefficient."""
+    if isinstance(c, QuadExt):
+        return max(_log_size(c.a), _log_size(c.b))
+    return max(abs(c.numerator).bit_length() - 1, 0) + c.denominator.bit_length() - 1
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["3", "2/3", "1+sqrt(2)", "2/3+5/7*sqrt(2)", "s+t", "3*s-7*t", "2/3*s+5/7*t", "sqrt(2)*s+t/3",
+     "(1+sqrt(2))*s+t", "10^20*s+t"],
+)
+def test_power_bits_estimates_the_coefficients_of_a_power(text):
+    base = parse_polynomial(text, ("s", "t"), sqrt2=True)
+    for k in (8, 16, 40, 100):
+        largest, total = power_bits(base, k)
+        sizes = [_log_size(c) + 1 for c in (base**k).coeffs.values()]
+        assert largest / 2 <= max(sizes) <= 2 * largest, k
+        assert total / 4 <= sum(sizes) <= 2 * total, k
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("3^10000000*s", "a 1-term base to the power 10000000 takes more than"),
+        ("(s+t)^20000", "a 2-term base to the power 20000 has more than"),
+        ("(s+t)^10321", "a 2-term base to the power 10321 takes more than"),
+        ("(10^200*s+t)^400", "a 2-term base to the power 400 takes more than"),
+        ("(2/3+5/7*sqrt(2))^52429*s", "a 1-term base to the power 52429 takes more than"),
+        (f"(s+t)^{'9' * 4000}", "a 2-term base to a power of 4000 digits has more than"),
+    ],
+    ids=["one-term", "two-term-bits", "two-term-work", "large-coefficient", "sqrt2", "4000-digits"],
+)
+def test_a_one_or_two_term_power_over_the_bit_caps_is_refused_before_it_is_expanded(
+    monkeypatch, text, message
+):
+    # Unchecked, 3^10000000 takes about 8.5 s and (s+t)^20000 109 MB.  The
+    # powers inside the bases (10^200) are expanded.
+    power = WPolynomial.__pow__
+
+    def refused(self, k):
+        if k > 1000:
+            pytest.fail("a power over the cap was expanded")
+        return power(self, k)
+
+    monkeypatch.setattr(WPolynomial, "__pow__", refused)
+    with pytest.raises(ValueError, match=f"^polynomial too large to expand: {re.escape(message)}"):
+        parse_polynomial(text, ("s", "t"), sqrt2=True)
+
+
+def test_the_power_bit_caps_admit_estimates_equal_to_them(monkeypatch):
+    caps = "seshadri.exactmath.polynomials."
+    names = ("s", "t")
+    # (s+t)^3: a largest coefficient of 3 + 1 bits, 4 * 4 = 16 in all, and
+    # 4 * 16 = 64 bit products.
+    assert power_bits(parse_polynomial("s+t", names), 3) == (4, 16)
+    expected = parse_polynomial("s^3+3*s^2*t+3*s*t^2+t^3", names)
+    monkeypatch.setattr(caps + "MAX_POWER_BITS", 16)
+    monkeypatch.setattr(caps + "MAX_POWER_WORK", 64)
+    assert parse_polynomial("(s+t)^3", names) == expected
+    monkeypatch.setattr(caps + "MAX_POWER_BITS", 15)
+    with pytest.raises(ValueError, match="has more than 15 coefficient bits$"):
+        parse_polynomial("(s+t)^3", names)
+    monkeypatch.setattr(caps + "MAX_POWER_BITS", 16)
+    monkeypatch.setattr(caps + "MAX_POWER_WORK", 63)
+    with pytest.raises(ValueError, match="takes more than 63 bit products$"):
+        parse_polynomial("(s+t)^3", names)
+    # ((1+sqrt(2))*s+t)^3: 3 * 1 + 3 + 1 = 7 bits, 28 in all, and 7 * 28 = 196
+    # bit products, times 16 for a coefficient with both parts nonzero; a
+    # sqrt(2) coefficient with one part zero is not weighed.
+    monkeypatch.setattr(caps + "MAX_POWER_BITS", 28)
+    monkeypatch.setattr(caps + "MAX_POWER_WORK", 196 * 16)
+    parse_polynomial("((1+sqrt(2))*s+t)^3", names, sqrt2=True)
+    monkeypatch.setattr(caps + "MAX_POWER_WORK", 196 * 16 - 1)
+    with pytest.raises(ValueError, match="takes more than"):
+        parse_polynomial("((1+sqrt(2))*s+t)^3", names, sqrt2=True)
+    monkeypatch.setattr(caps + "MAX_POWER_WORK", 196)
+    parse_polynomial("(sqrt(2)*s+t)^3", names, sqrt2=True)
 
 
 def test_the_parse_cap_weighs_products_and_sqrt2_coefficients(monkeypatch):
