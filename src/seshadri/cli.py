@@ -22,6 +22,7 @@ from typing import Optional
 
 from . import DEFAULT_SEED
 from .exactmath import (
+    BudgetExceeded,
     ExactMatrix,
     QuadExt,
     WPolynomial,
@@ -70,21 +71,34 @@ def _flatten(record: dict, prefix: str = "") -> dict:
 
 
 def emit(fmt: str, payload) -> str:
-    """Serialize a record (or list of records) as canonical JSON or exact CSV."""
-    data = to_jsonable(payload)
-    if fmt == "json":
-        return json.dumps(data, separators=(",", ":"))
-    if fmt == "csv":
-        rows = data if isinstance(data, list) else [data]
-        rows = [_flatten(r) if isinstance(r, dict) else {"value": r} for r in rows]
-        header: list[str] = []
-        for r in rows:
-            header.extend(k for k in r if k not in header)
-        out = io.StringIO()
-        writer = csv.DictWriter(out, fieldnames=header, lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
-        return out.getvalue()
+    """Serialize a record (or list of records) as canonical JSON or exact CSV.
+    A number of more than MAX_NUMBER_DIGITS digits, which CPython will not
+    print, is an error that names its field."""
+    try:
+        data = to_jsonable(payload)
+        if fmt == "json":
+            return json.dumps(data, separators=(",", ":"))
+        if fmt == "csv":
+            rows = data if isinstance(data, list) else [data]
+            rows = [_flatten(r) if isinstance(r, dict) else {"value": r} for r in rows]
+            header: list[str] = []
+            for r in rows:
+                header.extend(k for k in r if k not in header)
+            out = io.StringIO()
+            writer = csv.DictWriter(out, fieldnames=header, lineterminator="\n")
+            writer.writeheader()
+            writer.writerows(rows)
+            return out.getvalue()
+    except ValueError:
+        for record in payload if isinstance(payload, list) else [payload]:
+            for key, value in record.items() if isinstance(record, dict) else ():
+                try:
+                    json.dumps(to_jsonable(value))
+                except ValueError:
+                    raise ValueError(
+                        f"the answer's {key} has a number of more than {MAX_NUMBER_DIGITS} digits"
+                    ) from None
+        raise
     raise ValueError(f"unknown format {fmt!r}")
 
 
@@ -279,42 +293,6 @@ def cmd_jets(args) -> tuple[object, int]:
     return record, 0
 
 
-# The largest sum of (b+1)^2 over the terms s^a t^b of a twisted `--f`.  The
-# rewrite t -> y + sqrt(2)*s^e takes b+1 steps per term on binomials of about
-# b bits, so one term t^b costs about b^2: under a cap on the sum of b+1
-# alone, t^b would cost the square of that cap (t^48000 takes 3.6 s).  At
-# the cap, with coefficients of a few digits, the rewrite takes up to about
-# 2.3 s on a 2-core Xeon machine (`(3*s-7*t)^584` with e = 2); `(s+t)^2000`
-# is 40 times over.
-MAX_TWISTED_REWRITE_COST = 1 << 26
-
-# The most bit products the twisted rewrite may take, as `_twisted_rewrite_work`
-# estimates them: large coefficients and denominators cost what the sum of
-# (b+1)^2 does not see.  At the cap the rewrite took 0.4-1.7 s on a 2-core
-# Xeon machine over `(2/3*s+5/7*t)^329`, `(10^200*s+t)^221`, `(s/3+t/7)^376`,
-# `(10^50*s+t)^313`, `10^100000*t^642`, `(10^20*s+t/7^20)^103`,
-# `(2/3*s+5/7*sqrt(2)*t)^323` and `((2/3+5/7*sqrt(2))*s+t)^266`.
-# `(s/3+t/7)^584`, under the degree cap, took 6.0 s and is 5.8 times over.
-MAX_TWISTED_REWRITE_WORK = 1 << 37
-
-
-def _twisted_rewrite_work(f: WPolynomial) -> int:
-    """Estimated bit products of the twisted rewrite of f.  It puts the
-    rational and sqrt(2) parts of the coefficients of f over one denominator
-    of d bits; a nonzero part x of the coefficient of s^a t^b then has about
-    B = d + 1 + bits(numerator of x) - bits(denominator of x) bits, and takes
-    b + 1 products of B bits by a binomial of about b bits and, for each
-    output, a gcd of about B by d bits: (b + 1) * (b + d) * B in all."""
-    den, parts = 1, []
-    for (_, b), c in f.coeffs.items():
-        for x in (c.a, c.b) if isinstance(c, QuadExt) else (c,):
-            if x:
-                den = math.lcm(den, x.denominator)
-                parts.append((b, abs(x.numerator).bit_length() - x.denominator.bit_length()))
-    d = den.bit_length()
-    return sum((b + 1) * (b + d) * (d + 1 + bits) for b, bits in parts)
-
-
 def cmd_valuation(args) -> tuple[object, int]:
     from . import valuations
 
@@ -329,39 +307,25 @@ def cmd_valuation(args) -> tuple[object, int]:
     if args.op in ("eval", "izumi"):
         if args.f is None:
             raise ValueError(f"--f is required for op {args.op!r}")
-        f = parse_polynomial(args.f, names, sqrt2=twist is not None)
-        if twist is not None:
-            cost = sum((b + 1) ** 2 for _, b in f.coeffs)
-            if cost > MAX_TWISTED_REWRITE_COST:
-                raise ValueError(
-                    f"--f is too large for the twisted rewrite: its terms s^a t^b have a sum "
-                    f"of (b+1)^2 of {cost}, over {MAX_TWISTED_REWRITE_COST}; lower the degree "
-                    "of --f in t"
-                )
-            work = _twisted_rewrite_work(f)
-            if work > MAX_TWISTED_REWRITE_WORK:
-                raise ValueError(
-                    f"--f is too large for the twisted rewrite: its coefficients take about "
-                    f"{work} bit products, over {MAX_TWISTED_REWRITE_WORK}; lower the size of "
-                    "the coefficients of --f or its degree in t"
-                )
+        try:
+            f = parse_polynomial(args.f, names, sqrt2=twist is not None)
+            if args.op == "eval":
+                result = valuations.valuation_eval(nu, f)
+            else:
+                result = valuations.izumi_check(nu, f)
+        except BudgetExceeded as exc:
+            raise ValueError(f"--f: {exc}") from None
+        twist_record = {"e": twist.e, "D": 2} if twist else None
+        head = {"weights": list(weights), "twist": twist_record, "f": args.f}
         if args.op == "eval":
-            return {
-                "weights": list(weights),
-                "twist": {"e": twist.e, "D": 2} if twist else None,
-                "f": args.f,
-                "value": valuations.valuation_eval(nu, f),
-            }, 0
-        check = valuations.izumi_check(nu, f)
+            return {**head, "value": result}, 0
         return {
-            "weights": list(weights),
-            "twist": {"e": twist.e, "D": 2} if twist else None,
-            "f": args.f,
-            "lower": check.lower,
-            "value": check.value,
-            "upper": check.upper,
-            "holds": check.holds,
-            "note": check.note,
+            **head,
+            "lower": result.lower,
+            "value": result.value,
+            "upper": result.upper,
+            "holds": result.holds,
+            "note": result.note,
         }, 0
     if args.op == "minmult":
         if args.k is None:

@@ -10,6 +10,7 @@ from .scalars import (
 )
 from .polynomials import (
     INFINITY,
+    BudgetExceeded,
     Exponent,
     WPolynomial,
     format_polynomial,

@@ -13,9 +13,9 @@ import math
 import re
 from fractions import Fraction
 from operator import add
-from typing import Dict, Iterable, Sequence, Tuple
+from typing import Dict, Iterable, NamedTuple, Sequence, Tuple
 
-from .scalars import QuadExt, Scalar, to_scalar
+from .scalars import QuadExt, Scalar, rational_parts, to_scalar
 
 Exponent = Tuple[int, ...]
 CoeffMap = Dict[Exponent, Scalar]
@@ -123,7 +123,13 @@ class WPolynomial:
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise ValueError("polynomial powers must be non-negative integers")
-        if len(self.coeffs) == 2 and k:
+        if not k:
+            return WPolynomial.constant(1, self.nvars)
+        if len(self.coeffs) < 2:
+            return WPolynomial._trusted(
+                {tuple(k * x for x in e): c**k for e, c in self.coeffs.items()}, self.nvars
+            )
+        if len(self.coeffs) == 2:
             # Binomial theorem: k + 1 distinct, nonzero terms and no products
             # of polynomials.
             (e1, c1), (e2, c2) = self.coeffs.items()
@@ -138,14 +144,12 @@ class WPolynomial:
                 out[exp] = binomial * p1[i] * p2[k - i]
                 binomial = binomial * (k - i) // (i + 1)
             return WPolynomial._trusted(out, self.nvars)
-        out = WPolynomial.constant(1, self.nvars)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            k >>= 1
-            if k:
-                base = base * base
+        # Repeated multiplication: each step multiplies by the few terms of
+        # self, where squaring would multiply two long term lists of large
+        # coefficients.
+        out = self
+        for _ in range(k - 1):
+            out = out * self
         return out
 
     def __eq__(self, other):
@@ -226,97 +230,46 @@ def jet_basis_size(nvars: int, order: int) -> int:
 
 # -- parsing and formatting ---------------------------------------------------
 
-# The most coefficient products that parsing spends on one power or product,
-# weighed as rational products: under 1 s on a 2-core Xeon (5-6 us each).
-# A product of sqrt(2) coefficients costs about five rational ones.
-MAX_PARSE_PRODUCTS = 1 << 17
-QUADRATIC_PRODUCT_WEIGHT = 5
+# One budget for the work of expanding a parsed polynomial, and of the
+# twisted rewrite in `seshadri.valuations`, in estimated bit products.  Each
+# coefficient operation costs OPERATION_WORK, about the fixed cost of one
+# product of small coefficients, plus the square of a bound on the bits of
+# its result, which bounds its operands and the gcds that reduce it.  When
+# the parse admits sqrt(2), that fixed cost of a product weighs SQRT2_WEIGHT:
+# 25 against 5 us per coefficient product on a 2-core Xeon.  The slowest
+# inputs measured there at the budget take 0.5-0.8 s and at most 28 MB:
+# `((2/3+5/7*sqrt(2))*s+t)^1824`, a product of two 346-term sums, a
+# 5648-term sum, and the rewrite of `(s/3+t/7)^240` with e = 2.
+MAX_WORK = 1 << 42
+OPERATION_WORK = 1 << 25
+SQRT2_WEIGHT = 5
 
 
-def _power_terms(f: WPolynomial, m: int) -> int:
-    """Upper bound on the term count of f^m: a multiset of m terms of f, of
-    total degree at most m * deg f."""
-    return min(
-        math.comb(m + len(f.coeffs) - 1, m),
-        math.comb(m * f.total_degree() + f.nvars, f.nvars),
-    )
+class BudgetExceeded(ValueError):
+    """Work over MAX_WORK, refused before it runs."""
 
 
-def power_products(f: WPolynomial, k: int, limit: int) -> int:
-    """Upper bound on the coefficient products of f^k by binary powering, from
-    k, the term count and degree of f and its number of variables.  Counting
-    stops once it passes `limit`."""
-    total, done, square = 0, 0, 1  # out = f^done, base = f^square
-    while k and total <= limit:
-        if k & 1:
-            if done:
-                total += _power_terms(f, done) * _power_terms(f, square)
-            done += square
-        k >>= 1
-        if k:
-            total += _power_terms(f, square) ** 2
-            square *= 2
-    return total
+def _log2(x: int) -> int:
+    """ceil(log2(x)) for x >= 1, and 1 for 0."""
+    return (x - 1).bit_length()
 
 
-# Caps on a power of a base of one or two terms, from the estimates of
-# `power_bits`: the bits of all of its coefficients (memory), and the product
-# of those with the bits of its largest coefficient (time: each coefficient
-# is built by products and gcds on numbers of up to that size).  A
-# coefficient a + b*sqrt(2) with a and b both nonzero multiplies the time
-# estimate by QUADRATIC_POWER_WEIGHT: such a power took 10-15 times as long
-# per bit product.  At the caps the slowest powers measured on a 2-core Xeon
-# take about 1 s: `(2/3+5/7*sqrt(2))^52428*s` 1.0 s, `(2/3*s+5/7*t)^3529`
-# 0.9 s, `(2/3)^524287*s` 0.8 s.  `(s+t)^6000` is 5 times under the time cap
-# (0.14 s); `(s+t)^20000` is over both, and would take 109 MB.
-MAX_POWER_BITS = 1 << 27
-MAX_POWER_WORK = 1 << 40
-QUADRATIC_POWER_WEIGHT = 16
+def _operation(mag: int, den: int, sqrt2: bool) -> int:
+    """The work of one coefficient operation on numbers of the bounds mag and
+    den of _Sized, whose numerator and denominator have at most mag + den + 2
+    bits together; weighed for sqrt(2) when the parse admits it."""
+    return OPERATION_WORK * (SQRT2_WEIGHT if sqrt2 else 1) + (mag + den + 2) ** 2
 
 
-def _size(c) -> int:
-    """About log2 of |numerator| * denominator of a coefficient: each bit length
-    less one, so that 1 has size 0.  A sqrt(2) part adds one."""
-    if isinstance(c, QuadExt):
-        return max(_size(c.a), _size(c.b)) + 1
-    return (abs(c.numerator).bit_length() or 1) + c.denominator.bit_length() - 2
+class _Sized(NamedTuple):
+    """A parsed polynomial and the bounds that the parser carries with it, so
+    that charging an operation never walks the coefficients.  Over a common
+    denominator of at most 2^den, each coefficient a + b*sqrt(2) has
+    |a| + sqrt(2)*|b| at most 2^mag."""
 
-
-def power_bits(f: WPolynomial, k: int) -> tuple[int, int]:
-    """(largest, total): estimated bits of the largest coefficient of f^k and
-    of all of its coefficients, for f of at most two terms.  A coefficient c
-    raised to the k-th power has about k * size(c) bits; a binomial C(k, i) has
-    fewer than k + 1, and f^k has k + 1 terms when f has two."""
-    largest = k * max(map(_size, f.coeffs.values()), default=0) + 1
-    if len(f.coeffs) < 2:
-        return largest, largest
-    largest += k
-    return largest, (k + 1) * largest
-
-
-def _power_work(f: WPolynomial, k: int) -> tuple[int, int]:
-    """(total, work): the memory and time estimates that MAX_POWER_BITS and
-    MAX_POWER_WORK cap, for f^k with f of at most two terms."""
-    largest, total = power_bits(f, k)
-    weight = 1
-    for c in f.coeffs.values():
-        if isinstance(c, QuadExt) and c.a and c.b:
-            weight = QUADRATIC_POWER_WEIGHT
-    return total, largest * total * weight
-
-
-def _product_limit(*factors: WPolynomial) -> int:
-    """MAX_PARSE_PRODUCTS counted in products of these factors' coefficients."""
-    if any(isinstance(c, QuadExt) for f in factors for c in f.coeffs.values()):
-        return MAX_PARSE_PRODUCTS // QUADRATIC_PRODUCT_WEIGHT
-    return MAX_PARSE_PRODUCTS
-
-
-def _too_large(what: str) -> ValueError:
-    return ValueError(
-        f"polynomial too large to expand: {what} takes more than {MAX_PARSE_PRODUCTS} "
-        "coefficient products"
-    )
+    poly: WPolynomial
+    mag: int
+    den: int
 
 
 _TOKEN_RE = re.compile(
@@ -345,13 +298,16 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
 class _Parser:
     """Recursive-descent parser for +, -, *, /, ^ over variables and rational
     or sqrt(2) literals; no implicit multiplication.  A unary minus negates
-    the whole factor after it, so 2*-s^2 is -2*s^2."""
+    the whole factor after it, so 2*-s^2 is -2*s^2.  Every operation is
+    charged to one running total before it runs; past MAX_WORK the parser
+    raises BudgetExceeded."""
 
     def __init__(self, tokens, names: Sequence[str], sqrt2: bool):
         self.tokens = tokens
         self.pos = 0
         self.names = list(names)
         self.sqrt2 = sqrt2
+        self.work = 0
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
@@ -367,69 +323,115 @@ class _Parser:
             raise ValueError(f"unexpected token {tok} in polynomial")
         return tok
 
+    def spend(self, work: int, what: str):
+        self.work += work
+        if self.work > MAX_WORK:
+            raise BudgetExceeded(
+                f"polynomial too large to expand: {what} takes the parse past its budget of "
+                f"{MAX_WORK} bit products"
+            )
+
     def parse(self) -> WPolynomial:
         out = self.expr()
         if self.peek() != (None, None):
             raise ValueError(f"trailing tokens in polynomial: {self.tokens[self.pos:]}")
-        return out
+        return out.poly
 
-    def expr(self) -> WPolynomial:
-        sign = 1
+    def expr(self) -> _Sized:
+        negate = False
         if self.peek() == ("op", "+") or self.peek() == ("op", "-"):
-            sign = -1 if self.take()[1] == "-" else 1
-        out = self.term() * sign
+            negate = self.take()[1] == "-"
+        out = self.term()
+        if negate:
+            out = self.negate(out)
+        if not (self.peek()[0] == "op" and self.peek()[1] in "+-"):
+            return out
+        # Terms are added in place: a copy of the sum per term costs its square.
+        coeffs, mag, den = dict(out.poly.coeffs), out.mag, out.den
         while self.peek()[0] == "op" and self.peek()[1] in "+-":
-            op = self.take()[1]
+            minus = self.take()[1] == "-"
             t = self.term()
-            out = out + t if op == "+" else out - t
-        return out
+            # Only a term that meets one of the sum adds coefficients.
+            hits = len(coeffs.keys() & t.poly.coeffs.keys())
+            mag = max(mag + t.den, t.mag + den) + (hits > 0)
+            den += t.den
+            self.spend(
+                len(t.poly.coeffs) * OPERATION_WORK + hits * _operation(mag, den, False),
+                f"a sum of {len(coeffs)} and {len(t.poly.coeffs)} terms",
+            )
+            for e, c in t.poly.coeffs.items():
+                if minus:
+                    c = -c
+                coeffs[e] = coeffs[e] + c if e in coeffs else c
+        return _Sized(WPolynomial._trusted(coeffs, len(self.names)), mag, den)
 
-    def term(self) -> WPolynomial:
+    def term(self) -> _Sized:
         out = self.factor()
         while self.peek()[0] == "op" and self.peek()[1] in "*/":
             op = self.take()[1]
             f = self.factor()
-            if op == "*":
-                if len(out.coeffs) * len(f.coeffs) > _product_limit(out, f):
-                    raise _too_large(f"a product of {len(out.coeffs)} by {len(f.coeffs)} terms")
-                out = out * f
-            else:
-                if f.total_degree() != 0:
+            if op == "/":
+                if f.poly.total_degree() != 0:
                     raise ValueError("division only allowed by nonzero constants")
-                out = out * (Fraction(1) / f.coeffs[(0,) * f.nvars])
+                f = self.constant(Fraction(1) / f.poly.coeffs[(0,) * f.poly.nvars])
+            out = self.product(out, f)
         return out
 
-    def factor(self) -> WPolynomial:
+    def product(self, f: _Sized, g: _Sized) -> _Sized:
+        nf, ng = len(f.poly.coeffs), len(g.poly.coeffs)
+        # each coefficient is a sum of at most min(nf, ng) products
+        mag, den = f.mag + g.mag + _log2(min(nf, ng)), f.den + g.den
+        self.spend(nf * ng * _operation(mag, den, self.sqrt2), f"a product of {nf} by {ng} terms")
+        return _Sized(f.poly * g.poly, mag, den)
+
+    def negate(self, f: _Sized) -> _Sized:
+        self.spend(len(f.poly.coeffs) * OPERATION_WORK, f"a negation of {len(f.poly.coeffs)} terms")
+        return f._replace(poly=-f.poly)
+
+    def power(self, f: _Sized, k: int, digits: str) -> _Sized:
+        """f^k, whose coefficients are at most the k-th power of the sum of
+        those of f.  c^k takes at most two products per bit of k, a binomial
+        four per term of f^k; a longer base is multiplied k - 1 times, each
+        time by its terms, and f^(k-1) has at most C((k-1) deg f + n, n)."""
+        terms = len(f.poly.coeffs)
+        mag, den = k * (f.mag + _log2(terms)), k * f.den
+        if terms < 2:
+            work = 2 * k.bit_length() * _operation(mag, den, self.sqrt2)
+        elif terms == 2:  # unweighted: ((2/3+5/7*sqrt(2))*s+t)^1824 takes 0.65 s
+            work = 4 * (k + 1) * _operation(mag, den, False)
+        else:
+            n, steps = f.poly.nvars, max(k - 1, 0)
+            longest = math.comb(steps * f.poly.total_degree() + n, n)
+            work = steps * longest * terms * _operation(mag, den, self.sqrt2)
+        power = f"the power {k}" if len(digits) <= 12 else f"a power of {len(digits)} digits"
+        self.spend(work, f"a {terms}-term base to {power}")
+        return _Sized(f.poly**k, mag, den)
+
+    def factor(self) -> _Sized:
         if self.peek() == ("op", "-"):
             self.take()
-            return -self.factor()
+            return self.negate(self.factor())
         base = self.atom()
         if self.peek() == ("op", "^"):
             self.take()
             if self.peek() == ("op", "-"):
                 raise ValueError("negative exponents are not allowed")
             digits = self.expect("num")[1]
-            k = int(digits)
-            power = f"the power {k}" if len(digits) <= 12 else f"a power of {len(digits)} digits"
-            if len(base.coeffs) > 2:  # two terms expand binomially, with no products
-                limit = _product_limit(base)
-                if power_products(base, k, limit) > limit:
-                    raise _too_large(f"a {len(base.coeffs)}-term base to {power}")
-            else:
-                total, work = _power_work(base, k)
-                what = f"polynomial too large to expand: a {len(base.coeffs)}-term base to {power}"
-                if total > MAX_POWER_BITS:
-                    raise ValueError(f"{what} has more than {MAX_POWER_BITS} coefficient bits")
-                if work > MAX_POWER_WORK:
-                    raise ValueError(f"{what} takes more than {MAX_POWER_WORK} bit products")
-            base = base**k
+            base = self.power(base, int(digits), digits)
         return base
 
-    def atom(self) -> WPolynomial:
+    def constant(self, c: Scalar) -> _Sized:
+        a, b = rational_parts(c)
+        den = math.lcm(a.denominator, b.denominator)
+        # over den, |a| + sqrt(2)*|b| < |a| + 2*|b|
+        top = abs(a.numerator) * (den // a.denominator) + 2 * abs(b.numerator) * (den // b.denominator)
+        return _Sized(WPolynomial.constant(c, len(self.names)), _log2(top), _log2(den))
+
+    def atom(self) -> _Sized:
         kind, value = self.take()
         n = len(self.names)
         if kind == "num":
-            return WPolynomial.constant(Fraction(int(value)), n)
+            return self.constant(Fraction(int(value)))
         if kind == "name":
             if value == "sqrt":
                 self.expect("op", "(")
@@ -439,9 +441,9 @@ class _Parser:
                     raise ValueError("sqrt(...) is not allowed in this context")
                 if d != QuadExt.D:
                     raise ValueError(f"sqrt({d}) not allowed here (expected sqrt({QuadExt.D}))")
-                return WPolynomial.constant(QuadExt(Fraction(0), Fraction(1)), n)
+                return self.constant(QuadExt(Fraction(0), Fraction(1)))
             if value in self.names:
-                return WPolynomial.variable(self.names.index(value), n)
+                return _Sized(WPolynomial.variable(self.names.index(value), n), 0, 0)
             raise ValueError(f"unknown variable {value!r} (expected one of {self.names})")
         if (kind, value) == ("op", "("):
             out = self.expr()
@@ -456,7 +458,8 @@ def parse_polynomial(
     """Parse a polynomial string such as "t^2 - 2*s^2" or "y^2 + 2*sqrt(2)*s*y".
 
     names fixes the variable set (arity = len(names)); sqrt(2) literals are
-    accepted only when sqrt2 is set.
+    accepted only when sqrt2 is set.  An expansion past MAX_WORK raises
+    BudgetExceeded before it runs.
     """
     return _Parser(_tokenize(text), names, sqrt2).parse()
 

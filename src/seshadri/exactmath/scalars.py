@@ -118,8 +118,9 @@ class QuadExt:
         while k:
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return out
 
     def __bool__(self):

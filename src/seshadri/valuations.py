@@ -14,6 +14,7 @@ from fractions import Fraction
 from typing import Optional, Tuple
 
 from .exactmath import INFINITY, QuadExt, WPolynomial, rational_parts
+from .exactmath import polynomials
 
 SQRT2 = QuadExt(Fraction(0), Fraction(1))
 
@@ -63,27 +64,45 @@ class MonomialValuation:
             return f
         if f.nvars != 2:
             raise ValueError("twisted valuations act on two-variable polynomials")
-        e = self.twist.e
         parts = [(exp, *rational_parts(coeff)) for exp, coeff in f.coeffs.items()]
         den = math.lcm(*(x.denominator for _, alpha, beta in parts for x in (alpha, beta)))
-        out: dict = {}
-        for (a, b), alpha, beta in parts:
-            alpha, beta = int(alpha * den), int(beta * den)
-            binomial = 1  # C(b, j), carried from j to j + 1
-            for j in range(b + 1):
-                n = b - j
-                x, y = (2 * beta, alpha) if n & 1 else (alpha, beta)
-                scale = binomial << (n // 2)
-                key = (a + e * n, j)
-                rat, irr = out.get(key, (0, 0))
-                out[key] = (rat + x * scale, irr + y * scale)
-                binomial = binomial * n // (j + 1)
+        pairs = [(a, b, int(alpha * den), int(beta * den)) for (a, b), alpha, beta in parts]
+        # The loop below, charged before it runs: b + 1 steps for the term
+        # s^a t^b, each with four coefficient operations (the products by
+        # scale and, for its output, the gcds with den) on numbers of at most
+        # the bits of alpha or beta, 2*b and den together.
+        d, work = den.bit_length(), 0
+        for _, b, x, y in pairs:
+            bits = max(abs(x), abs(y)).bit_length() + 2 * b + d
+            work += 4 * (b + 1) * (polynomials.OPERATION_WORK + bits * bits)
+        if work > polynomials.MAX_WORK:
+            raise polynomials.BudgetExceeded(
+                f"too large for the twisted rewrite: it takes about {work} bit products, over "
+                f"the budget of {polynomials.MAX_WORK}"
+            )
+        out = _expand_twist(pairs, self.twist.e)
         coeffs = {
             key: QuadExt(Fraction(rat, den), Fraction(irr, den))
             for key, (rat, irr) in out.items()
             if rat or irr
         }
         return WPolynomial._trusted(coeffs, 2)
+
+
+def _expand_twist(pairs, e: int) -> dict:
+    """The loop of `MonomialValuation.rewrite`: integer pairs by (s, y) exponents."""
+    out: dict = {}
+    for a, b, alpha, beta in pairs:
+        binomial = 1  # C(b, j), carried from j to j + 1
+        for j in range(b + 1):
+            n = b - j
+            x, y = (2 * beta, alpha) if n & 1 else (alpha, beta)
+            scale = binomial << (n // 2)
+            key = (a + e * n, j)
+            rat, irr = out.get(key, (0, 0))
+            out[key] = (rat + x * scale, irr + y * scale)
+            binomial = binomial * n // (j + 1)
+    return out
 
 
 def valuation_eval(nu: MonomialValuation, f: WPolynomial):

@@ -19,7 +19,13 @@ import pytest
 from seshadri import bounds, cli
 from seshadri.cli import decode, emit, main, to_jsonable
 from seshadri.exactmath import INFINITY, QuadExt, WPolynomial, parse_polynomial
-from seshadri.exactmath.polynomials import MAX_PARSE_PRODUCTS
+from seshadri.exactmath.polynomials import (
+    MAX_WORK,
+    OPERATION_WORK,
+    BudgetExceeded,
+    _Parser,
+    _tokenize,
+)
 
 
 def run_cli(capsys, *argv):
@@ -294,22 +300,21 @@ def test_valuation_of_a_binomial_power_within_budget(capsys, argv):
 @pytest.mark.parametrize("op", ["eval", "izumi"])
 def test_a_twisted_f_over_the_rewrite_cap_exits_2_before_the_rewrite(capsys, monkeypatch, op):
     # (s+t)^2000 has the terms s^(2000-b) t^b, b = 0..2000.  Unbounded, its
-    # rewrite would take about 11 s.
-    from seshadri.valuations import MonomialValuation
+    # rewrite would take about 11 s, and that of t^48000 about 3.6 s.
+    def refused(pairs, e):
+        pytest.fail("the rewrite ran on an input over the budget")
 
-    def refused(self, f):
-        pytest.fail("the rewrite ran on an input over its cap")
-
-    monkeypatch.setattr(MonomialValuation, "rewrite", refused)
-    code, out, err = run_cli(
-        capsys, "valuation", "--weights", "1,2", "--op", op, "--f", "(s+t)^2000", "--twist-e", "1"
-    )
-    cost, cap = sum(k * k for k in range(1, 2002)), cli.MAX_TWISTED_REWRITE_COST
-    assert (code, out) == (2, "")
-    assert err == (
-        "error: --f is too large for the twisted rewrite: its terms s^a t^b have a sum of "
-        f"(b+1)^2 of {cost}, over {cap}; lower the degree of --f in t\n"
-    )
+    monkeypatch.setattr("seshadri.valuations._expand_twist", refused)
+    for f in ("(s+t)^2000", "t^48000"):
+        code, out, err = run_cli(
+            capsys, "valuation", "--weights", "1,2", "--op", op, "--f", f, "--twist-e", "1"
+        )
+        assert (code, out) == (2, "")
+        assert re.fullmatch(
+            r"error: --f: too large for the twisted rewrite: it takes about \d+ bit products, over "
+            rf"the budget of {MAX_WORK}\n",
+            err,
+        )
 
 
 def test_a_polynomial_power_over_the_parse_cap_exits_2_with_one_line(capsys):
@@ -317,71 +322,96 @@ def test_a_polynomial_power_over_the_parse_cap_exits_2_with_one_line(capsys):
     code, out, err = run_cli(capsys, "valuation", "--weights", "1,2", "--op", "eval", "--f", "(s+t+1)^80")
     assert (code, out) == (2, "")
     assert err == (
-        "error: polynomial too large to expand: a 3-term base to the power 80 takes more than "
-        f"{MAX_PARSE_PRODUCTS} coefficient products\n"
+        "error: --f: polynomial too large to expand: a 3-term base to the power 80 takes the parse "
+        f"past its budget of {MAX_WORK} bit products\n"
     )
 
 
-def test_the_twisted_rewrite_cap_admits_a_sum_equal_to_it(capsys, monkeypatch):
-    # t^2 - 2*s^2 has terms t^2 and s^2: a sum of (b+1)^2 of 9 + 1.
-    argv = ("valuation", "--weights", "1,2", "--op", "eval", "--f", "t^2 - 2*s^2", "--twist-e", "1")
-    monkeypatch.setattr(cli, "MAX_TWISTED_REWRITE_COST", 10)
-    code, out, _ = run_cli(capsys, *argv)
-    assert (code, json.loads(out)["value"]) == (0, 3)
-    monkeypatch.setattr(cli, "MAX_TWISTED_REWRITE_COST", 9)
-    code, out, err = run_cli(capsys, *argv)
-    assert (code, out) == (2, "")
-    assert "sum of (b+1)^2 of 10, over 9" in err
+def _rewrite_work(text: str, e: int = 1) -> int:
+    """The estimate that `MonomialValuation.rewrite` charges for text, read
+    from its refusal under a budget of -1."""
+    from seshadri.valuations import MonomialValuation, Twist
+
+    f = parse_polynomial(text, ("s", "t"), sqrt2=True)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("seshadri.exactmath.polynomials.MAX_WORK", -1)
+        with pytest.raises(BudgetExceeded) as refusal:
+            MonomialValuation((1, 2), Twist(e)).rewrite(f)
+    return int(re.search(r"it takes about (\d+) bit products", str(refusal.value)).group(1))
+
+
+def test_the_twisted_rewrite_cap_admits_a_sum_equal_to_it(monkeypatch):
+    # The estimate sums over the terms: over the denominator 1 (1 bit), t^2
+    # takes 3 steps on numbers of 1 + 2*2 + 1 bits, and -2*s^2 one step on
+    # 2 + 0 + 1 bits, each step four operations.
+    work = 4 * 3 * (OPERATION_WORK + 6**2) + 4 * (OPERATION_WORK + 3**2)
+    assert _rewrite_work("t^2 - 2*s^2") == work
+    _assert_rewrite_admits_its_estimate(monkeypatch, "t^2 - 2*s^2", work, 3)
+
+
+def _assert_rewrite_admits_its_estimate(monkeypatch, text, work, value):
+    from seshadri.valuations import MonomialValuation, Twist, valuation_eval
+
+    f, nu = parse_polynomial(text, ("s", "t"), sqrt2=True), MonomialValuation((1, 2), Twist(1))
+    monkeypatch.setattr("seshadri.exactmath.polynomials.MAX_WORK", work)
+    assert valuation_eval(nu, f) == value
+    monkeypatch.setattr("seshadri.exactmath.polynomials.MAX_WORK", work - 1)
+    with pytest.raises(BudgetExceeded, match=f"it takes about {work} bit products, over the budget of {work - 1}$"):
+        valuation_eval(nu, f)
 
 
 @pytest.mark.parametrize("op", ["eval", "izumi"])
 def test_a_twisted_f_over_the_rewrite_work_cap_exits_2_before_the_rewrite(capsys, monkeypatch, op):
-    # (s/3+t/7)^584 is under the degree cap (a sum of (b+1)^2 of 66905085),
-    # but its coefficients over 7^584 * 3^584 make the rewrite take about 6 s.
-    from seshadri.valuations import MonomialValuation
+    # (s/3+t/7)^584 parses within the budget, but its coefficients over
+    # 7^584 * 3^584 make the rewrite take about 6 s.
+    def refused(pairs, e):
+        pytest.fail("the rewrite ran on an input over the budget")
 
-    def refused(self, f):
-        pytest.fail("the rewrite ran on an input over its cap")
-
-    monkeypatch.setattr(MonomialValuation, "rewrite", refused)
+    monkeypatch.setattr("seshadri.valuations._expand_twist", refused)
     code, out, err = run_cli(
         capsys, "valuation", "--weights", "1,2", "--op", op, "--f", "(s/3+t/7)^584", "--twist-e", "2"
     )
     assert (code, out) == (2, "")
     assert re.fullmatch(
-        r"error: --f is too large for the twisted rewrite: its coefficients take about \d+ bit "
-        rf"products, over {cli.MAX_TWISTED_REWRITE_WORK}; lower the size of the coefficients of "
-        r"--f or its degree in t\n",
+        r"error: --f: too large for the twisted rewrite: it takes about \d+ bit products, over "
+        rf"the budget of {MAX_WORK}\n",
         err,
     )
 
 
-def test_the_twisted_rewrite_work_cap_admits_an_estimate_equal_to_it(capsys, monkeypatch):
-    # Over the denominator 1 (d = 1 bit): t^2 takes 3 * (2 + 1) * 2 and
-    # -2*s^2 takes 1 * (0 + 1) * 3, 21 bit products in all.
-    argv = ("valuation", "--weights", "1,2", "--op", "eval", "--f", "t^2 - 2*s^2", "--twist-e", "1")
-    monkeypatch.setattr(cli, "MAX_TWISTED_REWRITE_WORK", 21)
-    code, out, _ = run_cli(capsys, *argv)
-    assert (code, json.loads(out)["value"]) == (0, 3)
-    monkeypatch.setattr(cli, "MAX_TWISTED_REWRITE_WORK", 20)
-    code, out, err = run_cli(capsys, *argv)
-    assert (code, out) == (2, "")
-    assert "take about 21 bit products, over 20" in err
+def test_the_twisted_rewrite_work_cap_admits_an_estimate_equal_to_it(monkeypatch):
+    # Over the denominator 3 (2 bits) t/3 is the pair (1, 0): two steps on
+    # numbers of 1 + 2*1 + 2 bits.
+    work = 4 * 2 * (OPERATION_WORK + 5**2)
+    assert _rewrite_work("t/3") == work
+    _assert_rewrite_admits_its_estimate(monkeypatch, "t/3", work, 1)
 
 
 def test_the_twisted_rewrite_work_grows_with_coefficient_size_and_denominators():
-    def work(text):
-        return cli._twisted_rewrite_work(parse_polynomial(text, ("s", "t"), sqrt2=True))
+    def bits_part(text):
+        # the estimate less its fixed part, four operations per step
+        f = parse_polynomial(text, ("s", "t"), sqrt2=True)
+        steps = sum(b + 1 for _, b in f.coeffs)
+        return _rewrite_work(text) - 4 * steps * OPERATION_WORK
 
-    assert work("t^2 - 2*s^2") == 21
-    # Over the denominator 3 (d = 2 bits) the coefficient of t/3 has
-    # 2 + 1 + (1 - 2) = 2 bits: 2 * (1 + 2) * 2 bit products.
-    assert work("t/3") == 12
-    assert work("(10^200*s+t)^100") > 100 * work("(s+t)^100")
-    assert work("(s/7+t)^100") > 2 * work("(7*s+t)^100")
-    # The largest requests of the valuations benchmark are far under the cap.
-    for f in ("s^5*(t-sqrt(2)*s^2)^12*(t+sqrt(2)*s^2)^12", "s^5*(t^2-2*s^4)^12"):
-        assert work(f) < cli.MAX_TWISTED_REWRITE_WORK // 10**6
+    assert bits_part("(10^200*s+t)^100") > 100 * bits_part("(s+t)^100")
+    assert bits_part("(s/7+t)^100") > 1.5 * bits_part("(7*s+t)^100")
+
+
+@pytest.mark.parametrize(
+    "f,share",
+    [("s^5*(t-sqrt(2)*s^2)^12*(t+sqrt(2)*s^2)^12", 100), ("s^5*(t^2-2*s^4)^12", 100), ("t^2 - 2*s^2", 1000)],
+    ids=["largest-factored", "largest-norm-form", "readme"],
+)
+def test_workload_and_readme_polynomials_are_far_under_the_budget(f, share):
+    # The largest `valuations` benchmark requests and the README example.  The
+    # factored form multiplies 13 by 13 sqrt(2) coefficients, about 6 ms of
+    # work, and takes 1/120 of the budget; its rewrite takes 169 steps and
+    # 1/194.  The README example takes 1/2849 and 1/8192.
+    parser = _Parser(_tokenize(f), ("s", "t"), True)
+    parser.parse()
+    assert parser.work < MAX_WORK // share
+    assert _rewrite_work(f) < MAX_WORK // share
 
 
 def test_valuation_minmult_record(capsys):
@@ -1011,6 +1041,20 @@ def test_json_true_and_a_4301_digit_integer_in_a_number_field_exit_2(capsys, fie
     code, out, err = run_cli(capsys, command, template.replace("V", "7" + _MOST_DIGITS))
     assert (code, out) == (2, "")
     assert err == f"error: {where}: a number of more than {cli.MAX_NUMBER_DIGITS} digits\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_an_answer_with_a_number_of_more_than_4300_digits_exits_2_naming_its_field(capsys, fmt):
+    # The README lattice with a 4300-digit E: the coefficient of E in N has
+    # more digits than CPython prints.
+    command, template, _ = _JSON_NUMBER_FIELDS["curve-coords"]
+    code, out, err = run_cli(capsys, "--format", fmt, command, template.replace("V", _MOST_DIGITS))
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: the answer's coefficients has a number of more than {cli.MAX_NUMBER_DIGITS} digits\n"
+    )
+    with pytest.raises(ValueError, match="^the answer's P has a number of more than 4300 digits$"):
+        emit(fmt, [{"P": [1]}, {"P": [Fraction(1, 10**4300)]}])
 
 
 def test_integral_floats_read_as_integers(capsys):

@@ -7,7 +7,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seshadri.exactmath import (
@@ -22,8 +22,15 @@ from seshadri.exactmath import (
     negative_definite_solve,
     parse_polynomial,
     parse_scalar,
+    rational_parts,
 )
-from seshadri.exactmath.polynomials import MAX_PARSE_PRODUCTS, power_bits, power_products
+from seshadri.exactmath.polynomials import (
+    OPERATION_WORK,
+    SQRT2_WEIGHT,
+    BudgetExceeded,
+    _Parser,
+    _tokenize,
+)
 
 # -- strategies ----------------------------------------------------------------
 
@@ -179,15 +186,23 @@ def test_unary_minus_after_an_operator_negates_the_whole_factor():
         parse_polynomial("2^-1", names)
 
 
+def _parse_charges(text, sqrt2=True):
+    """(polynomial, [(work, what)]): what the parser charges, operation by
+    operation, for text, with no budget."""
+    parser = _Parser(_tokenize(text), ("s", "t", "u"), sqrt2)
+    charges = []
+    parser.spend = lambda work, what: charges.append((work, what))
+    return parser.parse(), charges
+
+
 @pytest.mark.parametrize("text", ("s+t+1", "s^3+t^2+s*t+1", "s+t+u+1", "sqrt(2)*s+t-1", "s*t+u^2+s+2"))
-def test_power_products_bounds_the_products_of_binary_powering(monkeypatch, text):
+def test_the_power_charge_bounds_the_products_of_the_power(monkeypatch, text):
     base = parse_polynomial(text, ("s", "t", "u"), sqrt2=True)
     products = []
     multiply = WPolynomial.__mul__
 
     def counting(self, other):
-        if isinstance(other, WPolynomial) and len(self.coeffs) > 1:
-            products.append(len(self.coeffs) * len(other.coeffs))
+        products.append(len(self.coeffs) * len(other.coeffs))
         return multiply(self, other)
 
     expected = WPolynomial.constant(1, 3)
@@ -197,35 +212,47 @@ def test_power_products_bounds_the_products_of_binary_powering(monkeypatch, text
         power = base**k
         monkeypatch.setattr(WPolynomial, "__mul__", multiply)
         assert power == expected, k
-        # the bound leaves out the product by the starting constant 1
-        assert sum(products) <= power_products(base, k, math.inf), k
+        _, charges = _parse_charges(f"({text})^{k}")
+        assert charges[-1][1] == f"a {len(base.coeffs)}-term base to the power {k}"
+        # the fixed part of the charge alone pays for every coefficient product
+        assert sum(products) * OPERATION_WORK <= charges[-1][0], k
         expected = expected * base
 
 
 def test_a_power_over_the_parse_cap_is_refused_before_it_is_expanded(monkeypatch):
-    # (s+t+1)^49 stays under the cap (about 0.7 s); ^50 is over it, and ^80
-    # would take about 3.4 s.
-    base = parse_polynomial("s+t+1", ("s", "t"))
-    assert power_products(base, 49, MAX_PARSE_PRODUCTS) <= MAX_PARSE_PRODUCTS
-    assert power_products(base, 50, MAX_PARSE_PRODUCTS) > MAX_PARSE_PRODUCTS
+    # (s+t+1)^44 stays under the budget (about 0.2 s); ^45 is over it, and
+    # ^80 would take about 3.4 s.
+    parse_polynomial("(s+t+1)^44", ("s", "t"))
 
     def refused(self, k):
-        pytest.fail("a power over the cap was expanded")
+        pytest.fail("a power over the budget was expanded")
 
     monkeypatch.setattr(WPolynomial, "__pow__", refused)
-    for k in ("50", "80", "9" * 4000):
+    for k in ("45", "80", "9" * 4000):
         power = f"the power {k}" if len(k) <= 12 else f"a power of {len(k)} digits"
-        message = f"^polynomial too large to expand: a 3-term base to {power} takes more than"
-        with pytest.raises(ValueError, match=message):
+        message = f"^polynomial too large to expand: a 3-term base to {power} takes the parse past"
+        with pytest.raises(BudgetExceeded, match=message):
             parse_polynomial(f"(s+t+1)^{k}", ("s", "t"))
 
 
-def _log_size(c) -> int:
-    """bit lengths of |numerator| and denominator, less one each; the larger
-    part's for a sqrt(2) coefficient."""
+def _bits(c) -> int:
+    """Bit lengths of numerator and denominator together, of the larger part
+    of a sqrt(2) coefficient."""
     if isinstance(c, QuadExt):
-        return max(_log_size(c.a), _log_size(c.b))
-    return max(abs(c.numerator).bit_length() - 1, 0) + c.denominator.bit_length() - 1
+        return max(_bits(c.a), _bits(c.b))
+    return abs(c.numerator).bit_length() + c.denominator.bit_length()
+
+
+def _assert_carried_bounds(sized):
+    """The bounds that the parser carries with a polynomial hold for it."""
+    parts = [rational_parts(c) for c in sized.poly.coeffs.values()]
+    den = math.lcm(1, *(x.denominator for pair in parts for x in pair))
+    assert den <= 2**sized.den
+    for a, b in parts:
+        # |a| + sqrt(2)*|b| <= 2^mag over the common denominator
+        room = 2**sized.mag - abs(a * den)
+        assert room >= 0 and 2 * (b * den) ** 2 <= room**2
+        assert max(_bits(a), _bits(b)) <= sized.mag + sized.den + 2
 
 
 @pytest.mark.parametrize(
@@ -233,87 +260,211 @@ def _log_size(c) -> int:
     ["3", "2/3", "1+sqrt(2)", "2/3+5/7*sqrt(2)", "s+t", "3*s-7*t", "2/3*s+5/7*t", "sqrt(2)*s+t/3",
      "(1+sqrt(2))*s+t", "10^20*s+t"],
 )
-def test_power_bits_estimates_the_coefficients_of_a_power(text):
-    base = parse_polynomial(text, ("s", "t"), sqrt2=True)
+def test_power_bits_estimates_the_coefficients_of_a_power(monkeypatch, text):
+    # The carried bound holds for the power and is within a factor 4 of the
+    # bits of its largest coefficient (3.1 for sqrt(2)*s+t/3, whose
+    # coefficients have smaller denominators than their common one).
+    powers = []
+    power = _Parser.power
+
+    def recording(self, f, k, digits):
+        powers.append(power(self, f, k, digits))
+        return powers[-1]
+
+    monkeypatch.setattr(_Parser, "power", recording)
     for k in (8, 16, 40, 100):
-        largest, total = power_bits(base, k)
-        sizes = [_log_size(c) + 1 for c in (base**k).coeffs.values()]
-        assert largest / 2 <= max(sizes) <= 2 * largest, k
-        assert total / 4 <= sum(sizes) <= 2 * total, k
+        parse_polynomial(f"({text})^{k}", ("s", "t"), sqrt2=True)
+        sized = powers[-1]
+        _assert_carried_bounds(sized)
+        assert sized.mag + sized.den + 2 <= 4 * max(map(_bits, sized.poly.coeffs.values())), k
 
 
 @pytest.mark.parametrize(
     "text,message",
     [
-        ("3^10000000*s", "a 1-term base to the power 10000000 takes more than"),
-        ("(s+t)^20000", "a 2-term base to the power 20000 has more than"),
-        ("(s+t)^10321", "a 2-term base to the power 10321 takes more than"),
-        ("(10^200*s+t)^400", "a 2-term base to the power 400 takes more than"),
-        ("(2/3+5/7*sqrt(2))^52429*s", "a 1-term base to the power 52429 takes more than"),
-        (f"(s+t)^{'9' * 4000}", "a 2-term base to a power of 4000 digits has more than"),
+        ("3^10000000*s", "a 1-term base to the power 10000000"),
+        ("(s+t)^20000", "a 2-term base to the power 20000"),
+        ("(s+t)^10321", "a 2-term base to the power 10321"),
+        ("(10^200*s+t)^400", "a 2-term base to the power 400"),
+        ("(2/3+5/7*sqrt(2))^52429*s", "a 1-term base to the power 52429"),
+        (f"(s+t)^{'9' * 4000}", "a 2-term base to a power of 4000 digits"),
+        ("3^1048575*3^1048575*s", "a 1-term base to the power 1048575"),
+        ("*".join(["3^1048575"] * 8) + "*s", "a 1-term base to the power 1048575"),
     ],
-    ids=["one-term", "two-term-bits", "two-term-work", "large-coefficient", "sqrt2", "4000-digits"],
+    ids=["one-term", "two-term-bits", "two-term-work", "large-coefficient", "sqrt2", "4000-digits",
+         "product-of-powers", "product-of-8-powers"],
 )
 def test_a_one_or_two_term_power_over_the_bit_caps_is_refused_before_it_is_expanded(
     monkeypatch, text, message
 ):
-    # Unchecked, 3^10000000 takes about 8.5 s and (s+t)^20000 109 MB.  The
-    # powers inside the bases (10^200) are expanded.
+    # Unchecked, 3^10000000 takes about 8.5 s, (s+t)^20000 109 MB and eight
+    # factors 3^1048575 8.9 s.  The powers inside the bases (10^200) are
+    # expanded.
     power = WPolynomial.__pow__
 
     def refused(self, k):
         if k > 1000:
-            pytest.fail("a power over the cap was expanded")
+            pytest.fail("a power over the budget was expanded")
         return power(self, k)
 
     monkeypatch.setattr(WPolynomial, "__pow__", refused)
-    with pytest.raises(ValueError, match=f"^polynomial too large to expand: {re.escape(message)}"):
+    with pytest.raises(BudgetExceeded, match=f"^polynomial too large to expand: {re.escape(message)} takes"):
         parse_polynomial(text, ("s", "t"), sqrt2=True)
 
 
 def test_the_power_bit_caps_admit_estimates_equal_to_them(monkeypatch):
-    caps = "seshadri.exactmath.polynomials."
     names = ("s", "t")
-    # (s+t)^3: a largest coefficient of 3 + 1 bits, 4 * 4 = 16 in all, and
-    # 4 * 16 = 64 bit products.
-    assert power_bits(parse_polynomial("s+t", names), 3) == (4, 16)
+    # s+t: one addition (the fixed cost), and coefficients of magnitude 2^0.
+    # (s+t)^3 then has coefficients of at most 2^(3*(0+1)) = 8 (bits 3+0+2),
+    # and takes 4 * (3+1) operations on them.
+    work = OPERATION_WORK + 16 * (OPERATION_WORK + 5**2)
+    assert _parse_charges("(s+t)^3", sqrt2=False)[1] == [
+        (OPERATION_WORK, "a sum of 1 and 1 terms"),
+        (16 * (OPERATION_WORK + 5**2), "a 2-term base to the power 3"),
+    ]
     expected = parse_polynomial("s^3+3*s^2*t+3*s*t^2+t^3", names)
-    monkeypatch.setattr(caps + "MAX_POWER_BITS", 16)
-    monkeypatch.setattr(caps + "MAX_POWER_WORK", 64)
+    monkeypatch.setattr("seshadri.exactmath.polynomials.MAX_WORK", work)
     assert parse_polynomial("(s+t)^3", names) == expected
-    monkeypatch.setattr(caps + "MAX_POWER_BITS", 15)
-    with pytest.raises(ValueError, match="has more than 15 coefficient bits$"):
+    monkeypatch.setattr("seshadri.exactmath.polynomials.MAX_WORK", work - 1)
+    with pytest.raises(BudgetExceeded, match="the power 3 takes the parse past its budget of"):
         parse_polynomial("(s+t)^3", names)
-    monkeypatch.setattr(caps + "MAX_POWER_BITS", 16)
-    monkeypatch.setattr(caps + "MAX_POWER_WORK", 63)
-    with pytest.raises(ValueError, match="takes more than 63 bit products$"):
-        parse_polynomial("(s+t)^3", names)
-    # ((1+sqrt(2))*s+t)^3: 3 * 1 + 3 + 1 = 7 bits, 28 in all, and 7 * 28 = 196
-    # bit products, times 16 for a coefficient with both parts nonzero; a
-    # sqrt(2) coefficient with one part zero is not weighed.
-    monkeypatch.setattr(caps + "MAX_POWER_BITS", 28)
-    monkeypatch.setattr(caps + "MAX_POWER_WORK", 196 * 16)
-    parse_polynomial("((1+sqrt(2))*s+t)^3", names, sqrt2=True)
-    monkeypatch.setattr(caps + "MAX_POWER_WORK", 196 * 16 - 1)
-    with pytest.raises(ValueError, match="takes more than"):
-        parse_polynomial("((1+sqrt(2))*s+t)^3", names, sqrt2=True)
-    monkeypatch.setattr(caps + "MAX_POWER_WORK", 196)
-    parse_polynomial("(sqrt(2)*s+t)^3", names, sqrt2=True)
+    # A binomial is computed on its coefficients, without products of
+    # polynomials, and its work does not weigh sqrt(2): (sqrt(2)*s+t)^3
+    # has coefficients of at most 2^(3*(1+1)) (sqrt(2) counts as 2).
+    assert _parse_charges("(sqrt(2)*s+t)^3")[1][-1] == (16 * (OPERATION_WORK + 8**2), "a 2-term base to the power 3")
 
 
 def test_the_parse_cap_weighs_products_and_sqrt2_coefficients(monkeypatch):
     names = ("s", "t")
-    # 3 x 3 terms: 9 products, each worth five rational ones with sqrt(2)
-    monkeypatch.setattr("seshadri.exactmath.polynomials.MAX_PARSE_PRODUCTS", 9)
+    # Two additions each for (s+t+1) and (s-t+2), then 3 x 3 coefficient
+    # products of magnitude at most 2^(0 + 1 + ceil(log2 3)) = 8 (5 bits).
+    work = 4 * OPERATION_WORK + 9 * (OPERATION_WORK + 5**2)
+    monkeypatch.setattr("seshadri.exactmath.polynomials.MAX_WORK", work)
     assert parse_polynomial("(s+t+1)*(s-t+2)", names) == parse_polynomial("s^2-t^2+3*s+t+2", names)
-    monkeypatch.setattr("seshadri.exactmath.polynomials.MAX_PARSE_PRODUCTS", 8)
-    with pytest.raises(ValueError, match="a product of 3 by 3 terms takes more than 8"):
+    monkeypatch.setattr("seshadri.exactmath.polynomials.MAX_WORK", work - 1)
+    with pytest.raises(BudgetExceeded, match="a product of 3 by 3 terms takes the parse past"):
         parse_polynomial("(s+t+1)*(s-t+2)", names)
-    monkeypatch.setattr("seshadri.exactmath.polynomials.MAX_PARSE_PRODUCTS", 45)
+    # With sqrt(2) in a factor, each product has SQRT2_WEIGHT times the
+    # fixed cost; sqrt(2)*s is one such product of 1 by 1 terms.
+    fixed = SQRT2_WEIGHT * OPERATION_WORK
+    work = (fixed + 3**2) + 4 * OPERATION_WORK + 9 * (fixed + 6**2)
+    monkeypatch.setattr("seshadri.exactmath.polynomials.MAX_WORK", work)
     parse_polynomial("(sqrt(2)*s+t+1)*(s-t+2)", names, sqrt2=True)
-    monkeypatch.setattr("seshadri.exactmath.polynomials.MAX_PARSE_PRODUCTS", 44)
-    with pytest.raises(ValueError, match="a product of 3 by 3 terms"):
+    monkeypatch.setattr("seshadri.exactmath.polynomials.MAX_WORK", work - 1)
+    with pytest.raises(BudgetExceeded, match="a product of 3 by 3 terms"):
         parse_polynomial("(sqrt(2)*s+t+1)*(s-t+2)", names, sqrt2=True)
+
+
+def test_a_long_sum_is_parsed_in_linear_time(monkeypatch):
+    # Each term is added into one dict; copying the sum at each `+` built
+    # dicts of 1, 2, ..., 1999 entries.
+    text = "+".join(f"s^{i % 50}*t^{i // 50}" for i in range(2000))
+    built = []
+    trusted = WPolynomial._trusted.__func__
+
+    def counting(cls, coeffs, nvars):
+        built.append(len(coeffs))
+        return trusted(cls, coeffs, nvars)
+
+    monkeypatch.setattr(WPolynomial, "_trusted", classmethod(counting))
+    f = parse_polynomial(text, ("s", "t"))
+    assert len(f.coeffs) == 2000
+    assert sum(built) <= 10 * 2000
+
+
+def test_a_sum_of_20000_terms_is_refused_within_the_budget(monkeypatch):
+    # Each term s^a*t^b costs two powers, a product and an addition; the
+    # budget runs out after about 10500 terms (about 0.8 s), and no more
+    # terms are parsed.
+    text = "+".join(f"s^{i % 97}*t^{i // 97}" for i in range(20000))
+    terms = []
+    term = _Parser.term
+
+    def counting(self):
+        terms.append(self.pos)
+        return term(self)
+
+    monkeypatch.setattr(_Parser, "term", counting)
+    with pytest.raises(BudgetExceeded, match="takes the parse past its budget"):
+        parse_polynomial(text, ("s", "t"))
+    assert 5000 < len(terms) < 12000
+
+
+def _expressions():
+    # Variables and 1 are drawn often: products of sums of them are where the
+    # bounds are tightest.
+    leaves = st.one_of(
+        st.sampled_from(["s", "t", "1", "sqrt(2)"]),
+        st.sampled_from(["s", "t", "1"]),
+        st.integers(0, 300).map(str),
+        st.tuples(st.integers(-50, 50), st.integers(1, 50)).map(lambda p: f"({p[0]}/{p[1]})"),
+    )
+
+    def extend(children):
+        return st.one_of(
+            st.tuples(children, st.sampled_from("+-*"), children).map(lambda x: f"({x[0]}{x[1]}{x[2]})"),
+            st.tuples(children, st.integers(0, 4)).map(lambda x: f"({x[0]})^{x[1]}"),
+            children.map(lambda x: f"(-{x})"),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=7)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_expressions())
+@example("((s+t)*(s+t))")
+@example("(((1/2)+sqrt(2)*s)*((1/3)-s))^3")
+def test_the_carried_bounds_and_charges_are_one_sided(text):
+    # Every intermediate result keeps the bounds the parser carries with it,
+    # and every product and power is charged at least the fixed cost of each
+    # coefficient product that it runs.  Products are counted once per pair of
+    # coefficients: the rational products inside a sqrt(2) product are not
+    # counted again.
+    counted = {"products": 0, "depth": 0}
+    charges = []
+
+    def counting(method):
+        def wrapper(self, other):
+            counted["depth"] += 1
+            try:
+                out = method(self, other)
+            finally:
+                counted["depth"] -= 1
+            if out is not NotImplemented and not counted["depth"]:
+                counted["products"] += 1
+            return out
+
+        return wrapper
+
+    def checking(method):
+        def wrapper(*args):
+            out = method(*args)
+            counted["depth"] += 1  # the check's own products are not counted
+            try:
+                _assert_carried_bounds(out)
+            finally:
+                counted["depth"] -= 1
+            return out
+
+        return wrapper
+
+    def recording(self, work, what):
+        charges.append((work, what, counted["products"]))
+        self.work += work
+
+    with pytest.MonkeyPatch.context() as patch:
+        for cls in (Fraction, QuadExt):
+            for name in ("__mul__", "__rmul__"):
+                patch.setattr(cls, name, counting(getattr(cls, name)))
+        for name in ("expr", "term", "factor", "atom", "product", "power", "negate", "constant"):
+            patch.setattr(_Parser, name, checking(getattr(_Parser, name)))
+        patch.setattr(_Parser, "spend", recording)
+        _Parser(_tokenize(text), ("s", "t"), True).parse()
+        total = counted["products"]
+    marks = [count for _, _, count in charges] + [total]
+    for (work, what, start), end in zip(charges, marks[1:]):
+        if what.startswith("a product") or "base to" in what:
+            assert (end - start) * OPERATION_WORK <= work, what
 
 
 def test_weighted_degrees():
