@@ -231,15 +231,11 @@ def jet_basis_size(nvars: int, order: int) -> int:
 # -- parsing and formatting ---------------------------------------------------
 
 # One budget for the work of expanding a parsed polynomial, and of the
-# twisted rewrite in `seshadri.valuations`, in estimated bit products.  Each
-# coefficient operation costs OPERATION_WORK, about the fixed cost of one
-# product of small coefficients, plus the square of a bound on the bits of
-# its result, which bounds its operands and the gcds that reduce it.  When
-# the parse admits sqrt(2), that fixed cost of a product weighs SQRT2_WEIGHT:
-# 25 against 5 us per coefficient product on a 2-core Xeon.  The slowest
-# inputs measured there at the budget take 0.5-0.8 s and at most 28 MB:
-# `((2/3+5/7*sqrt(2))*s+t)^1824`, a product of two 346-term sums, a
-# 5648-term sum, and the rewrite of `(s/3+t/7)^240` with e = 2.
+# twisted rewrite in `seshadri.valuations`, in estimated bit products: each
+# coefficient operation costs OPERATION_WORK (the fixed cost of a product of
+# small coefficients) plus a bound on its bit products, weighed by
+# SQRT2_WEIGHT on QuadExt coefficients (25 against 5 us on a 2-core Xeon).
+# There the slowest inputs at the budget take 0.4-0.8 s (BENCH_16.json).
 MAX_WORK = 1 << 42
 OPERATION_WORK = 1 << 25
 SQRT2_WEIGHT = 5
@@ -254,22 +250,25 @@ def _log2(x: int) -> int:
     return (x - 1).bit_length()
 
 
-def _operation(mag: int, den: int, sqrt2: bool) -> int:
-    """The work of one coefficient operation on numbers of the bounds mag and
-    den of _Sized, whose numerator and denominator have at most mag + den + 2
-    bits together; weighed for sqrt(2) when the parse admits it."""
-    return OPERATION_WORK * (SQRT2_WEIGHT if sqrt2 else 1) + (mag + den + 2) ** 2
+def _operation(bit_products: int, quad: bool, count: int = 1) -> int:
+    """The work of count coefficient operations of bit_products in all.  On
+    QuadExt coefficients the bit products weigh 3 * SQRT2_WEIGHT: four Fraction
+    products and their gcds take about 13 units a bit product on large numbers."""
+    if quad:
+        return SQRT2_WEIGHT * (count * OPERATION_WORK + 3 * bit_products)
+    return count * OPERATION_WORK + bit_products
 
 
 class _Sized(NamedTuple):
     """A parsed polynomial and the bounds that the parser carries with it, so
     that charging an operation never walks the coefficients.  Over a common
     denominator of at most 2^den, each coefficient a + b*sqrt(2) has
-    |a| + sqrt(2)*|b| at most 2^mag."""
+    |a| + sqrt(2)*|b| at most 2^mag.  quad marks QuadExt coefficients."""
 
     poly: WPolynomial
     mag: int
     den: int
+    quad: bool
 
 
 _TOKEN_RE = re.compile(
@@ -338,16 +337,14 @@ class _Parser:
         return out.poly
 
     def expr(self) -> _Sized:
-        negate = False
-        if self.peek() == ("op", "+") or self.peek() == ("op", "-"):
-            negate = self.take()[1] == "-"
+        negate = self.peek() in (("op", "+"), ("op", "-")) and self.take()[1] == "-"
         out = self.term()
         if negate:
             out = self.negate(out)
         if not (self.peek()[0] == "op" and self.peek()[1] in "+-"):
             return out
         # Terms are added in place: a copy of the sum per term costs its square.
-        coeffs, mag, den = dict(out.poly.coeffs), out.mag, out.den
+        coeffs, mag, den, quad = dict(out.poly.coeffs), out.mag, out.den, out.quad
         while self.peek()[0] == "op" and self.peek()[1] in "+-":
             minus = self.take()[1] == "-"
             t = self.term()
@@ -355,15 +352,15 @@ class _Parser:
             hits = len(coeffs.keys() & t.poly.coeffs.keys())
             mag = max(mag + t.den, t.mag + den) + (hits > 0)
             den += t.den
-            self.spend(
-                len(t.poly.coeffs) * OPERATION_WORK + hits * _operation(mag, den, False),
-                f"a sum of {len(coeffs)} and {len(t.poly.coeffs)} terms",
-            )
+            quad = quad or t.quad
+            n = len(t.poly.coeffs)
+            work = n * OPERATION_WORK + hits * _operation((mag + den + 2) ** 2, False)
+            self.spend(work, f"a sum of {len(coeffs)} and {n} terms")
             for e, c in t.poly.coeffs.items():
                 if minus:
                     c = -c
                 coeffs[e] = coeffs[e] + c if e in coeffs else c
-        return _Sized(WPolynomial._trusted(coeffs, len(self.names)), mag, den)
+        return _Sized(WPolynomial._trusted(coeffs, len(self.names)), mag, den, quad)
 
     def term(self) -> _Sized:
         out = self.factor()
@@ -380,9 +377,13 @@ class _Parser:
     def product(self, f: _Sized, g: _Sized) -> _Sized:
         nf, ng = len(f.poly.coeffs), len(g.poly.coeffs)
         # each coefficient is a sum of at most min(nf, ng) products
-        mag, den = f.mag + g.mag + _log2(min(nf, ng)), f.den + g.den
-        self.spend(nf * ng * _operation(mag, den, self.sqrt2), f"a product of {nf} by {ng} terms")
-        return _Sized(f.poly * g.poly, mag, den)
+        mag, den, quad = f.mag + g.mag + _log2(min(nf, ng)), f.den + g.den, f.quad or g.quad
+        # A term of f times those of g makes ng distinct terms, so at most
+        # nf*ng - max(nf, ng) products are added into a term already made.
+        adds = max(nf * ng - max(nf, ng), 0)
+        bits = nf * ng * (f.mag + f.den + 2) * (g.mag + g.den + 2) + adds * (mag + den + 2) ** 2
+        self.spend(_operation(bits, quad, nf * ng), f"a product of {nf} by {ng} terms")
+        return _Sized(f.poly * g.poly, mag, den, quad)
 
     def negate(self, f: _Sized) -> _Sized:
         self.spend(len(f.poly.coeffs) * OPERATION_WORK, f"a negation of {len(f.poly.coeffs)} terms")
@@ -390,22 +391,25 @@ class _Parser:
 
     def power(self, f: _Sized, k: int, digits: str) -> _Sized:
         """f^k, whose coefficients are at most the k-th power of the sum of
-        those of f.  c^k takes at most two products per bit of k, a binomial
-        four per term of f^k; a longer base is multiplied k - 1 times, each
-        time by its terms, and f^(k-1) has at most C((k-1) deg f + n, n)."""
+        those of f.  c^k takes two products per bit of k, on operands that at
+        most double per bit: square bit products in all.  A binomial takes
+        four products per term of f^k.  A longer base is multiplied k - 1
+        times by its terms, and f^(k-1) has at most C(k-1 + terms-1, k-1)
+        terms, and at most C((k-1) deg f + n, n)."""
         terms = len(f.poly.coeffs)
         mag, den = k * (f.mag + _log2(terms)), k * f.den
+        square = (mag + den + 2) ** 2
         if terms < 2:
-            work = 2 * k.bit_length() * _operation(mag, den, self.sqrt2)
+            work = _operation(square, f.quad, 2 * k.bit_length())
         elif terms == 2:  # unweighted: ((2/3+5/7*sqrt(2))*s+t)^1824 takes 0.65 s
-            work = 4 * (k + 1) * _operation(mag, den, False)
+            work = 4 * (k + 1) * _operation(square, False)
         else:
-            n, steps = f.poly.nvars, max(k - 1, 0)
-            longest = math.comb(steps * f.poly.total_degree() + n, n)
-            work = steps * longest * terms * _operation(mag, den, self.sqrt2)
+            n, steps, deg = f.poly.nvars, max(k - 1, 0), f.poly.total_degree()
+            longest = min(math.comb(steps + terms - 1, steps), math.comb(steps * deg + n, n))
+            work = steps * longest * terms * _operation(square, f.quad)
         power = f"the power {k}" if len(digits) <= 12 else f"a power of {len(digits)} digits"
         self.spend(work, f"a {terms}-term base to {power}")
-        return _Sized(f.poly**k, mag, den)
+        return _Sized(f.poly**k, mag, den, f.quad)
 
     def factor(self) -> _Sized:
         if self.peek() == ("op", "-"):
@@ -425,7 +429,8 @@ class _Parser:
         den = math.lcm(a.denominator, b.denominator)
         # over den, |a| + sqrt(2)*|b| < |a| + 2*|b|
         top = abs(a.numerator) * (den // a.denominator) + 2 * abs(b.numerator) * (den // b.denominator)
-        return _Sized(WPolynomial.constant(c, len(self.names)), _log2(top), _log2(den))
+        quad = isinstance(c, QuadExt)
+        return _Sized(WPolynomial.constant(c, len(self.names)), _log2(top), _log2(den), quad)
 
     def atom(self) -> _Sized:
         kind, value = self.take()
@@ -443,7 +448,7 @@ class _Parser:
                     raise ValueError(f"sqrt({d}) not allowed here (expected sqrt({QuadExt.D}))")
                 return self.constant(QuadExt(Fraction(0), Fraction(1)))
             if value in self.names:
-                return _Sized(WPolynomial.variable(self.names.index(value), n), 0, 0)
+                return _Sized(WPolynomial.variable(self.names.index(value), n), 0, 0, False)
             raise ValueError(f"unknown variable {value!r} (expected one of {self.names})")
         if (kind, value) == ("op", "("):
             out = self.expr()

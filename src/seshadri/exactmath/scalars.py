@@ -113,14 +113,12 @@ class QuadExt:
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise ValueError("QuadExt powers must be non-negative integers")
+        # From the top bit down, so that each product but the squares is by self.
         out = QuadExt(Fraction(1), Fraction(0))
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            k >>= 1
-            if k:
-                base = base * base
+        for bit in bin(k)[2:]:
+            out = out * out
+            if bit == "1":
+                out = out * self
         return out
 
     def __bool__(self):

@@ -25,6 +25,7 @@ from seshadri.exactmath import (
     rational_parts,
 )
 from seshadri.exactmath.polynomials import (
+    MAX_WORK,
     OPERATION_WORK,
     SQRT2_WEIGHT,
     BudgetExceeded,
@@ -235,6 +236,21 @@ def test_a_power_over_the_parse_cap_is_refused_before_it_is_expanded(monkeypatch
             parse_polynomial(f"(s+t+1)^{k}", ("s", "t"))
 
 
+@pytest.mark.parametrize(
+    "text,names",
+    [("(s^100+t+1)^4", ("s", "t")), ("(s^10+t^10+sqrt(2)*s*t)^10", ("s", "t")),
+     ("(s^20+t^20+u^20)^5", ("s", "t", "u"))],
+)
+def test_a_sparse_power_of_high_degree_is_charged_by_its_terms(text, names):
+    # f^(k-1) has at most C(k-1 + terms-1, k-1) terms, far fewer here than
+    # the monomials of its degree: (s^100+t+1)^4 multiplies 3 times by 3
+    # terms, at most 10 terms a time.
+    parser = _Parser(_tokenize(text), names, True)
+    power = parser.parse()
+    assert power == parse_polynomial(text[1 : text.index(")^")], names, sqrt2=True) ** int(text.split("^")[-1])
+    assert parser.work < MAX_WORK // 10
+
+
 def _bits(c) -> int:
     """Bit lengths of numerator and denominator together, of the larger part
     of a sqrt(2) coefficient."""
@@ -336,18 +352,28 @@ def test_the_power_bit_caps_admit_estimates_equal_to_them(monkeypatch):
 
 def test_the_parse_cap_weighs_products_and_sqrt2_coefficients(monkeypatch):
     names = ("s", "t")
+
+    def parser_work(text, sqrt2):
+        return sum(work for work, _ in _parse_charges(text, sqrt2)[1])
+
     # Two additions each for (s+t+1) and (s-t+2), then 3 x 3 coefficient
-    # products of magnitude at most 2^(0 + 1 + ceil(log2 3)) = 8 (5 bits).
-    work = 4 * OPERATION_WORK + 9 * (OPERATION_WORK + 5**2)
+    # products of 2 by 3 bits (magnitudes 2^0 and 2^1), and 9 - 3 of them
+    # added into terms already made (bits only, the fixed cost is the
+    # product's), on magnitudes of at most 2^(0 + 1 + ceil(log2 3)) = 8
+    # (5 bits).
+    work = 4 * OPERATION_WORK + 9 * (OPERATION_WORK + 2 * 3) + 6 * 5**2
     monkeypatch.setattr("seshadri.exactmath.polynomials.MAX_WORK", work)
     assert parse_polynomial("(s+t+1)*(s-t+2)", names) == parse_polynomial("s^2-t^2+3*s+t+2", names)
     monkeypatch.setattr("seshadri.exactmath.polynomials.MAX_WORK", work - 1)
     with pytest.raises(BudgetExceeded, match="a product of 3 by 3 terms takes the parse past"):
         parse_polynomial("(s+t+1)*(s-t+2)", names)
-    # With sqrt(2) in a factor, each product has SQRT2_WEIGHT times the
-    # fixed cost; sqrt(2)*s is one such product of 1 by 1 terms.
-    fixed = SQRT2_WEIGHT * OPERATION_WORK
-    work = (fixed + 3**2) + 4 * OPERATION_WORK + 9 * (fixed + 6**2)
+    # Admitting sqrt(2) alone weighs nothing.
+    assert parser_work("(s+t+1)*(s-t+2)", sqrt2=True) == parser_work("(s+t+1)*(s-t+2)", sqrt2=False)
+    # With sqrt(2) in a factor, each product weighs SQRT2_WEIGHT, and its bit
+    # products weigh 3 times more; sqrt(2)*s is one such product of 1 by 1
+    # terms.
+    first = SQRT2_WEIGHT * (OPERATION_WORK + 3 * 3 * 2)
+    work = first + 4 * OPERATION_WORK + SQRT2_WEIGHT * (9 * OPERATION_WORK + 3 * (9 * 3 * 3 + 6 * 6**2))
     monkeypatch.setattr("seshadri.exactmath.polynomials.MAX_WORK", work)
     parse_polynomial("(sqrt(2)*s+t+1)*(s-t+2)", names, sqrt2=True)
     monkeypatch.setattr("seshadri.exactmath.polynomials.MAX_WORK", work - 1)

@@ -3,6 +3,7 @@ comparison, and minimal multiplicities in valuation ideals."""
 
 import math
 import random
+import re
 import time
 from fractions import Fraction
 from itertools import product
@@ -18,11 +19,14 @@ from seshadri.exactmath import (
     parse_polynomial,
     rational_parts,
 )
+from seshadri import valuations
+from seshadri.exactmath import polynomials
 from seshadri.valuations import (
     SQRT2,
     MonomialValuation,
     Twist,
     ValuationIdealQuery,
+    _expand_twist,
     discrepancy,
     galois_min_mult,
     ideal_min_multiplicity,
@@ -416,6 +420,32 @@ def test_rewrite_matches_substitution(stream, seed):
     assert rewritten == expected
     assert all(rewritten.coeffs.values())
     assert valuation_eval(nu, f) == expected.min_weighted_degree((1, 2))
+    # The charge counts each output that the loop makes, zero or not: with
+    # OPERATION_WORK at 4 rather than 0 it grows by a step's third (1) per
+    # step and 2 * 4 per output.
+    made = []
+
+    def recording(pairs, e):
+        made.append(_expand_twist(pairs, e))
+        return made[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(valuations, "_expand_twist", recording)
+        nu.rewrite(f)
+    steps = sum(b + 1 for _, b in f.coeffs)
+    outputs = (_rewrite_charge(nu, f, 4) - _rewrite_charge(nu, f, 0) - steps) / 8
+    assert len(made[0]) <= outputs
+
+
+def _rewrite_charge(nu, f, operation):
+    """What nu.rewrite(f) charges with OPERATION_WORK set to operation, read
+    from its refusal under a budget of -1."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(polynomials, "OPERATION_WORK", operation)
+        patch.setattr(polynomials, "MAX_WORK", -1)
+        with pytest.raises(polynomials.BudgetExceeded) as refusal:
+            nu.rewrite(f)
+    return int(re.search(r"it takes about (\d+) bit products", str(refusal.value)).group(1))
 
 
 def _sympy_matrix(rows):
