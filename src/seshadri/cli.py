@@ -22,8 +22,8 @@ from typing import Optional
 
 from . import DEFAULT_SEED
 from .exactmath import (
+    MAX_NUMBER_DIGITS,
     BudgetExceeded,
-    ExactMatrix,
     QuadExt,
     WPolynomial,
     format_polynomial,
@@ -140,11 +140,6 @@ def _parse_weights(text: str) -> tuple[int, ...]:
         raise ValueError(f"bad weight list {text!r}: {exc}") from None
 
 
-# The most decimal digits in the numerator or the denominator of an input
-# number: CPython's default limit on converting a string to an int.
-MAX_NUMBER_DIGITS = 4300
-
-
 class _LongInteger(str):
     """The text of a JSON integer of more than MAX_NUMBER_DIGITS digits.
     json.loads would fail on it without naming its field; `_typed` and
@@ -168,6 +163,15 @@ def _fraction(value, where: str) -> Fraction:
         return Fraction(value)
     text = str(value)
     if any(sum(c.isdigit() for c in part) > MAX_NUMBER_DIGITS for part in text.split("/")):
+        raise _too_many_digits(where)
+    # An exponent, as in 1e99999999, writes out digits that the text does not
+    # show; Fraction would build them all before any check.
+    mantissa, e, exponent = text.lower().partition("e")
+    try:
+        written = sum(c.isdigit() for c in mantissa) + abs(int(exponent)) if e else 0
+    except ValueError:  # not an exponent: Fraction names the bad literal
+        written = 0
+    if written > MAX_NUMBER_DIGITS:
         raise _too_many_digits(where)
     return Fraction(text)
 
@@ -361,7 +365,7 @@ def _lattice_from_json(desc):
     generators = _typed(_field(desc, "generators", where), list, "generators")
     generators = tuple(str(g) for g in generators)
     rows = _typed(_field(desc, "gram", where), list, "gram")
-    gram = ExactMatrix.from_rows([_fraction_point(row, f"gram[{i}]") for i, row in enumerate(rows)])
+    gram = tuple(_fraction_point(row, f"gram[{i}]") for i, row in enumerate(rows))
     curves = []
     for i, c in enumerate(_typed(_field(desc, "curves", where), list, "curves")):
         at = f"curves[{i}]"

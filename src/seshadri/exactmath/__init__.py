@@ -1,6 +1,7 @@
 """Exact arithmetic substrate: scalars, polynomials, and linear algebra."""
 
 from .scalars import (
+    MAX_NUMBER_DIGITS,
     QuadExt,
     Scalar,
     format_scalar,

@@ -1,47 +1,32 @@
-"""Exact linear algebra over Q: fraction-free rank and the Zariski solve.
+"""Exact linear algebra over Q on integer rows: fraction-free rank and the
+Zariski solve.  A caller scales rational values to one denominator first.
 
-Entries are ints or Fractions; a QuadExt entry is rejected.  Each row is
-first scaled by the lcm of its denominators, so it becomes a row of Python
-integers.  One fraction-free kernel (Bareiss, Math. Comp. 22, 1968),
-`_bareiss`, eliminates those rows in place; a step replaces each row below
-the pivot by (lead * row - row[col] * pivot_row) // previous_lead, so every
-entry is a minor of the input and each division is exact.  It yields
-(source row, pivot column, pivot) at each step: `exact_rank` counts the
-steps, and `negative_definite_solve` wants n positive pivots taken from the
-diagonal without a swap, then back-substitutes on the echelon rows.
+One fraction-free kernel (Bareiss, Math. Comp. 22, 1968), `_bareiss`,
+eliminates the rows in place; a step replaces each row below the pivot by
+(lead * row - row[col] * pivot_row) // previous_lead, so every entry is a
+minor of the input and each division is exact.  It yields (source row, pivot
+column, pivot) at each step: `exact_rank` counts the steps, and
+`negative_definite_solve` wants n positive pivots taken from the diagonal
+without a swap, then back-substitutes on the echelon rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Iterable, Iterator, List, Sequence
-
-from .scalars import _as_fraction
 
 Row = List[int]
 
 
 @dataclass(frozen=True)
 class ExactMatrix:
-    """Immutable matrix of rationals, held as ints or Fractions."""
+    """Immutable matrix of integer rows: the argument of `exact_rank`."""
 
-    entries: tuple[tuple[int | Fraction, ...], ...]
-
-    def __post_init__(self):
-        widths = {len(r) for r in self.entries}
-        if len(widths) > 1:
-            raise ValueError("ragged matrix")
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence]) -> "ExactMatrix":
-        return cls(tuple(tuple(_as_fraction(x) for x in row) for row in rows))
+    entries: tuple[tuple[int, ...], ...]
 
     @classmethod
     def from_integer_rows(cls, rows: Iterable[Sequence[int]]) -> "ExactMatrix":
-        """Integer rows, kept as ints rather than turned into Fractions that
-        `integral_rows` would turn back."""
         return cls(tuple(map(tuple, rows)))
 
     @property
@@ -51,17 +36,6 @@ class ExactMatrix:
     @property
     def cols(self) -> int:
         return len(self.entries[0]) if self.entries else 0
-
-
-def integral_rows(m: ExactMatrix) -> list[Row]:
-    """The rows of m, each scaled by the lcm of its denominators to Python
-    integers.  Scaling a row by a positive integer changes no rank, pivot
-    column or sign of a minor."""
-    out = []
-    for row in m.entries:
-        scale = lcm(*(x.denominator for x in row))
-        out.append([x.numerator * (scale // x.denominator) for x in row])
-    return out
 
 
 def _bareiss(a: list[Row]) -> Iterator[tuple[int, int, int]]:
@@ -90,24 +64,23 @@ def _bareiss(a: list[Row]) -> Iterator[tuple[int, int, int]]:
 
 def exact_rank(m: ExactMatrix) -> int:
     """Rank over Q: the number of Bareiss steps."""
-    return sum(1 for _ in _bareiss(integral_rows(m)))
+    return sum(1 for _ in _bareiss([list(r) for r in m.entries]))
 
 
-def negative_definite_solve(g: ExactMatrix, rhs: Sequence) -> list[Fraction] | None:
-    """The solution x of G x = rhs when G is negative definite, else None.
+def negative_definite_solve(g: Sequence[Sequence[int]], rhs: Sequence[int]) -> list[Fraction] | None:
+    """The solution x of G x = rhs when the integer matrix G is negative
+    definite, else None.
 
-    One Bareiss pass over the row-scaled [-G | -rhs].  While it takes its
-    pivots from the diagonal without a swap, the k-th pivot is the k-th
-    leading principal minor of the scaled -G, which has the sign of that
+    One Bareiss pass over [-G | -rhs].  While it takes its pivots from the
+    diagonal without a swap, the k-th pivot is the k-th leading principal
     minor of -G.  By Sylvester's criterion G is negative definite exactly
     when all n of them are positive; a swap or a skipped column means a
     minor is 0.  The rows are then upper triangular, and back substitution
     gives x."""
-    n = g.rows
-    if n != g.cols or len(rhs) != n:
+    n = len(g)
+    if any(len(row) != n for row in g) or len(rhs) != n:
         raise ValueError("negative_definite_solve needs a square system")
-    aug = ExactMatrix.from_rows([list(row) + [b] for row, b in zip(g.entries, rhs)])
-    a = [[-x for x in row] for row in integral_rows(aug)]
+    a = [[-x for x in row] + [-b] for row, b in zip(g, rhs)]
     steps = 0
     for source, col, pivot in _bareiss(a):
         if not (source == col == steps and pivot > 0):

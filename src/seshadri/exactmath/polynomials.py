@@ -15,7 +15,7 @@ from fractions import Fraction
 from operator import add
 from typing import Dict, Iterable, NamedTuple, Sequence, Tuple
 
-from .scalars import QuadExt, Scalar, rational_parts, to_scalar
+from .scalars import MAX_NUMBER_DIGITS, QuadExt, Scalar, rational_parts, to_scalar
 
 Exponent = Tuple[int, ...]
 CoeffMap = Dict[Exponent, Scalar]
@@ -242,7 +242,8 @@ SQRT2_WEIGHT = 5
 
 
 class BudgetExceeded(ValueError):
-    """Work over MAX_WORK, refused before it runs."""
+    """Work over MAX_WORK, or a number of more than MAX_NUMBER_DIGITS digits,
+    refused before it runs."""
 
 
 def _log2(x: int) -> int:
@@ -284,6 +285,8 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
             raise ValueError(f"cannot tokenize polynomial at: {text[pos:]!r}")
         pos = m.end()
         if m.group("num"):
+            if len(m.group("num")) > MAX_NUMBER_DIGITS:
+                raise BudgetExceeded(f"a number of more than {MAX_NUMBER_DIGITS} digits")
             tokens.append(("num", m.group("num")))
         elif m.group("name"):
             tokens.append(("name", m.group("name")))

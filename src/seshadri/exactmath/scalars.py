@@ -12,6 +12,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import ClassVar, Union
 
+# The most decimal digits in the numerator or the denominator of an input
+# number: CPython's default limit on converting a string to an int.
+MAX_NUMBER_DIGITS = 4300
+
 
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):

@@ -26,7 +26,7 @@ from math import lcm
 from operator import mul
 from typing import List, Tuple
 
-from .exactmath import ExactMatrix, negative_definite_solve
+from .exactmath import negative_definite_solve
 
 
 def _fractions(coords) -> Tuple[Fraction, ...]:
@@ -87,16 +87,20 @@ class SurfaceLattice:
     declared curve list (asserted complete for negativity purposes)."""
 
     generators: Tuple[str, ...]
-    gram: ExactMatrix
+    gram: Tuple[Tuple[Fraction, ...], ...]
     curves: Tuple[CurveClass, ...]
 
     def __post_init__(self):
+        gram = tuple(map(_fractions, self.gram))
+        object.__setattr__(self, "gram", gram)
         n = len(self.generators)
-        if self.gram.rows != n or self.gram.cols != n:
+        if len({len(row) for row in gram}) > 1:
+            raise ValueError("ragged matrix")
+        if len(gram) != n or (gram and len(gram[0]) != n):
             raise ValueError("gram matrix size must match the generator count")
         for i in range(n):
             for j in range(n):
-                if self.gram.entries[i][j] != self.gram.entries[j][i]:
+                if gram[i][j] != gram[j][i]:
                     raise ValueError("gram matrix must be symmetric")
         names = set()
         for c in self.curves:
@@ -110,8 +114,8 @@ class SurfaceLattice:
     def _integer_gram(self) -> Tuple[List[List[int]], int]:
         """(rows, den): the Gram matrix is rows / den, with den the lcm of the
         denominators of its entries."""
-        den = lcm(*(x.denominator for row in self.gram.entries for x in row))
-        return [[x.numerator * (den // x.denominator) for x in row] for row in self.gram.entries], den
+        den = lcm(*(x.denominator for row in self.gram for x in row))
+        return [[x.numerator * (den // x.denominator) for x in row] for row in self.gram], den
 
     @cached_property
     def _integer_curves(self) -> Tuple[List[Tuple[int, ...]], int]:
@@ -176,23 +180,27 @@ def _enlarge_support(lat: SurfaceLattice, d: DivisorClass) -> ZariskiDecompositi
     if len(d.coords) != len(lat.generators):
         raise ValueError("divisor coordinate length mismatch")
     d_dots, d_den = lat.curve_pairings(d)
+    rows, gden = lat._integer_gram
+    curve_rows, cden = lat._integer_curves
     support = [i for i, x in enumerate(d_dots) if x < 0]
     for _ in range(len(lat.curves) + 1):
         if not support:
             zero = DivisorClass((Fraction(0),) * len(lat.generators))
             return ZariskiDecomposition(d, zero, (), ())
         curves = [lat.curves[i] for i in support]
-        gram = ExactMatrix.from_rows(
-            [[lat.pairing(a.divisor, b.divisor) for b in curves] for a in curves]
-        )
-        rhs = [Fraction(d_dots[i], d_den) for i in support]
-        coeffs = negative_definite_solve(gram, rhs)
-        if coeffs is None:
+        # The support Gram is K G K^T / (gden cden^2) with K the support's
+        # curve rows; a positive scale changes no sign of a leading minor.
+        k = [curve_rows[i] for i in support]
+        gk = [[_dot(row, b) for row in rows] for b in k]
+        y = negative_definite_solve([[_dot(a, b) for b in gk] for a in k], [d_dots[i] for i in support])
+        if y is None:
             names = ", ".join(c.name for c in curves)
             raise ValueError(
                 f"gram matrix on candidate support {{{names}}} is not negative "
                 "definite; the declared curve set is inconsistent"
             )
+        scale = Fraction(gden * cden * cden, d_den)
+        coeffs = [x * scale for x in y]
         bad = [c.name for c, x in zip(curves, coeffs) if x < 0]
         if bad:
             raise ValueError(
@@ -272,10 +280,9 @@ class RuledSurfaceModel:
 def ruled_surface_lattice(d: int) -> SurfaceLattice:
     """Lattice of P(O + O(-D)): negative section E (E^2 = -d, missing a very
     general point) and fiber F (F^2 = 0, through it with multiplicity 1)."""
-    gram = ExactMatrix.from_rows([[-d, 1], [1, 0]])
     return SurfaceLattice(
         ("E", "F"),
-        gram,
+        ((-d, 1), (1, 0)),
         (
             CurveClass("E", (Fraction(1), Fraction(0)), through_marked_point=False),
             CurveClass("F", (Fraction(0), Fraction(1)), through_marked_point=True),

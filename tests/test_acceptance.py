@@ -17,7 +17,6 @@ import pytest
 from seshadri.bounds import best_volume_bound, grid_confirms_best
 from seshadri.cli import main
 from seshadri.exactmath import WPolynomial, negative_definite_solve, parse_polynomial
-from seshadri.exactmath.linalg import ExactMatrix
 from seshadri.jets import (
     blowup_anticanonical_series,
     blowup_line_bound,
@@ -191,16 +190,20 @@ def test_ruled_pipeline_reproduces_the_closed_form_with_axioms():
                 assert lattice.pairing(positive, negative) == 0
                 support = [c for c in lattice.curves if c.name in dec.support]
                 if support:
-                    gram = ExactMatrix.from_rows(
-                        [
-                            [lattice.pairing(a.divisor, b.divisor) for b in support]
-                            for a in support
-                        ]
-                    )
+                    gram = [
+                        [lattice.pairing(a.divisor, b.divisor) for b in support]
+                        for a in support
+                    ]
                     # Negative definite, and N's coefficients solve
-                    # gram * x = (-K.C) on the support.
+                    # gram * x = (-K.C) on the support.  E, F and -K have
+                    # integer coordinates on an integer Gram matrix, so the
+                    # system is integral as it stands.
                     rhs = [lattice.pairing(minus_k, c.divisor) for c in support]
-                    solution = negative_definite_solve(gram, rhs)
+                    assert all(x.denominator == 1 for row in [*gram, rhs] for x in row)
+                    solution = negative_definite_solve(
+                        [[x.numerator for x in row] for row in gram],
+                        [b.numerator for b in rhs],
+                    )
                     assert solution is not None
                     assert dict(zip((c.name for c in support), solution)) == dict(
                         zip(dec.support, dec.coefficients)

@@ -11,10 +11,15 @@ import shutil
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
+from datetime import timedelta
 from fractions import Fraction
+from io import StringIO
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seshadri import bounds, cli
 from seshadri.cli import decode, emit, main, to_jsonable
@@ -795,6 +800,12 @@ LONG = "9" * (cli.MAX_NUMBER_DIGITS + 1)
             "curve_bound.pairing",
         ),
         (["zariski", f'{{"generators":["E"],"gram":[[{LONG}]],"curves":[],"D":[1]}}'], "gram[0][0]"),
+        # An exponent counts as the digits it writes out.
+        (["bounds", "--n", "2", "--eps", "1e99999999"], "--eps"),
+        (["zariski", '{"generators":["E"],"gram":[["1e-99999999"]],"curves":[],"D":[1]}'], "gram[0][0]"),
+        (["valuation", "--weights", "1,2", "--op", "eval", "--f", f"s^{LONG}"], "--f"),
+        (["valuation", "--weights", "1,2", "--op", "eval", "--f", f"{LONG}*s"], "--f"),
+        (["valuation", "--weights", "1,2", "--op", "eval", "--f", f"{LONG}*s", "--twist-e", "2"], "--f"),
     ],
 )
 def test_a_number_over_the_digit_limit_exits_2_naming_where(capsys, argv, where):
@@ -813,6 +824,11 @@ def test_a_number_at_the_digit_limit_is_read(capsys):
     assert code == 0 and json.loads(out)["upper"] == most
     code, out, err = run_cli(capsys, "bounds", "--n", "2", "--eps", f"{most}/{most}")
     assert code == 0 and json.loads(out)["eps"] == "1"
+    system = system.replace(most, '"1e4299"')
+    code, out, err = run_cli(capsys, "jets", system)
+    assert code == 0 and json.loads(out)["upper"] == "1" + "0" * 4299
+    code, out, err = run_cli(capsys, "valuation", "--weights", "1,2", "--op", "eval", "--f", f"{most}*s")
+    assert code == 0 and json.loads(out)["value"] == 1
 
 
 @pytest.mark.parametrize(
@@ -961,6 +977,88 @@ def test_zariski_rejects_a_positive_part_of_negative_square(capsys):
         "error: the positive part has P^2 = -2 < 0, but a nef class has P^2 >= 0; "
         "the declared lattice is inconsistent\n"
     )
+
+
+@pytest.mark.parametrize(
+    "gram,message",
+    [
+        ([[-1, 0], [0]], "ragged matrix"),
+        ([[-1, 0], [1, 0]], "gram matrix must be symmetric"),
+        ([[-1]], "gram matrix size must match the generator count"),
+    ],
+)
+def test_zariski_rejects_a_malformed_gram_with_one_line(capsys, gram, message):
+    code, out, err = run_cli(capsys, "zariski", json.dumps(dict(_ZARISKI, gram=gram)))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+# A JSON integer of more than MAX_NUMBER_DIGITS digits, which json.dumps will
+# not write: the fuzzed text has it in place of this string.
+_LONG_MARK = "<long>"
+_fuzz_entries = st.one_of(
+    st.integers(-3, 3),
+    st.sampled_from(["1/2", "-3/4", "1/0", "x", "", "1e99999999", "9" * 4301, _LONG_MARK]),
+    st.sampled_from([1.5, 2.0, True, None, [], {}]),
+)
+_fuzz_vectors = st.one_of(st.lists(_fuzz_entries, max_size=4), _fuzz_entries)
+
+
+@st.composite
+def _lattice_like(draw):
+    """A zariski description: mostly a square symmetric integer lattice of 1 to
+    3 generators with unit curves, so that some descriptions decompose, each
+    field then replaced by a ragged, asymmetric, mis-sized or mistyped value
+    or dropped with some chance."""
+    n = draw(st.integers(1, 3))
+    upper = {(i, j): draw(st.integers(-3, 3)) for i in range(n) for j in range(i, n)}
+    fields = {
+        "generators": [f"G{i}" for i in range(n)],
+        "gram": [[upper[min(i, j), max(i, j)] for j in range(n)] for i in range(n)],
+        "curves": [{"name": f"C{i}", "coords": [int(i == j) for j in range(n)]} for i in range(n)],
+        "D": [draw(st.integers(-2, 4)) for _ in range(n)],
+    }
+    asymmetric = [row[:] for row in fields["gram"]]
+    asymmetric[-1][0] += 1
+    broken = {
+        "generators": st.one_of(st.lists(st.sampled_from("EFG"), max_size=4), _fuzz_vectors),
+        "gram": st.one_of(
+            st.just(asymmetric),
+            st.lists(st.lists(st.integers(-3, 3), max_size=4), max_size=4),
+            st.lists(_fuzz_vectors, max_size=4),
+            _fuzz_entries,
+        ),
+        "curves": st.lists(
+            st.one_of(
+                st.fixed_dictionaries(
+                    {"coords": _fuzz_vectors},
+                    optional={"name": _fuzz_entries, "through": _fuzz_entries, "mult": _fuzz_entries},
+                ),
+                _fuzz_entries,
+            ),
+            max_size=4,
+        ),
+        "D": st.one_of(_fuzz_vectors, st.fixed_dictionaries({"coords": _fuzz_vectors})),
+    }
+    desc = {}
+    for key, value in fields.items():
+        choice = draw(st.sampled_from(("keep",) * 6 + ("break",) * 2 + ("drop",)))
+        if choice != "drop":
+            desc[key] = value if choice == "keep" else draw(broken[key])
+    return json.dumps(desc).replace(json.dumps(_LONG_MARK), "9" * 4301)
+
+
+@settings(max_examples=150, deadline=timedelta(seconds=1))
+@given(_lattice_like())
+def test_any_zariski_description_exits_0_or_2_with_one_line(text):
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["zariski", text])
+    if code == 0:
+        assert err.getvalue() == "" and json.loads(out.getvalue())["checks"]["negdef"]
+    else:
+        assert code == 2 and out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        assert "Traceback" not in err.getvalue()
 
 
 _JETS = {

@@ -7,7 +7,6 @@ from fractions import Fraction
 import pytest
 
 from seshadri import surfaces
-from seshadri.exactmath import ExactMatrix
 from seshadri.surfaces import (
     CurveClass,
     DivisorClass,
@@ -98,7 +97,7 @@ def test_decomposition_satisfies_axioms_on_random_divisors():
 
 
 def test_decomposition_invariant_under_curve_permutation():
-    gram = ExactMatrix.from_rows([[-10, 1], [1, 0]])
+    gram = [[-10, 1], [1, 0]]
     e = CurveClass("E", (Fraction(1), Fraction(0)))
     f = CurveClass("F", (Fraction(0), Fraction(1)), through_marked_point=True)
     lat_ef = SurfaceLattice(("E", "F"), gram, (e, f))
@@ -126,7 +125,7 @@ def test_decomposition_rejects_a_positive_part_of_negative_square():
     # and D = E - F has support {E} and P = -F (P^2 = -1).
     lat = SurfaceLattice(
         ("E", "F"),
-        ExactMatrix.from_rows([[-1, 0], [0, -1]]),
+        [[-1, 0], [0, -1]],
         (CurveClass("E", (1, 0)), CurveClass("F", (0, 1))),
     )
     with pytest.raises(ValueError, match=r"P\^2 = -2 < 0.*declared lattice is inconsistent"):
@@ -137,19 +136,21 @@ def test_decomposition_rejects_a_positive_part_of_negative_square():
 
 
 def test_lattice_validation():
-    asym = ExactMatrix.from_rows([[0, 1], [2, 0]])
+    asym = [[0, 1], [2, 0]]
     with pytest.raises(ValueError):
         SurfaceLattice(("E", "F"), asym, ())
+    with pytest.raises(ValueError, match="^ragged matrix$"):
+        SurfaceLattice(("E", "F"), [[-1, 0], [0]], ())
     with pytest.raises(ValueError):
         SurfaceLattice(
             ("E", "F"),
-            ExactMatrix.from_rows([[0, 1], [1, 0]]),
+            [[0, 1], [1, 0]],
             (CurveClass("C", (Fraction(1),)),),  # wrong arity
         )
     with pytest.raises(ValueError, match="duplicate curve name 'E'"):
         SurfaceLattice(
             ("E", "F"),
-            ExactMatrix.from_rows([[-10, 1], [1, 0]]),
+            [[-10, 1], [1, 0]],
             (CurveClass("E", (Fraction(1), Fraction(0))), CurveClass("E", (Fraction(0), Fraction(1)))),
         )
 
@@ -168,7 +169,7 @@ def test_seshadri_at_marked_point_ruled_2_10():
 
 
 def test_seshadri_zero_pairing_gives_zero():
-    gram = ExactMatrix.from_rows([[0, 1], [1, 0]])
+    gram = [[0, 1], [1, 0]]
     curves = (
         CurveClass("A", (Fraction(1), Fraction(0)), through_marked_point=True),
         CurveClass("B", (Fraction(0), Fraction(1))),
@@ -186,14 +187,14 @@ def test_seshadri_rejects_non_nef():
 
 
 def test_seshadri_needs_a_through_curve():
-    gram = ExactMatrix.from_rows([[1]])
+    gram = [[1]]
     lat = SurfaceLattice(("H",), gram, (CurveClass("H", (Fraction(1),)),))
     with pytest.raises(ValueError, match="through"):
         seshadri_at_marked_point(lat, DivisorClass((Fraction(1),)))
 
 
 def test_seshadri_respects_multiplicity():
-    gram = ExactMatrix.from_rows([[1]])
+    gram = [[1]]
     curves = (CurveClass("C", (Fraction(1),), through_marked_point=True, mult=3),)
     lat = SurfaceLattice(("H",), gram, curves)
     result = seshadri_at_marked_point(lat, DivisorClass((Fraction(1),)))
@@ -259,6 +260,6 @@ def test_ruled_model_domain():
 def test_ruled_lattice_shape():
     lat = ruled_surface_lattice(7)
     assert lat.generators == ("E", "F")
-    assert lat.gram.entries == ((Fraction(-7), Fraction(1)), (Fraction(1), Fraction(0)))
+    assert lat.gram == ((Fraction(-7), Fraction(1)), (Fraction(1), Fraction(0)))
     through = [c.name for c in lat.curves if c.through_marked_point]
     assert through == ["F"]

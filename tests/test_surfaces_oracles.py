@@ -11,11 +11,10 @@ from contextlib import redirect_stdout
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seshadri import cli
-from seshadri.exactmath import ExactMatrix
 from seshadri.surfaces import (
     CurveClass,
     DivisorClass,
@@ -53,7 +52,7 @@ def lattices_with_classes(draw):
         )
         for k in range(draw(st.integers(1, 5)))
     )
-    lat = SurfaceLattice(tuple(f"G{i}" for i in range(n)), ExactMatrix.from_rows(gram), curves)
+    lat = SurfaceLattice(tuple(f"G{i}" for i in range(n)), gram, curves)
     a, b = (DivisorClass(tuple(draw(rationals) for _ in range(n))) for _ in range(2))
     return lat, gram, a, b
 
@@ -102,7 +101,7 @@ def test_curve_pairings_keep_each_curves_own_denominator():
             ("C", (Fraction(0), Fraction(4, 5))),
         )
     )
-    lat = SurfaceLattice(("X", "Y"), ExactMatrix.from_rows(gram), curves)
+    lat = SurfaceLattice(("X", "Y"), gram, curves)
     d = DivisorClass((Fraction(3, 4), Fraction(-1)))
     numerators, den = lat.curve_pairings(d)
     assert den > 0 and den % (2 * 3 * 5 * 7 * 4) == 0
@@ -190,7 +189,7 @@ def test_zariski_decomposition_is_the_largest_nef_class_below_d(drawn):
     gram, curves, d = drawn
     lat = SurfaceLattice(
         tuple(f"G{i}" for i in range(len(d))),
-        ExactMatrix.from_rows(gram),
+        gram,
         tuple(CurveClass(f"C{i}", c) for i, c in enumerate(curves)),
     )
     best, candidates = largest_nef_class_below(gram, curves, d)
@@ -209,6 +208,42 @@ def test_zariski_decomposition_is_the_largest_nef_class_below_d(drawn):
     assert list(dec.positive.coords) == p
     support = {f"C{i}": xi for i, xi in enumerate(x) if xi}
     assert dict(zip(dec.support, dec.coefficients)) == support
+
+
+@st.composite
+def rescaled_configurations(draw):
+    """A negative configuration and a diagonal change of basis G_i -> t_i G_i,
+    with each t_i = p/q nonzero."""
+    gram, curves, d = draw(negative_configurations())
+    signs, tops, bottoms = st.sampled_from((1, -1)), st.integers(1, 7), st.integers(1, 7)
+    t = [Fraction(draw(signs) * draw(tops), draw(bottoms)) for _ in d]
+    return gram, curves, d, t
+
+
+@settings(max_examples=80, deadline=None)
+@given(rescaled_configurations())
+@example(([[1, 0], [0, -1]], [(0, 1)], [Fraction(1), Fraction(2)], [Fraction(2, 3), Fraction(5, 7)]))
+def test_the_decomposition_is_unchanged_by_a_rational_change_of_basis(drawn):
+    # In the basis t_i G_i a class has coordinates c_i / t_i and the Gram
+    # matrix is t_i t_j G_ij, so every pairing, the support and the
+    # coefficients stay, and P goes to P_i / t_i.  The Gram matrix, the curves
+    # and D each get denominators here, which the integer solve must undo.
+    gram, curves, d, t = drawn
+    lat = SurfaceLattice(
+        tuple(f"G{i}" for i in range(len(d))),
+        [[t[i] * t[j] * x for j, x in enumerate(row)] for i, row in enumerate(gram)],
+        tuple(CurveClass(f"C{i}", tuple(c / s for c, s in zip(curve, t))) for i, curve in enumerate(curves)),
+    )
+    divisor = DivisorClass(tuple(x / s for x, s in zip(d, t)))
+    best, candidates = largest_nef_class_below(gram, curves, d)
+    if not candidates or loop_pairing(gram, best[1], best[1]) < 0:
+        with pytest.raises(ValueError):
+            zariski_decomposition(lat, divisor)
+        return
+    x, p = best
+    dec = zariski_decomposition(lat, divisor)
+    assert list(dec.positive.coords) == [pi / s for pi, s in zip(p, t)]
+    assert dict(zip(dec.support, dec.coefficients)) == {f"C{i}": xi for i, xi in enumerate(x) if xi}
 
 
 # -- time budgets -----------------------------------------------------------------
@@ -231,7 +266,7 @@ def del_pezzo(r):
     d = (1,) + tuple(range(1, n))
     lat = SurfaceLattice(
         tuple(f"G{i}" for i in range(n)),
-        ExactMatrix.from_rows(gram),
+        gram,
         tuple(CurveClass(f"C{i}", c) for i, c in enumerate(curves)),
     )
     return lat, DivisorClass(tuple(d))
