@@ -134,8 +134,11 @@ def decode(fmt: str, text: str):
 
 
 def _parse_weights(text: str) -> tuple[int, ...]:
+    weights = text.replace(" ", "").split(",")
+    if any(sum(c.isdigit() for c in w) > MAX_NUMBER_DIGITS for w in weights):
+        raise _too_many_digits("--weights")
     try:
-        return tuple(int(w) for w in text.replace(" ", "").split(","))
+        return tuple(int(w) for w in weights)
     except ValueError as exc:
         raise ValueError(f"bad weight list {text!r}: {exc}") from None
 
@@ -158,9 +161,11 @@ def _fraction(value, where: str) -> Fraction:
     """A JSON number or string, or a flag's text, as a rational; a numerator
     or a denominator of more than MAX_NUMBER_DIGITS digits is an error that
     names where it sits.  A JSON int, whose digits `_json_int` has bounded,
-    is taken as it is; a bool is not an int here."""
+    is taken as it is; a bool, null, array or object is no number."""
     if type(value) is int:
         return Fraction(value)
+    if not isinstance(value, (float, str)):
+        raise ValueError(f"{where}: expected a number")
     text = str(value)
     if any(sum(c.isdigit() for c in part) > MAX_NUMBER_DIGITS for part in text.split("/")):
         raise _too_many_digits(where)

@@ -234,11 +234,11 @@ def jet_basis_size(nvars: int, order: int) -> int:
 # twisted rewrite in `seshadri.valuations`, in estimated bit products: each
 # coefficient operation costs OPERATION_WORK (the fixed cost of a product of
 # small coefficients) plus a bound on its bit products, weighed by
-# SQRT2_WEIGHT on QuadExt coefficients (25 against 5 us on a 2-core Xeon).
-# There the slowest inputs at the budget take 0.4-0.8 s (BENCH_16.json).
+# SQRT2_WEIGHT on QuadExt coefficients.  On a 2-core Xeon the slowest inputs
+# at the budget take 0.4-0.8 s (BENCH_16.json, BENCH_18.json).
 MAX_WORK = 1 << 42
 OPERATION_WORK = 1 << 25
-SQRT2_WEIGHT = 5
+SQRT2_WEIGHT = 2
 
 
 class BudgetExceeded(ValueError):
@@ -253,8 +253,10 @@ def _log2(x: int) -> int:
 
 def _operation(bit_products: int, quad: bool, count: int = 1) -> int:
     """The work of count coefficient operations of bit_products in all.  On
-    QuadExt coefficients the bit products weigh 3 * SQRT2_WEIGHT: four Fraction
-    products and their gcds take about 13 units a bit product on large numbers."""
+    QuadExt coefficients the fixed cost weighs SQRT2_WEIGHT and the bit
+    products 3 * SQRT2_WEIGHT: a QuadExt product costs 0.5-1.0 times a
+    Fraction one on small coefficients, and 3.5-4.6 times its bit products on
+    coefficients of 2000 bits (BENCH_18.json)."""
     if quad:
         return SQRT2_WEIGHT * (count * OPERATION_WORK + 3 * bit_products)
     return count * OPERATION_WORK + bit_products

@@ -8,9 +8,9 @@ point anywhere; equality is exact.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import ClassVar, Union
+from math import gcd
+from typing import Union
 
 # The most decimal digits in the numerator or the denominator of an input
 # number: CPython's default limit on converting a string to an int.
@@ -25,126 +25,182 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"expected an integer or Fraction, got {x!r}")
 
 
-@dataclass(frozen=True)
 class QuadExt:
     """Element a + b*sqrt(D) of the real quadratic field Q(sqrt(D)), D = 2:
-    the one quadratic irrational the package needs."""
+    the one quadratic irrational the package needs.
 
-    a: Fraction
-    b: Fraction
-    D: ClassVar[int] = 2
+    It is held as one tuple of three integers (x, y, den), a = x/den and
+    b = y/den, with den > 0 and gcd(x, y, den) = 1, so each operation runs on
+    integers and takes one three-way gcd.  Instances are immutable."""
 
-    def __post_init__(self):
-        if not isinstance(self.a, Fraction):
-            object.__setattr__(self, "a", _as_fraction(self.a))
-        if not isinstance(self.b, Fraction):
-            object.__setattr__(self, "b", _as_fraction(self.b))
+    __slots__ = ("_v",)
+    D = 2
 
-    # -- helpers ------------------------------------------------------------
+    def __init__(self, a, b):
+        a, b = _as_fraction(a), _as_fraction(b)
+        da, db = a.denominator, b.denominator
+        # Over the lcm of two reduced denominators the content is already 1:
+        # a prime of den divides the denominator that holds its full power,
+        # and not the numerator beside it.
+        den = da * db // gcd(da, db)
+        _set(self, (a.numerator * (den // da), b.numerator * (den // db), den))
 
-    def _coerce(self, other) -> "QuadExt":
-        if isinstance(other, QuadExt):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return QuadExt(_as_fraction(other), Fraction(0))
-        return NotImplemented  # type: ignore[return-value]
+    def __setattr__(self, name, value):
+        raise AttributeError("QuadExt instances are immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("QuadExt instances are immutable")
+
+    def __reduce__(self):
+        return QuadExt, (self.a, self.b)
+
+    @property
+    def a(self) -> Fraction:
+        x, _, den = self._v
+        return Fraction(x, den)
+
+    @property
+    def b(self) -> Fraction:
+        _, y, den = self._v
+        return Fraction(y, den)
 
     @property
     def is_rational(self) -> bool:
-        return self.b == 0
+        return not self._v[1]
 
     def conjugate(self) -> "QuadExt":
-        return QuadExt(self.a, -self.b)
+        x, y, den = self._v
+        return _quad(x, -y, den)
 
     def norm(self) -> Fraction:
         """Field norm a^2 - D*b^2."""
-        return self.a * self.a - self.D * self.b * self.b
+        x, y, den = self._v
+        return Fraction(x * x - 2 * y * y, den * den)
 
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return QuadExt(self.a + o.a, self.b + o.b)
+        o = _parts(other)
+        return NotImplemented if o is None else _sum(self._v, o)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadExt(-self.a, -self.b)
+        x, y, den = self._v
+        return _quad(-x, -y, den)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return QuadExt(self.a - o.a, self.b - o.b)
+        o = _parts(other)
+        return NotImplemented if o is None else _sum(self._v, (-o[0], -o[1], o[2]))
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return QuadExt(o.a - self.a, o.b - self.b)
+        o = _parts(other)
+        x, y, den = self._v
+        return NotImplemented if o is None else _sum(o, (-x, -y, den))
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return QuadExt(self.a * other, self.b * other)
-        o = self._coerce(other)
-        if o is NotImplemented:
+        o = _parts(other)
+        if o is None:
             return NotImplemented
-        return QuadExt(
-            self.a * o.a + self.D * self.b * o.b,
-            self.a * o.b + self.b * o.a,
-        )
+        (x1, y1, d1), (x2, y2, d2) = self._v, o
+        return _normal(x1 * x2 + 2 * y1 * y2, x1 * y2 + y1 * x2, d1 * d2)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        n = o.norm()
-        if n == 0:
-            raise ZeroDivisionError("division by zero in Q(sqrt(2))")
-        inv = QuadExt(o.a / n, -o.b / n)
-        return self * inv
+        o = _parts(other)
+        return NotImplemented if o is None else _quotient(self._v, o)
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o / self
+        o = _parts(other)
+        return NotImplemented if o is None else _quotient(o, self._v)
 
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise ValueError("QuadExt powers must be non-negative integers")
-        # From the top bit down, so that each product but the squares is by self.
-        out = QuadExt(Fraction(1), Fraction(0))
+        # From the top bit down, so that each product but the squares is by
+        # self; the numerators go unreduced until the one gcd at the end.
+        x, y, den = self._v
+        px, py = 1, 0
         for bit in bin(k)[2:]:
-            out = out * out
+            px, py = px * px + 2 * py * py, 2 * px * py
             if bit == "1":
-                out = out * self
-        return out
+                px, py = px * x + 2 * py * y, px * y + py * x
+        return _normal(px, py, den**k)
 
     def __bool__(self):
-        return self.a != 0 or self.b != 0
+        x, y, _ = self._v
+        return bool(x or y)
 
     def __eq__(self, other):
         if isinstance(other, QuadExt):
-            return self.a == other.a and self.b == other.b
+            return self._v == other._v
         if isinstance(other, (int, Fraction)):
-            return self.b == 0 and self.a == other
+            return self._v == (other.numerator, 0, other.denominator)
         return NotImplemented
 
     def __hash__(self):
-        if self.b == 0:
-            return hash(self.a)
-        return hash((self.a, self.b))
+        x, y, den = self._v
+        return hash(Fraction(x, den)) if not y else hash(self._v)
 
     def __repr__(self):
         return f"QuadExt({self.a!r}, {self.b!r})"
 
     def __str__(self):
         return format_scalar(self)
+
+
+_set = QuadExt._v.__set__
+_new = object.__new__
+
+
+def _quad(x: int, y: int, den: int) -> QuadExt:
+    """The trusted constructor: (x + y*sqrt(2))/den, already in normal form."""
+    out = _new(QuadExt)
+    _set(out, (x, y, den))
+    return out
+
+
+def _normal(x: int, y: int, den: int, bound: int = 0) -> QuadExt:
+    """(x + y*sqrt(2))/den for den > 0, divided by its content, which divides
+    bound when bound is given."""
+    g = gcd(bound or den, x, y)  # den first: at gcd 1 the large x and y are skipped
+    if g != 1:
+        x, y, den = x // g, y // g, den // g
+    return _quad(x, y, den)
+
+
+def _parts(other):
+    """other as (x, y, den), or None if it is no int, Fraction or QuadExt."""
+    if isinstance(other, QuadExt):
+        return other._v
+    if isinstance(other, (int, Fraction)):
+        return other.numerator, 0, other.denominator
+    return None
+
+
+def _sum(p, q) -> QuadExt:
+    """p + q over d1*d2/g, g = gcd(d1, d2).  As for Fraction, the sum's
+    content divides g: where a prime has a higher power in d1 than in d2, the
+    sum's parts are x1*(d2/g) and y1*(d2/g) mod p, not both divisible by p;
+    where its powers are equal, that is also its power in d1*d2/g."""
+    (x1, y1, d1), (x2, y2, d2) = p, q
+    g = gcd(d1, d2)
+    if g == 1:
+        return _quad(x1 * d2 + x2 * d1, y1 * d2 + y2 * d1, d1 * d2)
+    s, t = d1 // g, d2 // g
+    return _normal(x1 * t + x2 * s, y1 * t + y2 * s, s * d2, g)
+
+
+def _quotient(p, q) -> QuadExt:
+    """p / q: p times d2*(x2 - y2*sqrt(2)) / (x2^2 - 2*y2^2)."""
+    (x1, y1, d1), (x2, y2, d2) = p, q
+    n = x2 * x2 - 2 * y2 * y2
+    if not n:
+        raise ZeroDivisionError("division by zero in Q(sqrt(2))")
+    if n < 0:
+        n, d2 = -n, -d2
+    return _normal((x1 * x2 - 2 * y1 * y2) * d2, (y1 * x2 - x1 * y2) * d2, d1 * n)
 
 
 Scalar = Union[Fraction, QuadExt]

@@ -441,12 +441,11 @@ def test_workload_and_readme_parses_are_1000_times_under_the_budget(f):
 
 def test_the_factored_workload_parse_is_charged_for_the_products_it_runs():
     # The factored requests multiply 13 by 13 sqrt(2) coefficients, about
-    # 6 ms, and take 1/126 of a budget that admits about 1 s, so they cannot
-    # keep the 1000-fold margin that every other workload and README request
-    # keeps.  The charge is not inflated: it stays within twice the fixed
-    # cost of the coefficient products that the parse runs, weighed for
-    # sqrt(2); the Fraction products inside a QuadExt product are not
-    # counted again.
+    # 0.7 ms of parse, and take 1/268 of a budget that admits about 1 s, so
+    # they do not keep the 1000-fold margin that every other workload and
+    # README request keeps.  The charge is not inflated: it stays within
+    # twice the fixed cost of the coefficient products that the parse runs,
+    # weighed for sqrt(2).
     counted, depth = [], [0]
 
     def counting(method):
@@ -806,6 +805,8 @@ LONG = "9" * (cli.MAX_NUMBER_DIGITS + 1)
         (["valuation", "--weights", "1,2", "--op", "eval", "--f", f"s^{LONG}"], "--f"),
         (["valuation", "--weights", "1,2", "--op", "eval", "--f", f"{LONG}*s"], "--f"),
         (["valuation", "--weights", "1,2", "--op", "eval", "--f", f"{LONG}*s", "--twist-e", "2"], "--f"),
+        (["wps", "--weights", f"1,{LONG}"], "--weights"),
+        (["valuation", "--weights", f"2,-{LONG}", "--op", "minmult", "--k", "1"], "--weights"),
     ],
 )
 def test_a_number_over_the_digit_limit_exits_2_naming_where(capsys, argv, where):
@@ -829,6 +830,8 @@ def test_a_number_at_the_digit_limit_is_read(capsys):
     assert code == 0 and json.loads(out)["upper"] == "1" + "0" * 4299
     code, out, err = run_cli(capsys, "valuation", "--weights", "1,2", "--op", "eval", "--f", f"{most}*s")
     assert code == 0 and json.loads(out)["value"] == 1
+    code, out, err = run_cli(capsys, "valuation", "--weights", f"1,{most}", "--op", "minmult", "--k", "1")
+    assert code == 0 and json.loads(out)["min_mult"] == 1
 
 
 @pytest.mark.parametrize(
@@ -1061,6 +1064,42 @@ def test_any_zariski_description_exits_0_or_2_with_one_line(text):
         assert "Traceback" not in err.getvalue()
 
 
+def _polynomial_texts():
+    """--f texts in s, t and sqrt(2): well-formed expressions with divisions,
+    powers and long literals, and token soups."""
+    atoms = st.sampled_from(["s", "t", "0", "1", "2", "sqrt(2)", "sqrt(3)", "u", "9" * 60, "9" * 4301])
+    exponents = st.sampled_from(["0", "1", "2", "3", "12", "100000", "9" * 4301])
+
+    def extend(children):
+        return st.one_of(
+            st.tuples(children, st.sampled_from("+-*/"), children).map("".join),
+            st.tuples(children, exponents).map(lambda x: f"({x[0]})^{x[1]}"),
+            children.map(lambda x: f"({x})"),
+            children.map(lambda x: f"-{x}"),
+        )
+
+    tokens = ["s", "t", "sqrt(2)", "/", "^", "**", "(", ")", "+", "-", "*", "2", " ", "9" * 4301]
+    return st.one_of(
+        st.recursive(atoms, extend, max_leaves=8),
+        st.lists(st.sampled_from(tokens), max_size=12).map("".join),
+    )
+
+
+@settings(max_examples=150, deadline=timedelta(seconds=2))
+@given(_polynomial_texts(), st.sampled_from(["eval", "izumi"]), st.integers(1, 3))
+def test_any_twisted_f_exits_0_or_2_with_one_line(text, op, e):
+    out, err = StringIO(), StringIO()
+    argv = ["valuation", "--weights", "2,3", "--op", op, f"--f={text}", "--twist-e", str(e)]
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert "Traceback" not in err.getvalue() and err.getvalue().count("error:") <= 1
+    if code == 0:
+        assert err.getvalue() == "" and json.loads(out.getvalue())["f"] == text
+    else:
+        assert code == 2 and out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
 _JETS = {
     "n": 2,
     "d": 3,
@@ -1186,8 +1225,9 @@ def test_a_json_number_reads_as_the_same_number_written_as_a_string(capsys, fiel
 @pytest.mark.parametrize("field", _JSON_NUMBER_FIELDS)
 def test_json_true_and_a_4301_digit_integer_in_a_number_field_exit_2(capsys, field):
     command, template, where = _JSON_NUMBER_FIELDS[field]
-    code, out, err = run_cli(capsys, command, template.replace("V", "true"))
-    assert (code, out, err) == (2, "", "error: Invalid literal for Fraction: 'True'\n")
+    for value in ("true", "null", "[]", "{}", "[1]", '{"a":1}'):
+        code, out, err = run_cli(capsys, command, template.replace("V", value))
+        assert (code, out, err) == (2, "", f"error: {where}: expected a number\n"), value
     code, out, err = run_cli(capsys, command, template.replace("V", "7" + _MOST_DIGITS))
     assert (code, out) == (2, "")
     assert err == f"error: {where}: a number of more than {cli.MAX_NUMBER_DIGITS} digits\n"
