@@ -15,7 +15,7 @@ from fractions import Fraction
 from operator import add
 from typing import Dict, Iterable, NamedTuple, Sequence, Tuple
 
-from .scalars import MAX_NUMBER_DIGITS, QuadExt, Scalar, rational_parts, to_scalar
+from .scalars import MAX_NUMBER_DIGITS, QuadExt, Scalar, _normal, _parts, to_scalar
 
 Exponent = Tuple[int, ...]
 CoeffMap = Dict[Exponent, Scalar]
@@ -110,13 +110,23 @@ class WPolynomial:
             c = to_scalar(other)
             return WPolynomial._trusted({e: v * c for e, v in self.coeffs.items()}, self.nvars)
         self._check_compatible(other)
-        out: CoeffMap = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
+        # Each pair of terms multiplies as integers over d1*d2.  irr holds the
+        # sqrt(2) parts of the exponents that a QuadExt factor reached: they
+        # become QuadExt, the rest Fraction, the types that scalar products
+        # and sums would give them.
+        d1, terms1 = integer_terms(self.coeffs)
+        d2, terms2 = integer_terms(other.coeffs)
+        rat: dict = {}
+        irr: dict = {}
+        for e1, x1, y1, q1 in terms1:
+            for e2, x2, y2, q2 in terms2:
                 e = tuple(map(add, e1, e2))
-                c = c1 * c2
-                out[e] = out[e] + c if e in out else c
-        return WPolynomial._trusted(out, self.nvars)
+                if q1 or q2:
+                    rat[e] = rat.get(e, 0) + x1 * x2 + 2 * y1 * y2
+                    irr[e] = irr.get(e, 0) + x1 * y2 + y1 * x2
+                else:
+                    rat[e] = rat.get(e, 0) + x1 * x2
+        return WPolynomial._trusted(_from_integers(rat, irr, d1 * d2), self.nvars)
 
     __rmul__ = __mul__
 
@@ -131,17 +141,19 @@ class WPolynomial:
             )
         if len(self.coeffs) == 2:
             # Binomial theorem: k + 1 distinct, nonzero terms and no products
-            # of polynomials.
+            # of polynomials.  Term i is C(k, i) * c1^i * c2^(k-i) over
+            # d1^i * d2^(k-i), reduced once; its type is that of the scalar
+            # product, a QuadExt where a QuadExt factor reached it.
             (e1, c1), (e2, c2) = self.coeffs.items()
-            p1, p2 = [Fraction(1)], [Fraction(1)]
-            for _ in range(k):
-                p1.append(p1[-1] * c1)
-                p2.append(p2[-1] * c2)
+            p1, p2 = _powers(c1, k), _powers(c2, k)
+            q1, q2 = isinstance(c1, QuadExt), isinstance(c2, QuadExt)
             out = {}
             binomial = 1  # C(k, i), carried from i to i + 1
             for i in range(k + 1):
                 exp = tuple(i * x + (k - i) * y for x, y in zip(e1, e2))
-                out[exp] = binomial * p1[i] * p2[k - i]
+                (x1, y1, d1), (x2, y2, d2) = p1[i], p2[k - i]
+                x, y = binomial * (x1 * x2 + 2 * y1 * y2), binomial * (x1 * y2 + y1 * x2)
+                out[exp] = _normal(x, y, d1 * d2) if (q1 and i) or (q2 and i < k) else Fraction(x, d1 * d2)
                 binomial = binomial * (k - i) // (i + 1)
             return WPolynomial._trusted(out, self.nvars)
         # Repeated multiplication: each step multiplies by the few terms of
@@ -196,6 +208,44 @@ class WPolynomial:
         return min(sum(w * e for w, e in zip(weights, exp)) for exp in self.coeffs)
 
 
+# -- the integer kernel of products ------------------------------------------
+
+
+def integer_terms(coeffs: CoeffMap) -> tuple[int, list]:
+    """coeffs over their least common denominator den: den, and for each term
+    (exponent, x, y, quad), its coefficient (x + y*sqrt(2))/den, and quad set
+    where that is a QuadExt."""
+    parts = [(e, _parts(c), isinstance(c, QuadExt)) for e, c in coeffs.items()]
+    den = math.lcm(*(d for _, (_, _, d), _ in parts))
+    return den, [(e, x * (den // d), y * (den // d), q) for e, (x, y, d), q in parts]
+
+
+def _from_integers(rat: dict, irr: dict, den: int) -> CoeffMap:
+    """The nonzero coefficients over den > 0, each reduced once: the QuadExt
+    (rat[e] + irr[e]*sqrt(2))/den where irr has e, the Fraction rat[e]/den
+    elsewhere."""
+    out: CoeffMap = {}
+    for e, x in rat.items():
+        if e in irr:
+            y = irr[e]
+            if x or y:
+                out[e] = _normal(x, y, den)
+        elif x:
+            out[e] = Fraction(x, den)
+    return out
+
+
+def _powers(c: Scalar, k: int) -> list[tuple[int, int, int]]:
+    """c^i for i = 0..k, with c = (x + y*sqrt(2))/d, as unreduced triples
+    (x_i, y_i, d^i) with x_i + y_i*sqrt(2) = (x + y*sqrt(2))^i."""
+    x, y, d = _parts(c)
+    out = [(1, 0, 1)]
+    for _ in range(k):
+        px, py, pd = out[-1]
+        out.append((px * x + 2 * py * y, px * y + py * x, pd * d))
+    return out
+
+
 # -- monomial bases and jets --------------------------------------------------
 
 
@@ -235,7 +285,7 @@ def jet_basis_size(nvars: int, order: int) -> int:
 # coefficient operation costs OPERATION_WORK (the fixed cost of a product of
 # small coefficients) plus a bound on its bit products, weighed by
 # SQRT2_WEIGHT on QuadExt coefficients.  On a 2-core Xeon the slowest inputs
-# at the budget take 0.4-0.8 s (BENCH_16.json, BENCH_18.json).
+# at the budget take 0.3-0.6 s (BENCH_19.json).
 MAX_WORK = 1 << 42
 OPERATION_WORK = 1 << 25
 SQRT2_WEIGHT = 2
@@ -254,9 +304,11 @@ def _log2(x: int) -> int:
 def _operation(bit_products: int, quad: bool, count: int = 1) -> int:
     """The work of count coefficient operations of bit_products in all.  On
     QuadExt coefficients the fixed cost weighs SQRT2_WEIGHT and the bit
-    products 3 * SQRT2_WEIGHT: a QuadExt product costs 0.5-1.0 times a
-    Fraction one on small coefficients, and 3.5-4.6 times its bit products on
-    coefficients of 2000 bits (BENCH_18.json)."""
+    products 3 * SQRT2_WEIGHT.  In the integer kernel of products a QuadExt
+    term product costs 1.1-1.3 times a Fraction one on small coefficients,
+    2.4-3.7 times on 2000-bit ones over one denominator, and 6-7.5 times over
+    distinct 100-bit denominators, where a QuadExt's two denominators double
+    the bits of the common one (BENCH_19.json)."""
     if quad:
         return SQRT2_WEIGHT * (count * OPERATION_WORK + 3 * bit_products)
     return count * OPERATION_WORK + bit_products
@@ -284,6 +336,8 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if m is None or m.end() == pos:
+            if text[pos:].isspace():  # trailing whitespace is no token
+                break
             raise ValueError(f"cannot tokenize polynomial at: {text[pos:]!r}")
         pos = m.end()
         if m.group("num"):
@@ -430,12 +484,10 @@ class _Parser:
         return base
 
     def constant(self, c: Scalar) -> _Sized:
-        a, b = rational_parts(c)
-        den = math.lcm(a.denominator, b.denominator)
-        # over den, |a| + sqrt(2)*|b| < |a| + 2*|b|
-        top = abs(a.numerator) * (den // a.denominator) + 2 * abs(b.numerator) * (den // b.denominator)
+        x, y, den = _parts(c)
+        # over den, |x| + sqrt(2)*|y| < |x| + 2*|y|
         quad = isinstance(c, QuadExt)
-        return _Sized(WPolynomial.constant(c, len(self.names)), _log2(top), _log2(den), quad)
+        return _Sized(WPolynomial.constant(c, len(self.names)), _log2(abs(x) + 2 * abs(y)), _log2(den), quad)
 
     def atom(self) -> _Sized:
         kind, value = self.take()

@@ -13,8 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
 
-from .exactmath import INFINITY, QuadExt, WPolynomial, rational_parts
+from .exactmath import INFINITY, QuadExt, WPolynomial
 from .exactmath import polynomials
+from .exactmath.scalars import _normal
 
 SQRT2 = QuadExt(Fraction(0), Fraction(1))
 
@@ -64,15 +65,15 @@ class MonomialValuation:
             return f
         if f.nvars != 2:
             raise ValueError("twisted valuations act on two-variable polynomials")
-        parts = [(exp, *rational_parts(coeff)) for exp, coeff in f.coeffs.items()]
-        den = math.lcm(*(x.denominator for _, alpha, beta in parts for x in (alpha, beta)))
-        pairs = [(a, b, int(alpha * den), int(beta * den)) for (a, b), alpha, beta in parts]
+        den, terms = polynomials.integer_terms(f.coeffs)
+        pairs = [(a, b, x, y) for (a, b), x, y, _ in terms]
         # The loop below, charged before it runs.  Step j of s^a t^b works on
         # integers of the bits of alpha or beta, 2*b and den, at a third of an
         # operation's fixed cost (1.3-2.4 against 6 us), and makes the output
         # (a + e*(b - j), j): (max b + 1) per distinct a + e*b at most.  Each
-        # output is two gcds with den, at 8 units a pair of bits (4 us for 2600
-        # by 1300 bits).
+        # output is reduced by one three-way gcd with den, charged two
+        # operations and 8 units a pair of bits, about 21 us for 2600 by 1300
+        # bits, which take 13-17 us.
         e, d = self.twist.e, den.bit_length()
         work = steps = top = most = 0
         for _, b, x, y in pairs:
@@ -87,11 +88,7 @@ class MonomialValuation:
                 f"the budget of {polynomials.MAX_WORK}"
             )
         out = _expand_twist(pairs, e)
-        coeffs = {
-            key: QuadExt(Fraction(rat, den), Fraction(irr, den))
-            for key, (rat, irr) in out.items()
-            if rat or irr
-        }
+        coeffs = {key: _normal(rat, irr, den) for key, (rat, irr) in out.items() if rat or irr}
         return WPolynomial._trusted(coeffs, 2)
 
 

@@ -1,7 +1,11 @@
 import os
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
+
+from seshadri.exactmath import QuadExt, WPolynomial
+from seshadri.exactmath.polynomials import SQRT2_WEIGHT
 
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -15,3 +19,46 @@ def _src_on_the_childrens_import_path():
     with pytest.MonkeyPatch.context() as patch:
         patch.setenv("PYTHONPATH", os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH")))))
         yield
+
+
+@pytest.fixture(scope="session")
+def term_products():
+    """A context manager that lists the coefficient products of the polynomial
+    products and two-term powers run inside it, one weight each: one product
+    per pair of terms of a product, and 4k + 2 for a two-term base to the
+    power k (k for the powers of each coefficient, and two for each of the
+    k + 1 terms).  A product weighs SQRT2_WEIGHT where a factor is a QuadExt,
+    else 1.  These are the scalar products that the double loop of terms ran,
+    and the term products that the integer kernel runs."""
+    return _term_products
+
+
+def _weight(*factors) -> int:
+    return SQRT2_WEIGHT if any(isinstance(c, QuadExt) for c in factors) else 1
+
+
+@contextmanager
+def _term_products():
+    counted = []
+    multiply, power = WPolynomial.__mul__, WPolynomial.__pow__
+
+    def counting_multiply(f, g):
+        if isinstance(g, WPolynomial):
+            counted.extend(_weight(c1, c2) for c1 in f.coeffs.values() for c2 in g.coeffs.values())
+        else:
+            counted.extend(_weight(c, g) for c in f.coeffs.values())
+        return multiply(f, g)
+
+    def counting_power(f, k):
+        if len(f.coeffs) == 2 and isinstance(k, int) and k > 0:
+            c1, c2 = f.coeffs.values()
+            counted.extend([_weight(c1)] * k + [_weight(c2)] * k)
+            for i in range(k + 1):
+                first = (c1,) if i else ()
+                counted.extend([_weight(*first), _weight(*first, *((c2,) if i < k else ()))])
+        return power(f, k)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(WPolynomial, "__mul__", counting_multiply)
+        patch.setattr(WPolynomial, "__pow__", counting_power)
+        yield counted

@@ -240,6 +240,22 @@ def test_valuation_of_a_zero_polynomial_with_a_unary_minus_is_infinite(capsys):
     assert out == '{"weights":[1,2],"twist":null,"f":"t^2 + -t^2","value":"inf"}\n'
 
 
+@pytest.mark.parametrize("f", ["s ", "s\t", " s", "s \t \n", "(s+t) * s  "])
+def test_whitespace_around_f_is_read(capsys, f):
+    code, out, err = run_cli(capsys, "valuation", "--weights", "1,2", "--op", "eval", "--f", f)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["value"] == (1 if f.strip() == "s" else 2)
+
+
+@pytest.mark.parametrize(
+    "f,message",
+    [("s t", "trailing tokens in polynomial: [('name', 't')]"), ("s $", "cannot tokenize polynomial at: ' $'")],
+)
+def test_a_bad_token_after_whitespace_is_still_refused(capsys, f, message):
+    code, out, err = run_cli(capsys, "valuation", "--weights", "1,2", "--op", "eval", "--f", f)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_valuation_izumi_record(capsys):
     code, out, _ = run_cli(
         capsys, "valuation", "--weights", "2,5", "--op", "izumi", "--f", "s + t"
@@ -439,33 +455,15 @@ def test_workload_and_readme_parses_are_1000_times_under_the_budget(f):
     assert parser.work <= MAX_WORK // 1000
 
 
-def test_the_factored_workload_parse_is_charged_for_the_products_it_runs():
+def test_the_factored_workload_parse_is_charged_for_the_products_it_runs(term_products):
     # The factored requests multiply 13 by 13 sqrt(2) coefficients, about
-    # 0.7 ms of parse, and take 1/268 of a budget that admits about 1 s, so
+    # 0.5 ms of parse, and take 1/268 of a budget that admits about 1 s, so
     # they do not keep the 1000-fold margin that every other workload and
     # README request keeps.  The charge is not inflated: it stays within
     # twice the fixed cost of the coefficient products that the parse runs,
     # weighed for sqrt(2).
-    counted, depth = [], [0]
-
-    def counting(method):
-        def wrapper(self, other):
-            depth[0] += 1
-            try:
-                out = method(self, other)
-            finally:
-                depth[0] -= 1
-            if out is not NotImplemented and not depth[0]:
-                counted.append(SQRT2_WEIGHT if isinstance(out, QuadExt) else 1)
-            return out
-
-        return wrapper
-
     parser = _Parser(_tokenize("s^5*(t-sqrt(2)*s^2)^12*(t+sqrt(2)*s^2)^12"), ("s", "t"), True)
-    with pytest.MonkeyPatch.context() as patch:
-        for cls in (Fraction, QuadExt):
-            for name in ("__mul__", "__rmul__"):
-                patch.setattr(cls, name, counting(getattr(cls, name)))
+    with term_products() as counted:
         parser.parse()
     assert MAX_WORK // 1000 < parser.work <= 2 * sum(counted) * OPERATION_WORK
 
@@ -1062,6 +1060,100 @@ def test_any_zariski_description_exits_0_or_2_with_one_line(text):
         assert code == 2 and out.getvalue() == ""
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
         assert "Traceback" not in err.getvalue()
+
+
+_coordinates = st.one_of(
+    st.integers(-9, 9),
+    st.integers(-(10**20) + 1, 10**20 - 1),
+    st.tuples(st.integers(-(10**20) + 1, 10**20 - 1), st.integers(1, 10**20 - 1)).map("{0[0]}/{0[1]}".format),
+)
+_small_coordinates = st.one_of(
+    st.integers(-9, 9), st.tuples(st.integers(-9, 9), st.integers(1, 9)).map("{0[0]}/{0[1]}".format)
+)
+# Mistyped or out-of-range values of n, d, m_max and order: never a size
+# above the ones a well-formed system draws.
+_broken_sizes = st.one_of(st.integers(-3, 0), st.sampled_from(["2", "x", 1.5, True, None, [], {}, _LONG_MARK]))
+
+
+@st.composite
+def _jets_like(draw):
+    """A jets system: mostly n <= 3 variables, degree d <= 4 and m_max <= 2,
+    with no, one or several mult constraints of order 0 to d + 1 and
+    coordinates of up to 20 digits, each field then replaced by a mistyped,
+    out-of-range or 4301-digit value or dropped with some chance.  Jets has no cost cap:
+    three constraints at m_max 2 or 20-digit coordinates can take minutes, so
+    several constraints come only with m_max 1 and one-digit coordinates."""
+    n, d = draw(st.integers(1, 3)), draw(st.integers(0, 4))
+    several = draw(st.booleans())
+    vector = st.lists(_small_coordinates if several else _coordinates, min_size=n, max_size=n)
+    constraint = st.fixed_dictionaries({"type": st.just("mult"), "point": vector, "order": st.integers(0, d + 1)})
+    constraints = draw(st.lists(constraint, min_size=2, max_size=3) if several else st.lists(constraint, max_size=1))
+    points = [st.just("random"), vector] + [st.just(c["point"]) for c in constraints]
+    fields = {
+        "n": n,
+        "d": d,
+        "constraints": constraints,
+        "point": draw(st.one_of(points)),
+        "m_max": 1 if several else draw(st.integers(1, 2)),
+        "curve_bound": draw(
+            st.none()
+            | st.fixed_dictionaries(
+                {"pairing": st.integers(0, 9), "mult": st.integers(1, 3), "meets_base_locus": st.booleans()}
+            )
+        ),
+    }
+    broken = {
+        "n": _broken_sizes,
+        "d": _broken_sizes,
+        "m_max": _broken_sizes,
+        "constraints": st.one_of(
+            _fuzz_entries,
+            st.lists(
+                st.one_of(
+                    _fuzz_entries,
+                    st.fixed_dictionaries(
+                        {},
+                        optional={
+                            "type": st.sampled_from(["mult", "jet", 1]),
+                            "point": _fuzz_vectors,
+                            "order": st.one_of(_broken_sizes, _fuzz_entries),
+                        },
+                    ),
+                ),
+                max_size=3,
+            ),
+        ),
+        "point": st.one_of(_fuzz_vectors, st.sampled_from(["Random", ""])),
+        "curve_bound": st.one_of(
+            _fuzz_entries,
+            st.fixed_dictionaries(
+                {}, optional={"pairing": _fuzz_entries, "mult": _fuzz_entries, "meets_base_locus": _fuzz_entries}
+            ),
+        ),
+    }
+    desc = {}
+    for key, value in fields.items():
+        choice = draw(st.sampled_from(("keep",) * 6 + ("break",) * 2 + ("drop",)))
+        if choice != "drop":
+            desc[key] = value if choice == "keep" else draw(broken[key])
+        if key == "constraints" and choice == "break":
+            fields["m_max"] = 1  # a broken list may still hold several constraints
+    return json.dumps(desc).replace(json.dumps(_LONG_MARK), "9" * 4301)
+
+
+@settings(max_examples=150, deadline=timedelta(seconds=2))
+@given(_jets_like(), st.integers(0, 9))
+def test_any_jets_system_exits_0_or_2_with_one_line(text, seed):
+    # --m-max 1 is the default of a system without m_max.
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["--seed", str(seed), "--m-max", "1", "jets", text])
+    assert "Traceback" not in err.getvalue() and err.getvalue().count("error:") <= 1
+    if code == 0:
+        assert err.getvalue() == "" and "s_values" in json.loads(out.getvalue())
+    else:
+        assert code == 2 and out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
 def _polynomial_texts():

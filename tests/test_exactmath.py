@@ -34,6 +34,7 @@ from seshadri.exactmath.polynomials import (
     _Parser,
     _tokenize,
 )
+from seshadri.valuations import MonomialValuation, Twist, _expand_twist
 
 # -- strategies ----------------------------------------------------------------
 
@@ -536,53 +537,31 @@ def _expressions():
 @given(_expressions())
 @example("((s+t)*(s+t))")
 @example("(((1/2)+sqrt(2)*s)*((1/3)-s))^3")
-def test_the_carried_bounds_and_charges_are_one_sided(text):
+def test_the_carried_bounds_and_charges_are_one_sided(term_products, text):
     # Every intermediate result keeps the bounds the parser carries with it,
     # and every product and power is charged at least the fixed cost of each
-    # coefficient product that it runs.  Products are counted once per pair of
-    # coefficients: the rational products inside a sqrt(2) product are not
-    # counted again.
-    counted = {"products": 0, "depth": 0}
+    # coefficient product that it runs, counted by `term_products`.
     charges = []
-
-    def counting(method):
-        def wrapper(self, other):
-            counted["depth"] += 1
-            try:
-                out = method(self, other)
-            finally:
-                counted["depth"] -= 1
-            if out is not NotImplemented and not counted["depth"]:
-                counted["products"] += 1
-            return out
-
-        return wrapper
 
     def checking(method):
         def wrapper(*args):
             out = method(*args)
-            counted["depth"] += 1  # the check's own products are not counted
-            try:
-                _assert_carried_bounds(out)
-            finally:
-                counted["depth"] -= 1
+            _assert_carried_bounds(out)
             return out
 
         return wrapper
 
-    def recording(self, work, what):
-        charges.append((work, what, counted["products"]))
-        self.work += work
+    with term_products() as counted, pytest.MonkeyPatch.context() as patch:
 
-    with pytest.MonkeyPatch.context() as patch:
-        for cls in (Fraction, QuadExt):
-            for name in ("__mul__", "__rmul__"):
-                patch.setattr(cls, name, counting(getattr(cls, name)))
+        def recording(self, work, what):
+            charges.append((work, what, len(counted)))
+            self.work += work
+
         for name in ("expr", "term", "factor", "atom", "product", "power", "negate", "constant"):
             patch.setattr(_Parser, name, checking(getattr(_Parser, name)))
         patch.setattr(_Parser, "spend", recording)
         _Parser(_tokenize(text), ("s", "t"), True).parse()
-        total = counted["products"]
+        total = len(counted)
     marks = [count for _, _, count in charges] + [total]
     for (work, what, start), end in zip(charges, marks[1:]):
         if what.startswith("a product") or "base to" in what:
@@ -640,6 +619,108 @@ def test_conjugate_product_equals_and_hashes_like_the_rational_norm_form():
     assert hash(h) == hash(expected)
     # 1*1 stays rational; -sqrt(2)*sqrt(2) stays a QuadExt with zero sqrt(2) part.
     assert {e: type(v) for e, v in h.coeffs.items()} == {(0, 2): Fraction, (2, 0): QuadExt}
+
+
+# The scalar double loop that WPolynomial products ran before the integer
+# kernel: one scalar product and one scalar sum per pair of terms.  It is the
+# oracle for the kernel's values, for the type of each coefficient (a QuadExt
+# where a QuadExt factor reached it) and for the zeros it drops.
+
+
+def loop_product(f, g):
+    out = {}
+    for e1, c1 in f.coeffs.items():
+        for e2, c2 in g.coeffs.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            c = c1 * c2
+            out[e] = out[e] + c if e in out else c
+    return {e: c for e, c in out.items() if c}
+
+
+_denominators = st.one_of(
+    st.integers(1, 12), st.sampled_from([2**61 - 1, 3**40, 10**30]), st.integers(1, 2**90)
+)
+_kernel_rationals = st.builds(
+    Fraction, st.one_of(st.integers(-9, 9), st.integers(-(2**90), 2**90)), _denominators
+)
+_kernel_coefficients = st.one_of(
+    _kernel_rationals,
+    st.builds(QuadExt, _kernel_rationals, _kernel_rationals),
+    st.builds(QuadExt, _kernel_rationals, st.just(0)),  # rational-valued
+    st.builds(QuadExt, st.just(0), _kernel_rationals),  # a rational-valued square
+)
+
+
+@st.composite
+def kernel_polynomials(draw, max_terms=5):
+    exponents = st.tuples(st.integers(0, 3), st.integers(0, 3))
+    terms = draw(st.dictionaries(exponents, _kernel_coefficients, max_size=max_terms))
+    return WPolynomial(terms, 2)
+
+
+@st.composite
+def kernel_factors(draw):
+    """Two polynomials; in half the draws the second is the first with some
+    signs flipped, so that its cross terms cancel, as in (t - sqrt(2)*s) *
+    (t + sqrt(2)*s)."""
+    f = draw(kernel_polynomials())
+    if draw(st.booleans()):
+        return f, draw(kernel_polynomials())
+    flips = draw(st.lists(st.booleans(), min_size=len(f.coeffs), max_size=len(f.coeffs)))
+    return f, WPolynomial({e: -c if flip else c for (e, c), flip in zip(f.coeffs.items(), flips)}, 2)
+
+
+def _assert_same_coefficients(got: WPolynomial, want: dict):
+    assert got.coeffs == want
+    assert {e: type(c) for e, c in got.coeffs.items()} == {e: type(c) for e, c in want.items()}
+    for c in got.coeffs.values():
+        if isinstance(c, QuadExt):
+            _assert_normal_form(c)
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_factors())
+@example((parse_polynomial("t-sqrt(2)*s", ("s", "t"), True), parse_polynomial("t+sqrt(2)*s", ("s", "t"), True)))
+@example((WPolynomial({(1, 0): QuadExt(0, Fraction(1, 2)), (0, 1): Fraction(1, 3)}, 2),) * 2)
+def test_polynomial_products_match_the_scalar_double_loop(factors):
+    f, g = factors
+    _assert_same_coefficients(f * g, loop_product(f, g))
+    _assert_same_coefficients(g * f, loop_product(g, f))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=2, max_size=2, unique=True),
+    _kernel_coefficients.filter(bool),
+    _kernel_coefficients.filter(bool),
+    st.integers(0, 6),
+)
+@example([(0, 1), (2, 0)], Fraction(1), QuadExt(0, -1), 12)  # (t - sqrt(2)*s^2)^12
+@example([(0, 1), (1, 0)], QuadExt(0, Fraction(1, 2)), QuadExt(Fraction(2, 3), 0), 1)
+def test_two_term_powers_match_the_scalar_double_loop(exponents, c1, c2, k):
+    base = WPolynomial(dict(zip(exponents, (c1, c2))), 2)
+    expected = WPolynomial.constant(1, 2)
+    for _ in range(k):
+        expected = WPolynomial._trusted(loop_product(expected, base), 2)
+    _assert_same_coefficients(base**k, expected.coeffs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_polynomials(max_terms=6), st.integers(1, 3))
+@example(WPolynomial({(0, 3): QuadExt(Fraction(1, 6), Fraction(1, 10)), (1, 0): Fraction(2, 15)}, 2), 1)
+def test_rewrite_coefficients_match_the_fraction_pair_construction(f, e):
+    # The rewrite before it read integer numerators: the parts as Fractions,
+    # multiplied back over their common denominator, and each output built as
+    # QuadExt(Fraction(rat, den), Fraction(irr, den)).
+    parts = [(exp, *rational_parts(c)) for exp, c in f.coeffs.items()]
+    den = math.lcm(1, *(x.denominator for _, alpha, beta in parts for x in (alpha, beta)))
+    pairs = [(a, b, int(alpha * den), int(beta * den)) for (a, b), alpha, beta in parts]
+    expected = {
+        key: QuadExt(Fraction(rat, den), Fraction(irr, den))
+        for key, (rat, irr) in _expand_twist(pairs, e).items()
+        if rat or irr
+    }
+    _assert_same_coefficients(MonomialValuation((1, 2), Twist(e)).rewrite(f), expected)
 
 
 # -- linear algebra ------------------------------------------------------------
