@@ -29,6 +29,7 @@ from .exactmath import (
     format_polynomial,
     format_scalar,
     parse_polynomial,
+    parse_product,
     parse_scalar,
 )
 
@@ -161,7 +162,8 @@ def _fraction(value, where: str) -> Fraction:
     """A JSON number or string, or a flag's text, as a rational; a numerator
     or a denominator of more than MAX_NUMBER_DIGITS digits is an error that
     names where it sits.  A JSON int, whose digits `_json_int` has bounded,
-    is taken as it is; a bool, null, array or object is no number."""
+    is taken as it is; a bool, null, array or object is no number, and
+    neither is a text that Fraction does not read or one over zero."""
     if type(value) is int:
         return Fraction(value)
     if not isinstance(value, (float, str)):
@@ -174,11 +176,14 @@ def _fraction(value, where: str) -> Fraction:
     mantissa, e, exponent = text.lower().partition("e")
     try:
         written = sum(c.isdigit() for c in mantissa) + abs(int(exponent)) if e else 0
-    except ValueError:  # not an exponent: Fraction names the bad literal
+    except ValueError:  # not an exponent: Fraction refuses the literal below
         written = 0
     if written > MAX_NUMBER_DIGITS:
         raise _too_many_digits(where)
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):  # no number, or a zero denominator
+        raise ValueError(f"{where}: expected a number") from None
 
 
 def _read_json_arg(text: str):
@@ -316,12 +321,17 @@ def cmd_valuation(args) -> tuple[object, int]:
     if args.op in ("eval", "izumi"):
         if args.f is None:
             raise ValueError(f"--f is required for op {args.op!r}")
+        run = valuations.valuation_eval if args.op == "eval" else valuations.izumi_check
         try:
-            f = parse_polynomial(args.f, names, sqrt2=twist is not None)
-            if args.op == "eval":
-                result = valuations.valuation_eval(nu, f)
-            else:
-                result = valuations.izumi_check(nu, f)
+            factors = parse_product(args.f, names, sqrt2=twist is not None)
+            try:
+                result = run(nu, factors)
+            except BudgetExceeded:
+                if [k for _, k in factors] == [1]:  # one base: its own expansion
+                    raise
+                # The factors can cost more to rewrite than their product, as
+                # (1+t+...+t^n)*(1-t) = 1-t^(n+1) does: rewrite the expansion.
+                result = run(nu, parse_polynomial(args.f, names, sqrt2=twist is not None))
         except BudgetExceeded as exc:
             raise ValueError(f"--f: {exc}") from None
         twist_record = {"e": twist.e, "D": 2} if twist else None

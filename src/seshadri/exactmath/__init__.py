@@ -18,6 +18,7 @@ from .polynomials import (
     graded_lex_monomials,
     jet_basis_size,
     parse_polynomial,
+    parse_product,
 )
 from .linalg import (
     ExactMatrix,

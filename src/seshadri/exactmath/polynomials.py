@@ -13,7 +13,7 @@ import math
 import re
 from fractions import Fraction
 from operator import add
-from typing import Dict, Iterable, NamedTuple, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, NamedTuple, Optional, Sequence, Tuple
 
 from .scalars import MAX_NUMBER_DIGITS, QuadExt, Scalar, _normal, _parts, to_scalar
 
@@ -326,6 +326,18 @@ class _Sized(NamedTuple):
     quad: bool
 
 
+class _Factor(NamedTuple):
+    """A factor of a term as written: base^k after `negations` unary minuses,
+    a divisor where divide is set.  digits is the text of k, None where no
+    exponent is written (k = 1)."""
+
+    base: _Sized
+    k: int
+    digits: Optional[str]
+    negations: int
+    divide: bool
+
+
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<pow>\*\*|\^)|(?P<op>[()+\-*/]))"
 )
@@ -389,22 +401,46 @@ class _Parser:
                 f"{MAX_WORK} bit products"
             )
 
-    def parse(self) -> WPolynomial:
-        out = self.expr()
+    def end(self):
         if self.peek() != (None, None):
             raise ValueError(f"trailing tokens in polynomial: {self.tokens[self.pos:]}")
+
+    def parse(self) -> WPolynomial:
+        out = self.expr()
+        self.end()
         return out.poly
 
+    def parse_product(self) -> list[_Factor]:
+        """The factors of the top-level term, each base parsed and charged,
+        none of their powers, negations or products.  A top-level sum is one
+        factor, multiplied out and charged as `expr` does."""
+        negate = self.sign()
+        factors = list(self.factors())
+        if self.at_sum():
+            factors = [_Factor(self.sum(negate, self.multiply(factors)), 1, None, 0, False)]
+        self.end()
+        return factors
+
+    def sign(self) -> bool:
+        """Read a leading + or -; whether it was a -."""
+        return self.peek() in (("op", "+"), ("op", "-")) and self.take()[1] == "-"
+
+    def at_sum(self) -> bool:
+        return self.peek()[0] == "op" and self.peek()[1] in "+-"
+
     def expr(self) -> _Sized:
-        negate = self.peek() in (("op", "+"), ("op", "-")) and self.take()[1] == "-"
-        out = self.term()
+        return self.sum(self.sign(), self.term())
+
+    def sum(self, negate: bool, out: _Sized) -> _Sized:
+        """The first term out, negated if negate is set, plus the terms that
+        follow it."""
         if negate:
             out = self.negate(out)
-        if not (self.peek()[0] == "op" and self.peek()[1] in "+-"):
+        if not self.at_sum():
             return out
         # Terms are added in place: a copy of the sum per term costs its square.
         coeffs, mag, den, quad = dict(out.poly.coeffs), out.mag, out.den, out.quad
-        while self.peek()[0] == "op" and self.peek()[1] in "+-":
+        while self.at_sum():
             minus = self.take()[1] == "-"
             t = self.term()
             # Only a term that meets one of the sum adds coefficients.
@@ -422,15 +458,43 @@ class _Parser:
         return _Sized(WPolynomial._trusted(coeffs, len(self.names)), mag, den, quad)
 
     def term(self) -> _Sized:
-        out = self.factor()
-        while self.peek()[0] == "op" and self.peek()[1] in "*/":
-            op = self.take()[1]
-            f = self.factor()
-            if op == "/":
-                if f.poly.total_degree() != 0:
-                    raise ValueError("division only allowed by nonzero constants")
+        return self.multiply(self.factors())
+
+    def factors(self) -> Iterator[_Factor]:
+        """The factors of a term, each yielded as soon as it is parsed, so
+        that `multiply` charges a term's work in the order of its text."""
+        divide = False
+        while True:
+            negations = 0
+            while self.peek() == ("op", "-"):
+                self.take()
+                negations += 1
+            base, k, digits = self.atom(), 1, None
+            if self.peek() == ("op", "^"):
+                self.take()
+                if self.peek() == ("op", "-"):
+                    raise ValueError("negative exponents are not allowed")
+                digits = self.expect("num")[1]
+                k = int(digits)
+            # base^k is a nonzero constant iff k = 0 (0^0 = 1) or base is one
+            if divide and k and base.poly.total_degree() != 0:
+                raise ValueError("division only allowed by nonzero constants")
+            yield _Factor(base, k, digits, negations, divide)
+            if not (self.peek()[0] == "op" and self.peek()[1] in "*/"):
+                return
+            divide = self.take()[1] == "/"
+
+    def multiply(self, factors: Iterable[_Factor]) -> _Sized:
+        """The product of factors, each power, negation and product charged
+        before it runs."""
+        out = None
+        for base, k, digits, negations, divide in factors:
+            f = base if digits is None else self.power(base, k, digits)
+            for _ in range(negations):
+                f = self.negate(f)
+            if divide:
                 f = self.constant(Fraction(1) / f.poly.coeffs[(0,) * f.poly.nvars])
-            out = self.product(out, f)
+            out = f if out is None else self.product(out, f)
         return out
 
     def product(self, f: _Sized, g: _Sized) -> _Sized:
@@ -469,19 +533,6 @@ class _Parser:
         power = f"the power {k}" if len(digits) <= 12 else f"a power of {len(digits)} digits"
         self.spend(work, f"a {terms}-term base to {power}")
         return _Sized(f.poly**k, mag, den, f.quad)
-
-    def factor(self) -> _Sized:
-        if self.peek() == ("op", "-"):
-            self.take()
-            return self.negate(self.factor())
-        base = self.atom()
-        if self.peek() == ("op", "^"):
-            self.take()
-            if self.peek() == ("op", "-"):
-                raise ValueError("negative exponents are not allowed")
-            digits = self.expect("num")[1]
-            base = self.power(base, int(digits), digits)
-        return base
 
     def constant(self, c: Scalar) -> _Sized:
         x, y, den = _parts(c)
@@ -524,6 +575,19 @@ def parse_polynomial(
     BudgetExceeded before it runs.
     """
     return _Parser(_tokenize(text), names, sqrt2).parse()
+
+
+def parse_product(
+    text: str, names: Sequence[str] = ("s", "t", "u"), sqrt2: bool = False
+) -> list[tuple[WPolynomial, int]]:
+    """The top-level term of text as the product of powers it is written as,
+    [(base, k), ...]: equal to parse_polynomial(text) up to a nonzero
+    constant factor, the unary minuses and the divisors, which are left out.
+    Each base, an atom or a parenthesised sum, is expanded and charged as in
+    parse_polynomial; the powers and products of the top-level term are
+    neither run nor charged.  A top-level sum is the one factor (sum, 1)."""
+    factors = _Parser(_tokenize(text), names, sqrt2).parse_product()
+    return [(f.base.poly, f.k) for f in factors if not f.divide]
 
 
 def format_polynomial(f: WPolynomial) -> str:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .exactmath import INFINITY, QuadExt, WPolynomial
 from .exactmath import polynomials
@@ -54,7 +54,13 @@ class MonomialValuation:
 
     def rewrite(self, f: WPolynomial) -> WPolynomial:
         """Express f in the valuation's coordinates: substitute
-        t = y + sqrt(2)*s^e when twisted, identity otherwise.
+        t = y + sqrt(2)*s^e when twisted, identity otherwise."""
+        (g,) = self.rewrite_all([f])
+        return g
+
+    def rewrite_all(self, fs: Sequence[WPolynomial]) -> list[WPolynomial]:
+        """Each of fs rewritten as `rewrite` does, the loops of all of them
+        charged together before any runs.
 
         With f's coefficients alpha + beta*sqrt(2) over one common
         denominator, t^b = sum_j C(b, j) y^j (sqrt(2) s^e)^(b-j) is expanded
@@ -62,34 +68,43 @@ class MonomialValuation:
         which turns (alpha, beta) into (2*beta, alpha).  Only the nonzero
         output terms become QuadExt values."""
         if self.twist is None:
-            return f
-        if f.nvars != 2:
+            return list(fs)
+        if any(f.nvars != 2 for f in fs):
             raise ValueError("twisted valuations act on two-variable polynomials")
-        den, terms = polynomials.integer_terms(f.coeffs)
-        pairs = [(a, b, x, y) for (a, b), x, y, _ in terms]
-        # The loop below, charged before it runs.  Step j of s^a t^b works on
-        # integers of the bits of alpha or beta, 2*b and den, at a third of an
-        # operation's fixed cost (1.3-2.4 against 6 us), and makes the output
-        # (a + e*(b - j), j): (max b + 1) per distinct a + e*b at most.  Each
-        # output is reduced by one three-way gcd with den, charged two
-        # operations and 8 units a pair of bits, about 21 us for 2600 by 1300
-        # bits, which take 13-17 us.
-        e, d = self.twist.e, den.bit_length()
-        work = steps = top = most = 0
-        for _, b, x, y in pairs:
-            bits = max(abs(x), abs(y)).bit_length() + 2 * b + d
-            work += (b + 1) * (polynomials.OPERATION_WORK // 3 + bits * bits)
-            steps, top, most = steps + b + 1, max(top, bits), max(most, b)
-        outputs = min(steps, (most + 1) * len({a + e * b for a, b, _, _ in pairs}))
-        work += outputs * 2 * (polynomials.OPERATION_WORK + 8 * top * d)
+        e, work, plans = self.twist.e, 0, []
+        for f in fs:
+            den, terms = polynomials.integer_terms(f.coeffs)
+            pairs = [(a, b, x, y) for (a, b), x, y, _ in terms]
+            work += _twist_work(pairs, e, den.bit_length())
+            plans.append((den, pairs))
         if work > polynomials.MAX_WORK:
             raise polynomials.BudgetExceeded(
                 f"too large for the twisted rewrite: it takes about {work} bit products, over "
                 f"the budget of {polynomials.MAX_WORK}"
             )
-        out = _expand_twist(pairs, e)
-        coeffs = {key: _normal(rat, irr, den) for key, (rat, irr) in out.items() if rat or irr}
-        return WPolynomial._trusted(coeffs, 2)
+        out = []
+        for den, pairs in plans:
+            terms = _expand_twist(pairs, e).items()
+            coeffs = {key: _normal(rat, irr, den) for key, (rat, irr) in terms if rat or irr}
+            out.append(WPolynomial._trusted(coeffs, 2))
+        return out
+
+
+def _twist_work(pairs, e: int, d: int) -> int:
+    """The work of `_expand_twist` on pairs over a denominator of d bits.
+    Step j of s^a t^b works on integers of the bits of alpha or beta, 2*b
+    and den, at a third of an operation's fixed cost (1.3-2.4 against 6 us),
+    and makes the output (a + e*(b - j), j): (max b + 1) per distinct
+    a + e*b at most.  Each output is reduced by one three-way gcd with den,
+    charged two operations and 8 units a pair of bits, about 21 us for 2600
+    by 1300 bits, which take 13-17 us."""
+    work = steps = top = most = 0
+    for _, b, x, y in pairs:
+        bits = max(abs(x), abs(y)).bit_length() + 2 * b + d
+        work += (b + 1) * (polynomials.OPERATION_WORK // 3 + bits * bits)
+        steps, top, most = steps + b + 1, max(top, bits), max(most, b)
+    outputs = min(steps, (most + 1) * len({a + e * b for a, b, _, _ in pairs}))
+    return work + outputs * 2 * (polynomials.OPERATION_WORK + 8 * top * d)
 
 
 def _expand_twist(pairs, e: int) -> dict:
@@ -108,13 +123,27 @@ def _expand_twist(pairs, e: int) -> dict:
     return out
 
 
-def valuation_eval(nu: MonomialValuation, f: WPolynomial):
+Factors = Sequence[Tuple[WPolynomial, int]]
+
+
+def _factors(f: WPolynomial | Factors) -> list[Tuple[WPolynomial, int]]:
+    """f as a product of powers [(g, k), ...], a polynomial being f^1,
+    without the factors g^0 = 1."""
+    return [(f, 1)] if isinstance(f, WPolynomial) else [(g, k) for g, k in f if k]
+
+
+def valuation_eval(nu: MonomialValuation, f: WPolynomial | Factors):
     """nu(f): min over terms of <weights, exponent> after the twist rewrite;
-    +inf iff f = 0."""
-    if f.nvars != nu.nvars:
+    +inf iff f = 0.  f is a polynomial or a product of powers [(g, k), ...]
+    (`parse_product`): nu is a valuation, so nu(g^k * h) = k*nu(g) + nu(h),
+    and the product is never expanded."""
+    factors = _factors(f)
+    if any(g.nvars != nu.nvars for g, _ in factors):
         raise ValueError("polynomial/valuation arity mismatch")
-    g = nu.rewrite(f)
-    return g.min_weighted_degree(nu.weights)
+    if any(g.is_zero() for g, _ in factors):
+        return INFINITY
+    rewritten = nu.rewrite_all([g for g, _ in factors])
+    return sum(k * h.min_weighted_degree(nu.weights) for h, (_, k) in zip(rewritten, factors))
 
 
 def discrepancy(nu: MonomialValuation) -> int:
@@ -141,17 +170,19 @@ class IzumiCheck:
     note: Optional[str] = None
 
 
-def izumi_check(nu: MonomialValuation, f: WPolynomial) -> IzumiCheck:
+def izumi_check(nu: MonomialValuation, f: WPolynomial | Factors) -> IzumiCheck:
     """Two-sided comparison nu(m_x)*mult <= nu(f) <= (sum(w)-1)*mult for a
     valuation centered at the origin.  The zero polynomial reports all three
     quantities as +inf and holds trivially."""
     note = None
     if nu.twist is not None:
         note = "nu(m_x) computed as min over coordinate functions after the twist rewrite"
-    if f.is_zero():
+    factors = _factors(f)
+    if any(g.is_zero() for g, _ in factors):
         return IzumiCheck(INFINITY, INFINITY, INFINITY, True, note)
-    mult = f.multiplicity()
-    value = valuation_eval(nu, f)
+    # mult is the valuation ord at the origin, additive on products too
+    mult = sum(k * g.multiplicity() for g, k in factors)
+    value = valuation_eval(nu, factors)
     lower = maximal_ideal_valuation(nu) * mult
     upper = discrepancy(nu) * mult
     return IzumiCheck(lower, value, upper, lower <= value <= upper, note)

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from seshadri import bounds, cli
 from seshadri.cli import decode, emit, main, to_jsonable
-from seshadri.exactmath import INFINITY, QuadExt, WPolynomial, parse_polynomial
+from seshadri.exactmath import INFINITY, QuadExt, WPolynomial, parse_polynomial, parse_product
 from seshadri.exactmath.polynomials import (
     MAX_WORK,
     OPERATION_WORK,
@@ -303,14 +303,15 @@ def test_valuation_galois_large_m_and_k_within_budget(capsys, mk, budget):
 @pytest.mark.parametrize(
     "argv",
     [
-        ("--f", "t^6000", "--twist-e", "1"),
-        ("--f", "(s+t)^6000"),
+        ("--f", "(t^6000)", "--twist-e", "1"),
+        ("--f", "((s+t)^6000)"),
     ],
     ids=["twisted-rewrite", "two-term-power"],
 )
 def test_valuation_of_a_binomial_power_within_budget(capsys, argv):
     # Each binomial coefficient comes from the previous one, so the 6001
-    # terms cost no 6001 separate binomials (about 3 s in total).
+    # terms cost no 6001 separate binomials (about 3 s in total).  In
+    # parentheses the power is a base: it is expanded, and rewritten.
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "valuation", "--weights", "1,2", "--op", "eval", *argv)
     elapsed = time.perf_counter() - start
@@ -322,12 +323,13 @@ def test_valuation_of_a_binomial_power_within_budget(capsys, argv):
 @pytest.mark.parametrize("op", ["eval", "izumi"])
 def test_a_twisted_f_over_the_rewrite_cap_exits_2_before_the_rewrite(capsys, monkeypatch, op):
     # (s+t)^2000 has the terms s^(2000-b) t^b, b = 0..2000.  Unbounded, its
-    # rewrite would take about 11 s, and that of t^48000 about 3.6 s.
+    # rewrite would take about 11 s, and that of t^48000 about 3.6 s.  Under
+    # a top-level sum each power is expanded and rewritten; alone it is not.
     def refused(pairs, e):
         pytest.fail("the rewrite ran on an input over the budget")
 
     monkeypatch.setattr("seshadri.valuations._expand_twist", refused)
-    for f in ("(s+t)^2000", "t^48000"):
+    for f in ("(s+t)^2000+1", "t^48000+1"):
         code, out, err = run_cli(
             capsys, "valuation", "--weights", "1,2", "--op", op, "--f", f, "--twist-e", "1"
         )
@@ -340,8 +342,9 @@ def test_a_twisted_f_over_the_rewrite_cap_exits_2_before_the_rewrite(capsys, mon
 
 
 def test_a_polynomial_power_over_the_parse_cap_exits_2_with_one_line(capsys):
-    # unchecked, expanding (s+t+1)^80 takes about 3.4 s
-    code, out, err = run_cli(capsys, "valuation", "--weights", "1,2", "--op", "eval", "--f", "(s+t+1)^80")
+    # unchecked, expanding (s+t+1)^80 takes about 3.4 s; under a top-level
+    # sum it must be expanded
+    code, out, err = run_cli(capsys, "valuation", "--weights", "1,2", "--op", "eval", "--f", "(s+t+1)^80+1")
     assert (code, out) == (2, "")
     assert err == (
         "error: --f: polynomial too large to expand: a 3-term base to the power 80 takes the parse "
@@ -388,13 +391,14 @@ def _assert_rewrite_admits_its_estimate(monkeypatch, text, work, value):
 @pytest.mark.parametrize("op", ["eval", "izumi"])
 def test_a_twisted_f_over_the_rewrite_work_cap_exits_2_before_the_rewrite(capsys, monkeypatch, op):
     # (s/3+t/7)^584 parses within the budget, but its coefficients over
-    # 7^584 * 3^584 make the rewrite take about 6 s.
+    # 7^584 * 3^584 make the rewrite take about 6 s.  The top-level sum makes
+    # it expand.
     def refused(pairs, e):
         pytest.fail("the rewrite ran on an input over the budget")
 
     monkeypatch.setattr("seshadri.valuations._expand_twist", refused)
     code, out, err = run_cli(
-        capsys, "valuation", "--weights", "1,2", "--op", op, "--f", "(s/3+t/7)^584", "--twist-e", "2"
+        capsys, "valuation", "--weights", "1,2", "--op", op, "--f", "(s/3+t/7)^584+1", "--twist-e", "2"
     )
     assert (code, out) == (2, "")
     assert re.fullmatch(
@@ -466,6 +470,78 @@ def test_the_factored_workload_parse_is_charged_for_the_products_it_runs(term_pr
     with term_products() as counted:
         parser.parse()
     assert MAX_WORK // 1000 < parser.work <= 2 * sum(counted) * OPERATION_WORK
+
+
+@pytest.mark.parametrize(
+    "factors,weights,twist,value",
+    [
+        ([("(s+t)", 2000)], "1,2", 1, 2000),
+        ([("t", 48000)], "1,2", 1, 48000),
+        ([("(s/3+t/7)", 584)], "1,2", 2, 584),
+        ([("(s+t+1)", 80)], "1,2", None, 0),
+        ([("s", 5), ("(t-sqrt(2)*s)", 1000), ("(t+sqrt(2)*s)", 1000)], "1,2", 1, 3005),
+    ],
+    ids=["binomial", "monomial", "denominators", "trinomial", "factored"],
+)
+def test_a_top_level_product_of_powers_is_valued_factor_by_factor(capsys, factors, weights, twist, value):
+    # Expanded, each of these is over the budget (see the refusals above).
+    # nu and mult are valuations: the answer is k times the base's, summed.
+    flags = ("--twist-e", str(twist)) if twist else ()
+
+    def izumi(text):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "valuation", "--weights", weights, "--op", "izumi", "--f", text, *flags)
+        assert time.perf_counter() - start < 1.0
+        assert (code, err) == (0, ""), err
+        return json.loads(out)
+
+    got = izumi("*".join(f"{base}^{k}" for base, k in factors))
+    bases = [izumi(base) for base, _ in factors]
+    for key in ("lower", "value", "upper"):
+        assert got[key] == sum(k * b[key] for b, (_, k) in zip(bases, factors)), key
+    assert got["value"] == value
+
+
+@pytest.mark.parametrize("op", ["eval", "izumi"])
+def test_a_product_cheaper_to_rewrite_than_its_factors_is_rewritten_expanded(capsys, op):
+    # (t+t^2+...+t^900)*(1-t) = t - t^901: the rewrite of the first factor
+    # is over the budget, and that of the product far under it.
+    f = "(" + "+".join(f"t^{i}" for i in range(1, 901)) + ")*(1-t)"
+    code, out, err = run_cli(capsys, "valuation", "--weights", "1,2", "--op", op, "--f", f, "--twist-e", "1")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["value"] == 1
+
+
+def _charged(text: str, e: int) -> int:
+    """What `valuation --op eval --f text --twist-e e` charges to the budget:
+    the parse, recorded, and the rewrite, read from its refusal under a
+    budget of -1."""
+    from seshadri.valuations import MonomialValuation, Twist, valuation_eval
+
+    parsed = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_Parser, "spend", lambda self, work, what: parsed.append(work))
+        factors = parse_product(text, ("s", "t"), sqrt2=True)
+        patch.setattr("seshadri.exactmath.polynomials.MAX_WORK", -1)
+        with pytest.raises(BudgetExceeded) as refusal:
+            valuation_eval(MonomialValuation((1, 2), Twist(e)), factors)
+    return sum(parsed) + int(re.search(r"it takes about (\d+) bit products", str(refusal.value)).group(1))
+
+
+@pytest.mark.parametrize(
+    "f,e",
+    [
+        ("s^5*(t-sqrt(2)*s)^12*(t+sqrt(2)*s)^12", 1),
+        ("s^5*(t-sqrt(2)*s^2)^12*(t+sqrt(2)*s^2)^12", 2),
+        ("s^5*(t^2-2*s^2)^12", 1),
+        ("s^5*(t^2-2*s^4)^12", 2),
+    ],
+    ids=["largest-factored-1", "largest-factored-2", "largest-norm-form-1", "largest-norm-form-2"],
+)
+def test_the_valuation_path_charges_the_workload_forms_1000_times_under_the_budget(f, e):
+    # Only the bases are parsed and rewritten; the top-level powers and
+    # products, 13 by 13 sqrt(2) coefficients in the factored forms, never run.
+    assert _charged(f, e) <= MAX_WORK // 1000
 
 
 def test_valuation_minmult_record(capsys):
@@ -1177,19 +1253,50 @@ def _polynomial_texts():
     )
 
 
-@settings(max_examples=150, deadline=timedelta(seconds=2))
-@given(_polynomial_texts(), st.sampled_from(["eval", "izumi"]), st.integers(1, 3))
-def test_any_twisted_f_exits_0_or_2_with_one_line(text, op, e):
+def _assert_f_exits_0_or_2_with_one_line(text, *argv):
     out, err = StringIO(), StringIO()
-    argv = ["valuation", "--weights", "2,3", "--op", op, f"--f={text}", "--twist-e", str(e)]
     with redirect_stdout(out), redirect_stderr(err):
-        code = main(argv)
+        code = main(["valuation", *argv, f"--f={text}"])
     assert "Traceback" not in err.getvalue() and err.getvalue().count("error:") <= 1
     if code == 0:
         assert err.getvalue() == "" and json.loads(out.getvalue())["f"] == text
     else:
         assert code == 2 and out.getvalue() == ""
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
+@settings(max_examples=150, deadline=timedelta(seconds=2))
+@given(_polynomial_texts(), st.sampled_from(["eval", "izumi"]), st.integers(1, 3))
+def test_any_twisted_f_exits_0_or_2_with_one_line(text, op, e):
+    _assert_f_exits_0_or_2_with_one_line(text, "--weights", "2,3", "--op", op, "--twist-e", str(e))
+
+
+def _root_products(names):
+    """--f texts in names: top-level products of powers of well-formed
+    expressions, with exponents of up to 4300 digits, and divisors."""
+    atoms = st.sampled_from([*names, "0", "1", "2", "(s-s)", "9" * 60])
+    exponents = st.sampled_from(["0", "1", "2", "12", "100000", "7" * 40, "9" * 4300, "9" * 4301])
+
+    def extend(children):
+        return st.one_of(
+            st.tuples(children, st.sampled_from("+-*"), children).map("".join),
+            st.tuples(children, exponents).map(lambda x: f"({x[0]})^{x[1]}"),
+            children.map(lambda x: f"-{x}"),
+        )
+
+    bases = st.recursive(atoms, extend, max_leaves=4).map(lambda x: f"({x})")
+    powers = st.tuples(st.sampled_from(["", "-"]), bases, st.one_of(st.just(""), exponents.map("^".__add__)))
+    rest = st.one_of(powers.map(lambda x: "*" + "".join(x)), st.sampled_from(["/3", "/2^12", "/(0)^0", "/s"]))
+    return st.tuples(powers.map("".join), st.lists(rest, max_size=3)).map(lambda x: x[0] + "".join(x[1]))
+
+
+@settings(max_examples=100, deadline=timedelta(seconds=2))
+@given(st.sampled_from([("1,2", "st"), ("2,3", "st"), ("1,2,3", "stu")]).flatmap(
+    lambda case: st.tuples(st.just(case[0]), _root_products(case[1]))
+), st.sampled_from(["eval", "izumi"]))
+def test_any_untwisted_product_of_powers_exits_0_or_2_with_one_line(case, op):
+    weights, text = case
+    _assert_f_exits_0_or_2_with_one_line(text, "--weights", weights, "--op", op)
 
 
 _JETS = {
@@ -1291,6 +1398,12 @@ _JSON_NUMBER_FIELDS = {
         '{"n":1,"d":2,"point":[1],"curve_bound":{"pairing":V,"mult":1,"meets_base_locus":false}}',
         "curve_bound.pairing",
     ),
+    "point": ("jets", '{"n":2,"d":3,"point":[V,1],"m_max":1}', "point[0]"),
+    "constraint-point": (
+        "jets",
+        '{"n":2,"d":3,"constraints":[{"type":"mult","point":[1,V],"order":1}],"point":[1,2],"m_max":1}',
+        "constraints[0].point[1]",
+    ),
 }
 _MOST_DIGITS = "7" * cli.MAX_NUMBER_DIGITS
 
@@ -1323,6 +1436,22 @@ def test_json_true_and_a_4301_digit_integer_in_a_number_field_exit_2(capsys, fie
     code, out, err = run_cli(capsys, command, template.replace("V", "7" + _MOST_DIGITS))
     assert (code, out) == (2, "")
     assert err == f"error: {where}: a number of more than {cli.MAX_NUMBER_DIGITS} digits\n"
+
+
+@pytest.mark.parametrize("field", _JSON_NUMBER_FIELDS)
+def test_a_text_that_is_no_number_exits_2_naming_its_field(capsys, field):
+    # Fraction's own messages, "Invalid literal for Fraction: 'x'" and
+    # "Fraction(1, 0)", named neither the field nor what is wrong.
+    command, template, where = _JSON_NUMBER_FIELDS[field]
+    for value in ('"x"', '"1/0"', '"-3/0"', '"1/"', '""', '"0x10"', "NaN", "Infinity", "1e400"):
+        code, out, err = run_cli(capsys, command, template.replace("V", value))
+        assert (code, out, err) == (2, "", f"error: {where}: expected a number\n"), value
+
+
+@pytest.mark.parametrize("eps", ["x", "1/0", "0/0", "1/2/3", "inf"])
+def test_an_eps_that_is_no_number_exits_2_naming_the_flag(capsys, eps):
+    code, out, err = run_cli(capsys, "bounds", "--n", "3", "--eps", eps)
+    assert (code, out, err) == (2, "", "error: --eps: expected a number\n")
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])

@@ -557,7 +557,7 @@ def test_the_carried_bounds_and_charges_are_one_sided(term_products, text):
             charges.append((work, what, len(counted)))
             self.work += work
 
-        for name in ("expr", "term", "factor", "atom", "product", "power", "negate", "constant"):
+        for name in ("expr", "sum", "term", "multiply", "atom", "product", "power", "negate", "constant"):
             patch.setattr(_Parser, name, checking(getattr(_Parser, name)))
         patch.setattr(_Parser, "spend", recording)
         _Parser(_tokenize(text), ("s", "t"), True).parse()

@@ -17,6 +17,7 @@ from seshadri.exactmath import (
     QuadExt,
     WPolynomial,
     parse_polynomial,
+    parse_product,
     rational_parts,
 )
 from seshadri import valuations
@@ -125,6 +126,66 @@ def test_valuation_multiplicative_twisted(e, data):
     f = data.draw(nonzero_polys())
     g = data.draw(nonzero_polys())
     assert valuation_eval(nu, f * g) == valuation_eval(nu, f) + valuation_eval(nu, g)
+
+
+# -- products of powers, valued factor by factor -----------------------------------
+
+_ZERO_BASES = ["0", "(s-s)", "(t-t)"]
+# (valuation, variables, bases, divisors), twisted with e = 1 and 2 and untwisted in 3 variables
+_PRODUCT_CASES = {
+    "twisted-1": (
+        MonomialValuation((1, 2), Twist(1)),
+        ST,
+        ["s", "t", "3", "(t-sqrt(2)*s)", "(t+sqrt(2)*s)", "(t^2-2*s^2)", "(s+t)", "(1+sqrt(2)*t)"],
+        ["3", "(1+sqrt(2))", "2^3"],
+    ),
+    "twisted-2": (
+        MonomialValuation((2, 3), Twist(2)),
+        ST,
+        ["s", "t", "(t-sqrt(2)*s^2)", "(t+sqrt(2)*s^2)", "(t^2-2*s^4)", "(s/3-t)", "(sqrt(2)*s*t+t^2)"],
+        ["(2/7)", "(1-sqrt(2))^2"],
+    ),
+    "untwisted-3": (
+        MonomialValuation((1, 2, 3)),
+        ("s", "t", "u"),
+        ["s", "t", "u", "5", "(s+t+u)", "(u-s^2)", "(1+u)", "(2*s*t+u^3)", "(t/5-u)"],
+        ["3", "(2/7)", "2^3"],
+    ),
+}
+
+
+@st.composite
+def _products_of_powers(draw, bases, divisors):
+    """A product of powers as text: a leading sign, then factors of a base,
+    zero or not, to a power 0..4 or none, each maybe after a unary minus,
+    joined by * or by division by a nonzero constant (0^0 and s^0 among
+    them)."""
+    divisors = [*divisors, "(0)^0", "(s)^0"]
+
+    def factor():
+        base = draw(st.sampled_from(bases + _ZERO_BASES))
+        power = draw(st.sampled_from(["", "^0", "^1", "^2", "^3", "^4"]))
+        return draw(st.sampled_from(["", "", "-"])) + base + power
+
+    text = draw(st.sampled_from(["", "", "-", "+"])) + factor()
+    for _ in range(draw(st.integers(0, 3))):
+        text += "/" + draw(st.sampled_from(divisors)) if draw(st.booleans()) else "*" + factor()
+    return text
+
+
+@pytest.mark.parametrize("case", _PRODUCT_CASES)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_a_product_of_powers_is_valued_as_its_expansion(case, data):
+    # The oracle is the expanded product: nu(prod g^k) = sum k*nu(g), and
+    # likewise mult, with +inf where a base to a power k > 0 is zero.
+    nu, names, bases, divisors = _PRODUCT_CASES[case]
+    text = data.draw(_products_of_powers(bases, divisors))
+    sqrt2 = nu.twist is not None
+    factors = parse_product(text, names, sqrt2)
+    expanded = parse_polynomial(text, names, sqrt2)
+    assert valuation_eval(nu, factors) == valuation_eval(nu, expanded)
+    assert izumi_check(nu, factors) == izumi_check(nu, expanded)
 
 
 # -- discrepancy and the two-sided comparison ------------------------------------
