@@ -16,43 +16,6 @@ from typing import Optional
 
 
 @dataclass(frozen=True)
-class VolumeBoundParams:
-    """A feasible choice of the free parameters (a, b, c) for dimension n and
-    Seshadri lower bound eps."""
-
-    n: int
-    eps: Fraction
-    a: Fraction
-    b: Fraction
-    c: Fraction
-
-    def __post_init__(self):
-        for name in ("eps", "a", "b", "c"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
-        if self.n < 1:
-            raise ValueError("dimension n must be >= 1")
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
-        for name in ("a", "b", "c"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"constraint violated: {name} must be positive")
-        if self.a + self.b + self.c >= 1:
-            raise ValueError("constraint violated: a + b + c must be < 1")
-        if (self.n - 1 + self.eps) * self.a < self.n - 1 + self.eps / 2:
-            raise ValueError(
-                "constraint violated: (n-1+eps)*a must be >= n-1+eps/2"
-            )
-
-
-def volume_bound(params: VolumeBoundParams) -> Fraction:
-    """max{b^-n (1-eps/2)^n, c^-n n^n} for a feasible parameter choice."""
-    n, eps = params.n, params.eps
-    term_b = ((1 - eps / 2) / params.b) ** n
-    term_c = (Fraction(n) / params.c) ** n
-    return max(term_b, term_c)
-
-
-@dataclass(frozen=True)
 class VolumeBoundResult:
     """Infimum of the two-term constant over the open feasible region; never
     attained (the optimum sits on the boundary a + b + c = 1)."""
@@ -117,8 +80,8 @@ def volume_bound_exceeds_digits(n: int, eps: Fraction, digits: int) -> bool:
 def grid_volume_bound_minimum(
     n: int, eps: Fraction, resolution: int = 256
 ) -> Optional[Fraction]:
-    """Minimum of volume_bound over the feasible grid (i/R, j/R, k/R), an
-    independent oracle for the closed form.
+    """Minimum of max{b^-n (1-eps/2)^n, c^-n n^n} over the feasible grid
+    (a, b, c) = (i/R, j/R, k/R), an independent oracle for the closed form.
 
     For fixed a the max of a decreasing and an increasing term is minimized
     where they cross, so only the grid neighbours of the crossing need to be
@@ -167,11 +130,6 @@ def grid_confirms_best(n: int, eps: Fraction, resolution: int = 256) -> bool:
     closed = best_volume_bound(n, eps).M
     grid = grid_volume_bound_minimum(n, eps, resolution)
     return grid is None or grid >= closed
-
-
-def volume_bound_predicate(vol: Fraction, n: int, eps: Fraction) -> bool:
-    """vol <= M(n, eps) for the closed-form bound."""
-    return Fraction(vol) <= best_volume_bound(n, eps).M
 
 
 def conjectured_optimal_comparison(n: int, eps: Fraction) -> Fraction:

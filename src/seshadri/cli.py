@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import functools
 import io
 import json
@@ -28,17 +27,15 @@ from .exactmath import (
     WPolynomial,
     format_polynomial,
     format_scalar,
-    parse_polynomial,
     parse_product,
-    parse_scalar,
 )
 
 # -- serialization ------------------------------------------------------------
 
 
 def to_jsonable(obj):
-    """Canonical JSON-ready form: exact scalars as strings, dataclasses as
-    field-ordered objects, +inf as "inf"."""
+    """Canonical JSON-ready form: exact scalars and polynomials as strings,
+    +inf as "inf"."""
     if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
         return obj
     if isinstance(obj, float):
@@ -49,8 +46,6 @@ def to_jsonable(obj):
         return format_scalar(obj)
     if isinstance(obj, WPolynomial):
         return format_polynomial(obj)
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: to_jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -100,34 +95,6 @@ def emit(fmt: str, payload) -> str:
                         f"the answer's {key} has a number of more than {MAX_NUMBER_DIGITS} digits"
                     ) from None
         raise
-    raise ValueError(f"unknown format {fmt!r}")
-
-
-def _parse_leaf(value):
-    if isinstance(value, str):
-        if value == "True":
-            return True
-        if value == "False":
-            return False
-        try:
-            return parse_scalar(value)
-        except ValueError:
-            return value
-    if isinstance(value, list):
-        return [_parse_leaf(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _parse_leaf(v) for k, v in value.items()}
-    return value
-
-
-def decode(fmt: str, text: str):
-    """Parse emitted output back into exact values (inverse of emit on records
-    whose leaves are scalars, booleans, and integers)."""
-    if fmt == "json":
-        return _parse_leaf(json.loads(text))
-    if fmt == "csv":
-        rows = list(csv.DictReader(io.StringIO(text)))
-        return [{k: _parse_leaf(v) for k, v in row.items()} for row in rows]
     raise ValueError(f"unknown format {fmt!r}")
 
 
@@ -331,7 +298,7 @@ def cmd_valuation(args) -> tuple[object, int]:
                     raise
                 # The factors can cost more to rewrite than their product, as
                 # (1+t+...+t^n)*(1-t) = 1-t^(n+1) does: rewrite the expansion.
-                result = run(nu, parse_polynomial(args.f, names, sqrt2=twist is not None))
+                result = run(nu, factors.expand())
         except BudgetExceeded as exc:
             raise ValueError(f"--f: {exc}") from None
         twist_record = {"e": twist.e, "D": 2} if twist else None
@@ -468,19 +435,14 @@ def cmd_ruled(args) -> tuple[object, int]:
     return _ruled_record(args.g, args.d), 0
 
 
-# The most decimal digits of M's numerator or denominator that `bounds`
-# prints: CPython's default limit on converting an int to a string.
-MAX_BOUND_DIGITS = MAX_NUMBER_DIGITS
-
-
 def cmd_bounds(args) -> tuple[object, int]:
     from . import bounds
 
     eps = _fraction(args.eps, "--eps")
-    if bounds.volume_bound_exceeds_digits(args.n, eps, MAX_BOUND_DIGITS):
+    if bounds.volume_bound_exceeds_digits(args.n, eps, MAX_NUMBER_DIGITS):
         raise ValueError(
             f"bounds with --n {args.n} --eps {args.eps} has an M of more than "
-            f"{MAX_BOUND_DIGITS} digits; lower --n"
+            f"{MAX_NUMBER_DIGITS} digits; lower --n"
         )
     result = bounds.best_volume_bound(args.n, eps)
     record = {

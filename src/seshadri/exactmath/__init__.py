@@ -5,8 +5,6 @@ from .scalars import (
     QuadExt,
     Scalar,
     format_scalar,
-    parse_scalar,
-    rational_parts,
     to_scalar,
 )
 from .polynomials import (

@@ -69,10 +69,6 @@ class WPolynomial:
         return cls({(0,) * nvars: to_scalar(c)}, nvars)
 
     @classmethod
-    def monomial(cls, exp: Exponent, c=1) -> "WPolynomial":
-        return cls({tuple(exp): to_scalar(c)}, len(tuple(exp)))
-
-    @classmethod
     def variable(cls, i: int, nvars: int) -> "WPolynomial":
         exp = tuple(1 if j == i else 0 for j in range(nvars))
         return cls({exp: Fraction(1)}, nvars)
@@ -101,9 +97,6 @@ class WPolynomial:
         if isinstance(other, (int, Fraction, QuadExt)):
             other = WPolynomial.constant(other, self.nvars)
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, QuadExt)):
@@ -179,9 +172,6 @@ class WPolynomial:
 
     def __repr__(self):
         return f"WPolynomial({self.coeffs!r}, nvars={self.nvars})"
-
-    def __str__(self):
-        return format_polynomial(self)
 
     # -- structure queries --------------------------------------------------
 
@@ -329,13 +319,15 @@ class _Sized(NamedTuple):
 class _Factor(NamedTuple):
     """A factor of a term as written: base^k after `negations` unary minuses,
     a divisor where divide is set.  digits is the text of k, None where no
-    exponent is written (k = 1)."""
+    exponent is written (k = 1).  charges are the (work, what) spent to parse
+    base, in order."""
 
     base: _Sized
     k: int
     digits: Optional[str]
     negations: int
     divide: bool
+    charges: list[tuple[int, str]]
 
 
 _TOKEN_RE = re.compile(
@@ -378,6 +370,7 @@ class _Parser:
         self.names = list(names)
         self.sqrt2 = sqrt2
         self.work = 0
+        self.charges: list[tuple[int, str]] = []  # every spend, in order
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
@@ -394,6 +387,7 @@ class _Parser:
         return tok
 
     def spend(self, work: int, what: str):
+        self.charges.append((work, what))
         self.work += work
         if self.work > MAX_WORK:
             raise BudgetExceeded(
@@ -410,16 +404,18 @@ class _Parser:
         self.end()
         return out.poly
 
-    def parse_product(self) -> list[_Factor]:
-        """The factors of the top-level term, each base parsed and charged,
-        none of their powers, negations or products.  A top-level sum is one
-        factor, multiplied out and charged as `expr` does."""
+    def parse_product(self) -> tuple[bool, list[_Factor]]:
+        """Whether the top-level term has a leading minus, and its factors,
+        each base parsed and charged, none of their powers, negations or
+        products.  A top-level sum is one factor, multiplied out and charged
+        as `expr` does."""
         negate = self.sign()
         factors = list(self.factors())
         if self.at_sum():
-            factors = [_Factor(self.sum(negate, self.multiply(factors)), 1, None, 0, False)]
+            out = self.sum(negate, self.multiply(factors))
+            negate, factors = False, [_Factor(out, 1, None, 0, False, self.charges[:])]
         self.end()
-        return factors
+        return negate, factors
 
     def sign(self) -> bool:
         """Read a leading + or -; whether it was a -."""
@@ -469,6 +465,7 @@ class _Parser:
             while self.peek() == ("op", "-"):
                 self.take()
                 negations += 1
+            start = len(self.charges)
             base, k, digits = self.atom(), 1, None
             if self.peek() == ("op", "^"):
                 self.take()
@@ -479,7 +476,7 @@ class _Parser:
             # base^k is a nonzero constant iff k = 0 (0^0 = 1) or base is one
             if divide and k and base.poly.total_degree() != 0:
                 raise ValueError("division only allowed by nonzero constants")
-            yield _Factor(base, k, digits, negations, divide)
+            yield _Factor(base, k, digits, negations, divide, self.charges[start:])
             if not (self.peek()[0] == "op" and self.peek()[1] in "*/"):
                 return
             divide = self.take()[1] == "/"
@@ -488,7 +485,7 @@ class _Parser:
         """The product of factors, each power, negation and product charged
         before it runs."""
         out = None
-        for base, k, digits, negations, divide in factors:
+        for base, k, digits, negations, divide, _ in factors:
             f = base if digits is None else self.power(base, k, digits)
             for _ in range(negations):
                 f = self.negate(f)
@@ -577,17 +574,45 @@ def parse_polynomial(
     return _Parser(_tokenize(text), names, sqrt2).parse()
 
 
+class Product(list):
+    """The top-level term of a text as the product of powers it is written
+    as, [(base, k), ...], with the parser that read it."""
+
+    def __init__(self, parser: _Parser):
+        self._parser = parser
+        self._negate, self._factors = parser.parse_product()
+        super().__init__((f.base.poly, f.k) for f in self._factors if not f.divide)
+
+    def expand(self) -> WPolynomial:
+        """parse_polynomial of the text, from the bases already parsed.  The
+        budget starts again, and each base's parse charges are spent again
+        just before its own power, so every charge of parse_polynomial is
+        spent in its order: the same total, and past MAX_WORK the same
+        BudgetExceeded."""
+        parser = self._parser
+        parser.work = 0
+
+        def replayed():
+            for f in self._factors:
+                for work, what in f.charges:
+                    parser.spend(work, what)
+                yield f
+
+        out = parser.multiply(replayed())
+        return (parser.negate(out) if self._negate else out).poly
+
+
 def parse_product(
     text: str, names: Sequence[str] = ("s", "t", "u"), sqrt2: bool = False
-) -> list[tuple[WPolynomial, int]]:
+) -> Product:
     """The top-level term of text as the product of powers it is written as,
     [(base, k), ...]: equal to parse_polynomial(text) up to a nonzero
     constant factor, the unary minuses and the divisors, which are left out.
     Each base, an atom or a parenthesised sum, is expanded and charged as in
     parse_polynomial; the powers and products of the top-level term are
-    neither run nor charged.  A top-level sum is the one factor (sum, 1)."""
-    factors = _Parser(_tokenize(text), names, sqrt2).parse_product()
-    return [(f.base.poly, f.k) for f in factors if not f.divide]
+    neither run nor charged until `expand` is called.  A top-level sum is the
+    one factor (sum, 1)."""
+    return Product(_Parser(_tokenize(text), names, sqrt2))
 
 
 def format_polynomial(f: WPolynomial) -> str:

@@ -7,13 +7,12 @@ point anywhere; equality is exact.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from math import gcd
 from typing import Union
 
-# The most decimal digits in the numerator or the denominator of an input
-# number: CPython's default limit on converting a string to an int.
+# The most decimal digits in the numerator or the denominator of a number
+# read or printed: CPython's default limit on converting between str and int.
 MAX_NUMBER_DIGITS = 4300
 
 
@@ -67,10 +66,6 @@ class QuadExt:
     @property
     def is_rational(self) -> bool:
         return not self._v[1]
-
-    def conjugate(self) -> "QuadExt":
-        x, y, den = self._v
-        return _quad(x, -y, den)
 
     def norm(self) -> Fraction:
         """Field norm a^2 - D*b^2."""
@@ -213,13 +208,6 @@ def to_scalar(x) -> Scalar:
     return _as_fraction(x)
 
 
-def rational_parts(x: Scalar) -> tuple[Fraction, Fraction]:
-    """Split x = a + b*sqrt(2) into (a, b); b = 0 for plain rationals."""
-    if isinstance(x, QuadExt):
-        return x.a, x.b
-    return _as_fraction(x), Fraction(0)
-
-
 def format_scalar(x: Scalar) -> str:
     """Canonical string form: "p/q" for rationals, "a+b*sqrt(2)" otherwise."""
     if isinstance(x, QuadExt):
@@ -228,24 +216,3 @@ def format_scalar(x: Scalar) -> str:
         sign = "+" if x.b > 0 else "-"
         return f"{x.a}{sign}{abs(x.b)}*sqrt({x.D})"
     return str(_as_fraction(x))
-
-
-_QUAD_RE = re.compile(
-    r"^\s*(?P<a>[+-]?\d+(?:/\d+)?)\s*(?P<sign>[+-])\s*"
-    r"(?P<b>\d+(?:/\d+)?)\s*\*\s*sqrt\(\s*2\s*\)\s*$"
-)
-
-
-def parse_scalar(text: str) -> Scalar:
-    """Inverse of format_scalar; accepts "p", "p/q", and "a+b*sqrt(2)"."""
-    try:
-        return Fraction(text.strip())
-    except ValueError:
-        pass
-    m = _QUAD_RE.match(text)
-    if m is None:
-        raise ValueError(f"cannot parse scalar {text!r}")
-    b = Fraction(m.group("b"))
-    if m.group("sign") == "-":
-        b = -b
-    return QuadExt(Fraction(m.group("a")), b)

@@ -52,15 +52,10 @@ class MonomialValuation:
     def nvars(self) -> int:
         return len(self.weights)
 
-    def rewrite(self, f: WPolynomial) -> WPolynomial:
-        """Express f in the valuation's coordinates: substitute
-        t = y + sqrt(2)*s^e when twisted, identity otherwise."""
-        (g,) = self.rewrite_all([f])
-        return g
-
     def rewrite_all(self, fs: Sequence[WPolynomial]) -> list[WPolynomial]:
-        """Each of fs rewritten as `rewrite` does, the loops of all of them
-        charged together before any runs.
+        """Each of fs in the valuation's coordinates: t = y + sqrt(2)*s^e
+        substituted when twisted, unchanged otherwise.  The loops of all of
+        them are charged together before any runs.
 
         With f's coefficients alpha + beta*sqrt(2) over one common
         denominator, t^b = sum_j C(b, j) y^j (sqrt(2) s^e)^(b-j) is expanded
@@ -108,7 +103,7 @@ def _twist_work(pairs, e: int, d: int) -> int:
 
 
 def _expand_twist(pairs, e: int) -> dict:
-    """The loop of `MonomialValuation.rewrite`: integer pairs by (s, y) exponents."""
+    """The loop of `MonomialValuation.rewrite_all`: integer pairs by (s, y) exponents."""
     out: dict = {}
     for a, b, alpha, beta in pairs:
         binomial = 1  # C(b, j), carried from j to j + 1
@@ -276,11 +271,3 @@ def galois_min_mult(m: int, k: int) -> GaloisMinMult:
     terms[top] = 1
     witness = WPolynomial({(level - (m - 1) * d, d): x for d, x in terms.items()}, 2)
     return GaloisMinMult(least_mult(level), Fraction(2 * m * k, 2 * m - 1), witness)
-
-
-def twisted_ideal_contains(m: int, k: int, f: WPolynomial) -> bool:
-    """Membership test for (s^m, y)^k with y = t - sqrt(2)*s^(m-1): rewrite f
-    in (s, y) and check every monomial s^a y^b satisfies a >= m*max(k-b, 0)."""
-    nu = MonomialValuation((1, 1), Twist(m - 1))
-    g = nu.rewrite(f)
-    return all(a >= m * max(k - b, 0) for a, b in g.coeffs)

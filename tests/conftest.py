@@ -1,10 +1,12 @@
 import os
+import re
 from contextlib import contextmanager
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from seshadri.exactmath import QuadExt, WPolynomial
+from seshadri.exactmath import QuadExt, Scalar, WPolynomial
 from seshadri.exactmath.polynomials import SQRT2_WEIGHT
 
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -19,6 +21,42 @@ def _src_on_the_childrens_import_path():
     with pytest.MonkeyPatch.context() as patch:
         patch.setenv("PYTHONPATH", os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH")))))
         yield
+
+
+# -- helpers for several test modules -------------------------------------------
+
+
+def monomial(exp, c=1) -> WPolynomial:
+    """The polynomial c * x^exp, in len(exp) variables."""
+    return WPolynomial({tuple(exp): c}, len(exp))
+
+
+def rational_parts(x: Scalar) -> tuple[Fraction, Fraction]:
+    """Split x = a + b*sqrt(2) into (a, b); b = 0 for plain rationals."""
+    if isinstance(x, QuadExt):
+        return x.a, x.b
+    return Fraction(x), Fraction(0)
+
+
+_QUAD_RE = re.compile(
+    r"^\s*(?P<a>[+-]?\d+(?:/\d+)?)\s*(?P<sign>[+-])\s*"
+    r"(?P<b>\d+(?:/\d+)?)\s*\*\s*sqrt\(\s*2\s*\)\s*$"
+)
+
+
+def parse_scalar(text: str) -> Scalar:
+    """Inverse of format_scalar; accepts "p", "p/q", and "a+b*sqrt(2)"."""
+    try:
+        return Fraction(text.strip())
+    except ValueError:
+        pass
+    m = _QUAD_RE.match(text)
+    if m is None:
+        raise ValueError(f"cannot parse scalar {text!r}")
+    b = Fraction(m.group("b"))
+    if m.group("sign") == "-":
+        b = -b
+    return QuadExt(Fraction(m.group("a")), b)
 
 
 @pytest.fixture(scope="session")

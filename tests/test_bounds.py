@@ -1,19 +1,17 @@
 """Tests for the anticanonical volume bound M(n, eps) and its grid oracle."""
 
 import time
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
 
 from seshadri.bounds import (
-    VolumeBoundParams,
     best_volume_bound,
     conjectured_optimal_comparison,
     grid_confirms_best,
     grid_volume_bound_minimum,
-    volume_bound,
     volume_bound_exceeds_digits,
-    volume_bound_predicate,
 )
 from seshadri.wps import WeightVector, wps_anticanonical_volume
 
@@ -21,6 +19,46 @@ ONE = Fraction(1)
 
 
 # -- the raw two-term bound ----------------------------------------------------
+
+
+@dataclass(frozen=True)
+class VolumeBoundParams:
+    """A feasible choice of the free parameters (a, b, c) for dimension n and
+    Seshadri lower bound eps."""
+
+    n: int
+    eps: Fraction
+    a: Fraction
+    b: Fraction
+    c: Fraction
+
+    def __post_init__(self):
+        for name in ("eps", "a", "b", "c"):
+            object.__setattr__(self, name, Fraction(getattr(self, name)))
+        if self.n < 1:
+            raise ValueError("dimension n must be >= 1")
+        if self.eps <= 0:
+            raise ValueError("eps must be positive")
+        for name in ("a", "b", "c"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"constraint violated: {name} must be positive")
+        if self.a + self.b + self.c >= 1:
+            raise ValueError("constraint violated: a + b + c must be < 1")
+        if (self.n - 1 + self.eps) * self.a < self.n - 1 + self.eps / 2:
+            raise ValueError("constraint violated: (n-1+eps)*a must be >= n-1+eps/2")
+
+
+def volume_bound(params: VolumeBoundParams) -> Fraction:
+    """max{b^-n (1-eps/2)^n, c^-n n^n} for a feasible parameter choice."""
+    n, eps = params.n, params.eps
+    term_b = ((1 - eps / 2) / params.b) ** n
+    term_c = (Fraction(n) / params.c) ** n
+    return max(term_b, term_c)
+
+
+def volume_bound_predicate(vol: Fraction, n: int, eps: Fraction) -> bool:
+    """vol <= M(n, eps) for the closed-form bound."""
+    return Fraction(vol) <= best_volume_bound(n, eps).M
 
 
 def test_volume_bound_example_n2():

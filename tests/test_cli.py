@@ -2,6 +2,8 @@
 and seed-for-seed determinism of everything written to stdout."""
 
 import argparse
+import csv
+import io
 import json
 import math
 import os
@@ -22,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seshadri import bounds, cli
-from seshadri.cli import decode, emit, main, to_jsonable
+from seshadri.cli import emit, main, to_jsonable
 from seshadri.exactmath import INFINITY, QuadExt, WPolynomial, parse_polynomial, parse_product
 from seshadri.exactmath.polynomials import (
     MAX_WORK,
@@ -32,6 +34,8 @@ from seshadri.exactmath.polynomials import (
     _Parser,
     _tokenize,
 )
+
+from conftest import parse_scalar
 
 
 def run_cli(capsys, *argv):
@@ -96,6 +100,34 @@ WHS_RECORD = {
     "equality": True,
     "volume": Fraction(45, 2),
 }
+
+
+def _parse_leaf(value):
+    if isinstance(value, str):
+        if value == "True":
+            return True
+        if value == "False":
+            return False
+        try:
+            return parse_scalar(value)
+        except ValueError:
+            return value
+    if isinstance(value, list):
+        return [_parse_leaf(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _parse_leaf(v) for k, v in value.items()}
+    return value
+
+
+def decode(fmt: str, text: str):
+    """Parse emitted output back into exact values (inverse of emit on records
+    whose leaves are scalars, booleans, and integers)."""
+    if fmt == "json":
+        return _parse_leaf(json.loads(text))
+    if fmt == "csv":
+        rows = list(csv.DictReader(io.StringIO(text)))
+        return [{k: _parse_leaf(v) for k, v in row.items()} for row in rows]
+    raise ValueError(f"unknown format {fmt!r}")
 
 
 def test_decode_inverts_emit_on_json_records():
@@ -353,7 +385,7 @@ def test_a_polynomial_power_over_the_parse_cap_exits_2_with_one_line(capsys):
 
 
 def _rewrite_work(text: str, e: int = 1) -> int:
-    """The estimate that `MonomialValuation.rewrite` charges for text, read
+    """The estimate that `MonomialValuation.rewrite_all` charges for text, read
     from its refusal under a budget of -1."""
     from seshadri.valuations import MonomialValuation, Twist
 
@@ -361,7 +393,7 @@ def _rewrite_work(text: str, e: int = 1) -> int:
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr("seshadri.exactmath.polynomials.MAX_WORK", -1)
         with pytest.raises(BudgetExceeded) as refusal:
-            MonomialValuation((1, 2), Twist(e)).rewrite(f)
+            MonomialValuation((1, 2), Twist(e)).rewrite_all([f])
     return int(re.search(r"it takes about (\d+) bit products", str(refusal.value)).group(1))
 
 
@@ -500,6 +532,22 @@ def test_a_top_level_product_of_powers_is_valued_factor_by_factor(capsys, factor
     for key in ("lower", "value", "upper"):
         assert got[key] == sum(k * b[key] for b, (_, k) in zip(bases, factors)), key
     assert got["value"] == value
+
+
+def test_a_refused_product_is_expanded_from_the_bases_already_parsed(capsys, monkeypatch):
+    # The rewrite of the factors of ((s+t)^2000)*s is refused, and so is that
+    # of their expansion. The text is tokenized, and its bases parsed, once.
+    from seshadri.exactmath import polynomials
+
+    tokenized, expanded = [], []
+    tokenize, expand = polynomials._tokenize, polynomials.Product.expand
+    monkeypatch.setattr(polynomials, "_tokenize", lambda text: tokenized.append(text) or tokenize(text))
+    monkeypatch.setattr(polynomials.Product, "expand", lambda self: expanded.append(self) or expand(self))
+    f = "((s+t)^2000)*s"
+    code, out, err = run_cli(capsys, "valuation", "--weights", "1,2", "--op", "eval", "--f", f, "--twist-e", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --f: too large for the twisted rewrite")
+    assert (tokenized, len(expanded)) == ([f], 1)
 
 
 @pytest.mark.parametrize("op", ["eval", "izumi"])
@@ -658,6 +706,12 @@ def test_invalid_inputs_exit_2_with_an_error_line(capsys, argv):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("f", ["s/0", "s/(s-s)"])
+def test_a_division_by_zero_in_f_exits_2(capsys, f):
+    code, out, err = run_cli(capsys, "valuation", "--weights", "1,2", "--op", "eval", "--f", f)
+    assert (code, out, err) == (2, "", "error: division only allowed by nonzero constants\n")
+
+
 def test_unknown_subcommand_is_an_argparse_error(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["frobnicate"])
@@ -690,6 +744,40 @@ def test_reproduce_with_no_matching_cases_is_a_vacuous_success(capsys):
     code, out, _ = run_cli(capsys, "reproduce", "--filter", "zzz-none")
     assert code == 0
     assert json.loads(out) == {"cases_run": 0, "passes": 0, "failures": [], "results": []}
+
+
+def test_reproduce_exits_1_and_lists_each_failing_case(capsys, monkeypatch):
+    from seshadri import reproduce
+
+    def case(case_id, expected, run):
+        return reproduce.ReproductionCase(case_id, "test", "test", {}, expected, "derived", "", run)
+
+    monkeypatch.setattr(
+        reproduce,
+        "CASES",
+        (
+            case("a-wrong-value", Fraction(5), lambda rng: Fraction(4)),
+            case("b-raises", Fraction(1), lambda rng: 1 // 0),
+            # A finite float is no exact value: emit refuses it, and the
+            # record shows its repr.
+            case("c-finite-float", Fraction(1, 3), lambda rng: 0.5),
+        ),
+    )
+    code, out, err = run_cli(capsys, "reproduce")
+    assert code == 1
+    assert re.fullmatch(r"reproduce: 0/3 cases passed in \d+\.\d\ds\n", err)
+    payload = json.loads(out)
+    assert (payload["cases_run"], payload["passes"]) == (3, 0)
+    assert payload["failures"] == [
+        {"id": "a-wrong-value", "expected": '"5"', "actual": '"4"'},
+        {"id": "b-raises", "expected": '"1"', "actual": '"error: integer division or modulo by zero"'},
+        {"id": "c-finite-float", "expected": '"1/3"', "actual": "0.5"},
+    ]
+    assert payload["results"] == [
+        {"id": "a-wrong-value", "passed": False},
+        {"id": "b-raises", "passed": False},
+        {"id": "c-finite-float", "passed": False},
+    ]
 
 
 # -- determinism ---------------------------------------------------------------
@@ -845,7 +933,7 @@ def test_bounds_with_a_huge_m_exits_2_with_its_own_message(capsys, n):
     assert out == ""
     assert err == (
         f"error: bounds with --n {n} --eps 1 has an M of more than "
-        f"{cli.MAX_BOUND_DIGITS} digits; lower --n\n"
+        f"{cli.MAX_NUMBER_DIGITS} digits; lower --n\n"
     )
 
 

@@ -23,8 +23,7 @@ from seshadri.exactmath import (
     graded_lex_monomials,
     negative_definite_solve,
     parse_polynomial,
-    parse_scalar,
-    rational_parts,
+    parse_product,
 )
 from seshadri.exactmath.polynomials import (
     MAX_WORK,
@@ -35,6 +34,14 @@ from seshadri.exactmath.polynomials import (
     _tokenize,
 )
 from seshadri.valuations import MonomialValuation, Twist, _expand_twist
+
+from conftest import monomial, parse_scalar, rational_parts
+
+
+def conjugate(x: QuadExt) -> QuadExt:
+    """a - b*sqrt(2) for x = a + b*sqrt(2)."""
+    return QuadExt(x.a, -x.b)
+
 
 # -- strategies ----------------------------------------------------------------
 
@@ -96,7 +103,7 @@ def test_quadext_division_matches_multiplication():
 @given(quad_scalars())
 def test_quadext_norm_identity(x):
     # (a + b sqrt D)(a - b sqrt D) = a^2 - D b^2
-    prod = x * x.conjugate()
+    prod = x * conjugate(x)
     assert prod == x.a**2 - 2 * x.b**2
     assert prod == x.norm()
 
@@ -155,7 +162,7 @@ def test_quadext_arithmetic_matches_the_fraction_pair_oracle(x, y, k):
         "y * x": (y * x, _pair_mul(p, q)),
         "-x": (-x, (-p[0], -p[1])),
         "x ** k": (x**k, (Fraction(1), Fraction(0))),
-        "conjugate": (x.conjugate(), (p[0], -p[1])),
+        "conjugate": (conjugate(x), (p[0], -p[1])),
     }
     for _ in range(k):
         results["x ** k"] = (results["x ** k"][0], _pair_mul(results["x ** k"][1], p))
@@ -235,6 +242,12 @@ def test_multiplicity_of_zero_is_infinite():
     assert WPolynomial.zero(2).multiplicity() == INFINITY
 
 
+def test_the_zero_polynomial_is_false_and_a_constant_equals_its_scalar():
+    zero = WPolynomial.zero(2)
+    assert not zero and zero.total_degree() == -INFINITY
+    assert WPolynomial.constant(3, 2) == 3 and WPolynomial.constant(3, 2) != 4
+
+
 @given(nonzero(polynomials()), nonzero(polynomials()))
 @settings(max_examples=60)
 def test_multiplicity_is_additive_on_products(f, g):
@@ -242,6 +255,8 @@ def test_multiplicity_is_additive_on_products(f, g):
 
 
 def test_graded_lex_order_is_degree_then_reverse_lex():
+    # The empty tuple is the one monomial in no variables.
+    assert graded_lex_monomials(0, 2) == [()]
     assert graded_lex_monomials(2, 2) == [
         (0, 0),
         (1, 0),
@@ -253,9 +268,15 @@ def test_graded_lex_order_is_degree_then_reverse_lex():
 
 
 def test_polynomial_parse_format_round_trip():
-    for text in ("s*t", "t^2 + s^7", "1 + 2*s + 3*t", "(s - 1)^2", "s^2/4 - t/3"):
-        f = parse_polynomial(text, ("s", "t"))
-        assert parse_polynomial(format_polynomial(f), ("s", "t")) == f
+    texts = ("s*t", "t^2 + s^7", "1 + 2*s + 3*t", "(s - 1)^2", "s^2/4 - t/3", "s - s", "1 - s*t", "sqrt(2)*s - t")
+    for text in texts:
+        f = parse_polynomial(text, ("s", "t"), sqrt2=True)
+        assert parse_polynomial(format_polynomial(f), ("s", "t"), sqrt2=True) == f
+    assert [format_polynomial(parse_polynomial(t, ("s", "t"), sqrt2=True)) for t in texts[-3:]] == [
+        "0",
+        "-s*t+1",
+        "(0+1*sqrt(2))*s-t",
+    ]
 
 
 def test_parse_polynomial_sqrt_token_requires_discriminant():
@@ -272,16 +293,43 @@ def test_parse_polynomial_reads_no_other_square_root():
 
 def test_unary_minus_after_an_operator_negates_the_whole_factor():
     names = ("s", "t")
-    s2, t2 = WPolynomial.monomial((2, 0)), WPolynomial.monomial((0, 2))
+    s2, t2 = monomial((2, 0)), monomial((0, 2))
     assert parse_polynomial("2*-s^2", names) == -2 * s2
     assert parse_polynomial("3*-2^2", names) == WPolynomial.constant(-12, 2)
-    assert parse_polynomial("s--t^2", names) == WPolynomial.monomial((1, 0)) + t2
+    assert parse_polynomial("s--t^2", names) == monomial((1, 0)) + t2
     assert parse_polynomial("t^2 + -t^2", names).is_zero()
     # Unchanged: a leading minus, a parenthesised base and negative exponents.
     assert parse_polynomial("-s^2", names) == -s2
     assert parse_polynomial("(-s)^2", names) == s2
     with pytest.raises(ValueError, match="negative exponents"):
         parse_polynomial("2^-1", names)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "-s^2*(s+t)^3/3*(s-t)",
+        "-(s+t)^2*s",
+        "-(s+t)^2+s*t",
+        "s*(s+t)^10321",
+        "(s+t)^3000*((s-t)^2000)*s",
+        # The bases alone are under the budget. Parsed in the order of the
+        # text, the power 7000 runs before the base (s-t)^6900 is parsed, and
+        # that base's power is the one that takes the parse past the budget.
+        "(s+t)^7000*((s-t)^6900)",
+        "((s-t)^6900)*(s+t)^7000",
+    ],
+)
+def test_a_parsed_product_expands_to_what_parse_polynomial_gives(text):
+    names = ("s", "t")
+    try:
+        expected = parse_polynomial(text, names)
+    except BudgetExceeded as exc:
+        with pytest.raises(BudgetExceeded) as refusal:
+            parse_product(text, names).expand()
+        assert str(refusal.value) == str(exc)
+    else:
+        assert parse_product(text, names).expand() == expected
 
 
 def _parse_charges(text, sqrt2=True):
@@ -720,7 +768,7 @@ def test_rewrite_coefficients_match_the_fraction_pair_construction(f, e):
         for key, (rat, irr) in _expand_twist(pairs, e).items()
         if rat or irr
     }
-    _assert_same_coefficients(MonomialValuation((1, 2), Twist(e)).rewrite(f), expected)
+    _assert_same_coefficients(MonomialValuation((1, 2), Twist(e)).rewrite_all([f])[0], expected)
 
 
 # -- linear algebra ------------------------------------------------------------

@@ -1,0 +1,105 @@
+"""Every function, class and method in src/seshadri is used by the package
+itself: by the CLI, the reproduce table, or a function that one of them
+reaches.  A helper that only the tests call belongs in the tests.
+
+A name counts as used when another part of the package reads it, as a name
+or as an attribute, or when the parser stores it as a subcommand's handler.
+Its own definition and body, its docstring and a re-export in an __init__
+module do not count.  Dunder methods are called by the language."""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "seshadri"
+
+# Read by bench/tracing.py, which wraps exactmath.parse_polynomial and reads
+# the size of exact_rank's argument.  No part of the package calls them.
+READ_BY_THE_BENCH = {"parse_polynomial", "ExactMatrix.rows", "ExactMatrix.cols"}
+
+
+def _definitions(tree: ast.Module):
+    """(qualified name, name, node) of each top-level function and class and
+    of each method of a top-level class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node.name, node
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        yield f"{node.name}.{item.name}", item.name, item
+
+
+def _references(tree: ast.Module):
+    """(name, node) of each name and attribute read, and of each handler
+    name stored by `set_defaults(handler=...)`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node
+        elif isinstance(node, ast.keyword) and node.arg == "handler" and isinstance(node.value, ast.Constant):
+            yield node.value.value, node
+
+
+def _unreferenced(sources: dict[str, str]) -> list[str]:
+    """'module: qualified name' of each definition in sources, a map of module
+    path to text, that nothing outside its own body refers to."""
+    trees = {path: ast.parse(text) for path, text in sources.items()}
+    references = [(name, node) for tree in trees.values() for name, node in _references(tree)]
+    unused = []
+    for path, tree in trees.items():
+        for qualname, name, definition in _definitions(tree):
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            own = {id(node) for node in ast.walk(definition)}
+            if not any(ref == name and id(node) not in own for ref, node in references):
+                unused.append(f"{path}: {qualname}")
+    return unused
+
+
+def _package_sources() -> dict[str, str]:
+    return {
+        str(path.relative_to(PACKAGE)): path.read_text(encoding="utf-8")
+        for path in sorted(PACKAGE.rglob("*.py"))
+    }
+
+
+def test_every_definition_in_the_package_is_used_by_the_package():
+    sources = _package_sources()
+    assert len(sources) >= 10
+    unused = [entry for entry in _unreferenced(sources) if entry.split(": ")[1] not in READ_BY_THE_BENCH]
+    assert unused == []
+
+
+def test_the_names_read_by_the_bench_are_still_defined():
+    defined = {qualname for text in _package_sources().values() for qualname, _, _ in _definitions(ast.parse(text))}
+    assert READ_BY_THE_BENCH <= defined
+
+
+def test_the_guard_sees_a_helper_only_the_tests_call():
+    sources = _package_sources()
+    sources["cli.py"] += (
+        "\n\ndef _parse_leaf(value):\n"
+        "    if isinstance(value, list):\n"
+        "        return [_parse_leaf(v) for v in value]\n"
+        "    return value\n"
+        "\n\ndef decode(fmt, text):\n"
+        "    '''decode inverts emit; _parse_leaf reads each leaf'''\n"
+        "    return _parse_leaf(json.loads(text))\n"
+    )
+    sources["exactmath/__init__.py"] += "from ..cli import decode\n"
+    assert [entry for entry in _unreferenced(sources) if "decode" in entry or "_parse_leaf" in entry] == [
+        "cli.py: decode"
+    ]
+
+
+def test_the_guard_counts_handlers_and_methods_and_skips_dunders():
+    tree = (
+        "class A:\n"
+        "    def __eq__(self, other):\n        return True\n"
+        "    def used(self):\n        return self.unused_elsewhere\n"
+        "    def unused(self):\n        return self.unused()\n"
+        "def cmd_run(args):\n    return A().used()\n"
+        "def build(p):\n    p.set_defaults(handler='cmd_run')\n"
+    )
+    assert _unreferenced({"m.py": tree}) == ["m.py: A.unused", "m.py: build"]

@@ -18,7 +18,6 @@ from seshadri.exactmath import (
     WPolynomial,
     parse_polynomial,
     parse_product,
-    rational_parts,
 )
 from seshadri import valuations
 from seshadri.exactmath import polynomials
@@ -33,9 +32,10 @@ from seshadri.valuations import (
     ideal_min_multiplicity,
     izumi_check,
     maximal_ideal_valuation,
-    twisted_ideal_contains,
     valuation_eval,
 )
+
+from conftest import monomial, rational_parts
 
 ST = ("s", "t")
 
@@ -312,6 +312,13 @@ def test_sharp_case_ratio_one_for_1_m_valuations(m):
 # -- quadratic-twist ideals: rational members ---------------------------------------
 
 
+def twisted_ideal_contains(m: int, k: int, f: WPolynomial) -> bool:
+    """Membership test for (s^m, y)^k with y = t - sqrt(2)*s^(m-1): rewrite f
+    in (s, y) and check every monomial s^a y^b satisfies a >= m*max(k-b, 0)."""
+    (g,) = MonomialValuation((1, 1), Twist(m - 1)).rewrite_all([f])
+    return all(a >= m * max(k - b, 0) for a, b in g.coeffs)
+
+
 def test_galois_min_mult_m2_k1():
     result = galois_min_mult(2, 1)
     assert result.min_mult == 2
@@ -473,11 +480,11 @@ def test_rewrite_matches_substitution(stream, seed):
     twisted_t = WPolynomial({(0, 1): Fraction(1), (e, 0): SQRT2}, 2)
     expected = WPolynomial.zero(2)
     for (a, b), c in f.coeffs.items():
-        term = WPolynomial.monomial((a, 0), c)
+        term = monomial((a, 0), c)
         for _ in range(b):
             term = term * twisted_t
         expected = expected + term
-    rewritten = nu.rewrite(f)
+    rewritten = nu.rewrite_all([f])[0]
     assert rewritten == expected
     assert all(rewritten.coeffs.values())
     assert valuation_eval(nu, f) == expected.min_weighted_degree((1, 2))
@@ -492,20 +499,20 @@ def test_rewrite_matches_substitution(stream, seed):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(valuations, "_expand_twist", recording)
-        nu.rewrite(f)
+        nu.rewrite_all([f])
     steps = sum(b + 1 for _, b in f.coeffs)
     outputs = (_rewrite_charge(nu, f, 4) - _rewrite_charge(nu, f, 0) - steps) / 8
     assert len(made[0]) <= outputs
 
 
 def _rewrite_charge(nu, f, operation):
-    """What nu.rewrite(f) charges with OPERATION_WORK set to operation, read
+    """What nu.rewrite_all([f]) charges with OPERATION_WORK set to operation, read
     from its refusal under a budget of -1."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(polynomials, "OPERATION_WORK", operation)
         patch.setattr(polynomials, "MAX_WORK", -1)
         with pytest.raises(polynomials.BudgetExceeded) as refusal:
-            nu.rewrite(f)
+            nu.rewrite_all([f])
     return int(re.search(r"it takes about (\d+) bit products", str(refusal.value)).group(1))
 
 
