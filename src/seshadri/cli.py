@@ -91,11 +91,13 @@ def emit(fmt: str, payload) -> str:
                 try:
                     json.dumps(to_jsonable(value))
                 except ValueError:
-                    raise ValueError(
-                        f"the answer's {key} has a number of more than {MAX_NUMBER_DIGITS} digits"
-                    ) from None
+                    raise _too_long_answer(key) from None
         raise
     raise ValueError(f"unknown format {fmt!r}")
+
+
+def _too_long_answer(key: str) -> ValueError:
+    return ValueError(f"the answer's {key} has a number of more than {MAX_NUMBER_DIGITS} digits")
 
 
 # -- shared argument helpers --------------------------------------------------
@@ -327,6 +329,10 @@ def cmd_valuation(args) -> tuple[object, int]:
     if args.op == "galois":
         if args.m is None or args.k is None:
             raise ValueError("--m and --k are required for op 'galois'")
+        # emit would refuse the same answer, but only after building it
+        field = valuations.galois_field_over_digits(args.m, args.k, MAX_NUMBER_DIGITS)
+        if field is not None:
+            raise _too_long_answer(field)
         result = valuations.galois_min_mult(args.m, args.k)
         return {
             "m": args.m,

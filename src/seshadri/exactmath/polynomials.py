@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import re
+import string
 from fractions import Fraction
 from operator import add
 from typing import Dict, Iterable, Iterator, NamedTuple, Optional, Sequence, Tuple
@@ -21,6 +22,7 @@ Exponent = Tuple[int, ...]
 CoeffMap = Dict[Exponent, Scalar]
 
 INFINITY = math.inf
+_ONE = Fraction(1)
 
 
 class WPolynomial:
@@ -32,18 +34,15 @@ class WPolynomial:
 
     __slots__ = ("coeffs", "nvars")
 
-    def __init__(self, coeffs: CoeffMap | Iterable[tuple[Exponent, Scalar]], nvars: int):
-        items = coeffs.items() if isinstance(coeffs, dict) else coeffs
+    def __init__(self, coeffs: CoeffMap, nvars: int):
         clean: CoeffMap = {}
-        for exp, c in items:
+        for exp, c in coeffs.items():
             exp = tuple(int(e) for e in exp)
             if len(exp) != nvars or any(e < 0 for e in exp):
                 raise ValueError(f"bad exponent {exp} for {nvars} variables")
             c = to_scalar(c)
             if c:
-                clean[exp] = clean.get(exp, Fraction(0)) + c
-                if not clean[exp]:
-                    del clean[exp]
+                clean[exp] = c
         self.coeffs = clean
         self.nvars = nvars
 
@@ -66,12 +65,11 @@ class WPolynomial:
 
     @classmethod
     def constant(cls, c, nvars: int) -> "WPolynomial":
-        return cls({(0,) * nvars: to_scalar(c)}, nvars)
+        return cls._trusted({(0,) * nvars: to_scalar(c)}, nvars)
 
     @classmethod
     def variable(cls, i: int, nvars: int) -> "WPolynomial":
-        exp = tuple(1 if j == i else 0 for j in range(nvars))
-        return cls({exp: Fraction(1)}, nvars)
+        return cls._trusted({(0,) * i + (1,) + (0,) * (nvars - i - 1): _ONE}, nvars)
 
     # -- ring structure ---------------------------------------------------
 
@@ -79,23 +77,17 @@ class WPolynomial:
         if self.nvars != other.nvars:
             raise ValueError("polynomials over different variable counts")
 
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction, QuadExt)):
-            other = WPolynomial.constant(other, self.nvars)
+    def __add__(self, other: "WPolynomial"):
         self._check_compatible(other)
         out = dict(self.coeffs)
         for exp, c in other.coeffs.items():
             out[exp] = out[exp] + c if exp in out else c
         return WPolynomial._trusted(out, self.nvars)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return WPolynomial._trusted({e: -c for e, c in self.coeffs.items()}, self.nvars)
 
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction, QuadExt)):
-            other = WPolynomial.constant(other, self.nvars)
+    def __sub__(self, other: "WPolynomial"):
         return self + (-other)
 
     def __mul__(self, other):
@@ -103,6 +95,19 @@ class WPolynomial:
             c = to_scalar(other)
             return WPolynomial._trusted({e: v * c for e, v in self.coeffs.items()}, self.nvars)
         self._check_compatible(other)
+        if len(self.coeffs) == 1 or len(other.coeffs) == 1:
+            # By a monomial, no two products meet: each is one scalar product.
+            # The parser's products of a constant by a variable take this
+            # path, which skips the kernel's common denominators (measured
+            # with and without it in BENCH_22.json).
+            return WPolynomial._trusted(
+                {
+                    tuple(map(add, e1, e2)): c1 * c2
+                    for e1, c1 in self.coeffs.items()
+                    for e2, c2 in other.coeffs.items()
+                },
+                self.nvars,
+            )
         # Each pair of terms multiplies as integers over d1*d2.  irr holds the
         # sqrt(2) parts of the exponents that a QuadExt factor reached: they
         # become QuadExt, the rest Fraction, the types that scalar products
@@ -330,30 +335,38 @@ class _Factor(NamedTuple):
     charges: list[tuple[int, str]]
 
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<pow>\*\*|\^)|(?P<op>[()+\-*/]))"
-)
+# One match per token: a number, a name, an operator, or (the last group) any
+# other character, which is no token.  Each match takes the whitespace before
+# its token, so the matches tile the text up to its trailing whitespace.
+_TOKEN_RE = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z_0-9]*|\*\*|\S)")
+# An operator's text is never that of a number or a name, so the parser tells
+# the operators apart by their text alone.
+_OPERATORS = {op: ("op", op) for op in "()+-*/^"}
+_OPERATORS["**"] = _OPERATORS["^"]
+_SIGNS = frozenset("+-")
+_PRODUCTS = frozenset("*/")
+_NAME_START = frozenset(string.ascii_letters + "_")
+_END = (None, None)  # what the parser reads past the last token
+_SQRT2 = QuadExt(0, 1)
 
 
 def _tokenize(text: str) -> list[tuple[str, str]]:
-    pos, tokens = 0, []
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            if text[pos:].isspace():  # trailing whitespace is no token
-                break
-            raise ValueError(f"cannot tokenize polynomial at: {text[pos:]!r}")
-        pos = m.end()
-        if m.group("num"):
-            if len(m.group("num")) > MAX_NUMBER_DIGITS:
+    tokens: list[tuple[str, str]] = []
+    append = tokens.append
+    for token in _TOKEN_RE.findall(text):
+        op = _OPERATORS.get(token)
+        if op is not None:
+            append(op)
+        elif token[0].isdecimal():  # what \d matches
+            if len(token) > MAX_NUMBER_DIGITS:
                 raise BudgetExceeded(f"a number of more than {MAX_NUMBER_DIGITS} digits")
-            tokens.append(("num", m.group("num")))
-        elif m.group("name"):
-            tokens.append(("name", m.group("name")))
-        elif m.group("pow"):
-            tokens.append(("op", "^"))
+            append(("num", token))
+        elif token[0] in _NAME_START:
+            append(("name", token))
         else:
-            tokens.append(("op", m.group("op")))
+            # the text from the end of the last token, whitespace included
+            pos = [m.start() for m in _TOKEN_RE.finditer(text)][len(tokens)]
+            raise ValueError(f"cannot tokenize polynomial at: {text[pos:]!r}")
     return tokens
 
 
@@ -365,7 +378,9 @@ class _Parser:
     raises BudgetExceeded."""
 
     def __init__(self, tokens, names: Sequence[str], sqrt2: bool):
-        self.tokens = tokens
+        # _END closes the list, so reading a token needs no bounds check; a
+        # parse that takes it stops with an error at once.
+        self.tokens = [*tokens, _END]
         self.pos = 0
         self.names = list(names)
         self.sqrt2 = sqrt2
@@ -373,10 +388,10 @@ class _Parser:
         self.charges: list[tuple[int, str]] = []  # every spend, in order
 
     def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
+        return self.tokens[self.pos]
 
     def take(self):
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
@@ -396,8 +411,8 @@ class _Parser:
             )
 
     def end(self):
-        if self.peek() != (None, None):
-            raise ValueError(f"trailing tokens in polynomial: {self.tokens[self.pos:]}")
+        if self.peek() is not _END:
+            raise ValueError(f"trailing tokens in polynomial: {self.tokens[self.pos:-1]}")
 
     def parse(self) -> WPolynomial:
         out = self.expr()
@@ -419,10 +434,10 @@ class _Parser:
 
     def sign(self) -> bool:
         """Read a leading + or -; whether it was a -."""
-        return self.peek() in (("op", "+"), ("op", "-")) and self.take()[1] == "-"
+        return self.peek()[1] in _SIGNS and self.take()[1] == "-"
 
     def at_sum(self) -> bool:
-        return self.peek()[0] == "op" and self.peek()[1] in "+-"
+        return self.peek()[1] in _SIGNS
 
     def expr(self) -> _Sized:
         return self.sum(self.sign(), self.term())
@@ -459,17 +474,18 @@ class _Parser:
     def factors(self) -> Iterator[_Factor]:
         """The factors of a term, each yielded as soon as it is parsed, so
         that `multiply` charges a term's work in the order of its text."""
-        divide = False
+        # The hottest loop of a parse reads the tokens in place of peek and take.
+        tokens, divide = self.tokens, False
         while True:
             negations = 0
-            while self.peek() == ("op", "-"):
-                self.take()
+            while tokens[self.pos][1] == "-":
+                self.pos += 1
                 negations += 1
             start = len(self.charges)
             base, k, digits = self.atom(), 1, None
-            if self.peek() == ("op", "^"):
-                self.take()
-                if self.peek() == ("op", "-"):
+            if tokens[self.pos][1] == "^":
+                self.pos += 1
+                if tokens[self.pos][1] == "-":
                     raise ValueError("negative exponents are not allowed")
                 digits = self.expect("num")[1]
                 k = int(digits)
@@ -477,9 +493,11 @@ class _Parser:
             if divide and k and base.poly.total_degree() != 0:
                 raise ValueError("division only allowed by nonzero constants")
             yield _Factor(base, k, digits, negations, divide, self.charges[start:])
-            if not (self.peek()[0] == "op" and self.peek()[1] in "*/"):
+            op = tokens[self.pos][1]
+            if op not in _PRODUCTS:
                 return
-            divide = self.take()[1] == "/"
+            self.pos += 1
+            divide = op == "/"
 
     def multiply(self, factors: Iterable[_Factor]) -> _Sized:
         """The product of factors, each power, negation and product charged
@@ -539,7 +557,6 @@ class _Parser:
 
     def atom(self) -> _Sized:
         kind, value = self.take()
-        n = len(self.names)
         if kind == "num":
             return self.constant(Fraction(int(value)))
         if kind == "name":
@@ -551,9 +568,9 @@ class _Parser:
                     raise ValueError("sqrt(...) is not allowed in this context")
                 if d != QuadExt.D:
                     raise ValueError(f"sqrt({d}) not allowed here (expected sqrt({QuadExt.D}))")
-                return self.constant(QuadExt(Fraction(0), Fraction(1)))
+                return self.constant(_SQRT2)
             if value in self.names:
-                return _Sized(WPolynomial.variable(self.names.index(value), n), 0, 0, False)
+                return _Sized(WPolynomial.variable(self.names.index(value), len(self.names)), 0, 0, False)
             raise ValueError(f"unknown variable {value!r} (expected one of {self.names})")
         if (kind, value) == ("op", "("):
             out = self.expr()

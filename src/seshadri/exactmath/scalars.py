@@ -67,11 +67,6 @@ class QuadExt:
     def is_rational(self) -> bool:
         return not self._v[1]
 
-    def norm(self) -> Fraction:
-        """Field norm a^2 - D*b^2."""
-        x, y, den = self._v
-        return Fraction(x * x - 2 * y * y, den * den)
-
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):

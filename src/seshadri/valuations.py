@@ -223,6 +223,96 @@ class GaloisMinMult:
     witness: WPolynomial
 
 
+def _least_mult(m: int, k: int, level: int):
+    """The least multiplicity of a rational member of the twisted ideal at
+    `level` (see galois_min_mult), and inf where the level has none."""
+    b = max(0, m * k - level)
+    r = level - 2 * (m - 1) * b
+    return 2 * b + r - (m - 2) * (r // (m - 1)) if r >= 0 else math.inf
+
+
+def _galois_shape(m: int, k: int) -> tuple[int, int, int]:
+    """(level, b, top) of the witness: the first level in k(m-1)..2k(m-1) of
+    least `_least_mult`, the power b of N that divides the witness, and the
+    t-degree top of its leading term.
+
+    Levels below L0 = ceil(2m(m-1)k/(2m-1)) have no members.  From L0 up to
+    mk - 1 (b >= 1), and from mk on (b = 0), one level more adds 1 to the
+    least multiplicity, except where r // (m-1) grows by one more than the
+    rest of the run: there it adds 3 - m, and after m - 1 levels it has
+    added 1.  So each run has its first minimum at its first level or at its
+    first such step, and four candidates hold the first minimum of both."""
+    if m < 2 or k < 1:
+        raise ValueError("need m >= 2 and k >= 1")
+    first = -(-2 * m * (m - 1) * k // (2 * m - 1))
+    step = m - 1 - ((2 * m - 1) * first - 2 * m * (m - 1) * k) % (m - 1)
+    candidates = {first, first + step, m * k, (m - 1) * -(-m * k // (m - 1))}
+    levels = sorted(c for c in candidates if k * (m - 1) <= c <= 2 * k * (m - 1))
+    level = min(levels, key=lambda level: _least_mult(m, k, level))
+    b = max(0, m * k - level)
+    return level, b, 2 * b + (level - 2 * (m - 1) * b) // (m - 1)
+
+
+def _witness_coefficients(b: int, top: int) -> list[int]:
+    """The coefficients of t^(2i + top % 2), i = 0..b-1, in t^top - R, where R
+    is t^top mod (t^2 - 2)^b.  With n = top // 2 and x = t^2, x^n is
+    sum_j C(n, j) 2^(n-j) (x-2)^j, and R keeps the terms j < b; the rest has
+    (-1)^(b-i) 2^(n-i) C(n, i) C(n-1-i, b-1-i) at x^i for i < b, by
+    sum_{l >= L} (-1)^l C(a, l) = (-1)^L C(a-1, L-1).  Each coefficient
+    follows from the one before it."""
+    if not b:
+        return []
+    n = top // 2
+    out = [(-1) ** b * 2**n * math.comb(n - 1, b - 1)]
+    for i in range(b - 1):
+        out.append(-out[-1] * (n - i) * (b - 1 - i) // (2 * (i + 1) * (n - 1 - i)))
+    return out
+
+
+def _more_digits(x: int, digits: int) -> bool:
+    """Whether x >= 0 has more than `digits` digits; 10^digits is built only
+    past 2^(3*digits), which is below it."""
+    return x.bit_length() > 3 * digits and x >= 10**digits
+
+
+def _witness_exceeds_digits(m: int, level: int, b: int, top: int, digits: int) -> bool:
+    """Whether the witness of shape (level, b, top) (see `_galois_shape`) has
+    a coefficient or an exponent of more than `digits` digits, decided
+    without building it.  Its coefficients 2^(n-i) C(n, i) C(n-1-i, b-1-i)
+    in absolute value are a product of log-concave sequences in i, so they
+    rise to one peak and fall; the first, at least 2^n, is over 10^digits
+    once n > 4*digits."""
+    # the largest exponents: top, and the s-exponent of the lowest t-degree
+    if _more_digits(max(top, level - (m - 1) * (top % 2 if b else top)), digits):
+        return True
+    if not b:
+        return False
+    n = top // 2
+    if n > 4 * digits:
+        return True
+    lo, hi = 0, b - 1
+    while lo < hi:  # the peak: the first i whose successor is no larger
+        i = (lo + hi) // 2
+        if (n - i) * (b - 1 - i) > 2 * (i + 1) * (n - 1 - i):
+            lo = i + 1
+        else:
+            hi = i
+    return _more_digits(2 ** (n - lo) * math.comb(n, lo) * math.comb(n - 1 - lo, b - 1 - lo), digits)
+
+
+def galois_field_over_digits(m: int, k: int, digits: int) -> Optional[str]:
+    """The first field of galois_min_mult(m, k), in the order of
+    GaloisMinMult, that has a number of more than `digits` digits, or None;
+    decided without building the witness."""
+    level, b, top = _galois_shape(m, k)
+    bound = Fraction(2 * m * k, 2 * m - 1)
+    if _more_digits(_least_mult(m, k, level), digits):
+        return "min_mult"
+    if _more_digits(bound.numerator, digits):  # above the denominator, as 2mk > 2m - 1
+        return "bound"
+    return "witness" if _witness_exceeds_digits(m, level, b, top, digits) else None
+
+
 def galois_min_mult(m: int, k: int) -> GaloisMinMult:
     """Minimal multiplicity at the origin of a nonzero rational member of
     I = (s^m, y)^k, y = t - sqrt(2)*s^(m-1), read off the norm form.
@@ -241,33 +331,13 @@ def galois_min_mult(m: int, k: int) -> GaloisMinMult:
     level reaching it, with the columns by decreasing t-exponent, which is
     increasing total degree (for m = 2, increasing s-exponent).  With
     J = r//(m-1), that row is the member t^(2b+J) - R whose R has t-degree
-    below 2b: R is t^(2b+J) mod N^b, and N^b is monic in t, so integer long
-    division gives it with lead 1 and no content to remove.
+    below 2b: R is t^(2b+J) mod N^b, and N^b is monic in t, so the row has
+    lead 1 and integer coefficients with no content to remove, which
+    `_witness_coefficients` gives in closed form.
     """
-    if m < 2 or k < 1:
-        raise ValueError("need m >= 2 and k >= 1")
-
-    def split(level: int) -> tuple[int, int]:
-        b = max(0, m * k - level)
-        return b, level - 2 * (m - 1) * b
-
-    def least_mult(level: int):
-        b, r = split(level)
-        return 2 * b + r - (m - 2) * (r // (m - 1)) if r >= 0 else math.inf
-
-    level = min(range(k * (m - 1), 2 * k * (m - 1) + 1), key=least_mult)
-    b, r = split(level)
-    top = 2 * b + r // (m - 1)
-    # rem[d] is the coefficient of t^d (the level fixes the s-exponent); N^b
-    # has C(b, i) * (-2)^(b-i) at t^(2i).
-    norm = [math.comb(b, i) * (-2) ** (b - i) for i in range(b + 1)]
-    rem = [0] * top + [1]
-    for d in range(top, 2 * b - 1, -1):
-        q = rem[d]
-        if q:
-            for i, coeff in enumerate(norm):
-                rem[d - 2 * b + 2 * i] -= q * coeff
-    terms = {d: -x for d, x in enumerate(rem[: 2 * b]) if x}
+    level, b, top = _galois_shape(m, k)
+    # The level fixes the s-exponent of each power of t.
+    terms = {2 * i + top % 2: c for i, c in enumerate(_witness_coefficients(b, top))}
     terms[top] = 1
     witness = WPolynomial({(level - (m - 1) * d, d): x for d, x in terms.items()}, 2)
-    return GaloisMinMult(least_mult(level), Fraction(2 * m * k, 2 * m - 1), witness)
+    return GaloisMinMult(_least_mult(m, k, level), Fraction(2 * m * k, 2 * m - 1), witness)

@@ -333,6 +333,30 @@ def test_valuation_galois_large_m_and_k_within_budget(capsys, mk, budget):
 
 
 @pytest.mark.parametrize(
+    ("m", "k", "field"),
+    [("2", "15000", "witness"), ("2", "9" + "0" * 4299, "min_mult"), ("1" + "0" * 4299, "50", "bound")],
+    ids=["k-15000", "k-4300-digits", "m-4300-digits"],
+)
+def test_valuation_galois_refuses_an_answer_too_long_to_print_at_once(capsys, m, k, field):
+    # The refusal names the first field too long in the order of the record,
+    # as emit does; building the k = 15000 witness alone takes about 13 s.
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "valuation", "--weights", "1,1", "--op", "galois", "--m", m, "--k", k)
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (2, "")
+    assert err == f"error: the answer's {field} has a number of more than {cli.MAX_NUMBER_DIGITS} digits\n"
+
+
+def test_valuation_galois_refuses_as_emit_would_after_building(capsys, monkeypatch):
+    from seshadri import valuations
+
+    argv = ("valuation", "--weights", "1,1", "--op", "galois", "--m", "1" + "0" * 4299, "--k", "50")
+    refused = run_cli(capsys, *argv)
+    monkeypatch.setattr(valuations, "galois_field_over_digits", lambda m, k, digits: None)
+    assert run_cli(capsys, *argv) == refused
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("--f", "(t^6000)", "--twist-e", "1"),
@@ -1385,6 +1409,56 @@ def _root_products(names):
 def test_any_untwisted_product_of_powers_exits_0_or_2_with_one_line(case, op):
     weights, text = case
     _assert_f_exits_0_or_2_with_one_line(text, "--weights", weights, "--op", op)
+
+
+# Integer flags as text: small and huge values, values whose answers come
+# close to 4300 digits, and text that is no int.
+_flag_integers = st.one_of(
+    st.integers(-3, 60),
+    st.integers(-(10**6), 10**30),
+    st.integers(8000, 20000),
+    st.integers(),
+    st.sampled_from(["", "x", "1.5", "1e3", "٣", " 7", "9" * 4300, "9" * 4301]),
+).map(str)
+
+
+@st.composite
+def _galois_or_minmult_argv(draw):
+    """valuation --op galois|minmult argv: each flag present or not, valid
+    or not, in a random order."""
+    weights = st.one_of(
+        st.lists(st.integers(-2, 9), min_size=1, max_size=3).map(lambda w: ",".join(map(str, w))),
+        st.sampled_from(["", "1,,2", "a", "1," + "9" * 4301]),
+    )
+    flags = {
+        "--weights": draw(weights),
+        "--op": draw(st.sampled_from(["galois", "minmult", "galois", "minmult", "other"])),
+        "--m": draw(_flag_integers),
+        "--k": draw(_flag_integers),
+        "--twist-e": draw(_flag_integers),
+    }
+    chosen = draw(st.permutations(list(flags)))
+    kept = [f for f in chosen if f in ("--weights", "--op") or draw(st.integers(0, 3))]
+    return ["valuation"] + [f"{flag}={flags[flag]}" for flag in kept]
+
+
+@settings(max_examples=150, deadline=timedelta(seconds=5))
+@given(_galois_or_minmult_argv())
+def test_any_galois_or_minmult_argv_exits_0_1_or_2_without_a_traceback(argv):
+    # The largest answers that galois admits, near m = 2, k = 13500, are
+    # 30 MB of witness and take about 2.4 s on a 2-core Xeon.
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses what is no int or no choice
+            code = exc.code
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert err.getvalue() == "" and json.loads(out.getvalue())
+    else:
+        assert out.getvalue() == "" and err.getvalue().count("error:") == 1
 
 
 _JETS = {

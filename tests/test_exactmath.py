@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from seshadri.exactmath import (
     INFINITY,
+    MAX_NUMBER_DIGITS,
     ExactMatrix,
     QuadExt,
     WPolynomial,
@@ -41,6 +42,12 @@ from conftest import monomial, parse_scalar, rational_parts
 def conjugate(x: QuadExt) -> QuadExt:
     """a - b*sqrt(2) for x = a + b*sqrt(2)."""
     return QuadExt(x.a, -x.b)
+
+
+def norm(x: QuadExt) -> Fraction:
+    """The field norm a^2 - 2*b^2 of x = a + b*sqrt(2), from its integer parts."""
+    num, irr, den = x._v
+    return Fraction(num * num - 2 * irr * irr, den * den)
 
 
 # -- strategies ----------------------------------------------------------------
@@ -105,7 +112,7 @@ def test_quadext_norm_identity(x):
     # (a + b sqrt D)(a - b sqrt D) = a^2 - D b^2
     prod = x * conjugate(x)
     assert prod == x.a**2 - 2 * x.b**2
-    assert prod == x.norm()
+    assert prod == norm(x)
 
 
 @given(quad_scalars(), quad_scalars(), quad_scalars())
@@ -175,7 +182,7 @@ def test_quadext_arithmetic_matches_the_fraction_pair_oracle(x, y, k):
         assert (got.a, got.b) == want, what
         _assert_normal_form(got)
         assert got == QuadExt(*want), what
-    assert x.norm() == p[0] * p[0] - 2 * p[1] * p[1] and type(x.norm()) is Fraction
+    assert norm(x) == p[0] * p[0] - 2 * p[1] * p[1] and type(norm(x)) is Fraction
     assert x.is_rational == (p[1] == 0) and bool(x) == (p != (0, 0))
     _assert_normal_form(x)
 
@@ -289,6 +296,67 @@ def test_parse_polynomial_sqrt_token_requires_discriminant():
 def test_parse_polynomial_reads_no_other_square_root():
     with pytest.raises(ValueError, match=r"sqrt\(3\) not allowed here \(expected sqrt\(2\)\)"):
         parse_polynomial("sqrt(3)*s", ("s", "t"), sqrt2=True)
+
+
+_MATCH_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<pow>\*\*|\^)|(?P<op>[()+\-*/]))"
+)
+
+
+def _tokenize_by_match(text):
+    """The oracle of _tokenize: one re.match per token, each token's kind read
+    off its named group."""
+    pos, tokens = 0, []
+    while pos < len(text):
+        m = _MATCH_TOKEN_RE.match(text, pos)
+        if m is None or m.end() == pos:
+            if text[pos:].isspace():  # trailing whitespace is no token
+                break
+            raise ValueError(f"cannot tokenize polynomial at: {text[pos:]!r}")
+        pos = m.end()
+        if m.group("num"):
+            if len(m.group("num")) > MAX_NUMBER_DIGITS:
+                raise BudgetExceeded(f"a number of more than {MAX_NUMBER_DIGITS} digits")
+            tokens.append(("num", m.group("num")))
+        elif m.group("name"):
+            tokens.append(("name", m.group("name")))
+        elif m.group("pow"):
+            tokens.append(("op", "^"))
+        else:
+            tokens.append(("op", m.group("op")))
+    return tokens
+
+
+def _outcome(tokenize, text):
+    try:
+        return tokenize(text)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+_TOKEN_PIECES = st.one_of(
+    st.sampled_from(["s", "t", "u", "sqrt", "x_1", "_", "Z9", "2", "10", "007", "**", "*", "^"]),
+    st.sampled_from(list("()+-*/^")),
+    st.sampled_from(list(" \t\n\r\f\v\x1c\x85\xa0\u2003\u3000")),  # ASCII and Unicode whitespace
+    st.sampled_from(list("\u0663\uff10\uff17\u07c0")),  # Unicode decimal digits, which \d reads
+    # no token: superscript two and one half are digits, but not decimal ones
+    st.sampled_from(list("$.!\u00e9[\u00df\u00b2\u00bd\x00")),
+    st.builds(lambda n, digit: digit * n, st.integers(4295, 4305), st.sampled_from("9\u0663")),
+    st.text(max_size=3),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_TOKEN_PIECES, max_size=12).map("".join))
+@example("s $")
+@example("s^2  \t")
+@example("  ")
+@example("9" * 4301 + " $")
+@example("$ " + "9" * 4301)
+def test_tokenize_matches_the_token_by_token_oracle(text):
+    # The same tokens, or the same error with the same message: the text
+    # from the end of the last token, its whitespace included.
+    assert _outcome(_tokenize, text) == _outcome(_tokenize_by_match, text)
 
 
 def test_unary_minus_after_an_operator_negates_the_whole_factor():
@@ -635,16 +703,22 @@ def quad_polynomials(draw, nvars=2, max_degree=3, max_terms=5):
 @settings(max_examples=80, deadline=None)
 @given(quad_polynomials(), quad_polynomials(), small_fractions)
 def test_ring_ops_match_the_validating_constructor_and_store_no_zeros(f, g, c):
-    # The validating constructor sums repeated exponents and drops zeros, so
-    # it rebuilds sums and products from the raw term lists.
+    # Sums and products are rebuilt from the raw term lists: repeated
+    # exponents summed here, and zeros dropped by the validating constructor.
+    def summed(terms):
+        out = {}
+        for e, c in terms:
+            out[e] = out.get(e, 0) + c
+        return out
+
     products = [
         (tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
         for e1, c1 in f.coeffs.items()
         for e2, c2 in g.coeffs.items()
     ]
-    assert f + g == WPolynomial(list(f.coeffs.items()) + list(g.coeffs.items()), 2)
-    assert f * g == WPolynomial(products, 2)
-    assert f * c == WPolynomial([(e, v * c) for e, v in f.coeffs.items()], 2)
+    assert f + g == WPolynomial(summed([*f.coeffs.items(), *g.coeffs.items()]), 2)
+    assert f * g == WPolynomial(summed(products), 2)
+    assert f * c == WPolynomial({e: v * c for e, v in f.coeffs.items()}, 2)
     assert (f - f).coeffs == {}
     for h in (f + g, f - g, -f, f * g, f * c, f * 0):
         assert all(h.coeffs.values())

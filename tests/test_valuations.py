@@ -384,9 +384,9 @@ def test_norm_form_is_a_rational_member_of_multiplicity_2k(m):
 
 
 def test_galois_min_mult_m200_k200_within_budget():
-    # The minimum is read off the norm form and the witness off one long
-    # division by N^b; no elimination runs, so the largest probed case stays
-    # well inside half a second.
+    # The minimum is read off the norm form and the witness off a closed
+    # form; no elimination runs, so the largest probed case stays well inside
+    # half a second.
     start = time.perf_counter()
     result = galois_min_mult(200, 200)
     elapsed = time.perf_counter() - start
@@ -597,3 +597,97 @@ def test_galois_scan_matches_field_linear_algebra(m):
         assert (result.min_mult, result.witness) == _galois_by_field_linear_algebra(m, k)
         coefficients = result.witness.coeffs.values()
         assert all(type(c) is Fraction and c.denominator == 1 for c in coefficients)
+
+
+def _galois_by_long_division(m, k):
+    """galois_min_mult(m, k) as it was computed before its closed forms: the
+    first level of least multiplicity by a scan of every level, and the
+    witness t^top - R by integer long division of t^top by N^b."""
+
+    def split(level):
+        b = max(0, m * k - level)
+        return b, level - 2 * (m - 1) * b
+
+    def least_mult(level):
+        b, r = split(level)
+        return 2 * b + r - (m - 2) * (r // (m - 1)) if r >= 0 else math.inf
+
+    level = min(range(k * (m - 1), 2 * k * (m - 1) + 1), key=least_mult)
+    b, r = split(level)
+    top = 2 * b + r // (m - 1)
+    # rem[d] is the coefficient of t^d; N^b has C(b, i) * (-2)^(b-i) at t^(2i).
+    norm = [math.comb(b, i) * (-2) ** (b - i) for i in range(b + 1)]
+    rem = [0] * top + [1]
+    for d in range(top, 2 * b - 1, -1):
+        q = rem[d]
+        if q:
+            for i, coeff in enumerate(norm):
+                rem[d - 2 * b + 2 * i] -= q * coeff
+    terms = {d: -x for d, x in enumerate(rem[: 2 * b]) if x}
+    terms[top] = 1
+    witness = WPolynomial({(level - (m - 1) * d, d): x for d, x in terms.items()}, 2)
+    return least_mult(level), witness
+
+
+def test_galois_closed_forms_match_the_scan_and_the_long_division():
+    # The level from four candidates, and the witness coefficients from their
+    # closed form: the same answer, in the same term order, for every m and k
+    # up to 30 and 40, and for a few larger ones.
+    pairs = [(m, k) for m in range(2, 31) for k in range(1, 41)]
+    for m, k in pairs + [(2, 700), (3, 500), (7, 300), (200, 200), (31, 97)]:
+        result = galois_min_mult(m, k)
+        min_mult, witness = _galois_by_long_division(m, k)
+        assert result.min_mult == min_mult, (m, k)
+        assert list(result.witness.coeffs.items()) == list(witness.coeffs.items()), (m, k)
+
+
+def _first_field_over(m, k, digits):
+    """The first field of the built galois_min_mult(m, k), in the order of
+    GaloisMinMult, with a number of more than `digits` digits, or None."""
+    result = galois_min_mult(m, k)
+    witness = result.witness
+    numbers = {
+        "min_mult": [result.min_mult],
+        "bound": [result.bound.numerator, result.bound.denominator],
+        "witness": [abs(c.numerator) for c in witness.coeffs.values()] + [x for e in witness.coeffs for x in e],
+    }
+    return next((field for field, xs in numbers.items() if len(str(max(xs))) > digits), None)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(2, 60), st.integers(1, 400), st.integers(1, 200))
+def test_the_galois_digit_check_matches_the_built_answer(m, k, digits):
+    assert valuations.galois_field_over_digits(m, k, digits) == _first_field_over(m, k, digits)
+
+
+@pytest.mark.parametrize(
+    ("m", "k", "field"),
+    [
+        (2, 10**4000, "witness"),
+        (3, 10**12, "witness"),
+        (10**9, 10**9, "witness"),
+        (2, 9 * 10**4299, "min_mult"),
+        (10**4299, 50, "bound"),
+        (10**4000, 3, None),
+        (10**4299 + 1, 2, None),
+    ],
+    ids=["k-4001-digits", "k-10^12", "m-k-10^9", "k-4300-digits", "m-4300-digits", "m-4001-digits", "m-4300-digits-k-2"],
+)
+def test_the_galois_digit_check_decides_huge_parameters_at_once(m, k, field):
+    # No level is scanned and no coefficient built: k(m-1) levels and
+    # coefficients of at least 2^n would take forever.  At k = 9*10^4299
+    # min_mult, at least 4k/3, is the first field too long; at m = 10^4299,
+    # k = 50 the bound's numerator 2mk is.  Where b = 0 the witness is one
+    # monomial whose exponents stay below m; at k = 2 it is
+    # -2*s^(2m-1) + s*t^2, whose exponent 2m - 1 is below the bound's 4m.
+    start = time.perf_counter()
+    assert valuations.galois_field_over_digits(m, k, 4300) == field
+    assert time.perf_counter() - start < 0.1
+
+
+def test_the_witness_digit_check_reads_its_exponents():
+    # At m = 10^4300, k = 2 the witness is -2*s^(2m-1) + s*t^2: only its
+    # exponent 2m - 1 is too long.  The answer names the bound, 4m, first.
+    m = 10**4300
+    assert valuations._witness_exceeds_digits(m, *valuations._galois_shape(m, 2), 4300)
+    assert valuations.galois_field_over_digits(m, 2, 4300) == "bound"
