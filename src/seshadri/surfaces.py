@@ -7,31 +7,42 @@ Negative curves are declared, never discovered: the declared list is asserted
 by the caller to contain every relevant negative class, and that assumption is
 echoed in the outputs.
 
-Intersection numbers are taken on integers.  A lattice holds its Gram matrix
-once as integer rows over one positive denominator, and a class its
-coordinates as integer numerators over their lcm, so a pairing is one integer
-bilinear form and one Fraction, and `SurfaceLattice.curve_pairings` gives a
-class's pairings with every declared curve from one product G*d and one
-integer dot per curve.  The signs that steer the support scan and the nef test
-are read off those numerators; only reported or solved values become
-Fractions.
+Intersection numbers are taken on integers, from construction to report.  A
+lattice forms its Gram matrix and its curves once, as integer rows over one
+positive denominator each, and checks them on those rows; a class carries its
+coordinates as integer numerators over one positive denominator from birth,
+and keeps G*d for the last Gram matrix it was paired with, so a pairing is one
+integer dot and one Fraction, and `SurfaceLattice.curve_pairings` gives a
+class's pairings with every declared curve from one integer dot per curve.
+The Zariski step forms N and P as integer rows over one denominator.  The
+signs that steer the support scan, the nef test and the P^2 check are read
+off integer numerators; only reported values become Fractions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from math import lcm
 from operator import mul
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 from .exactmath import negative_definite_solve
 
 
 def _fractions(coords) -> Tuple[Fraction, ...]:
     """coords as a tuple of Fractions; a Fraction is kept, not rebuilt."""
-    return tuple(c if isinstance(c, Fraction) else Fraction(c) for c in coords)
+    return tuple([c if type(c) is Fraction else Fraction(c) for c in coords])
+
+
+def _integral(coords: Sequence[Fraction]) -> Tuple[Tuple[int, ...], int]:
+    """(numerators, den): coords[i] = numerators[i] / den, with den the lcm of
+    the denominators."""
+    dens = [c.denominator for c in coords]
+    den = lcm(*dens)
+    if den == 1:
+        return tuple([c.numerator for c in coords]), 1
+    return tuple([c.numerator * (den // e) for c, e in zip(coords, dens)]), den
 
 
 def _dot(a, b) -> int:
@@ -40,55 +51,70 @@ def _dot(a, b) -> int:
 
 @dataclass(frozen=True)
 class DivisorClass:
-    """Rational coordinate vector against the lattice's generator basis."""
+    """Rational coordinate vector against the lattice's generator basis.
+    `integral` holds the same vector as (numerators, den) with den > 0."""
 
     coords: Tuple[Fraction, ...]
+    integral: Tuple[Tuple[int, ...], int] = field(init=False, repr=False, compare=False)
+    # (gram rows, numerators, den) of G*d for the last Gram matrix, given as a
+    # lattice's `_gram_rows`, that d was paired with.
+    _gram_product: tuple = field(default=(None,), init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "coords", _fractions(self.coords))
+        coords = _fractions(self.coords)
+        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "integral", _integral(coords))
 
-    def __sub__(self, other: "DivisorClass") -> "DivisorClass":
-        return DivisorClass(tuple(a - b for a, b in zip(self.coords, other.coords)))
+    @classmethod
+    def _of_integers(cls, numerators: Tuple[int, ...], den: int) -> "DivisorClass":
+        """The class numerators / den, den > 0; its Fractions are built here,
+        once, and its integer form is kept as given."""
+        self = object.__new__(cls)
+        coords = map(Fraction, numerators) if den == 1 else [Fraction(x, den) for x in numerators]
+        object.__setattr__(self, "coords", tuple(coords))
+        object.__setattr__(self, "integral", (numerators, den))
+        object.__setattr__(self, "_gram_product", (None,))
+        return self
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
-
-    @cached_property
-    def integral(self) -> Tuple[Tuple[int, ...], int]:
-        """(numerators, den): the coordinates are numerators[i] / den, with den
-        the lcm of their denominators.  Built once per class."""
-        den = lcm(*(c.denominator for c in self.coords))
-        return tuple(c.numerator * (den // c.denominator) for c in self.coords), den
+        return not any(self.integral[0])
 
 
 @dataclass(frozen=True)
 class CurveClass:
     """Declared irreducible curve: coordinates, whether it passes through the
-    marked point, and its multiplicity there."""
+    marked point, and its multiplicity there.  `divisor` is its class, built
+    with the curve."""
 
     name: str
     coords: Tuple[Fraction, ...]
     through_marked_point: bool = False
     mult: int = 1
+    divisor: DivisorClass = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "coords", _fractions(self.coords))
+        divisor = DivisorClass(self.coords)
+        object.__setattr__(self, "coords", divisor.coords)
+        object.__setattr__(self, "divisor", divisor)
         if self.mult < 1:
             raise ValueError(f"curve {self.name!r} needs multiplicity >= 1")
-
-    @cached_property
-    def divisor(self) -> DivisorClass:
-        return DivisorClass(self.coords)
 
 
 @dataclass(frozen=True)
 class SurfaceLattice:
     """Named divisor-class basis with a symmetric intersection matrix and a
-    declared curve list (asserted complete for negativity purposes)."""
+    declared curve list (asserted complete for negativity purposes).
+
+    `_gram_rows` and `_curve_rows` are (rows, den): the Gram matrix is
+    rows / den, over the lcm of the denominators of its entries, and the i-th
+    declared curve's coordinates are rows[i] / den, over the lcm of the
+    curves' own denominators.  Both are formed once, at construction."""
 
     generators: Tuple[str, ...]
     gram: Tuple[Tuple[Fraction, ...], ...]
     curves: Tuple[CurveClass, ...]
+    _gram_rows: Tuple[Tuple[Tuple[int, ...], ...], int] = field(init=False, repr=False, compare=False)
+    _curve_rows: Tuple[Tuple[Tuple[int, ...], ...], int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         gram = tuple(map(_fractions, self.gram))
@@ -98,10 +124,10 @@ class SurfaceLattice:
             raise ValueError("ragged matrix")
         if len(gram) != n or (gram and len(gram[0]) != n):
             raise ValueError("gram matrix size must match the generator count")
-        for i in range(n):
-            for j in range(n):
-                if gram[i][j] != gram[j][i]:
-                    raise ValueError("gram matrix must be symmetric")
+        flat, gden = _integral([x for row in gram for x in row])
+        rows = tuple([flat[i : i + n] for i in range(0, n * n, n)])
+        if tuple(zip(*rows)) != rows:
+            raise ValueError("gram matrix must be symmetric")
         names = set()
         for c in self.curves:
             if len(c.coords) != n:
@@ -109,27 +135,21 @@ class SurfaceLattice:
             if c.name in names:
                 raise ValueError(f"duplicate curve name {c.name!r}")
             names.add(c.name)
-
-    @cached_property
-    def _integer_gram(self) -> Tuple[List[List[int]], int]:
-        """(rows, den): the Gram matrix is rows / den, with den the lcm of the
-        denominators of its entries."""
-        den = lcm(*(x.denominator for row in self.gram for x in row))
-        return [[x.numerator * (den // x.denominator) for x in row] for row in self.gram], den
-
-    @cached_property
-    def _integer_curves(self) -> Tuple[List[Tuple[int, ...]], int]:
-        """(rows, den): the declared curves' coordinates are rows[i] / den,
-        over the lcm of their own denominators."""
         forms = [c.divisor.integral for c in self.curves]
-        den = lcm(*(d for _, d in forms))
-        return [tuple(x * (den // d) for x in nums) for nums, d in forms], den
+        cden = lcm(*[d for _, d in forms])
+        curve_rows = tuple([r if d == cden else tuple([x * (cden // d) for x in r]) for r, d in forms])
+        object.__setattr__(self, "_gram_rows", (rows, gden))
+        object.__setattr__(self, "_curve_rows", (curve_rows, cden))
 
-    def _gram_times(self, d: DivisorClass) -> Tuple[List[int], int]:
-        """(numerators, den) of G*d."""
-        nums, dden = d.integral
-        rows, gden = self._integer_gram
-        return [_dot(row, nums) for row in rows], gden * dden
+    def _gram_times(self, d: DivisorClass) -> Tuple[Tuple[int, ...], int]:
+        """(numerators, den) of G*d, formed once per class and Gram matrix."""
+        memo = d._gram_product
+        if memo[0] is not self._gram_rows:
+            nums, dden = d.integral
+            rows, gden = self._gram_rows
+            memo = (self._gram_rows, tuple([_dot(row, nums) for row in rows]), gden * dden)
+            object.__setattr__(d, "_gram_product", memo)
+        return memo[1], memo[2]
 
     def pairing(self, a: DivisorClass, b: DivisorClass) -> Fraction:
         gb, den = self._gram_times(b)
@@ -138,10 +158,9 @@ class SurfaceLattice:
 
     def curve_pairings(self, d: DivisorClass) -> Tuple[List[int], int]:
         """(numerators, den): d.C = numerators[i] / den for the i-th declared
-        curve C, with den > 0.  G*d is formed once, then each curve takes one
-        integer dot."""
+        curve C, with den > 0: one integer dot of G*d per curve."""
         gd, den = self._gram_times(d)
-        rows, cden = self._integer_curves
+        rows, cden = self._curve_rows
         return [_dot(row, gd) for row in rows], den * cden
 
     def self_intersection(self, d: DivisorClass) -> Fraction:
@@ -167,11 +186,12 @@ def zariski_decomposition(lat: SurfaceLattice, d: DivisorClass) -> ZariskiDecomp
     surface has P^2 >= 0, so P^2 < 0 means the declared lattice is impossible
     and raises ValueError."""
     dec = _enlarge_support(lat, d)
-    p2 = lat.self_intersection(dec.positive)
-    if p2 < 0:
+    p = dec.positive
+    gp, _ = lat._gram_times(p)
+    if _dot(p.integral[0], gp) < 0:
         raise ValueError(
-            f"the positive part has P^2 = {p2} < 0, but a nef class has P^2 >= 0; "
-            "the declared lattice is inconsistent"
+            f"the positive part has P^2 = {lat.self_intersection(p)} < 0, but a nef "
+            "class has P^2 >= 0; the declared lattice is inconsistent"
         )
     return dec
 
@@ -179,38 +199,41 @@ def zariski_decomposition(lat: SurfaceLattice, d: DivisorClass) -> ZariskiDecomp
 def _enlarge_support(lat: SurfaceLattice, d: DivisorClass) -> ZariskiDecomposition:
     if len(d.coords) != len(lat.generators):
         raise ValueError("divisor coordinate length mismatch")
-    d_dots, d_den = lat.curve_pairings(d)
-    rows, gden = lat._integer_gram
-    curve_rows, cden = lat._integer_curves
+    d_dots, _ = lat.curve_pairings(d)
+    rows, _ = lat._gram_rows
+    curve_rows, cden = lat._curve_rows
+    d_nums, dden = d.integral
     support = [i for i, x in enumerate(d_dots) if x < 0]
     for _ in range(len(lat.curves) + 1):
         if not support:
-            zero = DivisorClass((Fraction(0),) * len(lat.generators))
-            return ZariskiDecomposition(d, zero, (), ())
-        curves = [lat.curves[i] for i in support]
-        # The support Gram is K G K^T / (gden cden^2) with K the support's
-        # curve rows; a positive scale changes no sign of a leading minor.
+            return ZariskiDecomposition(d, DivisorClass._of_integers((0,) * len(d_nums), 1), (), ())
+        # With G = rows / gden, the curves K / cden and D = d_nums / dden, the
+        # support Gram is K rows K^T / (gden cden^2) and D.C = d_dots /
+        # (gden cden dden).  So y solving (K rows K^T) y = d_dots gives the
+        # coefficients y cden / dden; a positive scale changes no sign of a
+        # leading minor.
         k = [curve_rows[i] for i in support]
         gk = [[_dot(row, b) for row in rows] for b in k]
         y = negative_definite_solve([[_dot(a, b) for b in gk] for a in k], [d_dots[i] for i in support])
         if y is None:
-            names = ", ".join(c.name for c in curves)
+            names = ", ".join(lat.curves[i].name for i in support)
             raise ValueError(
                 f"gram matrix on candidate support {{{names}}} is not negative "
                 "definite; the declared curve set is inconsistent"
             )
-        scale = Fraction(gden * cden * cden, d_den)
-        coeffs = [x * scale for x in y]
-        bad = [c.name for c, x in zip(curves, coeffs) if x < 0]
+        # y = a / q over one q > 0, so N = (sum a_i K_i) / (q dden) and
+        # P = D - N = (q d_nums - sum a_i K_i) / (q dden).
+        q = lcm(*[x.denominator for x in y])
+        a = [x.numerator * (q // x.denominator) for x in y]
+        bad = [lat.curves[i].name for i, x in zip(support, a) if x < 0]
         if bad:
             raise ValueError(
                 f"negative coefficient on {', '.join(bad)}: the divisor is not "
                 "pseudo-effective relative to the declared curves"
             )
-        negative = DivisorClass(
-            tuple(sum(map(mul, coeffs, column)) for column in zip(*(c.coords for c in curves)))
-        )
-        positive = d - negative
+        n_nums = tuple([_dot(a, column) for column in zip(*k)])
+        den = q * dden
+        positive = DivisorClass._of_integers(tuple([q * x - n for x, n in zip(d_nums, n_nums)]), den)
         p_dots, _ = lat.curve_pairings(positive)
         extra = [i for i, x in enumerate(p_dots) if x < 0 and i not in support]
         if not extra:
@@ -222,9 +245,9 @@ def _enlarge_support(lat: SurfaceLattice, d: DivisorClass) -> ZariskiDecompositi
             # decomposition they build.
             return ZariskiDecomposition(
                 positive,
-                negative,
-                tuple(c.name for c in curves),
-                tuple(coeffs),
+                DivisorClass._of_integers(n_nums, den),
+                tuple([lat.curves[i].name for i in support]),
+                tuple([Fraction(x * cden, den) for x in a]),
             )
         support.extend(extra)
     raise RuntimeError("support enlargement failed to terminate")  # unreachable
@@ -254,11 +277,12 @@ def seshadri_at_marked_point(lat: SurfaceLattice, ell: DivisorClass) -> Seshadri
     if not through:
         raise ValueError("no declared curve passes through the marked point")
     # The least dots[i] / mult, compared over the lcm of the multiplicities.
-    scale = lcm(*(m for _, m in through))
+    scale = lcm(*[m for _, m in through])
     x, m = min(through, key=lambda pair: pair[0] * (scale // pair[1]))
     value = Fraction(x, den * m)
+    square = value**2
     ell2 = lat.self_intersection(ell)
-    return SeshadriAtPoint(value, value * value <= ell2, value * value, ell2)
+    return SeshadriAtPoint(value, square <= ell2, square, ell2)
 
 
 @dataclass(frozen=True)
@@ -280,12 +304,13 @@ class RuledSurfaceModel:
 def ruled_surface_lattice(d: int) -> SurfaceLattice:
     """Lattice of P(O + O(-D)): negative section E (E^2 = -d, missing a very
     general point) and fiber F (F^2 = 0, through it with multiplicity 1)."""
+    one, zero = Fraction(1), Fraction(0)
     return SurfaceLattice(
         ("E", "F"),
-        ((-d, 1), (1, 0)),
+        ((Fraction(-d), one), (one, zero)),
         (
-            CurveClass("E", (Fraction(1), Fraction(0)), through_marked_point=False),
-            CurveClass("F", (Fraction(0), Fraction(1)), through_marked_point=True),
+            CurveClass("E", (one, zero), through_marked_point=False),
+            CurveClass("F", (zero, one), through_marked_point=True),
         ),
     )
 
@@ -305,7 +330,7 @@ def ruled_surface_model(g: int, d: int) -> RuledSurfaceModel:
             "its Seshadri constant 2 is not computed by the 1-(2g-2)/d formula"
         )
     lat = ruled_surface_lattice(d)
-    minus_k = DivisorClass((Fraction(2), Fraction(d + 2 - 2 * g)))
+    minus_k = DivisorClass._of_integers((2, d + 2 - 2 * g), 1)
     decomposition = zariski_decomposition(lat, minus_k)
     seshadri = seshadri_at_marked_point(lat, decomposition.positive)
     return RuledSurfaceModel(g, d, lat, minus_k, decomposition, seshadri)

@@ -660,6 +660,27 @@ def test_ruled_sweep_csv_has_header_plus_one_row_per_surface(capsys):
     assert lines[0].startswith("g,d,")
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_each_sweep_row_is_the_single_pair_record(capsys, fmt):
+    # A sweep builds its rows one (g, d) at a time: each row is what
+    # `ruled --g g --d d` prints for its pair, byte for byte in csv.
+    code, out, _ = run_cli(capsys, "--format", fmt, "ruled", "--sweep", "--g-max", "3", "--d-max", "12")
+    assert code == 0
+    pairs = cli._sweep_pairs(3, 12)
+    singles = []
+    for g, d in pairs:
+        single_code, single, _ = run_cli(capsys, "--format", fmt, "ruled", "--g", str(g), "--d", str(d))
+        assert single_code == 0
+        singles.append(single)
+    if fmt == "json":
+        assert json.loads(out) == [json.loads(single) for single in singles]
+    else:
+        header, *rows = out.splitlines()
+        assert len(rows) == len(pairs)
+        for row, single in zip(rows, singles):
+            assert single.splitlines() == [header, row]
+
+
 def test_sweep_pairs_are_the_admissible_pairs_in_order():
     for g_max in range(-1, 7):
         for d_max in range(-1, 15):
@@ -1459,6 +1480,75 @@ def test_any_galois_or_minmult_argv_exits_0_1_or_2_without_a_traceback(argv):
         assert err.getvalue() == "" and json.loads(out.getvalue())
     else:
         assert out.getvalue() == "" and err.getvalue().count("error:") == 1
+
+
+def _run_argv(argv):
+    """(exit code, stdout, stderr) of argv through main; argparse's refusal
+    counts as its exit code."""
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses a missing flag or one that is no int
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_exits_0_1_or_2_without_a_traceback(argv):
+    code, out, err = _run_argv(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 0:
+        assert err == ""
+    else:
+        assert out == "" and err.count("error:") == 1
+
+
+@st.composite
+def _ruled_argv(draw):
+    """ruled argv in --format json or csv: --g and --d, or --sweep with each
+    bound present or not; every flag valid or not, in a random order."""
+    values = st.one_of(st.integers(0, 20).map(str), _flag_integers)
+    flags = {flag: draw(values) for flag in ("--g", "--d", "--g-max", "--d-max")}
+    keep = st.sampled_from([True, True, True, False])
+    kept = [f"{flag}={flags[flag]}" for flag in draw(st.permutations(list(flags))) if draw(keep)]
+    sweep = ["--sweep"] if draw(st.booleans()) else []
+    return ["--format", draw(st.sampled_from(["json", "csv"])), "ruled", *sweep, *kept]
+
+
+@settings(max_examples=150, deadline=timedelta(seconds=5))
+@given(_ruled_argv())
+def test_any_ruled_argv_exits_0_1_or_2_without_a_traceback(argv):
+    _assert_exits_0_1_or_2_without_a_traceback(argv)
+
+
+# --eps as text: rationals of every sign and size, 4300 digits and more, and
+# text that is no number or is one over zero.
+_eps_texts = st.one_of(
+    st.fractions(min_value=0, max_value=2, max_denominator=60).map(str),
+    st.fractions(min_value=-3, max_value=3, max_denominator=60).map(str),
+    st.tuples(st.integers(), st.integers(1, 10**30)).map("{0[0]}/{0[1]}".format),
+    st.sampled_from(
+        ["0", "-1", "2", "1/0", "nan", "inf", "1e5", "1e-5000", "1e99999999", "0.25", "x", "",
+         "1/" + "9" * 4300, "1/" + "9" * 4301, "9" * 4301]
+    ),
+)
+
+
+@st.composite
+def _bounds_argv(draw):
+    """bounds argv in --format json or csv: --n and --eps, each present or
+    not, valid or not, in a random order."""
+    flags = {"--n": draw(st.one_of(st.integers(1, 12).map(str), _flag_integers)), "--eps": draw(_eps_texts)}
+    keep = st.sampled_from([True] * 9 + [False])
+    kept = [f"{flag}={flags[flag]}" for flag in draw(st.permutations(list(flags))) if draw(keep)]
+    return ["--format", draw(st.sampled_from(["json", "csv"])), "bounds", *kept]
+
+
+@settings(max_examples=150, deadline=timedelta(seconds=5))
+@given(_bounds_argv())
+def test_any_bounds_argv_exits_0_1_or_2_without_a_traceback(argv):
+    _assert_exits_0_1_or_2_without_a_traceback(argv)
 
 
 _JETS = {

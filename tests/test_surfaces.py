@@ -239,12 +239,30 @@ def test_ruled_family_matches_closed_form(g):
 
 
 def test_ruled_model_meets_the_closed_form_on_a_grid():
-    # ruled_surface_model does not check its value; the closed form
-    # 1 - (2g-2)/d holds on the whole admissible range.
+    # ruled_surface_model does not check its value.  From E^2 = -d, E.F = 1
+    # and -K.E = 2 - 2g - d, the whole decomposition has a closed form on the
+    # admissible range: N = (1 + (2g-2)/d) E, supported on E, when
+    # d + 2g - 2 > 0 and N = 0 otherwise; P = -K - N;
+    # P^2 = (1 - (2g-2)/d)^2 d; and eps = 1 - (2g-2)/d, certified.
     for g in range(16):
         for d in range(2 if g == 0 else max(1, 2 * g - 1), 2 * g + 41):
             model = ruled_surface_model(g, d)
-            assert model.epsilon_m == 1 - Fraction(2 * g - 2, d)
+            dec = model.decomposition
+            minus_k = (Fraction(2), Fraction(d + 2 - 2 * g))
+            coefficient = 1 + Fraction(2 * g - 2, d)
+            if d + 2 * g - 2 > 0:
+                assert (dec.support, dec.coefficients) == (("E",), (coefficient,))
+                negative = (coefficient, Fraction(0))
+            else:
+                assert (dec.support, dec.coefficients) == ((), ())
+                negative = (Fraction(0), Fraction(0))
+            eps = 1 - Fraction(2 * g - 2, d)
+            assert model.minus_k.coords == minus_k
+            assert dec.negative.coords == negative
+            assert dec.positive.coords == tuple(k - n for k, n in zip(minus_k, negative))
+            assert model.seshadri.self_intersection == eps**2 * d
+            assert model.epsilon_m == eps
+            assert model.seshadri.certified
 
 
 def test_ruled_model_domain():

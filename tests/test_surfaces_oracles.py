@@ -110,6 +110,22 @@ def test_curve_pairings_keep_each_curves_own_denominator():
     ]
 
 
+def test_a_class_paired_in_two_lattices_meets_each_gram_matrix():
+    # A class keeps G*d for the last Gram matrix it was paired with, so
+    # pairing it in turn in two lattices must form G*d again each time.
+    curves = (CurveClass("A", (1, 0)), CurveClass("B", (Fraction(1, 2), 1)))
+    grams = ([[-2, 1], [1, 0]], [[Fraction(1, 3), 2], [2, -5]])
+    lattices = [SurfaceLattice(("X", "Y"), gram, curves) for gram in grams]
+    d = DivisorClass((Fraction(3, 2), -1))
+    for _ in range(2):
+        for lat, gram in zip(lattices, grams):
+            assert lat.self_intersection(d) == loop_pairing(gram, d.coords, d.coords)
+            numerators, den = lat.curve_pairings(d)
+            assert [Fraction(x, den) for x in numerators] == [
+                loop_pairing(gram, d.coords, c.coords) for c in curves
+            ]
+
+
 # -- the Zariski decomposition against the largest nef class below D -----------
 
 
@@ -273,7 +289,7 @@ def del_pezzo(r):
 
 
 def test_del_pezzo_decompositions_are_quick():
-    # About 1 ms in all on a 2-core Xeon machine (4 ms with the Fraction loop).
+    # About 6.5 ms in all on a 2-core Xeon machine.
     start = time.perf_counter()
     for r in range(1, 6):
         lat, d = del_pezzo(r)
@@ -286,7 +302,7 @@ def test_del_pezzo_decompositions_are_quick():
 
 
 def test_a_ruled_sweep_to_degree_20_is_quick():
-    # 73 rows, about 10 ms on a 2-core Xeon machine.
+    # 73 rows, about 6 ms on a 2-core Xeon machine.
     start = time.perf_counter()
     with redirect_stdout(io.StringIO()) as out:
         code = cli.main(["ruled", "--sweep", "--g-max", "3", "--d-max", "20"])
