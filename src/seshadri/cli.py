@@ -213,6 +213,10 @@ def cmd_whs(args) -> tuple[object, int]:
     from . import wps
 
     spec = wps.WeightedHypersurfaceSpec(args.n, args.k, args.l, args.d)
+    # emit would refuse the same answer, but only after building it
+    field = wps.whs_field_over_digits(spec, MAX_NUMBER_DIGITS)
+    if field is not None:
+        raise _too_long_answer(field)
     return wps.whs_record(spec), 0
 
 

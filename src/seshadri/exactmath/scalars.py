@@ -16,6 +16,12 @@ from typing import Union
 MAX_NUMBER_DIGITS = 4300
 
 
+def more_digits(x: int, digits: int) -> bool:
+    """Whether x >= 0 has more than `digits` digits; 10^digits is built only
+    past 2^(3*digits), which is below it."""
+    return x.bit_length() > 3 * digits and x >= 10**digits
+
+
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x

@@ -6,6 +6,8 @@ A linear system lives in one fixed affine chart: polynomials of total degree
 <= d in n variables that vanish to given orders at given rational points.
 "Very general point" is realized by sampling random rational points of large
 height from an explicitly passed RNG, so runs are reproducible given the seed.
+This module builds the constraint rows; every elimination, over Q or modulo
+PRIME, runs in `exactmath.linalg`.
 """
 
 from __future__ import annotations
@@ -17,14 +19,8 @@ from functools import cached_property
 from math import comb, prod
 from typing import Callable, Optional, Sequence, Tuple
 
-from .exactmath import (
-    Exponent,
-    ExactMatrix,
-    exact_rank,
-    graded_lex_monomials,
-    jet_basis_size,
-)
-from .exactmath.linalg import _bareiss
+from .exactmath import Exponent, graded_lex_monomials, jet_basis_size
+from .exactmath.linalg import certified_suffix_rank, exact_suffix_ranks
 
 Point = Tuple[Fraction, ...]
 
@@ -77,27 +73,27 @@ class MultConstraint:
 # alpha by delta^alpha leaves B[beta][alpha] = prod_i C(alpha_i, beta_i): C'
 # at delta = (1, ..., 1), the same matrix for every such x. Scaling a row or a
 # column by a nonzero number changes the rank of no column suffix, so B is
-# eliminated exactly, once per system, with its columns reversed, and each of
-# those points reads its stop order from B's suffix ranks. rank(C) needs no
-# elimination at all: B[beta][alpha] is 0 unless beta <= alpha, and 1 when
-# beta = alpha, so in graded order the columns |alpha| <= top of B form a
-# unitriangular block, and rank(C) = rank(B) = |J_top|.
+# eliminated exactly, once per system (linalg's `exact_suffix_ranks`), and
+# each of those points reads its stop order from B's suffix ranks. rank(C)
+# needs no elimination at all: B[beta][alpha] is 0 unless beta <= alpha, and
+# 1 when beta = alpha, so in graded order the columns |alpha| <= top of B
+# form a unitriangular block, and rank(C) = rank(B) = |J_top|.
 #
 # The shifted path decides every other case: a point with some x_i = p_i
 # (x = p among them), and every system of several constraints or none. Every
-# row of C' is scaled to integers, which leaves each rank unchanged, and C' is
-# eliminated once modulo PRIME, taking its columns from the last one down. The
-# rank of a suffix modulo PRIME is then its number of pivot columns, and it is
-# at most the rank over Q. So when the modular rank equals rank(C), every
-# order with |J_s| <= the lowest pivot column is proved. Each later order is
-# decided by the exact rank of its suffix over Q. Usually that is one rank, at
-# the order where separation truly stops. Reduction modulo PRIME can also lose
-# rank that Q keeps: x congruent to a constraint point, C losing rank modulo
-# PRIME, or a denominator divisible by PRIME (the scaled rows then
-# degenerate). In those cases fewer orders are proved, and the exact suffix
-# ranks decide the rest.
-
-PRIME = 2**61 - 1
+# row of C' is scaled to integers, which leaves each rank unchanged, and
+# linalg's `certified_suffix_rank` ranks its column suffixes against the bound
+# rank(C). It eliminates C' once modulo PRIME, taking its columns from the
+# last one down. The rank of a suffix modulo PRIME is then its number of pivot
+# columns, and it is at most the rank over Q. So when the modular rank equals
+# rank(C), every order with |J_s| <= the lowest pivot column is proved. Each
+# later order is decided by the exact rank of its suffix over Q. Usually that
+# is one rank, at the order where separation truly stops. The rank of C itself
+# comes from the same kernel, with the number of rows as the bound, at t = 0.
+# Reduction modulo PRIME can also lose rank that Q keeps: x congruent to a
+# constraint point, C losing rank modulo PRIME, or a denominator divisible by
+# PRIME (the scaled rows then degenerate). In those cases fewer orders are
+# proved, and the exact suffix ranks decide the rest.
 
 
 def _taylor_tables(point: Point, degree: int) -> list[list[list[int]]]:
@@ -126,26 +122,6 @@ def _jet_rows(tables, betas: Sequence[Exponent], monomials: Sequence[Exponent]) 
     return rows
 
 
-def _pivot_columns(rows: list[list[int]]) -> list[int]:
-    """Pivot columns of an integer matrix modulo PRIME, eliminating from the
-    last column down, so the rank of the columns [t:] modulo PRIME is the
-    number of pivots >= t."""
-    pivots: dict[int, list[int]] = {}  # column -> row ending with 1 there
-    for row in rows:
-        row = [x % PRIME for x in row]
-        for col in range(len(row) - 1, -1, -1):
-            v = row[col]
-            if not v:
-                continue
-            pivot = pivots.get(col)
-            if pivot is None:
-                inverse = pow(v, -1, PRIME)
-                pivots[col] = [x * inverse % PRIME for x in row[: col + 1]]
-                break
-            row[: col + 1] = [(x - v * y) % PRIME for x, y in zip(row, pivot)]
-    return sorted(pivots)
-
-
 class LinearSystem:
     """Subspace of the degree <= d polynomials in n variables cut out by
     multiplicity constraints, kept as its constraint matrix C (the Taylor
@@ -168,11 +144,7 @@ class LinearSystem:
             self._rank = jet_basis_size(nvars, self._top(self.constraints[0]))
         else:
             rows = self._rows_at((Fraction(0),) * nvars)
-            # Full row rank modulo PRIME proves full row rank over Q.
-            if len(_pivot_columns(rows)) == len(rows):
-                self._rank = len(rows)
-            else:
-                self._rank = exact_rank(ExactMatrix.from_integer_rows(rows))
+            self._rank = certified_suffix_rank(rows, len(rows))(0)
         self.dimension = len(self.monomials) - self._rank
 
     def _check_point(self, point: Sequence) -> Point:
@@ -200,35 +172,11 @@ class LinearSystem:
     def _suffix_ranks(self) -> list[int]:
         """Step A, for a system of one constraint: ranks[t] is the rank of the
         columns [t:] of B, and so of C' at every point with no x_i equal to
-        p_i. One exact elimination of B with its columns reversed: the rank of
-        the suffix [t:] is its number of pivot columns."""
+        p_i, from one exact elimination of B."""
         (constraint,) = self.constraints
         tables = _taylor_tables((Fraction(1),) * self.nvars, self.degree)
         betas = self.monomials[: jet_basis_size(self.nvars, self._top(constraint))]
-        size = len(self.monomials)
-        pivots = {size - 1 - col for _, col, _ in _bareiss(_jet_rows(tables, betas, self.monomials[::-1]))}
-        ranks = [0] * (size + 1)
-        for t in range(size - 1, -1, -1):
-            ranks[t] = ranks[t + 1] + (t in pivots)
-        return ranks
-
-
-def _shifted_suffix_rank(system: LinearSystem, point: Point) -> Callable[[int], int]:
-    """t -> rank(C'[:, t:]) at the point, by the shifted path: rank(C) for
-    every t up to the lowest pivot column when the modular rank of C' is
-    full, else the exact rank of the suffix."""
-    shifted = system._rows_at(point)
-    pivots = _pivot_columns(shifted)
-    proved = 0
-    if len(pivots) == system._rank:
-        proved = min(pivots, default=len(system.monomials))
-
-    def suffix_rank(t: int) -> int:
-        if t <= proved:
-            return system._rank
-        return exact_rank(ExactMatrix.from_integer_rows(row[t:] for row in shifted))
-
-    return suffix_rank
+        return exact_suffix_ranks(_jet_rows(tables, betas, self.monomials))
 
 
 def jet_separation(system: LinearSystem, point: Sequence) -> int:
@@ -242,7 +190,7 @@ def jet_separation(system: LinearSystem, point: Sequence) -> int:
     if len(constraints) == 1 and all(p != x for p, x in zip(constraints[0].point, point)):
         suffix_rank = system._suffix_ranks.__getitem__
     else:
-        suffix_rank = _shifted_suffix_rank(system, point)
+        suffix_rank = certified_suffix_rank(system._rows_at(point), system._rank)
     best = -1
     for s in range(system.degree + 1):
         target = jet_basis_size(system.nvars, s)

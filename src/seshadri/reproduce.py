@@ -339,12 +339,6 @@ def _case_table() -> tuple[ReproductionCase, ...]:
 
 CASES: tuple[ReproductionCase, ...] = _case_table()
 
-# Ids whose expected values are pinned as published; the test suite
-# cross-checks this frozen list against an independent manifest.
-STATED_CASE_IDS: tuple[str, ...] = tuple(
-    c.id for c in CASES if c.provenance == "stated"
-)
-
 
 def run_reproduction(filter_prefix: Optional[str] = None, seed: int = DEFAULT_SEED) -> Report:
     """Execute all (or id-prefix filtered) cases with a fresh seeded RNG per

@@ -14,9 +14,10 @@ coordinates as integer numerators over one positive denominator from birth,
 and keeps G*d for the last Gram matrix it was paired with, so a pairing is one
 integer dot and one Fraction, and `SurfaceLattice.curve_pairings` gives a
 class's pairings with every declared curve from one integer dot per curve.
-The Zariski step forms N and P as integer rows over one denominator.  The
-signs that steer the support scan, the nef test and the P^2 check are read
-off integer numerators; only reported values become Fractions.
+The Zariski step takes the solve's integer numerators over det(-G) and forms
+N and P as integer rows over one denominator.  The signs that steer the
+support scan, the nef test and the P^2 check are read off integer
+numerators; only reported values become Fractions.
 """
 
 from __future__ import annotations
@@ -221,10 +222,9 @@ def _enlarge_support(lat: SurfaceLattice, d: DivisorClass) -> ZariskiDecompositi
                 f"gram matrix on candidate support {{{names}}} is not negative "
                 "definite; the declared curve set is inconsistent"
             )
-        # y = a / q over one q > 0, so N = (sum a_i K_i) / (q dden) and
+        # y = a / q with q > 0, so N = (sum a_i K_i) / (q dden) and
         # P = D - N = (q d_nums - sum a_i K_i) / (q dden).
-        q = lcm(*[x.denominator for x in y])
-        a = [x.numerator * (q // x.denominator) for x in y]
+        a, q = y
         bad = [lat.curves[i].name for i, x in zip(support, a) if x < 0]
         if bad:
             raise ValueError(

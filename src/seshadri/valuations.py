@@ -13,11 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
-from .exactmath import INFINITY, QuadExt, WPolynomial
+from .exactmath import INFINITY, WPolynomial
 from .exactmath import polynomials
-from .exactmath.scalars import _normal
-
-SQRT2 = QuadExt(Fraction(0), Fraction(1))
+from .exactmath.scalars import _normal, more_digits
 
 
 @dataclass(frozen=True)
@@ -269,12 +267,6 @@ def _witness_coefficients(b: int, top: int) -> list[int]:
     return out
 
 
-def _more_digits(x: int, digits: int) -> bool:
-    """Whether x >= 0 has more than `digits` digits; 10^digits is built only
-    past 2^(3*digits), which is below it."""
-    return x.bit_length() > 3 * digits and x >= 10**digits
-
-
 def _witness_exceeds_digits(m: int, level: int, b: int, top: int, digits: int) -> bool:
     """Whether the witness of shape (level, b, top) (see `_galois_shape`) has
     a coefficient or an exponent of more than `digits` digits, decided
@@ -283,7 +275,7 @@ def _witness_exceeds_digits(m: int, level: int, b: int, top: int, digits: int) -
     rise to one peak and fall; the first, at least 2^n, is over 10^digits
     once n > 4*digits."""
     # the largest exponents: top, and the s-exponent of the lowest t-degree
-    if _more_digits(max(top, level - (m - 1) * (top % 2 if b else top)), digits):
+    if more_digits(max(top, level - (m - 1) * (top % 2 if b else top)), digits):
         return True
     if not b:
         return False
@@ -297,7 +289,7 @@ def _witness_exceeds_digits(m: int, level: int, b: int, top: int, digits: int) -
             lo = i + 1
         else:
             hi = i
-    return _more_digits(2 ** (n - lo) * math.comb(n, lo) * math.comb(n - 1 - lo, b - 1 - lo), digits)
+    return more_digits(2 ** (n - lo) * math.comb(n, lo) * math.comb(n - 1 - lo, b - 1 - lo), digits)
 
 
 def galois_field_over_digits(m: int, k: int, digits: int) -> Optional[str]:
@@ -306,9 +298,9 @@ def galois_field_over_digits(m: int, k: int, digits: int) -> Optional[str]:
     decided without building the witness."""
     level, b, top = _galois_shape(m, k)
     bound = Fraction(2 * m * k, 2 * m - 1)
-    if _more_digits(_least_mult(m, k, level), digits):
+    if more_digits(_least_mult(m, k, level), digits):
         return "min_mult"
-    if _more_digits(bound.numerator, digits):  # above the denominator, as 2mk > 2m - 1
+    if more_digits(bound.numerator, digits):  # above the denominator, as 2mk > 2m - 1
         return "bound"
     return "witness" if _witness_exceeds_digits(m, level, b, top, digits) else None
 

@@ -9,7 +9,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Tuple
+from typing import Optional, Tuple
+
+from .exactmath.scalars import more_digits
 
 
 @dataclass(frozen=True)
@@ -87,15 +89,31 @@ class WeightedHypersurfaceSpec:
         return self.d - self.k - self.l
 
 
+# The most values of b that `largest_representable` scans: about 0.2 s at
+# 6.5 us per value with weights of 4300 digits, and 7 ms at 0.2 us with
+# weights of 7 digits, on a 2-core Xeon.  `whs` scans twice, once for the
+# digit check and once for the record.
+MAX_SCAN = 2**15
+
+
 def largest_representable(d: int, k: int, l: int) -> int:
     """Largest integer <= d of the form a*k + b*l with a, b >= 0.
 
-    With b copies of the larger weight, the best value is d minus
-    (d - b*big) mod small, and that residue repeats with period
-    small / gcd(k, l) in b.  So b runs over at most one period, which is at
-    most sqrt(d) + 1 values, as small <= big."""
+    Every such value is a multiple of g = gcd(k, l), and by Sylvester every
+    multiple g*x with x >= (k/g - 1)(l/g - 1) is one, so from there on the
+    answer is g*(d // g).  Below that, with b copies of the larger weight,
+    the best value is d minus (d - b*big) mod small, and that residue
+    repeats with period small / g in b, so b runs over at most one period;
+    more than MAX_SCAN values of b raise ValueError before the scan."""
+    g = gcd(k, l)
+    if d // g >= (k // g - 1) * (l // g - 1):
+        return d // g * g
     small, big = sorted((k, l))
-    top = min(d // big, small // gcd(k, l) - 1)
+    top = min(d // big, small // g - 1)
+    if top >= MAX_SCAN:
+        raise ValueError(
+            f"whs with --k {k} --l {l} scans more than {MAX_SCAN} values for m; lower --k or --l"
+        )
     return d - min((d - b * big) % small for b in range(top + 1))
 
 
@@ -114,6 +132,29 @@ def _whs_bound(spec: WeightedHypersurfaceSpec, m: int) -> tuple[Fraction, bool]:
 def whs_volume(spec: WeightedHypersurfaceSpec) -> Fraction:
     """Anticanonical volume (n - r)^n * d / (k * l) of X_d."""
     return Fraction((spec.n - spec.r) ** spec.n * spec.d, spec.k * spec.l)
+
+
+def whs_field_over_digits(spec: WeightedHypersurfaceSpec, digits: int) -> Optional[str]:
+    """The first field of whs_record(spec), in record order, that has a
+    number of more than `digits` digits, or None; decided without building
+    a volume that is over.  n, k, l, d are given and m <= d, so only r, the
+    bound and the volume can be over.
+
+    The volume is a^n d / (kl) with a = n - r >= 1.  With a of bit length L,
+    its numerator in lowest terms is at least 2^((L-1)n) / (kl), which is
+    over 10^digits < 2^(4*digits) once (L-1)n >= 4*digits + bits(kl).  Below
+    that, a^n has fewer than twice as many bits (or a = 1), and the volume
+    is built."""
+    if more_digits(abs(spec.r), digits):
+        return "r"
+    bound, _ = whs_seshadri_bound(spec)
+    if more_digits(max(bound.numerator, bound.denominator), digits):
+        return "bound"
+    a, kl = spec.n - spec.r, spec.k * spec.l
+    if (a.bit_length() - 1) * spec.n >= 4 * digits + kl.bit_length():
+        return "volume"
+    volume = whs_volume(spec)
+    return "volume" if more_digits(max(volume.numerator, volume.denominator), digits) else None
 
 
 def whs_record(spec: WeightedHypersurfaceSpec) -> dict:

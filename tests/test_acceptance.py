@@ -23,7 +23,7 @@ from seshadri.jets import (
     moving_seshadri_lower,
     random_rational_point,
 )
-from seshadri.reproduce import CASES, DEFAULT_SEED, STATED_CASE_IDS, run_reproduction
+from seshadri.reproduce import CASES, DEFAULT_SEED, run_reproduction
 from seshadri.surfaces import (
     DivisorClass,
     ruled_surface_lattice,
@@ -205,6 +205,8 @@ def test_ruled_pipeline_reproduces_the_closed_form_with_axioms():
                         [b.numerator for b in rhs],
                     )
                     assert solution is not None
+                    numerators, det = solution
+                    solution = [Fraction(x, det) for x in numerators]
                     assert dict(zip((c.name for c in support), solution)) == dict(
                         zip(dec.support, dec.coefficients)
                     )
@@ -242,6 +244,9 @@ def test_volume_bound_flagship_and_growth_window():
 
 # 9. The reproduction table runs clean end to end, and its stated cases cover
 #    exactly the frozen manifest below (id, module, operation, expected).
+
+# Ids whose expected values are pinned as published.
+STATED_CASE_IDS = tuple(c.id for c in CASES if c.provenance == "stated")
 
 
 STATED_MANIFEST = {

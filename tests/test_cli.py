@@ -182,6 +182,16 @@ def test_whs_with_a_huge_weight_is_immediate(capsys):
     assert (record["m"], record["equality"]) == (10000000000, True)
 
 
+@pytest.mark.parametrize("n", [10**6, 3 * 10**6, 10**7])
+def test_whs_refuses_an_oversized_volume_before_building_it(capsys, n):
+    # (n + 2)^n has millions of digits; emit would refuse it after building it.
+    start = time.monotonic()
+    code, out, err = run_cli(capsys, "whs", "--n", str(n), "--k", "1", "--l", "2", "--d", "1")
+    assert time.monotonic() - start < 0.5
+    assert (code, out) == (2, "")
+    assert err == "error: the answer's volume has a number of more than 4300 digits\n"
+
+
 def test_ruled_flagship_record(capsys):
     code, out, _ = run_cli(capsys, "ruled", "--g", "2", "--d", "10")
     assert code == 0
@@ -1189,6 +1199,24 @@ def test_zariski_rejects_a_positive_part_of_negative_square(capsys):
     )
 
 
+def test_zariski_rejects_a_negative_coefficient(capsys):
+    # D = 3A - B meets A at -5 and B at -1, so the support is {A, B}; the
+    # solve gives N = 3A - B, with a negative coefficient on B.
+    desc = {
+        "generators": ["A", "B"],
+        "gram": [[-2, -1], [-1, -2]],
+        "curves": [{"name": "A", "coords": [1, 0]}, {"name": "B", "coords": [0, 1]}],
+        "D": {"coords": [3, -1]},
+    }
+    code, out, err = run_cli(capsys, "zariski", json.dumps(desc))
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: negative coefficient on B: the divisor is not pseudo-effective "
+        "relative to the declared curves\n"
+    )
+
+
 @pytest.mark.parametrize(
     "gram,message",
     [
@@ -1548,6 +1576,47 @@ def _bounds_argv(draw):
 @settings(max_examples=150, deadline=timedelta(seconds=5))
 @given(_bounds_argv())
 def test_any_bounds_argv_exits_0_1_or_2_without_a_traceback(argv):
+    _assert_exits_0_1_or_2_without_a_traceback(argv)
+
+
+# whs flags near its two caps: weights past and below Sylvester's bound with
+# more than MAX_SCAN values of b to scan, and an n that makes the volume's
+# (n - r)^n too long to build.
+_whs_near_caps = st.one_of(
+    st.integers(2**15, 2**17).map(lambda k: [k, k + 2, 2**15 * (k + 2), (k - 1) ** 2]),
+    st.integers(2**15, 2**17).map(lambda k: [k, k + 2, k * k + 2, (k - 1) ** 2]),
+    st.integers(10, 10**7).map(lambda n: [1, 2, 1, n]),
+)
+
+
+@st.composite
+def _wps_or_whs_argv(draw):
+    """wps or whs argv in --format json or csv: each flag present or not,
+    valid or not, in a random order."""
+    if draw(st.booleans()):
+        ascending = st.one_of(st.integers(1, 12), st.integers(1, 10**4300 - 1))
+        weights = st.one_of(
+            st.lists(ascending, min_size=1, max_size=4).map(lambda w: ",".join(map(str, [1, *sorted(w)]))),
+            st.lists(st.integers(-2, 12), min_size=1, max_size=5).map(lambda w: ",".join(map(str, w))),
+            st.lists(_flag_integers, min_size=1, max_size=3).map(",".join),
+            st.sampled_from(["", "1,,2", "a", "1,2,", "1," + "9" * 4300, "1," + "9" * 4301]),
+        )
+        command, flags = "wps", {"--weights": draw(weights)}
+    else:
+        names = ("--k", "--l", "--d", "--n")
+        values = st.one_of(st.integers(1, 12).map(str), _flag_integers)
+        flags = {flag: draw(values) for flag in names}
+        if draw(st.booleans()):
+            flags.update(zip(names, map(str, draw(_whs_near_caps))))
+        command = "whs"
+    keep = st.sampled_from([True] * 9 + [False])
+    kept = [f"{flag}={flags[flag]}" for flag in draw(st.permutations(list(flags))) if draw(keep)]
+    return ["--format", draw(st.sampled_from(["json", "csv"])), command, *kept]
+
+
+@settings(max_examples=150, deadline=timedelta(seconds=5))
+@given(_wps_or_whs_argv())
+def test_any_wps_or_whs_argv_exits_0_1_or_2_without_a_traceback(argv):
     _assert_exits_0_1_or_2_without_a_traceback(argv)
 
 

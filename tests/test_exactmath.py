@@ -918,15 +918,24 @@ def test_integer_and_field_bareiss_agree_on_rank_deficient_matrices(seed):
     assert _rank(rows) == expected
 
 
+def _as_fractions(solution):
+    """A solve's (numerators, det) as the Fractions numerators / det."""
+    if solution is None:
+        return None
+    numerators, det = solution
+    return [Fraction(x, det) for x in numerators]
+
+
 def _solve(g, rhs):
     *rows, b = _integer_rows([*g, rhs])
-    return negative_definite_solve(rows, b)
+    return _as_fractions(negative_definite_solve(rows, b))
 
 
 def test_solve_unique():
-    sol = negative_definite_solve([[-2, 1], [1, -3]], [0, 5])
+    numerators, det = negative_definite_solve([[-2, 1], [1, -3]], [0, 5])
+    sol = _as_fractions((numerators, det))
     assert sol == [Fraction(-1), Fraction(-2)]
-    assert all(type(x) is Fraction for x in sol)
+    assert all(type(x) is int for x in numerators) and det == 5
     # -x/2 = 1/3 over the denominator 6: -3x = 2.
     assert _solve([[Fraction(-1, 2)]], [Fraction(1, 3)]) == [Fraction(-2, 3)]
     assert negative_definite_solve([[-1, -1], [-2, -2]], [1, 1]) is None

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-import seshadri.jets as jets_module
+import seshadri.exactmath.linalg as linalg_module
 from seshadri import cli
 from seshadri.exactmath import ExactMatrix, exact_rank, graded_lex_monomials, jet_basis_size
 from seshadri.jets import (
@@ -301,18 +301,18 @@ P = 2**61 - 1
 
 def _count_exact_ranks(monkeypatch):
     calls = []
-    original = jets_module.exact_rank
+    original = linalg_module.exact_rank
 
     def counted(matrix):
         calls.append((matrix.rows, matrix.cols))
         return original(matrix)
 
-    monkeypatch.setattr(jets_module, "exact_rank", counted)
+    monkeypatch.setattr(linalg_module, "exact_rank", counted)
     return calls
 
 
 def test_prime_is_the_mersenne_prime_2_61_minus_1():
-    assert jets_module.PRIME == P
+    assert linalg_module.PRIME == P
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -323,10 +323,29 @@ def test_pivot_columns_count_the_rank_of_every_column_suffix(seed):
     rows = [[rng.choice((0, 0, rng.randint(-3, 3))) for _ in range(ncols)] for _ in range(nrows)]
     if nrows > 1:
         rows[-1] = [a - b for a, b in zip(rows[0], rows[1])]
-    pivots = jets_module._pivot_columns(rows)
+    pivots = linalg_module._pivot_columns(rows)
     for t in range(ncols + 1):
         suffix = [[Fraction(x) for x in row[t:]] for row in rows]
         assert sum(p >= t for p in pivots) == (_sympy_rank(suffix) if t < ncols else 0)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_certified_suffix_rank_is_the_rank_of_every_column_suffix(seed, monkeypatch):
+    # A last row of multiples of PRIME vanishes modulo PRIME, so the modular
+    # count falls short of the rank over Q and exact_rank decides; the bound
+    # is the rank itself or the number of rows.
+    calls = _count_exact_ranks(monkeypatch)
+    rng = random.Random(f"certified:{seed}")
+    nrows, ncols = rng.randint(1, 5), rng.randint(1, 7)
+    rows = [[rng.choice((0, 0, rng.randint(-3, 3))) for _ in range(ncols)] for _ in range(nrows)]
+    if seed % 2:
+        rows[-1] = [P * rng.randint(-2, 2) for _ in range(ncols)]
+    ranks = [_sympy_rank([[Fraction(x) for x in row[t:]] for row in rows]) for t in range(ncols)] + [0]
+    for bound in {ranks[0], nrows}:
+        rank = linalg_module.certified_suffix_rank(rows, bound)
+        assert [rank(t) for t in range(ncols + 1)] == ranks
+    # With the bound nrows, the modular rank at t = 0 is short of it.
+    assert calls or not seed % 2
 
 
 def test_full_separation_is_certified_without_exact_elimination(monkeypatch):
@@ -358,7 +377,7 @@ def test_blowup_series_separates_n_times_m_jets_with_one_exact_rank(monkeypatch)
         x = random_rational_point(rng, n)
         for m in range(1, m_max + 1):
             system = series(m)
-            assert len(jets_module._pivot_columns(system._rows_at(x))) == system._rank
+            assert len(linalg_module._pivot_columns(system._rows_at(x))) == system._rank
             calls.clear()
             assert jet_separation(system, x) == n * m
             assert len(calls) <= 1

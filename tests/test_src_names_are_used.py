@@ -1,11 +1,13 @@
-"""Every function, class and method in src/seshadri is used by the package
-itself: by the CLI, the reproduce table, or a function that one of them
-reaches.  A helper that only the tests call belongs in the tests.
+"""Every function, class, method and module-level name in src/seshadri is
+used by the package itself: by the CLI, the reproduce table, or a function
+that one of them reaches.  A helper or a constant that only the tests read
+belongs in the tests.
 
 A name counts as used when another part of the package reads it, as a name
 or as an attribute, or when the parser stores it as a subcommand's handler.
-Its own definition and body, its docstring and a re-export in an __init__
-module do not count.  Dunder methods are called by the language."""
+Its own definition and body (for a module-level name, its assignment), its
+docstring and a re-export in an __init__ module do not count.  Dunder
+names are read by the language."""
 
 import ast
 from pathlib import Path
@@ -18,8 +20,9 @@ READ_BY_THE_BENCH = {"parse_polynomial", "ExactMatrix.rows", "ExactMatrix.cols"}
 
 
 def _definitions(tree: ast.Module):
-    """(qualified name, name, node) of each top-level function and class and
-    of each method of a top-level class."""
+    """(qualified name, name, node) of each top-level function and class, of
+    each method of a top-level class, and of each name that a top-level
+    assignment binds; the node of such a name is its assignment."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             yield node.name, node.name, node
@@ -27,6 +30,11 @@ def _definitions(tree: ast.Module):
                 for item in node.body:
                     if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
                         yield f"{node.name}.{item.name}", item.name, item
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield name.id, name.id, node
 
 
 def _references(tree: ast.Module):
@@ -90,6 +98,23 @@ def test_the_guard_sees_a_helper_only_the_tests_call():
     sources["exactmath/__init__.py"] += "from ..cli import decode\n"
     assert [entry for entry in _unreferenced(sources) if "decode" in entry or "_parse_leaf" in entry] == [
         "cli.py: decode"
+    ]
+
+
+def test_the_guard_sees_a_constant_only_the_tests_read():
+    sources = _package_sources()
+    sources["valuations.py"] += (
+        "\nSQRT2 = QuadExt(Fraction(0), Fraction(1))\n"
+        "STATED: tuple = tuple(c for c in (1, 2) if c)\n"
+        "_LIMIT = 4300\n"
+        "\n\ndef _over(x):\n    return x > _LIMIT\n"
+        "\n\nWIDE = _over(5)\n"
+    )
+    names = ("SQRT2", "STATED", "_LIMIT", "_over", "WIDE")
+    assert [entry for entry in _unreferenced(sources) if entry.split(": ")[1] in names] == [
+        "valuations.py: SQRT2",
+        "valuations.py: STATED",
+        "valuations.py: WIDE",
     ]
 
 

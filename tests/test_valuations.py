@@ -22,7 +22,6 @@ from seshadri.exactmath import (
 from seshadri import valuations
 from seshadri.exactmath import polynomials
 from seshadri.valuations import (
-    SQRT2,
     MonomialValuation,
     Twist,
     ValuationIdealQuery,
@@ -38,6 +37,7 @@ from seshadri.valuations import (
 from conftest import monomial, rational_parts
 
 ST = ("s", "t")
+SQRT2 = QuadExt(Fraction(0), Fraction(1))
 
 
 def poly(text, names=ST):

@@ -1,15 +1,23 @@
 """Tests for weighted projective space invariants and the weighted
 hypersurface bound."""
 
+import time
+from datetime import timedelta
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
+from seshadri.cli import emit
+from seshadri.exactmath import MAX_NUMBER_DIGITS
 from seshadri.wps import (
+    MAX_SCAN,
     WeightedHypersurfaceSpec,
     WeightVector,
     catalog_seshadri,
     largest_representable,
+    whs_field_over_digits,
     whs_record,
     whs_seshadri_bound,
     whs_volume,
@@ -118,6 +126,101 @@ def test_largest_representable_against_exhaustive_scan(k, l, d):
     assert m == max(representable)
     assert m <= d and m in representable
     assert all(v not in representable for v in range(m + 1, d + 1))
+
+
+def _largest_by_a(d, k, l):
+    """The largest a*k + b*l <= d, trying every a: an oracle that shares no
+    step with Sylvester's bound or the residue scan."""
+    return max(a * k + (d - a * k) // l * l for a in range(d // k + 1))
+
+
+def test_largest_representable_against_every_a_on_both_sides_of_sylvester():
+    # With g = gcd(k, l), every multiple g*x with x >= (k/g - 1)(l/g - 1) is
+    # representable, and the residues are scanned only below that bound; d
+    # runs past it.
+    for k in range(1, 10):
+        for l in range(1, 13):
+            for d in range(1, k * l + k + l):
+                assert largest_representable(d, k, l) == _largest_by_a(d, k, l), (d, k, l)
+
+
+def test_largest_representable_refuses_a_scan_past_its_cap_before_it_runs():
+    # Coprime weights just over 2^16: below Sylvester's bound, b runs over
+    # min(d // l, k - 1) + 1 values.
+    k, l = 2**16 + 1, 2**16 + 3
+    d = (MAX_SCAN - 1) * l + 5
+    assert largest_representable(d, k, l) == _largest_by_a(d, k, l)
+    with pytest.raises(ValueError, match=f"whs with --k {k} --l {l} scans more than {MAX_SCAN} values"):
+        largest_representable(MAX_SCAN * l, k, l)
+    # Weights of 4300 digits: the refusal comes before a single residue.
+    k = 10**4299 + 7
+    start = time.monotonic()
+    with pytest.raises(ValueError, match="lower --k or --l"):
+        largest_representable(10**6 * (k + 2), k, k + 2)
+    assert time.monotonic() - start < 0.5
+
+
+@pytest.mark.parametrize("k", [10**5 + 1, 10**6 + 1, 10**7 + 1, 10**300 + 1])
+def test_largest_representable_past_sylvester_is_immediate(k):
+    # l = k + 2, n = (k-1)^2 and d = n + k + l - 1 = k^2 + 2 >= (k-1)(l-1):
+    # a residue scan would take about k steps.
+    l, d = k + 2, k * k + 2
+    start = time.monotonic()
+    record = whs_record(WeightedHypersurfaceSpec((k - 1) ** 2, k, l, d))
+    assert time.monotonic() - start < 0.5
+    assert (record["r"], record["m"], record["equality"]) == (k * k - 2 * k, d, True)
+    assert record["bound"] == record["volume"] == Fraction(d, k * l)
+
+
+def _emit_refusal(record):
+    """The message of emit's refusal of the record, or None."""
+    try:
+        emit("json", record)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+_WIDE = st.one_of(st.integers(1, 9), st.integers(1, 10**4300 - 1), st.sampled_from([10**4299, 10**4300 - 1]))
+
+
+@st.composite
+def _whs_specs_that_build_quickly(draw):
+    """Valid specs with n, k, l, d of at most 4300 digits, as argparse reads
+    them, and a volume numerator a^n of at most 100000 bits."""
+    k = draw(_WIDE)
+    l = max(2, k) + draw(st.one_of(st.integers(0, 9), _WIDE))
+    n = draw(st.one_of(st.integers(1, 12), st.integers(1000, 6000)))
+    top = n + k + l - 1
+    d = draw(st.one_of(st.integers(1, 9), st.integers(max(1, top - 30), top), st.integers(1, top)))
+    assume(l < 10**4300 and d < 10**4300 and (n + k + l - d).bit_length() * n <= 100_000)
+    return WeightedHypersurfaceSpec(n, k, l, d)
+
+
+@settings(max_examples=50, deadline=timedelta(seconds=5))
+@given(_whs_specs_that_build_quickly())
+@example(WeightedHypersurfaceSpec(1, 10**4300 - 1, 10**4300 - 1, 1))  # r has 4301 digits
+@example(WeightedHypersurfaceSpec(4296, 1, 2, 4289))  # a volume of 4300 digits
+@example(WeightedHypersurfaceSpec(4297, 1, 2, 4290))  # and of 4301
+@example(WeightedHypersurfaceSpec(4300, 1, 2, 4302))  # a = 1
+@example(WeightedHypersurfaceSpec(3, 2, 3, 5))
+def test_whs_digit_check_names_the_field_that_emit_refuses(spec):
+    field = whs_field_over_digits(spec, MAX_NUMBER_DIGITS)
+    expected = _emit_refusal(whs_record(spec))
+    if field is None:
+        assert expected is None
+    else:
+        assert expected == f"the answer's {field} has a number of more than {MAX_NUMBER_DIGITS} digits"
+
+
+def test_whs_digit_check_names_the_bound_before_the_volume():
+    # d = n/2 with n of 4300 digits: the bound (n - r) m / 2 has about 8600
+    # digits, and the volume (n - r)^n d / 2 could never be built.
+    n = 10**4299
+    spec = WeightedHypersurfaceSpec(n, 1, 2, n // 2)
+    start = time.monotonic()
+    assert whs_field_over_digits(spec, MAX_NUMBER_DIGITS) == "bound"
+    assert time.monotonic() - start < 0.5
 
 
 def test_whs_equality_bound_never_exceeds_dimension():
