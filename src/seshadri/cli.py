@@ -105,7 +105,8 @@ def _too_long_answer(key: str) -> ValueError:
 
 def _parse_weights(text: str) -> tuple[int, ...]:
     weights = text.replace(" ", "").split(",")
-    if any(sum(c.isdigit() for c in w) > MAX_NUMBER_DIGITS for w in weights):
+    # A text no longer than the limit has no more digits than it.
+    if any(len(w) > MAX_NUMBER_DIGITS and sum(c.isdigit() for c in w) > MAX_NUMBER_DIGITS for w in weights):
         raise _too_many_digits("--weights")
     try:
         return tuple(int(w) for w in weights)
@@ -201,6 +202,10 @@ def cmd_wps(args) -> tuple[object, int]:
     from . import wps
 
     w = wps.WeightVector(_parse_weights(args.weights))
+    # emit would refuse the same answer, but only after building it
+    field = wps.wps_field_over_digits(w, MAX_NUMBER_DIGITS)
+    if field is not None:
+        raise _too_long_answer(field)
     record = {
         "weights": list(w.weights),
         "seshadri": wps.wps_seshadri(w),

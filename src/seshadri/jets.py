@@ -16,7 +16,8 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import comb, prod
+from math import comb
+from operator import mul
 from typing import Callable, Optional, Sequence, Tuple
 
 from .exactmath import Exponent, graded_lex_monomials, jet_basis_size
@@ -26,7 +27,8 @@ Point = Tuple[Fraction, ...]
 
 
 def as_point(coords: Sequence) -> Point:
-    return tuple(Fraction(c) for c in coords)
+    """coords as a tuple of Fractions; a Fraction is kept, not rebuilt."""
+    return tuple([c if type(c) is Fraction else Fraction(c) for c in coords])
 
 
 def random_rational_point(rng: random.Random, nvars: int, height: int = 1000) -> Point:
@@ -94,6 +96,11 @@ class MultConstraint:
 # constraint point, C losing rank modulo PRIME, or a denominator divisible by
 # PRIME (the scaled rows then degenerate). In those cases fewer orders are
 # proved, and the exact suffix ranks decide the rest.
+#
+# Every row of B, of C' and of C at the origin comes from `_jet_rows`. Each
+# variable has a table of (u + x_i)^a, scaled to integers; each table row is
+# lifted once onto the exponents alpha_i of the monomials, and row beta is
+# the elementwise product of its n lifted rows, one new list per row.
 
 
 def _taylor_tables(point: Point, degree: int) -> list[list[list[int]]]:
@@ -101,10 +108,11 @@ def _taylor_tables(point: Point, degree: int) -> list[list[list[int]]]:
     the coefficient of u^b in (u + x_i)^a, times q^(degree - b); zero for b > a."""
     tables = []
     for c in point:
-        p, q = c.numerator, c.denominator
+        p_powers = [c.numerator**e for e in range(degree + 1)]
+        q_powers = [c.denominator**e for e in range(degree + 1)]
         tables.append(
             [
-                [comb(a, b) * p ** (a - b) * q ** (degree - a) if b <= a else 0 for a in range(degree + 1)]
+                [comb(a, b) * p_powers[a - b] * q_powers[degree - a] if b <= a else 0 for a in range(degree + 1)]
                 for b in range(degree + 1)
             ]
         )
@@ -114,11 +122,24 @@ def _taylor_tables(point: Point, degree: int) -> list[list[list[int]]]:
 def _jet_rows(tables, betas: Sequence[Exponent], monomials: Sequence[Exponent]) -> list[list[int]]:
     """Row beta, column alpha: the coefficient of u^beta in (u + x)^alpha, that
     is, the order-|beta| Taylor coefficient of the monomial alpha at x, with the
-    row scaled by a positive integer."""
+    row scaled by a positive integer.
+
+    The entry is the product over i of tables[i][beta_i][alpha_i].  Each table
+    row tables[i][b] is lifted once onto the exponents alpha_i of the columns,
+    and row beta is the elementwise product of its n lifted rows, a new list
+    that the caller owns."""
+    top = max(map(max, betas), default=-1)
+    lifted = []  # lifted[i][b][j] = tables[i][b][monomials[j][i]]
+    for i, table in enumerate(tables):
+        column = [alpha[i] for alpha in monomials]
+        lifted.append([list(map(row.__getitem__, column)) for row in table[: top + 1]])
     rows = []
     for beta in betas:
-        factors = [table[b] for table, b in zip(tables, beta)]
-        rows.append([prod(f[a] for f, a in zip(factors, alpha)) for alpha in monomials])
+        factors = [by_order[b] for by_order, b in zip(lifted, beta)]
+        row = factors[0]
+        for factor in factors[1:]:
+            row = map(mul, row, factor)
+        rows.append(list(row))
     return rows
 
 

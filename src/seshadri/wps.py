@@ -64,6 +64,28 @@ def wps_anticanonical_volume(w: WeightVector) -> Fraction:
     return Fraction(sum(ws) ** n, prod)
 
 
+def wps_field_over_digits(w: WeightVector, digits: int) -> Optional[str]:
+    """The first field of the `wps` record, in record order, that has a number
+    of more than `digits` digits, or None; decided without building a volume
+    that is over.  The form a0 = 1 <= a1 <= ... <= an is checked first, with
+    the messages of wps_seshadri.
+
+    The volume is s^n / (a1 * ... * an) with s = 1 + a1 + ... + an >= 2.
+    With s of bit length L, its numerator in lowest terms is at least
+    2^((L-1)n) / 2^(bits(a1) + ... + bits(an)), which is over
+    10^digits < 2^(4*digits) once (L-1)n >= 4*digits + sum of bits(ai).
+    Below that, s^n has fewer than twice as many bits, and the volume is
+    built."""
+    seshadri = wps_seshadri(w)
+    if more_digits(max(seshadri.numerator, seshadri.denominator), digits):
+        return "seshadri"
+    ws = w.weights
+    if (sum(ws).bit_length() - 1) * w.n >= 4 * digits + sum(map(int.bit_length, ws[1:])):
+        return "volume"
+    volume = wps_anticanonical_volume(w)
+    return "volume" if more_digits(max(volume.numerator, volume.denominator), digits) else None
+
+
 @dataclass(frozen=True)
 class WeightedHypersurfaceSpec:
     """General degree-d hypersurface X_d in P(1^n, k, l) with l >= max(2, k)

@@ -192,6 +192,18 @@ def test_whs_refuses_an_oversized_volume_before_building_it(capsys, n):
     assert err == "error: the answer's volume has a number of more than 4300 digits\n"
 
 
+@pytest.mark.parametrize("count", [10**4, 10**5, 3 * 10**5])
+def test_wps_refuses_an_oversized_volume_before_building_it(capsys, count):
+    # (count + 1)^count has over 40000 digits; emit would refuse it after
+    # building it.
+    weights = ",".join(["1"] * (count + 1))
+    start = time.monotonic()
+    code, out, err = run_cli(capsys, "wps", "--weights", weights)
+    assert time.monotonic() - start < 0.5
+    assert (code, out) == (2, "")
+    assert err == "error: the answer's volume has a number of more than 4300 digits\n"
+
+
 def test_ruled_flagship_record(capsys):
     code, out, _ = run_cli(capsys, "ruled", "--g", "2", "--d", "10")
     assert code == 0
@@ -1618,6 +1630,105 @@ def _wps_or_whs_argv(draw):
 @given(_wps_or_whs_argv())
 def test_any_wps_or_whs_argv_exits_0_1_or_2_without_a_traceback(argv):
     _assert_exits_0_1_or_2_without_a_traceback(argv)
+
+
+# Raw argv: whole argument lists, token by token.  A jets system text always
+# sets its own m_max (at most 2), with n <= 3 and d <= 4, so a drawn --m-max
+# never scales one; several constraints come only with m_max 1 and one-digit
+# coordinates.
+_RAW_SUBCOMMANDS = ["wps", "whs", "jets", "valuation", "zariski", "ruled", "bounds", "reproduce"]
+_RAW_FLAGS = [
+    "--format", "--seed", "--m-max", "--weights", "--n", "--k", "--l", "--d", "--twist-e", "--twist-D",
+    "--op", "--f", "--m", "--g", "--sweep", "--g-max", "--d-max", "--eps", "--filter", "-h", "--help",
+    # abbreviations, one of them ambiguous (--twist-e, --twist-D)
+    "--form", "--se", "--m-m", "--we", "--tw", "--twist", "--sw", "--g-m", "--d-m", "--ep", "--fil",
+]
+_RAW_JSON = [
+    '{"n":2,"d":3,"constraints":[{"type":"mult","point":[0,0],"order":1}],"point":"random","m_max":2}',
+    '{"n":3,"d":4,"constraints":[{"type":"mult","point":[1,-2,"1/2"],"order":2}],"point":[0,0,0],"m_max":2}',
+    '{"n":3,"d":4,"constraints":[{"type":"mult","point":["1/3",2,0],"order":3}],"point":"random","m_max":2}',
+    '{"n":2,"d":3,"constraints":[{"type":"mult","point":[0,1],"order":2},'
+    '{"type":"mult","point":[1,0],"order":1}],"point":[1,1],"m_max":1}',
+    '{"n":1,"d":4,"point":[5],"m_max":2,"curve_bound":{"pairing":4,"mult":1,"meets_base_locus":false}}',
+    '{"n":2,"d":2,"m_max":0}',
+    '{"n":2}',
+    json.dumps(_ZARISKI),
+    "{}", "[]", "5", "{", "@", "null",
+]
+_RAW_F = ["s^2+t^3", "s*t^2", "(s+t)^12", "t-sqrt(2)*s^2", "(t-sqrt(2)*s^2)^3*s", "s^100000", "9" * 4301, "", "(", "u"]
+_RAW_VALUES = st.one_of(
+    st.integers(-3, 12).map(str),
+    st.just("9" * 4301),
+    st.sampled_from(["json", "csv", "eval", "izumi", "minmult", "galois", "1,1,2", "1,2", "2,3", "1/2", "x"]),
+    st.sampled_from(_RAW_JSON),
+    st.sampled_from(_RAW_F),
+)
+# Each subcommand's own flags, and the values that fit each flag best.
+_RAW_OWN_FLAGS = {
+    "wps": ["--weights"],
+    "whs": ["--n", "--k", "--l", "--d"],
+    "valuation": ["--weights", "--op", "--f", "--k", "--m", "--twist-e", "--twist-D"],
+    "ruled": ["--g", "--d", "--sweep", "--g-max", "--d-max"],
+    "bounds": ["--n", "--eps"],
+    "reproduce": ["--filter"],
+}
+_RAW_FITTING = {
+    "--format": ["json", "csv"],
+    "--form": ["json", "csv"],
+    "--weights": ["1,1,2", "1,2", "2,3", "1,1,1,1", "1,3,5"],
+    "--op": ["eval", "izumi", "minmult", "galois"],
+    "--f": _RAW_F,
+    "--twist-D": ["2", "3"],
+    "--eps": ["1", "1/2", "2", "3/7"],
+    "--filter": ["wps", "x"],
+}
+
+
+def _raw_value(flag):
+    """Mostly a value that fits the flag, sometimes any value."""
+    fitting = st.sampled_from(_RAW_FITTING.get(flag, [str(i) for i in range(-1, 13)]))
+    return st.sampled_from([True] * 7 + [False]).flatmap(lambda fits: fitting if fits else _RAW_VALUES)
+
+
+@st.composite
+def _raw_argv(draw):
+    """A token soup, or global flags, a subcommand, its own flags and a few of
+    any subcommand; each flag followed by a value, fused to it with =, or
+    alone."""
+    tokens = st.one_of(st.sampled_from(_RAW_SUBCOMMANDS), st.sampled_from(_RAW_FLAGS), _RAW_VALUES)
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.lists(tokens, max_size=8))
+
+    def flag_tokens(flags):
+        out = []
+        for flag in flags:
+            value = draw(_raw_value(flag))
+            out += draw(st.sampled_from([[flag, value]] * 12 + [[f"{flag}={value}"]] * 2 + [[flag]]))
+        return out
+
+    command = draw(st.sampled_from(_RAW_SUBCOMMANDS))
+    fitting = {"jets": _RAW_JSON[:6], "zariski": [json.dumps(_ZARISKI)]}.get(command)
+    positional = [draw(st.sampled_from(fitting * 3 + _RAW_JSON))] if fitting else []
+    own = [flag for flag in _RAW_OWN_FLAGS.get(command, []) if draw(st.integers(0, 9))]
+    if "--sweep" in own:
+        own.remove("--sweep")
+        positional.append("--sweep")
+    global_flags = ["--format", "--seed", "--m-max", "--form", "--se", "--m-m"]
+    argv = flag_tokens(draw(st.lists(st.sampled_from(global_flags), max_size=2)))
+    extra = [draw(st.sampled_from(_RAW_FLAGS))] if draw(st.integers(0, 3)) == 0 else []
+    return argv + [command, *positional, *flag_tokens(own + extra)]
+
+
+@settings(max_examples=200, deadline=timedelta(seconds=5))
+@given(_raw_argv())
+def test_any_raw_argv_exits_0_1_or_2_without_a_traceback(argv):
+    code, out, err = _run_argv(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        assert out == "" and err.count("error:") == 1
+    else:  # reproduce writes its summary line to stderr
+        assert err == "" or re.fullmatch(r"reproduce: \d+/\d+ cases passed in \d+\.\d\ds\n", err)
 
 
 _JETS = {

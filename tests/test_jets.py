@@ -16,6 +16,9 @@ from seshadri.jets import (
     LinearSystem,
     MultConstraint,
     SeshadriEstimate,
+    _jet_rows,
+    _taylor_tables,
+    as_point,
     blowup_anticanonical_series,
     blowup_line_bound,
     jet_separation,
@@ -292,6 +295,75 @@ def test_engine_matches_the_nullspace_oracle(seed):
         dimension, s = _oracle(nvars, degree, constraints, x)
         assert system.dimension == dimension
         assert jet_separation(system, x) == s
+
+
+# -- the row kernel -------------------------------------------------------------------
+
+
+def _product_rows(tables, betas, monomials):
+    """The jet rows one entry at a time: each entry is the product of its n
+    table lookups."""
+    rows = []
+    for beta in betas:
+        factors = [table[b] for table, b in zip(tables, beta)]
+        rows.append([math.prod(f[a] for f, a in zip(factors, alpha)) for alpha in monomials])
+    return rows
+
+
+def _kernel_point(rng, nvars):
+    """Seeded coordinates: all ones, or a mix of zeros, ones, negatives and
+    fractions of up to three digits."""
+    if rng.random() < 0.2:
+        return (Fraction(1),) * nvars
+    entries = [Fraction(0), Fraction(1), Fraction(-1), Fraction(-3, 7)]
+    return tuple(
+        rng.choice(entries) if rng.random() < 0.4 else Fraction(rng.randint(-999, 999), rng.randint(1, 999))
+        for _ in range(nvars)
+    )
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3, 4])
+@pytest.mark.parametrize("degree", range(9))
+def test_jet_rows_are_the_scaled_taylor_coefficients(nvars, degree):
+    rng = random.Random(f"rows:{nvars}:{degree}")
+    monomials = graded_lex_monomials(nvars, degree)
+    for _ in range(3):
+        x = _kernel_point(rng, nvars)
+        tables = _taylor_tables(x, degree)
+        # A leading block of jets, as LinearSystem takes, and a sample of
+        # rows in any order.
+        top = rng.randint(0, min(degree, 2))
+        for betas in (monomials[: jet_basis_size(nvars, top)], rng.sample(monomials, min(8, len(monomials)))):
+            rows = _jet_rows(tables, betas, monomials)
+            assert rows == _product_rows(tables, betas, monomials)
+            for beta, row in zip(betas, rows):
+                # The documented row scale: prod_i q_i^(degree - beta_i).
+                scale = math.prod(c.denominator ** (degree - b) for c, b in zip(x, beta))
+                assert row == [_taylor_coefficient(alpha, beta, x) * scale for alpha in monomials]
+                assert all(type(entry) is int for entry in row)
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3])
+def test_jet_rows_are_new_lists(nvars):
+    # A caller owns the rows it gets: no row may be another row, a lifted
+    # table row kept for a later call, or a table row.
+    degree = 4
+    monomials = graded_lex_monomials(nvars, degree)
+    tables = _taylor_tables(tuple(Fraction(i + 2, 3) for i in range(nvars)), degree)
+    betas = [monomials[1], monomials[1], monomials[0], monomials[-1], monomials[0]]
+    first = _jet_rows(tables, betas, monomials)
+    second = _jet_rows(tables, betas, monomials)
+    assert first == second == _product_rows(tables, betas, monomials)
+    tables_rows = [row for table in tables for row in table]
+    ids = [id(row) for row in first + second + tables_rows]
+    assert len(set(ids)) == len(ids)
+
+
+def test_as_point_keeps_a_fraction_and_converts_the_rest():
+    half = Fraction(1, 2)
+    point = as_point([half, 3, "2/6"])
+    assert point == (half, Fraction(3), Fraction(1, 3))
+    assert point[0] is half and all(type(c) is Fraction for c in point)
 
 
 # -- the modular certificate and its exact fallbacks --------------------------------

@@ -22,6 +22,7 @@ from seshadri.wps import (
     whs_seshadri_bound,
     whs_volume,
     wps_anticanonical_volume,
+    wps_field_over_digits,
     wps_seshadri,
 )
 
@@ -193,7 +194,7 @@ def _whs_specs_that_build_quickly(draw):
     n = draw(st.one_of(st.integers(1, 12), st.integers(1000, 6000)))
     top = n + k + l - 1
     d = draw(st.one_of(st.integers(1, 9), st.integers(max(1, top - 30), top), st.integers(1, top)))
-    assume(l < 10**4300 and d < 10**4300 and (n + k + l - d).bit_length() * n <= 100_000)
+    assume(d <= top and l < 10**4300 and d < 10**4300 and (n + k + l - d).bit_length() * n <= 100_000)
     return WeightedHypersurfaceSpec(n, k, l, d)
 
 
@@ -221,6 +222,53 @@ def test_whs_digit_check_names_the_bound_before_the_volume():
     start = time.monotonic()
     assert whs_field_over_digits(spec, MAX_NUMBER_DIGITS) == "bound"
     assert time.monotonic() - start < 0.5
+
+
+@st.composite
+def _weight_vectors_that_build_quickly(draw):
+    """Weight vectors (1, a1 <= ... <= an) with weights of at most 4300 digits,
+    as `--weights` reads them: a few weights of any size after up to 6000
+    weights of 1, with a volume numerator s^n of at most 100000 bits."""
+    ones = draw(st.one_of(st.integers(0, 5), st.integers(1000, 6000)))
+    rest = sorted(draw(st.lists(_WIDE, min_size=0 if ones else 1, max_size=4)))
+    weights = (1,) * (1 + ones) + tuple(rest)
+    assume(sum(weights).bit_length() * (len(weights) - 1) <= 100_000)
+    return WeightVector(weights)
+
+
+def _wps_record(w):
+    return {"weights": list(w.weights), "seshadri": wps_seshadri(w), "volume": wps_anticanonical_volume(w)}
+
+
+@settings(max_examples=50, deadline=timedelta(seconds=5))
+@given(_weight_vectors_that_build_quickly())
+@example(WeightVector((1, 10**4300 - 1, 10**4300 - 1)))  # seshadri has 4301 digits
+@example(WeightVector((1, 10**4300 - 1)))  # s = 10^4300: seshadri and volume of 4301 digits
+@example(WeightVector((1,) * 1370 + (6,)))  # a volume of 4300 digits
+@example(WeightVector((1,) * 1370 + (7,)))  # and of 4301
+@example(WeightVector((1,) * 1372))  # all ones, 4302 digits
+@example(WeightVector((1, 1, 2)))
+def test_wps_digit_check_names_the_field_that_emit_refuses(w):
+    field = wps_field_over_digits(w, MAX_NUMBER_DIGITS)
+    expected = _emit_refusal(_wps_record(w))
+    if field is None:
+        assert expected is None
+    else:
+        assert expected == f"the answer's {field} has a number of more than {MAX_NUMBER_DIGITS} digits"
+
+
+@pytest.mark.parametrize(
+    "weights, message",
+    [
+        ((2,) * 100_000, "weight vector must be led by 1"),
+        ((1,) + (3,) * 100_000 + (2,), "weights a1..an must be sorted ascending"),
+        ((1,), "need at least one weight beyond the leading 1"),
+    ],
+)
+def test_wps_digit_check_keeps_the_form_errors(weights, message):
+    # Each of the first two has a volume of more than 4300 digits.
+    with pytest.raises(ValueError, match=message):
+        wps_field_over_digits(WeightVector(weights), MAX_NUMBER_DIGITS)
 
 
 def test_whs_equality_bound_never_exceeds_dimension():
