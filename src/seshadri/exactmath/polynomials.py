@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import re
-import string
 from fractions import Fraction
 from operator import add
 from typing import Dict, Iterable, Iterator, NamedTuple, Optional, Sequence, Tuple
@@ -58,10 +57,6 @@ class WPolynomial:
         return out
 
     # -- constructors ---------------------------------------------------
-
-    @classmethod
-    def zero(cls, nvars: int) -> "WPolynomial":
-        return cls({}, nvars)
 
     @classmethod
     def constant(cls, c, nvars: int) -> "WPolynomial":
@@ -244,29 +239,21 @@ def _powers(c: Scalar, k: int) -> list[tuple[int, int, int]]:
 # -- monomial bases and jets --------------------------------------------------
 
 
-def compositions(total: int, parts: int) -> Iterable[Exponent]:
-    """Every tuple of `parts` non-negative integers summing to `total`, in
-    ascending lexicographic order; the empty tuple is the one composition of
-    0 into no parts."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def graded_lex_monomials(nvars: int, max_degree: int) -> list[Exponent]:
     """All exponent tuples of total degree <= max_degree in graded lex order
     (degree first, descending exponent tuple within a degree)."""
-    out: list[Exponent] = []
-    for d in range(max_degree + 1):
-        out.extend(sorted(compositions(d, nvars), reverse=True))
-    return out
+    if nvars == 0:
+        return [()]
+    # by_degree[t] holds the tuples of degree t over the last variables, in
+    # descending order; one variable more puts each first exponent a, from t
+    # down to 0, before the tuples of degree t - a.
+    by_degree: list[list[Exponent]] = [[(t,)] for t in range(max_degree + 1)]
+    for _ in range(nvars - 1):
+        by_degree = [
+            [(a,) + rest for a in range(t, -1, -1) for rest in by_degree[t - a]]
+            for t in range(max_degree + 1)
+        ]
+    return [e for level in by_degree for e in level]
 
 
 def jet_basis_size(nvars: int, order: int) -> int:
@@ -345,7 +332,7 @@ _OPERATORS = {op: ("op", op) for op in "()+-*/^"}
 _OPERATORS["**"] = _OPERATORS["^"]
 _SIGNS = frozenset("+-")
 _PRODUCTS = frozenset("*/")
-_NAME_START = frozenset(string.ascii_letters + "_")
+_NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 _END = (None, None)  # what the parser reads past the last token
 _SQRT2 = QuadExt(0, 1)
 

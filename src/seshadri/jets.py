@@ -81,8 +81,12 @@ class MultConstraint:
 # 1 when beta = alpha, so in graded order the columns |alpha| <= top of B
 # form a unitriangular block, and rank(C) = rank(B) = |J_top|.
 #
+# No constraint: W holds every form of degree <= d, rank(C) = 0, and W
+# separates d-jets at every point. So neither case builds the monomials to
+# count them: dim W = C(n + d, n) - rank(C).
+#
 # The shifted path decides every other case: a point with some x_i = p_i
-# (x = p among them), and every system of several constraints or none. Every
+# (x = p among them), and every system of several constraints. Every
 # row of C' is scaled to integers, which leaves each rank unchanged, and
 # linalg's `certified_suffix_rank` ranks its column suffixes against the bound
 # rank(C). It eliminates C' once modulo PRIME, taking its columns from the
@@ -159,14 +163,21 @@ class LinearSystem:
             if not isinstance(constraint, MultConstraint):
                 raise TypeError(f"unknown constraint {constraint!r}")
             self._check_point(constraint.point)
-        self.monomials = graded_lex_monomials(nvars, degree)
-        if len(self.constraints) == 1:
+        if not self.constraints:
+            self._rank = 0
+        elif len(self.constraints) == 1:
             # rank(B) = |J_top|, as the engine notes above show.
             self._rank = jet_basis_size(nvars, self._top(self.constraints[0]))
         else:
             rows = self._rows_at((Fraction(0),) * nvars)
             self._rank = certified_suffix_rank(rows, len(rows))(0)
-        self.dimension = len(self.monomials) - self._rank
+        self.dimension = jet_basis_size(nvars, degree) - self._rank
+
+    @cached_property
+    def monomials(self) -> list[Exponent]:
+        """The monomials of degree <= d in graded lex order: the columns of
+        every row; built only by a system that builds rows."""
+        return graded_lex_monomials(self.nvars, self.degree)
 
     def _check_point(self, point: Sequence) -> Point:
         point = as_point(point)
@@ -185,8 +196,8 @@ class LinearSystem:
         return [row for c in self.constraints for row in self._constraint_rows(c, origin)]
 
     def _constraint_rows(self, constraint: MultConstraint, origin: Point) -> list[list[int]]:
-        tables = _taylor_tables(tuple(a - b for a, b in zip(constraint.point, origin)), self.degree)
         betas = self.monomials[: jet_basis_size(self.nvars, self._top(constraint))]
+        tables = _taylor_tables(tuple(a - b for a, b in zip(constraint.point, origin)), self.degree)
         return _jet_rows(tables, betas, self.monomials)
 
     @cached_property
@@ -195,8 +206,8 @@ class LinearSystem:
         columns [t:] of B, and so of C' at every point with no x_i equal to
         p_i, from one exact elimination of B."""
         (constraint,) = self.constraints
-        tables = _taylor_tables((Fraction(1),) * self.nvars, self.degree)
         betas = self.monomials[: jet_basis_size(self.nvars, self._top(constraint))]
+        tables = _taylor_tables((Fraction(1),) * self.nvars, self.degree)
         return exact_suffix_ranks(_jet_rows(tables, betas, self.monomials))
 
 
@@ -208,6 +219,8 @@ def jet_separation(system: LinearSystem, point: Sequence) -> int:
     if system.dimension == 0:
         return -1
     constraints = system.constraints
+    if not constraints:
+        return system.degree  # all forms of degree <= d separate d-jets
     if len(constraints) == 1 and all(p != x for p, x in zip(constraints[0].point, point)):
         suffix_rank = system._suffix_ranks.__getitem__
     else:

@@ -8,8 +8,12 @@ by the caller to contain every relevant negative class, and that assumption is
 echoed in the outputs.
 
 Intersection numbers are taken on integers, from construction to report.  A
-lattice forms its Gram matrix and its curves once, as integer rows over one
-positive denominator each, and checks them on those rows; a class carries its
+lattice is built from its Gram matrix and its curves as integer rows over one
+positive denominator each, and `_check_rows` checks them on those rows.  The
+public constructor forms the rows from its Fractions; `ruled_surface_lattice`
+and the CLI's JSON reader pass integer rows to `SurfaceLattice._of_integers`,
+which builds the Fraction fields from them, one Fraction per distinct entry,
+and a curve's class only when it is asked for.  A class carries its
 coordinates as integer numerators over one positive denominator from birth,
 and keeps G*d for the last Gram matrix it was paired with, so a pairing is one
 integer dot and one Fraction, and `SurfaceLattice.curve_pairings` gives a
@@ -24,9 +28,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from operator import mul
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 from .exactmath import negative_definite_solve
 
@@ -36,14 +41,43 @@ def _fractions(coords) -> Tuple[Fraction, ...]:
     return tuple([c if type(c) is Fraction else Fraction(c) for c in coords])
 
 
-def _integral(coords: Sequence[Fraction]) -> Tuple[Tuple[int, ...], int]:
-    """(numerators, den): coords[i] = numerators[i] / den, with den the lcm of
-    the denominators."""
-    dens = [c.denominator for c in coords]
-    den = lcm(*dens)
+def _integral_rows(rows) -> Tuple[Tuple[Tuple[int, ...], ...], int]:
+    """(numerator rows, den) for rows of ints and Fractions: rows[i][j] =
+    numerator_rows[i][j] / den, with den the lcm of all their denominators."""
+    den = lcm(*[x.denominator for row in rows for x in row])
     if den == 1:
-        return tuple([c.numerator for c in coords]), 1
-    return tuple([c.numerator * (den // e) for c, e in zip(coords, dens)]), den
+        return tuple([tuple([x.numerator for x in row]) for row in rows]), 1
+    return tuple([tuple([x.numerator * (den // x.denominator) for x in row]) for row in rows]), den
+
+
+def _fraction_rows(rows, den: int) -> Tuple[Tuple[Fraction, ...], ...]:
+    """rows / den as Fractions, one Fraction built per distinct entry."""
+    entries = {x for row in rows for x in row}
+    table = {x: Fraction(x) for x in entries} if den == 1 else {x: Fraction(x, den) for x in entries}
+    return tuple([tuple(map(table.__getitem__, row)) for row in rows])
+
+
+def _check_rows(n: int, gram_rows, curves, curve_rows) -> None:
+    """The checks of every lattice, on its integer rows: ValueError unless
+    each curve, given as (name, through, mult), has mult >= 1, the Gram rows
+    form a symmetric n x n matrix, and each curve's row has n entries and a
+    name no earlier curve has."""
+    for name, _, mult in curves:
+        if mult < 1:
+            raise ValueError(f"curve {name!r} needs multiplicity >= 1")
+    if len({len(row) for row in gram_rows}) > 1:
+        raise ValueError("ragged matrix")
+    if len(gram_rows) != n or (gram_rows and len(gram_rows[0]) != n):
+        raise ValueError("gram matrix size must match the generator count")
+    if tuple(zip(*gram_rows)) != gram_rows:
+        raise ValueError("gram matrix must be symmetric")
+    names = set()
+    for (name, _, _), row in zip(curves, curve_rows):
+        if len(row) != n:
+            raise ValueError(f"curve {name!r} has wrong coordinate length")
+        if name in names:
+            raise ValueError(f"duplicate curve name {name!r}")
+        names.add(name)
 
 
 def _dot(a, b) -> int:
@@ -63,18 +97,18 @@ class DivisorClass:
 
     def __post_init__(self):
         coords = _fractions(self.coords)
+        (numerators,), den = _integral_rows((coords,))
         object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "integral", _integral(coords))
+        object.__setattr__(self, "integral", (numerators, den))
 
     @classmethod
     def _of_integers(cls, numerators: Tuple[int, ...], den: int) -> "DivisorClass":
         """The class numerators / den, den > 0; its Fractions are built here,
-        once, and its integer form is kept as given."""
+        once, and its integer form is kept as given.  Like every trusted
+        constructor here, it fills the frozen fields directly."""
         self = object.__new__(cls)
         coords = map(Fraction, numerators) if den == 1 else [Fraction(x, den) for x in numerators]
-        object.__setattr__(self, "coords", tuple(coords))
-        object.__setattr__(self, "integral", (numerators, den))
-        object.__setattr__(self, "_gram_product", (None,))
+        self.__dict__.update(coords=tuple(coords), integral=(numerators, den), _gram_product=(None,))
         return self
 
     def is_zero(self) -> bool:
@@ -84,21 +118,20 @@ class DivisorClass:
 @dataclass(frozen=True)
 class CurveClass:
     """Declared irreducible curve: coordinates, whether it passes through the
-    marked point, and its multiplicity there.  `divisor` is its class, built
-    with the curve."""
+    marked point, and its multiplicity there, which the lattice checks is
+    >= 1.  `divisor` is its class, built when it is first asked for."""
 
     name: str
     coords: Tuple[Fraction, ...]
     through_marked_point: bool = False
     mult: int = 1
-    divisor: DivisorClass = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        divisor = DivisorClass(self.coords)
-        object.__setattr__(self, "coords", divisor.coords)
-        object.__setattr__(self, "divisor", divisor)
-        if self.mult < 1:
-            raise ValueError(f"curve {self.name!r} needs multiplicity >= 1")
+        object.__setattr__(self, "coords", _fractions(self.coords))
+
+    @cached_property
+    def divisor(self) -> DivisorClass:
+        return DivisorClass(self.coords)
 
 
 @dataclass(frozen=True)
@@ -120,27 +153,35 @@ class SurfaceLattice:
     def __post_init__(self):
         gram = tuple(map(_fractions, self.gram))
         object.__setattr__(self, "gram", gram)
-        n = len(self.generators)
-        if len({len(row) for row in gram}) > 1:
-            raise ValueError("ragged matrix")
-        if len(gram) != n or (gram and len(gram[0]) != n):
-            raise ValueError("gram matrix size must match the generator count")
-        flat, gden = _integral([x for row in gram for x in row])
-        rows = tuple([flat[i : i + n] for i in range(0, n * n, n)])
-        if tuple(zip(*rows)) != rows:
-            raise ValueError("gram matrix must be symmetric")
-        names = set()
-        for c in self.curves:
-            if len(c.coords) != n:
-                raise ValueError(f"curve {c.name!r} has wrong coordinate length")
-            if c.name in names:
-                raise ValueError(f"duplicate curve name {c.name!r}")
-            names.add(c.name)
-        forms = [c.divisor.integral for c in self.curves]
-        cden = lcm(*[d for _, d in forms])
-        curve_rows = tuple([r if d == cden else tuple([x * (cden // d) for x in r]) for r, d in forms])
-        object.__setattr__(self, "_gram_rows", (rows, gden))
-        object.__setattr__(self, "_curve_rows", (curve_rows, cden))
+        gram_rows = _integral_rows(gram)
+        curve_rows = _integral_rows([c.coords for c in self.curves])
+        curves = [(c.name, c.through_marked_point, c.mult) for c in self.curves]
+        _check_rows(len(self.generators), gram_rows[0], curves, curve_rows[0])
+        object.__setattr__(self, "_gram_rows", gram_rows)
+        object.__setattr__(self, "_curve_rows", curve_rows)
+
+    @classmethod
+    def _of_integers(cls, generators, gram, curves, coords) -> "SurfaceLattice":
+        """The lattice whose `_gram_rows` is gram and whose `_curve_rows` is
+        coords, each (integer rows, the lcm of their denominators), with the
+        i-th curve, given as (name, through, mult), on the i-th row of coords.
+        Nothing is checked, as in `DivisorClass._of_integers`: rows from
+        outside pass `_check_rows` first.  Its Fractions are built here, one
+        per distinct entry of each matrix."""
+        declared = []
+        for (name, through, mult), row in zip(curves, _fraction_rows(*coords)):
+            curve = object.__new__(CurveClass)
+            curve.__dict__.update(name=name, coords=row, through_marked_point=through, mult=mult)
+            declared.append(curve)
+        self = object.__new__(cls)
+        self.__dict__.update(
+            generators=generators,
+            gram=_fraction_rows(*gram),
+            curves=tuple(declared),
+            _gram_rows=gram,
+            _curve_rows=coords,
+        )
+        return self
 
     def _gram_times(self, d: DivisorClass) -> Tuple[Tuple[int, ...], int]:
         """(numerators, den) of G*d, formed once per class and Gram matrix."""
@@ -304,14 +345,11 @@ class RuledSurfaceModel:
 def ruled_surface_lattice(d: int) -> SurfaceLattice:
     """Lattice of P(O + O(-D)): negative section E (E^2 = -d, missing a very
     general point) and fiber F (F^2 = 0, through it with multiplicity 1)."""
-    one, zero = Fraction(1), Fraction(0)
-    return SurfaceLattice(
+    return SurfaceLattice._of_integers(
         ("E", "F"),
-        ((Fraction(-d), one), (one, zero)),
-        (
-            CurveClass("E", (one, zero), through_marked_point=False),
-            CurveClass("F", (zero, one), through_marked_point=True),
-        ),
+        (((-d, 1), (1, 0)), 1),
+        (("E", False, 1), ("F", True, 1)),
+        (((1, 0), (0, 1)), 1),
     )
 
 

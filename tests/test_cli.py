@@ -921,12 +921,14 @@ def test_console_entry_point_runs_the_same_main():
 
 
 def test_building_the_parser_loads_no_subcommand_module():
+    # Nor csv, which only `emit`'s CSV branch uses.
     code = (
         "import sys, seshadri.cli as cli; cli.build_parser(); "
-        "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'seshadri'))"
+        "print(*sorted(m for m in sys.modules if m.split('.')[0] in ('seshadri', 'csv')))"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, check=True, text=True)
     loaded = proc.stdout.split()
+    assert "csv" not in loaded
     assert {"seshadri", "seshadri.cli", "seshadri.exactmath"} <= set(loaded)
     others = [m for m in loaded if m not in ("seshadri", "seshadri.cli")]
     assert [m for m in others if not m.startswith("seshadri.exactmath")] == []
@@ -1193,6 +1195,13 @@ def test_zariski_rejects_duplicate_curve_names(capsys):
     assert err == "error: duplicate curve name 'E'\n"
 
 
+def test_zariski_rejects_a_curve_of_multiplicity_below_1(capsys):
+    for mult in (0, -3):
+        desc = dict(RULED_LATTICE, curves=[{"name": "E", "coords": [1, 0], "mult": mult}])
+        code, out, err = run_cli(capsys, "zariski", json.dumps(desc))
+        assert (code, out, err) == (2, "", "error: curve 'E' needs multiplicity >= 1\n")
+
+
 def test_zariski_rejects_a_positive_part_of_negative_square(capsys):
     # Gram -I with D = -E - F: D meets both curves positively, so P = D, but
     # P^2 = -2 and a nef class on a surface has P^2 >= 0.
@@ -1309,6 +1318,91 @@ def test_any_zariski_description_exits_0_or_2_with_one_line(text):
         assert code == 2 and out.getvalue() == ""
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
         assert "Traceback" not in err.getvalue()
+
+
+@st.composite
+def _mixed_descriptions(draw):
+    """A zariski description of 1 to 3 generators whose Gram matrix, curves
+    and D mix ints, "p/q" texts and integral floats: symmetric in value with
+    each entry written its own way, sometimes asymmetric or ragged, with a
+    bool in a number field or a multiplicity below 1."""
+    n = draw(st.integers(1, 3))
+    number = st.one_of(
+        st.integers(-3, 3),
+        st.tuples(st.integers(-6, 6), st.integers(1, 4)).map("{0[0]}/{0[1]}".format),
+        st.integers(-3, 3).map(float),
+    )
+    value = {(i, j): Fraction(draw(number)) for i in range(n) for j in range(i, n)}
+
+    def write(x: Fraction):
+        forms = [f"{x.numerator}/{x.denominator}", f"{2 * x.numerator}/{2 * x.denominator}"]
+        if x.denominator == 1:
+            forms += [int(x), float(x)]
+        return draw(st.sampled_from(forms))
+
+    gram = [[write(value[min(i, j), max(i, j)]) for j in range(n)] for i in range(n)]
+    curves = [
+        {"name": f"C{i}", "coords": [write(Fraction(draw(number))) for _ in range(n)], "mult": draw(st.sampled_from([1, 1, 1, 2, 0]))}
+        for i in range(draw(st.integers(0, 3)))
+    ]
+    desc = {"generators": [f"G{i}" for i in range(n)], "gram": gram, "curves": curves}
+    desc["D"] = [write(Fraction(draw(number))) for _ in range(n)]
+    flaw = draw(st.sampled_from(["none"] * 6 + ["asymmetric", "ragged", "bool"]))
+    if n == 1 and flaw != "bool":
+        flaw = "none"
+    if flaw == "asymmetric":
+        gram[-1][0] = str(Fraction(gram[-1][0]) + 1)
+    elif flaw == "ragged":
+        gram[-1].append(0)
+    elif flaw == "bool":
+        field = draw(st.sampled_from([gram[0], desc["D"]] + [c["coords"] for c in curves]))
+        field[draw(st.integers(0, n - 1))] = True
+    return desc, flaw
+
+
+def _ints_as_texts(desc):
+    """desc with every int in a number field written as a text."""
+
+    def texts(values):
+        return [str(x) if type(x) is int else x for x in values]
+
+    return dict(
+        desc,
+        gram=[texts(row) for row in desc["gram"]],
+        curves=[dict(c, coords=texts(c["coords"])) for c in desc["curves"]],
+        D=texts(desc["D"]),
+    )
+
+
+@settings(max_examples=150, deadline=timedelta(seconds=1))
+@given(_mixed_descriptions())
+def test_a_zariski_description_reads_the_same_with_its_ints_written_as_texts(drawn):
+    # A JSON int goes into the integer rows as it is, every other entry
+    # through its text; both roads give one lattice, answer and refusal.
+    desc, flaw = drawn
+    results = []
+    for version in (desc, _ints_as_texts(desc)):
+        out, err = StringIO(), StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["zariski", json.dumps(version)])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if code:
+            assert out.getvalue() == "" and err.getvalue().startswith("error: ")
+            assert err.getvalue().count("\n") == 1
+        results.append((code, out.getvalue(), err.getvalue()))
+    assert results[0] == results[1]
+    # A bool is no number: the lattice's is the first refusal, and D's comes
+    # after the lattice's own.
+    if any(x is True for row in desc["gram"] + [c["coords"] for c in desc["curves"]] for x in row):
+        assert results[0][0] == 2 and results[0][2].endswith(": expected a number\n")
+    if any(x is True for x in desc["D"]):
+        assert results[0][0] == 2
+    # A multiplicity below 1 is the first check on the rows, the matrix's
+    # shape the next.
+    if flaw in ("asymmetric", "ragged") and all(c["mult"] >= 1 for c in desc["curves"]):
+        message = "gram matrix must be symmetric" if flaw == "asymmetric" else "ragged matrix"
+        assert results[0] == (2, "", f"error: {message}\n")
 
 
 _coordinates = st.one_of(

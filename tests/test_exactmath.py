@@ -2,6 +2,7 @@
 polynomials, and fraction-free linear algebra over Q."""
 
 import copy
+import itertools
 import math
 import pickle
 import random
@@ -246,11 +247,11 @@ def test_multiplicity_lowest_degree_term_wins():
 
 
 def test_multiplicity_of_zero_is_infinite():
-    assert WPolynomial.zero(2).multiplicity() == INFINITY
+    assert WPolynomial({}, 2).multiplicity() == INFINITY
 
 
 def test_the_zero_polynomial_is_false_and_a_constant_equals_its_scalar():
-    zero = WPolynomial.zero(2)
+    zero = WPolynomial({}, 2)
     assert not zero and zero.total_degree() == -INFINITY
     assert WPolynomial.constant(3, 2) == 3 and WPolynomial.constant(3, 2) != 4
 
@@ -272,6 +273,14 @@ def test_graded_lex_order_is_degree_then_reverse_lex():
         (1, 1),
         (0, 2),
     ]
+
+
+@pytest.mark.parametrize("nvars", range(5))
+def test_graded_lex_monomials_are_every_tuple_sorted_by_degree_then_descending(nvars):
+    for degree in range(9):
+        tuples = itertools.product(range(degree + 1), repeat=nvars)
+        expected = sorted((e for e in tuples if sum(e) <= degree), key=lambda e: (-sum(e), e), reverse=True)
+        assert graded_lex_monomials(nvars, degree) == expected
 
 
 def test_polynomial_parse_format_round_trip():
@@ -688,7 +697,7 @@ def test_weighted_degrees():
     f = WPolynomial({(2, 0): Fraction(1), (0, 1): Fraction(1)}, 2)
     assert f.min_weighted_degree((1, 3)) == 2
     assert f.min_weighted_degree((1, 2)) == 2
-    assert WPolynomial.zero(2).min_weighted_degree((1, 3)) == INFINITY
+    assert WPolynomial({}, 2).min_weighted_degree((1, 3)) == INFINITY
 
 
 @st.composite

@@ -1,8 +1,11 @@
 """Tests for jet separation of linear systems and moving-Seshadri estimates."""
 
+import itertools
 import json
 import math
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -295,6 +298,54 @@ def test_engine_matches_the_nullspace_oracle(seed):
         dimension, s = _oracle(nvars, degree, constraints, x)
         assert system.dimension == dimension
         assert jet_separation(system, x) == s
+
+
+def _monomials_of_degree(nvars, low, high):
+    """The number of exponent tuples of nvars entries with total degree in
+    [low, high], counted one by one."""
+    return sum(low <= sum(e) <= high for e in itertools.product(range(high + 1), repeat=nvars))
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3, 4])
+@pytest.mark.parametrize("degree", range(9))
+def test_systems_of_no_or_one_constraint_are_counted_not_eliminated(nvars, degree):
+    # No constraint: every form of degree <= d, which separates d-jets at any
+    # point. Order k at p: the forms in u = y - p with no term of degree < k.
+    rng = random.Random(f"counted:{nvars}:{degree}")
+    x, p = small_point(rng, nvars), small_point(rng, nvars)
+    free = LinearSystem(nvars, degree)
+    assert free.dimension == _monomials_of_degree(nvars, 0, degree)
+    assert jet_separation(free, x) == degree
+    systems = [LinearSystem(nvars, degree, [MultConstraint(p, k)]) for k in range(1, degree + 2)]
+    for k, system in enumerate(systems, 1):
+        assert system.dimension == _monomials_of_degree(nvars, k, degree)
+    # Neither kind builds the monomials to count them.
+    assert all("monomials" not in w.__dict__ for w in [free] + systems)
+    # The separate route, where its sympy work is small.
+    if jet_basis_size(nvars, degree) <= 15:
+        assert (free.dimension, degree) == _oracle(nvars, degree, [], x)
+        for system in systems:
+            for y in (x, p):
+                assert (system.dimension, jet_separation(system, y)) == _oracle(nvars, degree, system.constraints, y)
+
+
+def test_a_system_of_no_constraint_at_a_huge_degree_answers_at_once():
+    # C(2003, 3) monomials, about 1.3e9: building them ran out of memory. The
+    # child's address space is capped, so that a regression fails the test
+    # rather than filling the machine.
+    code = (
+        "import resource, sys, time\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (500 * 2**20, 500 * 2**20))\n"
+        "from seshadri import cli\n"
+        "start = time.monotonic()\n"
+        "code = cli.main(['jets', '{\"n\":3,\"d\":2000,\"m_max\":1,\"point\":[1,2,3]}'])\n"
+        "print(time.monotonic() - start, file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["s_values"] == [2000]
+    assert float(proc.stderr) < 0.5
 
 
 # -- the row kernel -------------------------------------------------------------------

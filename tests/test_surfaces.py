@@ -147,6 +147,8 @@ def test_lattice_validation():
             [[0, 1], [1, 0]],
             (CurveClass("C", (Fraction(1),)),),  # wrong arity
         )
+    with pytest.raises(ValueError, match="curve 'C' needs multiplicity >= 1"):
+        SurfaceLattice(("E", "F"), [[0, 1], [1, 0]], (CurveClass("C", (1, 0), mult=0),))
     with pytest.raises(ValueError, match="duplicate curve name 'E'"):
         SurfaceLattice(
             ("E", "F"),

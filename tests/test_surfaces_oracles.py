@@ -6,8 +6,9 @@ only this file's own Fraction arithmetic."""
 
 import io
 import itertools
+import json
 import time
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from seshadri.surfaces import (
     CurveClass,
     DivisorClass,
     SurfaceLattice,
+    ruled_surface_lattice,
     seshadri_at_marked_point,
     zariski_decomposition,
 )
@@ -260,6 +262,87 @@ def test_the_decomposition_is_unchanged_by_a_rational_change_of_basis(drawn):
     dec = zariski_decomposition(lat, divisor)
     assert list(dec.positive.coords) == [pi / s for pi, s in zip(p, t)]
     assert dict(zip(dec.support, dec.coefficients)) == {f"C{i}": xi for i, xi in enumerate(x) if xi}
+
+
+# -- the integer rows of a zariski description against the Fraction lattice -----
+
+
+def written(value: Fraction, form: int):
+    """value as a zariski description may write it: 0 an int, 1 an integral
+    float (both when it is integral), 2 a "p/q" text over twice its
+    denominator, 3 its own text."""
+    if value.denominator == 1 and form < 2:
+        return float(value) if form else int(value)
+    if form == 2:
+        return f"{2 * value.numerator}/{2 * value.denominator}"
+    return str(value)
+
+
+@settings(max_examples=80, deadline=None)
+@given(rescaled_configurations(), st.randoms(use_true_random=False))
+def test_a_lattice_read_as_integer_rows_is_the_one_built_from_fractions(drawn, rng):
+    # The rescaled configurations put denominators on the Gram matrix, the
+    # curves and D; each entry is written in one of the forms at random.
+    gram, curves, d, t = drawn
+    gram = [[t[i] * t[j] * x for j, x in enumerate(row)] for i, row in enumerate(gram)]
+    curves = [tuple(c / s for c, s in zip(curve, t)) for curve in curves]
+    d = [x / s for x, s in zip(d, t)]
+    marks = [(rng.random() < 0.5, rng.randint(1, 3)) for _ in curves]
+    generators = tuple(f"G{i}" for i in range(len(d)))
+    expected = SurfaceLattice(
+        generators,
+        gram,
+        tuple(CurveClass(f"C{i}", c, through, mult) for i, (c, (through, mult)) in enumerate(zip(curves, marks))),
+    )
+
+    def form(values):
+        return [written(x, rng.randrange(4)) for x in values]
+
+    desc = {
+        "generators": list(generators),
+        "gram": [form(row) for row in gram],
+        "curves": [
+            {"name": f"C{i}", "coords": form(c), "through": through, "mult": mult}
+            for i, (c, (through, mult)) in enumerate(zip(curves, marks))
+        ],
+        "D": form(d),
+    }
+    lat = cli._lattice_from_json(json.loads(json.dumps(desc)))
+    assert lat == expected
+    assert (lat._gram_rows, lat._curve_rows) == (expected._gram_rows, expected._curve_rows)
+    assert all(type(x) is Fraction for row in lat.gram for x in row)
+    assert all(type(x) is Fraction for c in lat.curves for x in c.coords)
+    assert [c.divisor for c in lat.curves] == [c.divisor for c in expected.curves]
+    # The decomposition the CLI prints is the Fraction lattice's.
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(["zariski", json.dumps(desc)])
+    try:
+        dec = zariski_decomposition(expected, DivisorClass(tuple(d)))
+    except ValueError as exc:
+        assert (code, out.getvalue(), err.getvalue()) == (2, "", f"error: {' '.join(str(exc).split())}\n")
+        return
+    assert (code, err.getvalue()) == (0, "")
+    record = json.loads(out.getvalue())
+    assert record["P"] == [str(x) for x in dec.positive.coords]
+    assert record["N"] == [str(x) for x in dec.negative.coords]
+    assert record["support"] == list(dec.support)
+    assert record["coefficients"] == [str(x) for x in dec.coefficients]
+
+
+def test_the_ruled_lattice_is_the_one_built_from_fractions():
+    for d in range(1, 41):
+        expected = SurfaceLattice(
+            ("E", "F"),
+            [[Fraction(-d), Fraction(1)], [Fraction(1), Fraction(0)]],
+            (CurveClass("E", (Fraction(1), Fraction(0))), CurveClass("F", (Fraction(0), Fraction(1)), True)),
+        )
+        lat = ruled_surface_lattice(d)
+        assert lat == expected
+        assert (lat._gram_rows, lat._curve_rows) == (expected._gram_rows, expected._curve_rows)
+        assert all(type(x) is Fraction for row in lat.gram for x in row)
+        assert all(type(x) is Fraction for c in lat.curves for x in c.coords)
+        assert [c.divisor for c in lat.curves] == [c.divisor for c in expected.curves]
 
 
 # -- time budgets -----------------------------------------------------------------
