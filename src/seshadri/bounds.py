@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from .exactmath.scalars import more_digits, power_has_more_digits
+
 
 @dataclass(frozen=True)
 class VolumeBoundResult:
@@ -61,20 +63,10 @@ def volume_bound_exceeds_digits(n: int, eps: Fraction, digits: int) -> bool:
     `digits` decimal digits, decided before M is computed.
 
     M = base^n with the base in lowest terms, so the parts of M are the n-th
-    powers of the parts of the base.  A part of bit length L has an n-th
-    power in [2^((L-1)n), 2^(Ln)).  Only when that range straddles
-    10^digits is the power taken, and then it has fewer than twice the bits
-    of 10^digits."""
+    powers of the parts of the base."""
     base = _closed_form(n, Fraction(eps))[2]
-    limit = 10**digits
-    bits = limit.bit_length()  # 2^(bits-1) <= limit < 2^bits
-    for part in (base.numerator, base.denominator):
-        length = part.bit_length()
-        if (length - 1) * n >= bits:
-            return True
-        if length * n >= bits and part**n >= limit:
-            return True
-    return False
+    top = max(base.numerator, base.denominator)
+    return power_has_more_digits(top, n, digits, 0) or more_digits(base**n, digits)
 
 
 def grid_volume_bound_minimum(

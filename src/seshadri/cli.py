@@ -28,6 +28,7 @@ from .exactmath import (
     format_scalar,
     parse_product,
 )
+from .exactmath.scalars import numeral_has_more_digits
 
 # -- serialization ------------------------------------------------------------
 
@@ -106,8 +107,7 @@ def _too_long_answer(key: str) -> ValueError:
 
 def _parse_weights(text: str) -> tuple[int, ...]:
     weights = text.replace(" ", "").split(",")
-    # A text no longer than the limit has no more digits than it.
-    if any(len(w) > MAX_NUMBER_DIGITS and sum(c.isdigit() for c in w) > MAX_NUMBER_DIGITS for w in weights):
+    if any(map(numeral_has_more_digits, weights)):
         raise _too_many_digits("--weights")
     try:
         return tuple(int(w) for w in weights)
@@ -140,7 +140,7 @@ def _fraction(value, where: str) -> Fraction:
     if not isinstance(value, (float, str)):
         raise ValueError(f"{where}: expected a number")
     text = str(value)
-    if any(sum(c.isdigit() for c in part) > MAX_NUMBER_DIGITS for part in text.split("/")):
+    if any(map(numeral_has_more_digits, text.split("/"))):
         raise _too_many_digits(where)
     # An exponent, as in 1e99999999, writes out digits that the text does not
     # show; Fraction would build them all before any check.

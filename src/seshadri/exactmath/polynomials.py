@@ -15,7 +15,7 @@ from fractions import Fraction
 from operator import add
 from typing import Dict, Iterable, Iterator, NamedTuple, Optional, Sequence, Tuple
 
-from .scalars import MAX_NUMBER_DIGITS, QuadExt, Scalar, _normal, _parts, to_scalar
+from .scalars import MAX_NUMBER_DIGITS, QuadExt, Scalar, _normal, _parts, numeral_has_more_digits, to_scalar
 
 Exponent = Tuple[int, ...]
 CoeffMap = Dict[Exponent, Scalar]
@@ -345,7 +345,7 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
         if op is not None:
             append(op)
         elif token[0].isdecimal():  # what \d matches
-            if len(token) > MAX_NUMBER_DIGITS:
+            if numeral_has_more_digits(token):
                 raise BudgetExceeded(f"a number of more than {MAX_NUMBER_DIGITS} digits")
             append(("num", token))
         elif token[0] in _NAME_START:

@@ -3,23 +3,55 @@
 Every number in this package is either a ``fractions.Fraction`` or a
 ``QuadExt`` element a + b*sqrt(2) with rational a, b.  There is no floating
 point anywhere; equality is exact.
+
+This module also owns the limit of MAX_NUMBER_DIGITS digits on a number read
+or printed, and every test against it: `more_digits` on a number,
+`power_has_more_digits` on a power not yet built, and
+`numeral_has_more_digits` on the text of a numeral.  `as_fractions` is the
+one coercion of a coordinate list to Fractions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Union
+from typing import Tuple, Union
 
 # The most decimal digits in the numerator or the denominator of a number
 # read or printed: CPython's default limit on converting between str and int.
 MAX_NUMBER_DIGITS = 4300
 
 
-def more_digits(x: int, digits: int) -> bool:
-    """Whether x >= 0 has more than `digits` digits; 10^digits is built only
-    past 2^(3*digits), which is below it."""
-    return x.bit_length() > 3 * digits and x >= 10**digits
+def more_digits(x: Union[int, Fraction], digits: int) -> bool:
+    """Whether the numerator or the denominator of the int or Fraction x has
+    more than `digits` digits; 10^digits is built only past 2^(3*digits),
+    which is below it."""
+    top = max(abs(x.numerator), x.denominator)
+    return top.bit_length() > 3 * digits and top >= 10**digits
+
+
+def power_has_more_digits(x: int, n: int, digits: int, divisor_bits: int) -> bool:
+    """True only when, for every y >= 1 of at most divisor_bits bits, the
+    numerator of x^n / y in lowest terms has more than `digits` digits;
+    decided from bit lengths, without building x^n.  False decides nothing.
+
+    With x >= 1 of bit length L, x^n >= 2^((L-1)n) and y < 2^divisor_bits,
+    so that numerator, at least x^n / y, is over 2^(4*digits) > 10^digits
+    once (L-1)n >= 4*digits + divisor_bits.  Below that x^n has fewer than
+    8*digits + 2*divisor_bits bits (or x = 1), so the caller can build it
+    and count its digits exactly."""
+    return (x.bit_length() - 1) * n >= 4 * digits + divisor_bits
+
+
+def numeral_has_more_digits(text: str) -> bool:
+    """Whether the text of a numeral has more than MAX_NUMBER_DIGITS digits;
+    a text no longer than that has no more digits than it."""
+    return len(text) > MAX_NUMBER_DIGITS and sum(c.isdigit() for c in text) > MAX_NUMBER_DIGITS
+
+
+def as_fractions(coords) -> Tuple[Fraction, ...]:
+    """coords as a tuple of Fractions; a Fraction is kept, not rebuilt."""
+    return tuple([c if type(c) is Fraction else Fraction(c) for c in coords])
 
 
 def _as_fraction(x) -> Fraction:

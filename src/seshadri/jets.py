@@ -22,13 +22,9 @@ from typing import Callable, Optional, Sequence, Tuple
 
 from .exactmath import Exponent, graded_lex_monomials, jet_basis_size
 from .exactmath.linalg import certified_suffix_rank, exact_suffix_ranks
+from .exactmath.scalars import as_fractions
 
 Point = Tuple[Fraction, ...]
-
-
-def as_point(coords: Sequence) -> Point:
-    """coords as a tuple of Fractions; a Fraction is kept, not rebuilt."""
-    return tuple([c if type(c) is Fraction else Fraction(c) for c in coords])
 
 
 def random_rational_point(rng: random.Random, nvars: int, height: int = 1000) -> Point:
@@ -48,7 +44,7 @@ class MultConstraint:
     order: int
 
     def __post_init__(self):
-        object.__setattr__(self, "point", as_point(self.point))
+        object.__setattr__(self, "point", as_fractions(self.point))
         if self.order < 1:
             raise ValueError("multiplicity constraints need order >= 1")
 
@@ -102,14 +98,16 @@ class MultConstraint:
 # proved, and the exact suffix ranks decide the rest.
 #
 # Every row of B, of C' and of C at the origin comes from `_jet_rows`. Each
-# variable has a table of (u + x_i)^a, scaled to integers; each table row is
-# lifted once onto the exponents alpha_i of the monomials, and row beta is
-# the elementwise product of its n lifted rows, one new list per row.
+# variable has a table of the coefficients of u^b, b <= top, in (u + x_i)^a,
+# scaled to integers; each table row is lifted once onto the exponents
+# alpha_i of the monomials, and row beta is the elementwise product of its n
+# lifted rows, one new list per row.
 
 
-def _taylor_tables(point: Point, degree: int) -> list[list[list[int]]]:
-    """tables[i][b][a] = C(a, b) * p^(a - b) * q^(degree - a) for x_i = p/q:
-    the coefficient of u^b in (u + x_i)^a, times q^(degree - b); zero for b > a."""
+def _taylor_tables(point: Point, degree: int, top: int) -> list[list[list[int]]]:
+    """tables[i][b][a] = C(a, b) * p^(a - b) * q^(degree - a) for x_i = p/q,
+    b <= top: the coefficient of u^b in (u + x_i)^a, times q^(degree - b);
+    zero for b > a."""
     tables = []
     for c in point:
         p_powers = [c.numerator**e for e in range(degree + 1)]
@@ -117,7 +115,7 @@ def _taylor_tables(point: Point, degree: int) -> list[list[list[int]]]:
         tables.append(
             [
                 [comb(a, b) * p_powers[a - b] * q_powers[degree - a] if b <= a else 0 for a in range(degree + 1)]
-                for b in range(degree + 1)
+                for b in range(top + 1)
             ]
         )
     return tables
@@ -128,15 +126,15 @@ def _jet_rows(tables, betas: Sequence[Exponent], monomials: Sequence[Exponent]) 
     is, the order-|beta| Taylor coefficient of the monomial alpha at x, with the
     row scaled by a positive integer.
 
-    The entry is the product over i of tables[i][beta_i][alpha_i].  Each table
-    row tables[i][b] is lifted once onto the exponents alpha_i of the columns,
+    The entry is the product over i of tables[i][beta_i][alpha_i], so the
+    tables hold the rows b up to the largest beta_i.  Each table row
+    tables[i][b] is lifted once onto the exponents alpha_i of the columns,
     and row beta is the elementwise product of its n lifted rows, a new list
     that the caller owns."""
-    top = max(map(max, betas), default=-1)
     lifted = []  # lifted[i][b][j] = tables[i][b][monomials[j][i]]
     for i, table in enumerate(tables):
         column = [alpha[i] for alpha in monomials]
-        lifted.append([list(map(row.__getitem__, column)) for row in table[: top + 1]])
+        lifted.append([list(map(row.__getitem__, column)) for row in table])
     rows = []
     for beta in betas:
         factors = [by_order[b] for by_order, b in zip(lifted, beta)]
@@ -180,7 +178,7 @@ class LinearSystem:
         return graded_lex_monomials(self.nvars, self.degree)
 
     def _check_point(self, point: Sequence) -> Point:
-        point = as_point(point)
+        point = as_fractions(point)
         if len(point) != self.nvars:
             raise ValueError("point arity mismatch")
         return point
@@ -196,8 +194,9 @@ class LinearSystem:
         return [row for c in self.constraints for row in self._constraint_rows(c, origin)]
 
     def _constraint_rows(self, constraint: MultConstraint, origin: Point) -> list[list[int]]:
-        betas = self.monomials[: jet_basis_size(self.nvars, self._top(constraint))]
-        tables = _taylor_tables(tuple(a - b for a, b in zip(constraint.point, origin)), self.degree)
+        top = self._top(constraint)
+        betas = self.monomials[: jet_basis_size(self.nvars, top)]
+        tables = _taylor_tables(tuple(a - b for a, b in zip(constraint.point, origin)), self.degree, top)
         return _jet_rows(tables, betas, self.monomials)
 
     @cached_property
@@ -206,8 +205,9 @@ class LinearSystem:
         columns [t:] of B, and so of C' at every point with no x_i equal to
         p_i, from one exact elimination of B."""
         (constraint,) = self.constraints
-        betas = self.monomials[: jet_basis_size(self.nvars, self._top(constraint))]
-        tables = _taylor_tables((Fraction(1),) * self.nvars, self.degree)
+        top = self._top(constraint)
+        betas = self.monomials[: jet_basis_size(self.nvars, top)]
+        tables = _taylor_tables((Fraction(1),) * self.nvars, self.degree, top)
         return exact_suffix_ranks(_jet_rows(tables, betas, self.monomials))
 
 
@@ -283,7 +283,7 @@ def moving_seshadri_lower(
     equality when reached."""
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
-    point = as_point(point)
+    point = as_fractions(point)
     m_values = tuple(range(1, m_max + 1))
     s_values = tuple(jet_separation(series(m), point) for m in m_values)
     lower = max(Fraction(s, m) for m, s in zip(m_values, s_values))
@@ -298,7 +298,7 @@ def blowup_anticanonical_series(
     """Series m -> {degree m*(n+1) forms with multiplicity >= m at the base
     point}: the anticanonical systems of the blowup of P^n at one point,
     restricted to an affine chart."""
-    base_point = as_point(base_point)
+    base_point = as_fractions(base_point)
 
     def series(m: int) -> LinearSystem:
         return LinearSystem(nvars, m * (nvars + 1), [MultConstraint(base_point, m)])

@@ -12,33 +12,27 @@ lattice is built from its Gram matrix and its curves as integer rows over one
 positive denominator each, and `_check_rows` checks them on those rows.  The
 public constructor forms the rows from its Fractions; `ruled_surface_lattice`
 and the CLI's JSON reader pass integer rows to `SurfaceLattice._of_integers`,
-which builds the Fraction fields from them, one Fraction per distinct entry,
-and a curve's class only when it is asked for.  A class carries its
-coordinates as integer numerators over one positive denominator from birth,
-and keeps G*d for the last Gram matrix it was paired with, so a pairing is one
-integer dot and one Fraction, and `SurfaceLattice.curve_pairings` gives a
-class's pairings with every declared curve from one integer dot per curve.
-The Zariski step takes the solve's integer numerators over det(-G) and forms
-N and P as integer rows over one denominator.  The signs that steer the
-support scan, the nef test and the P^2 check are read off integer
-numerators; only reported values become Fractions.
+which builds the Fraction fields from them, one Fraction per distinct entry.
+A class carries its coordinates as integer numerators over one positive
+denominator from birth, so a pairing is integer dots and one Fraction, and
+`SurfaceLattice.curve_pairings` gives a class's pairings with every declared
+curve from G*d and one integer dot per curve.  The Zariski step takes the
+solve's integer numerators over det(-G) and forms N and P as integer rows
+over one denominator.  The signs that steer the support scan, the nef test
+and the P^2 check are read off integer numerators; only reported values
+become Fractions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from math import lcm
 from operator import mul
 from typing import List, Tuple
 
 from .exactmath import negative_definite_solve
-
-
-def _fractions(coords) -> Tuple[Fraction, ...]:
-    """coords as a tuple of Fractions; a Fraction is kept, not rebuilt."""
-    return tuple([c if type(c) is Fraction else Fraction(c) for c in coords])
+from .exactmath.scalars import as_fractions
 
 
 def _integral_rows(rows) -> Tuple[Tuple[Tuple[int, ...], ...], int]:
@@ -91,12 +85,9 @@ class DivisorClass:
 
     coords: Tuple[Fraction, ...]
     integral: Tuple[Tuple[int, ...], int] = field(init=False, repr=False, compare=False)
-    # (gram rows, numerators, den) of G*d for the last Gram matrix, given as a
-    # lattice's `_gram_rows`, that d was paired with.
-    _gram_product: tuple = field(default=(None,), init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        coords = _fractions(self.coords)
+        coords = as_fractions(self.coords)
         (numerators,), den = _integral_rows((coords,))
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "integral", (numerators, den))
@@ -108,18 +99,15 @@ class DivisorClass:
         constructor here, it fills the frozen fields directly."""
         self = object.__new__(cls)
         coords = map(Fraction, numerators) if den == 1 else [Fraction(x, den) for x in numerators]
-        self.__dict__.update(coords=tuple(coords), integral=(numerators, den), _gram_product=(None,))
+        self.__dict__.update(coords=tuple(coords), integral=(numerators, den))
         return self
-
-    def is_zero(self) -> bool:
-        return not any(self.integral[0])
 
 
 @dataclass(frozen=True)
 class CurveClass:
     """Declared irreducible curve: coordinates, whether it passes through the
     marked point, and its multiplicity there, which the lattice checks is
-    >= 1.  `divisor` is its class, built when it is first asked for."""
+    >= 1."""
 
     name: str
     coords: Tuple[Fraction, ...]
@@ -127,11 +115,7 @@ class CurveClass:
     mult: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "coords", _fractions(self.coords))
-
-    @cached_property
-    def divisor(self) -> DivisorClass:
-        return DivisorClass(self.coords)
+        object.__setattr__(self, "coords", as_fractions(self.coords))
 
 
 @dataclass(frozen=True)
@@ -151,7 +135,7 @@ class SurfaceLattice:
     _curve_rows: Tuple[Tuple[Tuple[int, ...], ...], int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        gram = tuple(map(_fractions, self.gram))
+        gram = tuple(map(as_fractions, self.gram))
         object.__setattr__(self, "gram", gram)
         gram_rows = _integral_rows(gram)
         curve_rows = _integral_rows([c.coords for c in self.curves])
@@ -183,15 +167,11 @@ class SurfaceLattice:
         )
         return self
 
-    def _gram_times(self, d: DivisorClass) -> Tuple[Tuple[int, ...], int]:
-        """(numerators, den) of G*d, formed once per class and Gram matrix."""
-        memo = d._gram_product
-        if memo[0] is not self._gram_rows:
-            nums, dden = d.integral
-            rows, gden = self._gram_rows
-            memo = (self._gram_rows, tuple([_dot(row, nums) for row in rows]), gden * dden)
-            object.__setattr__(d, "_gram_product", memo)
-        return memo[1], memo[2]
+    def _gram_times(self, d: DivisorClass) -> Tuple[List[int], int]:
+        """(numerators, den) of G*d."""
+        nums, dden = d.integral
+        rows, gden = self._gram_rows
+        return [_dot(row, nums) for row in rows], gden * dden
 
     def pairing(self, a: DivisorClass, b: DivisorClass) -> Fraction:
         gb, den = self._gram_times(b)

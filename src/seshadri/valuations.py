@@ -15,7 +15,7 @@ from typing import Optional, Sequence, Tuple
 
 from .exactmath import INFINITY, WPolynomial
 from .exactmath import polynomials
-from .exactmath.scalars import _normal, more_digits
+from .exactmath.scalars import _normal, more_digits, power_has_more_digits
 
 
 @dataclass(frozen=True)
@@ -272,15 +272,14 @@ def _witness_exceeds_digits(m: int, level: int, b: int, top: int, digits: int) -
     a coefficient or an exponent of more than `digits` digits, decided
     without building it.  Its coefficients 2^(n-i) C(n, i) C(n-1-i, b-1-i)
     in absolute value are a product of log-concave sequences in i, so they
-    rise to one peak and fall; the first, at least 2^n, is over 10^digits
-    once n > 4*digits."""
+    rise to one peak and fall; the first is at least 2^n."""
     # the largest exponents: top, and the s-exponent of the lowest t-degree
     if more_digits(max(top, level - (m - 1) * (top % 2 if b else top)), digits):
         return True
     if not b:
         return False
     n = top // 2
-    if n > 4 * digits:
+    if power_has_more_digits(2, n, digits, 0):
         return True
     lo, hi = 0, b - 1
     while lo < hi:  # the peak: the first i whose successor is no larger
@@ -300,7 +299,7 @@ def galois_field_over_digits(m: int, k: int, digits: int) -> Optional[str]:
     bound = Fraction(2 * m * k, 2 * m - 1)
     if more_digits(_least_mult(m, k, level), digits):
         return "min_mult"
-    if more_digits(bound.numerator, digits):  # above the denominator, as 2mk > 2m - 1
+    if more_digits(bound, digits):
         return "bound"
     return "witness" if _witness_exceeds_digits(m, level, b, top, digits) else None
 

@@ -11,7 +11,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional, Tuple
 
-from .exactmath.scalars import more_digits
+from .exactmath.scalars import more_digits, power_has_more_digits
 
 
 @dataclass(frozen=True)
@@ -70,20 +70,15 @@ def wps_field_over_digits(w: WeightVector, digits: int) -> Optional[str]:
     that is over.  The form a0 = 1 <= a1 <= ... <= an is checked first, with
     the messages of wps_seshadri.
 
-    The volume is s^n / (a1 * ... * an) with s = 1 + a1 + ... + an >= 2.
-    With s of bit length L, its numerator in lowest terms is at least
-    2^((L-1)n) / 2^(bits(a1) + ... + bits(an)), which is over
-    10^digits < 2^(4*digits) once (L-1)n >= 4*digits + sum of bits(ai).
-    Below that, s^n has fewer than twice as many bits, and the volume is
-    built."""
+    The volume is s^n / (a1 * ... * an) with s = 1 + a1 + ... + an, and the
+    product has at most bits(a1) + ... + bits(an) bits."""
     seshadri = wps_seshadri(w)
-    if more_digits(max(seshadri.numerator, seshadri.denominator), digits):
+    if more_digits(seshadri, digits):
         return "seshadri"
     ws = w.weights
-    if (sum(ws).bit_length() - 1) * w.n >= 4 * digits + sum(map(int.bit_length, ws[1:])):
+    if power_has_more_digits(sum(ws), w.n, digits, sum(map(int.bit_length, ws[1:]))):
         return "volume"
-    volume = wps_anticanonical_volume(w)
-    return "volume" if more_digits(max(volume.numerator, volume.denominator), digits) else None
+    return "volume" if more_digits(wps_anticanonical_volume(w), digits) else None
 
 
 @dataclass(frozen=True)
@@ -162,21 +157,16 @@ def whs_field_over_digits(spec: WeightedHypersurfaceSpec, digits: int) -> Option
     a volume that is over.  n, k, l, d are given and m <= d, so only r, the
     bound and the volume can be over.
 
-    The volume is a^n d / (kl) with a = n - r >= 1.  With a of bit length L,
-    its numerator in lowest terms is at least 2^((L-1)n) / (kl), which is
-    over 10^digits < 2^(4*digits) once (L-1)n >= 4*digits + bits(kl).  Below
-    that, a^n has fewer than twice as many bits (or a = 1), and the volume
-    is built."""
-    if more_digits(abs(spec.r), digits):
+    The volume is a^n d / (kl) with a = n - r >= 1, and its numerator in
+    lowest terms is at least that of a^n / (kl)."""
+    if more_digits(spec.r, digits):
         return "r"
     bound, _ = whs_seshadri_bound(spec)
-    if more_digits(max(bound.numerator, bound.denominator), digits):
+    if more_digits(bound, digits):
         return "bound"
-    a, kl = spec.n - spec.r, spec.k * spec.l
-    if (a.bit_length() - 1) * spec.n >= 4 * digits + kl.bit_length():
+    if power_has_more_digits(spec.n - spec.r, spec.n, digits, (spec.k * spec.l).bit_length()):
         return "volume"
-    volume = whs_volume(spec)
-    return "volume" if more_digits(max(volume.numerator, volume.denominator), digits) else None
+    return "volume" if more_digits(whs_volume(spec), digits) else None
 
 
 def whs_record(spec: WeightedHypersurfaceSpec) -> dict:

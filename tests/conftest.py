@@ -8,6 +8,7 @@ import pytest
 
 from seshadri.exactmath import QuadExt, Scalar, WPolynomial
 from seshadri.exactmath.polynomials import SQRT2_WEIGHT
+from seshadri.surfaces import DivisorClass
 
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -29,6 +30,11 @@ def _src_on_the_childrens_import_path():
 def monomial(exp, c=1) -> WPolynomial:
     """The polynomial c * x^exp, in len(exp) variables."""
     return WPolynomial({tuple(exp): c}, len(exp))
+
+
+def curve_class(curve) -> DivisorClass:
+    """The divisor class of a declared curve."""
+    return DivisorClass(curve.coords)
 
 
 def rational_parts(x: Scalar) -> tuple[Fraction, Fraction]:

@@ -50,6 +50,8 @@ from seshadri.wps import (
     wps_seshadri,
 )
 
+from conftest import curve_class
+
 
 @contextmanager
 def budget(seconds: float):
@@ -185,20 +187,20 @@ def test_ruled_pipeline_reproduces_the_closed_form_with_axioms():
                     p + n for p, n in zip(positive.coords, negative.coords)
                 ) == minus_k.coords
                 assert all(
-                    lattice.pairing(positive, c.divisor) >= 0 for c in lattice.curves
+                    lattice.pairing(positive, curve_class(c)) >= 0 for c in lattice.curves
                 )
                 assert lattice.pairing(positive, negative) == 0
                 support = [c for c in lattice.curves if c.name in dec.support]
                 if support:
                     gram = [
-                        [lattice.pairing(a.divisor, b.divisor) for b in support]
+                        [lattice.pairing(curve_class(a), curve_class(b)) for b in support]
                         for a in support
                     ]
                     # Negative definite, and N's coefficients solve
                     # gram * x = (-K.C) on the support.  E, F and -K have
                     # integer coordinates on an integer Gram matrix, so the
                     # system is integral as it stands.
-                    rhs = [lattice.pairing(minus_k, c.divisor) for c in support]
+                    rhs = [lattice.pairing(minus_k, curve_class(c)) for c in support]
                     assert all(x.denominator == 1 for row in [*gram, rhs] for x in row)
                     solution = negative_definite_solve(
                         [[x.numerator for x in row] for row in gram],

@@ -35,6 +35,7 @@ from seshadri.exactmath.polynomials import (
     _Parser,
     _tokenize,
 )
+from seshadri.exactmath.scalars import as_fractions, more_digits, power_has_more_digits
 from seshadri.valuations import MonomialValuation, Twist, _expand_twist
 
 from conftest import monomial, parse_scalar, rational_parts
@@ -231,6 +232,54 @@ def test_format_scalar_examples():
     assert format_scalar(Fraction(4, 5)) == "4/5"
     assert format_scalar(Fraction(3)) == "3"
     assert format_scalar(QuadExt(Fraction(1, 2), Fraction(-1, 3))) == "1/2-1/3*sqrt(2)"
+
+
+def test_as_fractions_keeps_a_fraction_and_converts_the_rest():
+    half = Fraction(1, 2)
+    point = as_fractions([half, 3, "2/6"])
+    assert point == (half, Fraction(3), Fraction(1, 3))
+    assert point[0] is half and all(type(c) is Fraction for c in point)
+
+
+@pytest.mark.parametrize("digits", [1, 2, 7, 60, MAX_NUMBER_DIGITS])
+def test_more_digits_reads_the_absolute_numerator_and_the_denominator(digits):
+    most, over = 10**digits - 1, 10**digits
+    cases = [
+        (most, False),
+        (over, True),
+        (-most, False),
+        (-over, True),
+        (0, False),
+        (Fraction(1, most), False),
+        (Fraction(1, over), True),
+        (Fraction(-1, over), True),
+        (Fraction(-most, most - 1), False),
+        (Fraction(-over, most), True),
+    ]
+    assert [more_digits(x, digits) for x, _ in cases] == [expected for _, expected in cases]
+
+
+@pytest.mark.parametrize("digits", range(1, 61))
+def test_power_has_more_digits_is_one_sided(digits):
+    # True only where, for each y of at most divisor_bits bits, the numerator
+    # of x^n / y in lowest terms has more than `digits` digits.  The extremes
+    # are x = 2^(L-1), the least of its bit length, and y = 2^(divisor_bits-1),
+    # which divides x^n.  n runs from below (3*digits + divisor_bits)/(L-1) to
+    # past the threshold (4*digits + divisor_bits)/(L-1), where it decides.
+    rng = random.Random(f"power-digits:{digits}")
+    for _ in range(4):
+        length = rng.randint(2, 12)
+        divisor_bits = rng.choice([0, rng.randint(1, 40)])
+        xs = [2 ** (length - 1), 2**length - 1, rng.randrange(2 ** (length - 1), 2**length)]
+        ys = [1]
+        if divisor_bits:
+            ys = [2 ** (divisor_bits - 1), 2**divisor_bits - 1, rng.randrange(1, 2**divisor_bits)]
+        threshold = -(-(4 * digits + divisor_bits) // (length - 1))
+        for x in xs:
+            assert power_has_more_digits(x, threshold, digits, divisor_bits)
+            for n in range((3 * digits + divisor_bits) // (length - 1) - 1, threshold + 2):
+                if power_has_more_digits(x, n, digits, divisor_bits):
+                    assert all(len(str(Fraction(x**n, y).numerator)) > digits for y in ys), (x, n)
 
 
 # -- polynomials ---------------------------------------------------------------

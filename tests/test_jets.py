@@ -21,7 +21,6 @@ from seshadri.jets import (
     SeshadriEstimate,
     _jet_rows,
     _taylor_tables,
-    as_point,
     blowup_anticanonical_series,
     blowup_line_bound,
     jet_separation,
@@ -380,7 +379,7 @@ def test_jet_rows_are_the_scaled_taylor_coefficients(nvars, degree):
     monomials = graded_lex_monomials(nvars, degree)
     for _ in range(3):
         x = _kernel_point(rng, nvars)
-        tables = _taylor_tables(x, degree)
+        tables = _taylor_tables(x, degree, degree)
         # A leading block of jets, as LinearSystem takes, and a sample of
         # rows in any order.
         top = rng.randint(0, min(degree, 2))
@@ -400,7 +399,7 @@ def test_jet_rows_are_new_lists(nvars):
     # table row kept for a later call, or a table row.
     degree = 4
     monomials = graded_lex_monomials(nvars, degree)
-    tables = _taylor_tables(tuple(Fraction(i + 2, 3) for i in range(nvars)), degree)
+    tables = _taylor_tables(tuple(Fraction(i + 2, 3) for i in range(nvars)), degree, degree)
     betas = [monomials[1], monomials[1], monomials[0], monomials[-1], monomials[0]]
     first = _jet_rows(tables, betas, monomials)
     second = _jet_rows(tables, betas, monomials)
@@ -408,13 +407,6 @@ def test_jet_rows_are_new_lists(nvars):
     tables_rows = [row for table in tables for row in table]
     ids = [id(row) for row in first + second + tables_rows]
     assert len(set(ids)) == len(ids)
-
-
-def test_as_point_keeps_a_fraction_and_converts_the_rest():
-    half = Fraction(1, 2)
-    point = as_point([half, 3, "2/6"])
-    assert point == (half, Fraction(3), Fraction(1, 3))
-    assert point[0] is half and all(type(c) is Fraction for c in point)
 
 
 # -- the modular certificate and its exact fallbacks --------------------------------

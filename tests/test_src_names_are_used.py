@@ -1,7 +1,8 @@
 """Every function, class, method and module-level name in src/seshadri is
 used by the package itself: by the CLI, the reproduce table, or a function
 that one of them reaches.  A helper or a constant that only the tests read
-belongs in the tests.
+belongs in the tests.  And no two functions or methods in src/seshadri have
+the same body: a helper is written once and imported.
 
 A name counts as used when another part of the package reads it, as a name
 or as an attribute, or when the parser stores it as a subcommand's handler.
@@ -63,6 +64,22 @@ def _unreferenced(sources: dict[str, str]) -> list[str]:
             if not any(ref == name and id(node) not in own for ref, node in references):
                 unused.append(f"{path}: {qualname}")
     return unused
+
+
+def _same_bodies(sources: dict[str, str]) -> list[list[str]]:
+    """Groups of 'module: qualified name' of the non-dunder functions and
+    methods in sources, a map of module path to text, whose bodies are the
+    same, docstring aside."""
+    by_body: dict[str, list[str]] = {}
+    for path, text in sources.items():
+        for qualname, name, node in _definitions(ast.parse(text)):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            body = node.body[1:] if ast.get_docstring(node) is not None else node.body
+            by_body.setdefault(ast.dump(ast.Module(body, [])), []).append(f"{path}: {qualname}")
+    return [names for names in by_body.values() if len(names) > 1]
 
 
 def _package_sources() -> dict[str, str]:
@@ -128,3 +145,20 @@ def test_the_guard_counts_handlers_and_methods_and_skips_dunders():
         "def build(p):\n    p.set_defaults(handler='cmd_run')\n"
     )
     assert _unreferenced({"m.py": tree}) == ["m.py: A.unused", "m.py: build"]
+
+
+def test_no_two_functions_in_the_package_have_the_same_body():
+    assert _same_bodies(_package_sources()) == []
+
+
+def test_the_same_body_guard_sees_a_copied_helper_and_skips_dunders():
+    tree = (
+        "def halve(x):\n    '''x / 2'''\n    return x / 2\n"
+        "def third(x):\n    return x / 3\n"
+        "class A:\n"
+        "    def __eq__(self, other):\n        return True\n"
+        "    def __ne__(self, other):\n        return True\n"
+        "    def half(self, x):\n        '''the half of x'''\n        return x / 2\n"
+        "    def third(self, y):\n        return y / 3\n"
+    )
+    assert _same_bodies({"m.py": tree}) == [["m.py: halve", "m.py: A.half"]]

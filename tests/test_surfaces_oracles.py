@@ -25,6 +25,8 @@ from seshadri.surfaces import (
     zariski_decomposition,
 )
 
+from conftest import curve_class
+
 
 def loop_pairing(gram, a, b) -> Fraction:
     """sum over i, j of a_i * b_j * G_ij, one Fraction product at a time."""
@@ -312,7 +314,7 @@ def test_a_lattice_read_as_integer_rows_is_the_one_built_from_fractions(drawn, r
     assert (lat._gram_rows, lat._curve_rows) == (expected._gram_rows, expected._curve_rows)
     assert all(type(x) is Fraction for row in lat.gram for x in row)
     assert all(type(x) is Fraction for c in lat.curves for x in c.coords)
-    assert [c.divisor for c in lat.curves] == [c.divisor for c in expected.curves]
+    assert list(map(curve_class, lat.curves)) == list(map(curve_class, expected.curves))
     # The decomposition the CLI prints is the Fraction lattice's.
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
@@ -342,7 +344,7 @@ def test_the_ruled_lattice_is_the_one_built_from_fractions():
         assert (lat._gram_rows, lat._curve_rows) == (expected._gram_rows, expected._curve_rows)
         assert all(type(x) is Fraction for row in lat.gram for x in row)
         assert all(type(x) is Fraction for c in lat.curves for x in c.coords)
-        assert [c.divisor for c in lat.curves] == [c.divisor for c in expected.curves]
+        assert list(map(curve_class, lat.curves)) == list(map(curve_class, expected.curves))
 
 
 # -- time budgets -----------------------------------------------------------------
