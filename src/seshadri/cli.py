@@ -28,14 +28,15 @@ from .exactmath import (
     format_scalar,
     parse_product,
 )
-from .exactmath.scalars import numeral_has_more_digits
+from .exactmath.scalars import TOO_LONG, numeral_has_more_digits
 
 # -- serialization ------------------------------------------------------------
 
 
 def to_jsonable(obj):
     """Canonical JSON-ready form: exact scalars and polynomials as strings,
-    +inf as "inf"."""
+    +inf as "inf".  TOO_LONG, a number left unbuilt, raises ValueError, as
+    converting a built number of more than MAX_NUMBER_DIGITS digits does."""
     if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
         return obj
     if isinstance(obj, float):
@@ -50,6 +51,8 @@ def to_jsonable(obj):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [to_jsonable(v) for v in obj]
+    if obj is TOO_LONG:
+        raise ValueError(f"a number of more than {MAX_NUMBER_DIGITS} digits")
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
@@ -69,7 +72,8 @@ def _flatten(record: dict, prefix: str = "") -> dict:
 def emit(fmt: str, payload) -> str:
     """Serialize a record (or list of records) as canonical JSON or exact CSV.
     A number of more than MAX_NUMBER_DIGITS digits, which CPython will not
-    print, is an error that names its field."""
+    print, or TOO_LONG in its place, is an error that names its first field
+    that has one; no other code decides which field that is."""
     try:
         data = to_jsonable(payload)
         if fmt == "json":
@@ -93,13 +97,11 @@ def emit(fmt: str, payload) -> str:
                 try:
                     json.dumps(to_jsonable(value))
                 except ValueError:
-                    raise _too_long_answer(key) from None
+                    raise ValueError(
+                        f"the answer's {key} has a number of more than {MAX_NUMBER_DIGITS} digits"
+                    ) from None
         raise
     raise ValueError(f"unknown format {fmt!r}")
-
-
-def _too_long_answer(key: str) -> ValueError:
-    return ValueError(f"the answer's {key} has a number of more than {MAX_NUMBER_DIGITS} digits")
 
 
 # -- shared argument helpers --------------------------------------------------
@@ -122,7 +124,7 @@ class _LongInteger(str):
 
 
 def _json_int(text: str):
-    return _LongInteger(text) if len(text.lstrip("-")) > MAX_NUMBER_DIGITS else int(text)
+    return _LongInteger(text) if numeral_has_more_digits(text) else int(text)
 
 
 def _too_many_digits(where: str) -> ValueError:
@@ -161,7 +163,13 @@ def _read_json_arg(text: str):
     if text.startswith("@"):
         with open(text[1:], "r", encoding="utf-8") as handle:
             text = handle.read()
-    return json.loads(text, parse_int=_json_int)
+    try:
+        return json.loads(text)
+    except ValueError:
+        # CPython refuses an int of more than MAX_NUMBER_DIGITS digits; read
+        # again, keeping such an int as its text, so that its field is named.
+        # Malformed JSON raises the same error on both passes.
+        return json.loads(text, parse_int=_json_int)
 
 
 _KINDS = {dict: "a JSON object", list: "a JSON array", int: "an integer", bool: "true or false"}
@@ -202,28 +210,13 @@ def _fraction_point(coords, where: str) -> tuple[Fraction, ...]:
 def cmd_wps(args) -> tuple[object, int]:
     from . import wps
 
-    w = wps.WeightVector(_parse_weights(args.weights))
-    # emit would refuse the same answer, but only after building it
-    field = wps.wps_field_over_digits(w, MAX_NUMBER_DIGITS)
-    if field is not None:
-        raise _too_long_answer(field)
-    record = {
-        "weights": list(w.weights),
-        "seshadri": wps.wps_seshadri(w),
-        "volume": wps.wps_anticanonical_volume(w),
-    }
-    return record, 0
+    return wps.wps_record(wps.WeightVector(_parse_weights(args.weights))), 0
 
 
 def cmd_whs(args) -> tuple[object, int]:
     from . import wps
 
-    spec = wps.WeightedHypersurfaceSpec(args.n, args.k, args.l, args.d)
-    # emit would refuse the same answer, but only after building it
-    field = wps.whs_field_over_digits(spec, MAX_NUMBER_DIGITS)
-    if field is not None:
-        raise _too_long_answer(field)
-    return wps.whs_record(spec), 0
+    return wps.whs_record(wps.WeightedHypersurfaceSpec(args.n, args.k, args.l, args.d)), 0
 
 
 def cmd_jets(args) -> tuple[object, int]:
@@ -339,10 +332,6 @@ def cmd_valuation(args) -> tuple[object, int]:
     if args.op == "galois":
         if args.m is None or args.k is None:
             raise ValueError("--m and --k are required for op 'galois'")
-        # emit would refuse the same answer, but only after building it
-        field = valuations.galois_field_over_digits(args.m, args.k, MAX_NUMBER_DIGITS)
-        if field is not None:
-            raise _too_long_answer(field)
         result = valuations.galois_min_mult(args.m, args.k)
         return {
             "m": args.m,

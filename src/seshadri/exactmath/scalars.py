@@ -7,8 +7,11 @@ point anywhere; equality is exact.
 This module also owns the limit of MAX_NUMBER_DIGITS digits on a number read
 or printed, and every test against it: `more_digits` on a number,
 `power_has_more_digits` on a power not yet built, and
-`numeral_has_more_digits` on the text of a numeral.  `as_fractions` is the
-one coercion of a coordinate list to Fractions.
+`numeral_has_more_digits` on the text of a numeral.  A builder that shows
+with one of these that a number of its answer would be over leaves
+`TOO_LONG` in its place, which `cli.emit` refuses as it refuses a built
+number that is over.  `as_fractions` is the one coercion of a coordinate
+list to Fractions.
 """
 
 from __future__ import annotations
@@ -20,6 +23,17 @@ from typing import Tuple, Union
 # The most decimal digits in the numerator or the denominator of a number
 # read or printed: CPython's default limit on converting between str and int.
 MAX_NUMBER_DIGITS = 4300
+
+
+class _TooLong:
+    """The type of TOO_LONG."""
+
+    def __repr__(self):
+        return "TOO_LONG"
+
+
+# Stands for a number of more than MAX_NUMBER_DIGITS digits left unbuilt.
+TOO_LONG = _TooLong()
 
 
 def more_digits(x: Union[int, Fraction], digits: int) -> bool:

@@ -15,7 +15,7 @@ from typing import Optional, Sequence, Tuple
 
 from .exactmath import INFINITY, WPolynomial
 from .exactmath import polynomials
-from .exactmath.scalars import _normal, more_digits, power_has_more_digits
+from .exactmath.scalars import MAX_NUMBER_DIGITS, TOO_LONG, _normal, more_digits, power_has_more_digits
 
 
 @dataclass(frozen=True)
@@ -214,11 +214,12 @@ def ideal_min_multiplicity(query: ValuationIdealQuery) -> tuple[int, Fraction]:
 @dataclass(frozen=True)
 class GaloisMinMult:
     """Minimal multiplicity over nonzero rational members of the twisted
-    ideal, the 2mk/(2m-1) comparison bound, and a canonical minimal witness."""
+    ideal, the 2mk/(2m-1) comparison bound, and a canonical minimal witness,
+    or TOO_LONG in its place."""
 
     min_mult: int
     bound: Fraction
-    witness: WPolynomial
+    witness: object
 
 
 def _least_mult(m: int, k: int, level: int):
@@ -291,19 +292,6 @@ def _witness_exceeds_digits(m: int, level: int, b: int, top: int, digits: int) -
     return more_digits(2 ** (n - lo) * math.comb(n, lo) * math.comb(n - 1 - lo, b - 1 - lo), digits)
 
 
-def galois_field_over_digits(m: int, k: int, digits: int) -> Optional[str]:
-    """The first field of galois_min_mult(m, k), in the order of
-    GaloisMinMult, that has a number of more than `digits` digits, or None;
-    decided without building the witness."""
-    level, b, top = _galois_shape(m, k)
-    bound = Fraction(2 * m * k, 2 * m - 1)
-    if more_digits(_least_mult(m, k, level), digits):
-        return "min_mult"
-    if more_digits(bound, digits):
-        return "bound"
-    return "witness" if _witness_exceeds_digits(m, level, b, top, digits) else None
-
-
 def galois_min_mult(m: int, k: int) -> GaloisMinMult:
     """Minimal multiplicity at the origin of a nonzero rational member of
     I = (s^m, y)^k, y = t - sqrt(2)*s^(m-1), read off the norm form.
@@ -324,11 +312,14 @@ def galois_min_mult(m: int, k: int) -> GaloisMinMult:
     J = r//(m-1), that row is the member t^(2b+J) - R whose R has t-degree
     below 2b: R is t^(2b+J) mod N^b, and N^b is monic in t, so the row has
     lead 1 and integer coefficients with no content to remove, which
-    `_witness_coefficients` gives in closed form.
+    `_witness_coefficients` gives in closed form.  A witness with a number
+    of more than MAX_NUMBER_DIGITS digits is left as TOO_LONG.
     """
     level, b, top = _galois_shape(m, k)
-    # The level fixes the s-exponent of each power of t.
-    terms = {2 * i + top % 2: c for i, c in enumerate(_witness_coefficients(b, top))}
-    terms[top] = 1
-    witness = WPolynomial({(level - (m - 1) * d, d): x for d, x in terms.items()}, 2)
+    witness = TOO_LONG
+    if not _witness_exceeds_digits(m, level, b, top, MAX_NUMBER_DIGITS):
+        # The level fixes the s-exponent of each power of t.
+        terms = {2 * i + top % 2: c for i, c in enumerate(_witness_coefficients(b, top))}
+        terms[top] = 1
+        witness = WPolynomial({(level - (m - 1) * d, d): x for d, x in terms.items()}, 2)
     return GaloisMinMult(_least_mult(m, k, level), Fraction(2 * m * k, 2 * m - 1), witness)

@@ -9,9 +9,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Optional, Tuple
+from typing import Tuple
 
-from .exactmath.scalars import more_digits, power_has_more_digits
+from .exactmath.scalars import MAX_NUMBER_DIGITS, TOO_LONG, power_has_more_digits
 
 
 @dataclass(frozen=True)
@@ -64,21 +64,20 @@ def wps_anticanonical_volume(w: WeightVector) -> Fraction:
     return Fraction(sum(ws) ** n, prod)
 
 
-def wps_field_over_digits(w: WeightVector, digits: int) -> Optional[str]:
-    """The first field of the `wps` record, in record order, that has a number
-    of more than `digits` digits, or None; decided without building a volume
-    that is over.  The form a0 = 1 <= a1 <= ... <= an is checked first, with
-    the messages of wps_seshadri.
-
-    The volume is s^n / (a1 * ... * an) with s = 1 + a1 + ... + an, and the
-    product has at most bits(a1) + ... + bits(an) bits."""
+def wps_record(w: WeightVector) -> dict:
+    """CLI-facing record for a weighted projective space, its form checked
+    first, with the messages of wps_seshadri.  A volume that
+    `power_has_more_digits` shows is over MAX_NUMBER_DIGITS digits is left
+    as TOO_LONG: its product a1 * ... * an has at most bits(a1) + ... +
+    bits(an) bits."""
     seshadri = wps_seshadri(w)
-    if more_digits(seshadri, digits):
-        return "seshadri"
     ws = w.weights
-    if power_has_more_digits(sum(ws), w.n, digits, sum(map(int.bit_length, ws[1:]))):
-        return "volume"
-    return "volume" if more_digits(wps_anticanonical_volume(w), digits) else None
+    over = power_has_more_digits(sum(ws), w.n, MAX_NUMBER_DIGITS, sum(map(int.bit_length, ws[1:])))
+    return {
+        "weights": list(ws),
+        "seshadri": seshadri,
+        "volume": TOO_LONG if over else wps_anticanonical_volume(w),
+    }
 
 
 @dataclass(frozen=True)
@@ -108,8 +107,7 @@ class WeightedHypersurfaceSpec:
 
 # The most values of b that `largest_representable` scans: about 0.2 s at
 # 6.5 us per value with weights of 4300 digits, and 7 ms at 0.2 us with
-# weights of 7 digits, on a 2-core Xeon.  `whs` scans twice, once for the
-# digit check and once for the record.
+# weights of 7 digits, on a 2-core Xeon.  `whs` scans once.
 MAX_SCAN = 2**15
 
 
@@ -151,28 +149,19 @@ def whs_volume(spec: WeightedHypersurfaceSpec) -> Fraction:
     return Fraction((spec.n - spec.r) ** spec.n * spec.d, spec.k * spec.l)
 
 
-def whs_field_over_digits(spec: WeightedHypersurfaceSpec, digits: int) -> Optional[str]:
-    """The first field of whs_record(spec), in record order, that has a
-    number of more than `digits` digits, or None; decided without building
-    a volume that is over.  n, k, l, d are given and m <= d, so only r, the
-    bound and the volume can be over.
-
-    The volume is a^n d / (kl) with a = n - r >= 1, and its numerator in
-    lowest terms is at least that of a^n / (kl)."""
-    if more_digits(spec.r, digits):
-        return "r"
-    bound, _ = whs_seshadri_bound(spec)
-    if more_digits(bound, digits):
-        return "bound"
-    if power_has_more_digits(spec.n - spec.r, spec.n, digits, (spec.k * spec.l).bit_length()):
-        return "volume"
-    return "volume" if more_digits(whs_volume(spec), digits) else None
-
-
 def whs_record(spec: WeightedHypersurfaceSpec) -> dict:
-    """CLI-facing record for a weighted hypersurface."""
+    """CLI-facing record for a weighted hypersurface.  The volume is
+    a^n d / (kl) with a = n - r >= 1, and its numerator in lowest terms is at
+    least that of a^n / (kl); one that `power_has_more_digits` shows is over
+    MAX_NUMBER_DIGITS digits is left as TOO_LONG.
+
+    `largest_representable` may refuse before emit reads r, but no n, k, l,
+    d below 10^MAX_NUMBER_DIGITS, as the CLI reads them, meet both refusals:
+    an r that is over needs k + l >= 10^MAX_NUMBER_DIGITS, and then a scan
+    that is over needs d >= MAX_SCAN * max(k, l) > 10^MAX_NUMBER_DIGITS."""
     m = largest_representable(spec.d, spec.k, spec.l)
     bound, equality = _whs_bound(spec, m)
+    over = power_has_more_digits(spec.n - spec.r, spec.n, MAX_NUMBER_DIGITS, (spec.k * spec.l).bit_length())
     return {
         "n": spec.n,
         "k": spec.k,
@@ -182,7 +171,7 @@ def whs_record(spec: WeightedHypersurfaceSpec) -> dict:
         "m": m,
         "bound": bound,
         "equality": equality,
-        "volume": whs_volume(spec),
+        "volume": TOO_LONG if over else whs_volume(spec),
     }
 
 

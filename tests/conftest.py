@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from seshadri.cli import emit
 from seshadri.exactmath import QuadExt, Scalar, WPolynomial
 from seshadri.exactmath.polynomials import SQRT2_WEIGHT
 from seshadri.surfaces import DivisorClass
@@ -30,6 +31,15 @@ def _src_on_the_childrens_import_path():
 def monomial(exp, c=1) -> WPolynomial:
     """The polynomial c * x^exp, in len(exp) variables."""
     return WPolynomial({tuple(exp): c}, len(exp))
+
+
+def emit_refusal(record):
+    """The message of emit's refusal of the record, or None."""
+    try:
+        emit("json", record)
+    except ValueError as exc:
+        return str(exc)
+    return None
 
 
 def curve_class(curve) -> DivisorClass:

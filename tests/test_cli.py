@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seshadri import bounds, cli
+from seshadri import bounds, cli, valuations, wps
 from seshadri.cli import emit, main, to_jsonable
 from seshadri.exactmath import INFINITY, QuadExt, WPolynomial, parse_polynomial, parse_product
 from seshadri.exactmath.polynomials import (
@@ -34,6 +34,7 @@ from seshadri.exactmath.polynomials import (
     _Parser,
     _tokenize,
 )
+from seshadri.exactmath.scalars import TOO_LONG
 
 from conftest import parse_scalar
 
@@ -73,6 +74,26 @@ def test_to_jsonable_polynomials_use_the_canonical_format():
 def test_to_jsonable_rejects_unknown_types():
     with pytest.raises(TypeError, match="serialize"):
         to_jsonable(object())
+
+
+def test_to_jsonable_refuses_a_number_left_unbuilt_as_one_built():
+    with pytest.raises(ValueError, match="more than 4300 digits"):
+        to_jsonable(TOO_LONG)
+    with pytest.raises(ValueError, match="4300 digits"):
+        to_jsonable(Fraction(10**4300))
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_emit_names_the_first_field_over_whether_built_or_left_unbuilt(fmt):
+    over = Fraction(1, 10**4300)
+    for record, field in [
+        ({"a": 1, "b": TOO_LONG, "c": over}, "b"),
+        ({"a": 1, "b": over, "c": TOO_LONG}, "b"),
+        ({"a": [1, TOO_LONG]}, "a"),
+    ]:
+        with pytest.raises(ValueError) as excinfo:
+            emit(fmt, record)
+        assert str(excinfo.value) == f"the answer's {field} has a number of more than 4300 digits"
 
 
 def test_emit_json_is_compact_and_exact():
@@ -370,12 +391,41 @@ def test_valuation_galois_refuses_an_answer_too_long_to_print_at_once(capsys, m,
 
 
 def test_valuation_galois_refuses_as_emit_would_after_building(capsys, monkeypatch):
-    from seshadri import valuations
-
+    # With the witness guard off, the witness is built and emit refuses the
+    # bound first all the same.
     argv = ("valuation", "--weights", "1,1", "--op", "galois", "--m", "1" + "0" * 4299, "--k", "50")
     refused = run_cli(capsys, *argv)
-    monkeypatch.setattr(valuations, "galois_field_over_digits", lambda m, k, digits: None)
+    monkeypatch.setattr(valuations, "_witness_exceeds_digits", lambda *shape: False)
     assert run_cli(capsys, *argv) == refused
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize(
+    ("argv", "unbuilt", "field"),
+    [
+        (
+            ("wps", "--weights", ",".join(["1"] * 10001)),
+            lambda: wps.wps_record(wps.WeightVector((1,) * 10001))["volume"],
+            "volume",
+        ),
+        (
+            ("whs", "--n", "1000000", "--k", "1", "--l", "2", "--d", "1"),
+            lambda: wps.whs_record(wps.WeightedHypersurfaceSpec(10**6, 1, 2, 1))["volume"],
+            "volume",
+        ),
+        (
+            ("valuation", "--weights", "1,1", "--op", "galois", "--m", "2", "--k", "15000"),
+            lambda: valuations.galois_min_mult(2, 15000).witness,
+            "witness",
+        ),
+    ],
+    ids=["wps", "whs", "galois"],
+)
+def test_a_field_left_unbuilt_exits_2_with_the_refusal_of_emit(capsys, fmt, argv, unbuilt, field):
+    assert unbuilt() is TOO_LONG
+    code, out, err = run_cli(capsys, "--format", fmt, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: the answer's {field} has a number of more than {cli.MAX_NUMBER_DIGITS} digits\n"
 
 
 @pytest.mark.parametrize(
@@ -773,6 +823,22 @@ def test_invalid_inputs_exit_2_with_an_error_line(capsys, argv):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (("valuation", "--weights", "1,2", "--op", "minmult"), "--k is required for op 'minmult'"),
+        (("valuation", "--weights", "1,2", "--op", "minmult", "--k", "0"), "ideal level k must be >= 1"),
+        (
+            ("jets", '{"n":2,"d":2,"constraints":[{"type":"line","point":[0,0],"order":1}]}'),
+            "unknown constraint type 'line'",
+        ),
+    ],
+    ids=["minmult-without-k", "minmult-k-0", "jets-line-constraint"],
+)
+def test_a_minmult_or_constraint_refusal_exits_2_with_its_message(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("f", ["s/0", "s/(s-s)"])
 def test_a_division_by_zero_in_f_exits_2(capsys, f):
     code, out, err = run_cli(capsys, "valuation", "--weights", "1,2", "--op", "eval", "--f", f)
@@ -1047,6 +1113,15 @@ def test_a_number_over_the_digit_limit_exits_2_naming_where(capsys, argv, where)
     assert code == 2
     assert out == ""
     assert err == f"error: {where}: a number of more than {cli.MAX_NUMBER_DIGITS} digits\n"
+
+
+def test_an_int_at_the_digit_limit_is_read_beside_one_over_it(capsys):
+    # An int over the limit sends the whole text through the second read,
+    # which still reads a sign and 4300 digits as an int.
+    most = "-" + "9" * cli.MAX_NUMBER_DIGITS
+    system = f'{{"n":{most},"d":2,"point":[1],"curve_bound":{{"pairing":{LONG},"mult":1,"meets_base_locus":false}}}}'
+    where = "curve_bound.pairing"
+    assert run_cli(capsys, "jets", system) == (2, "", f"error: {where}: a number of more than 4300 digits\n")
 
 
 def test_a_number_at_the_digit_limit_is_read(capsys):

@@ -21,6 +21,7 @@ from seshadri.exactmath import (
 )
 from seshadri import valuations
 from seshadri.exactmath import polynomials
+from seshadri.exactmath.scalars import TOO_LONG
 from seshadri.valuations import (
     MonomialValuation,
     Twist,
@@ -34,7 +35,7 @@ from seshadri.valuations import (
     valuation_eval,
 )
 
-from conftest import monomial, rational_parts
+from conftest import emit_refusal, monomial, rational_parts
 
 ST = ("s", "t")
 SQRT2 = QuadExt(Fraction(0), Fraction(1))
@@ -641,23 +642,44 @@ def test_galois_closed_forms_match_the_scan_and_the_long_division():
         assert list(result.witness.coeffs.items()) == list(witness.coeffs.items()), (m, k)
 
 
-def _first_field_over(m, k, digits):
-    """The first field of the built galois_min_mult(m, k), in the order of
-    GaloisMinMult, with a number of more than `digits` digits, or None."""
+def _galois_record(m, k):
+    """The fields of galois_min_mult(m, k), in its order, with the witness
+    built whatever its size."""
+    level, b, top = valuations._galois_shape(m, k)
+    terms = {2 * i + top % 2: c for i, c in enumerate(valuations._witness_coefficients(b, top))}
+    terms[top] = 1
+    witness = WPolynomial({(level - (m - 1) * d, d): x for d, x in terms.items()}, 2)
+    bound = Fraction(2 * m * k, 2 * m - 1)
+    return {"min_mult": valuations._least_mult(m, k, level), "bound": bound, "witness": witness}
+
+
+def _guarded_record(m, k):
+    """The fields of galois_min_mult(m, k), in its order."""
     result = galois_min_mult(m, k)
-    witness = result.witness
+    return {"min_mult": result.min_mult, "bound": result.bound, "witness": result.witness}
+
+
+def _fields_over(m, k, digits):
+    """The fields of `_galois_record(m, k)`, in its order, with a number of
+    more than `digits` digits."""
+    record = _galois_record(m, k)
+    witness = record["witness"]
     numbers = {
-        "min_mult": [result.min_mult],
-        "bound": [result.bound.numerator, result.bound.denominator],
+        "min_mult": [record["min_mult"]],
+        "bound": [record["bound"].numerator, record["bound"].denominator],
         "witness": [abs(c.numerator) for c in witness.coeffs.values()] + [x for e in witness.coeffs for x in e],
     }
-    return next((field for field, xs in numbers.items() if len(str(max(xs))) > digits), None)
+    return [field for field, xs in numbers.items() if len(str(max(xs))) > digits]
 
 
 @settings(max_examples=120, deadline=None)
 @given(st.integers(2, 60), st.integers(1, 400), st.integers(1, 200))
 def test_the_galois_digit_check_matches_the_built_answer(m, k, digits):
-    assert valuations.galois_field_over_digits(m, k, digits) == _first_field_over(m, k, digits)
+    # The witness check at any digit limit against the built witness; at the
+    # limit of 4300 digits none of these witnesses is over.
+    over = valuations._witness_exceeds_digits(m, *valuations._galois_shape(m, k), digits)
+    assert over == ("witness" in _fields_over(m, k, digits))
+    assert _guarded_record(m, k) == _galois_record(m, k)
 
 
 @pytest.mark.parametrize(
@@ -674,20 +696,26 @@ def test_the_galois_digit_check_matches_the_built_answer(m, k, digits):
     ids=["k-4001-digits", "k-10^12", "m-k-10^9", "k-4300-digits", "m-4300-digits", "m-4001-digits", "m-4300-digits-k-2"],
 )
 def test_the_galois_digit_check_decides_huge_parameters_at_once(m, k, field):
-    # No level is scanned and no coefficient built: k(m-1) levels and
-    # coefficients of at least 2^n would take forever.  At k = 9*10^4299
-    # min_mult, at least 4k/3, is the first field too long; at m = 10^4299,
-    # k = 50 the bound's numerator 2mk is.  Where b = 0 the witness is one
-    # monomial whose exponents stay below m; at k = 2 it is
-    # -2*s^(2m-1) + s*t^2, whose exponent 2m - 1 is below the bound's 4m.
+    # No level is scanned and no coefficient of a witness that is over is
+    # built: k(m-1) levels and coefficients of at least 2^n would take
+    # forever.  At k = 9*10^4299 min_mult, at least 4k/3, is the first field
+    # too long; at m = 10^4299, k = 50 the bound's numerator 2mk is.  Where
+    # b = 0 the witness is one monomial whose exponents stay below m; at
+    # k = 2 it is -2*s^(2m-1) + s*t^2, whose exponent 2m - 1 is below the
+    # bound's 4m.
     start = time.perf_counter()
-    assert valuations.galois_field_over_digits(m, k, 4300) == field
+    refusal = emit_refusal(_guarded_record(m, k))
     assert time.perf_counter() - start < 0.1
+    assert refusal == (field and f"the answer's {field} has a number of more than 4300 digits")
 
 
 def test_the_witness_digit_check_reads_its_exponents():
     # At m = 10^4300, k = 2 the witness is -2*s^(2m-1) + s*t^2: only its
-    # exponent 2m - 1 is too long.  The answer names the bound, 4m, first.
+    # exponent 2m - 1 is too long, and it is left unbuilt.  The answer names
+    # the bound, 4m, first, as it does with the witness built.
     m = 10**4300
     assert valuations._witness_exceeds_digits(m, *valuations._galois_shape(m, 2), 4300)
-    assert valuations.galois_field_over_digits(m, 2, 4300) == "bound"
+    record = _guarded_record(m, 2)
+    assert record["witness"] is TOO_LONG
+    refusal = "the answer's bound has a number of more than 4300 digits"
+    assert emit_refusal(record) == emit_refusal(_galois_record(m, 2)) == refusal

@@ -9,22 +9,22 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from seshadri.cli import emit
-from seshadri.exactmath import MAX_NUMBER_DIGITS
+from seshadri.exactmath.scalars import TOO_LONG
 from seshadri.wps import (
     MAX_SCAN,
     WeightedHypersurfaceSpec,
     WeightVector,
     catalog_seshadri,
     largest_representable,
-    whs_field_over_digits,
     whs_record,
     whs_seshadri_bound,
     whs_volume,
     wps_anticanonical_volume,
-    wps_field_over_digits,
+    wps_record,
     wps_seshadri,
 )
+
+from conftest import emit_refusal
 
 # -- Seshadri constants of P(1, a1, ..., an) -----------------------------------
 
@@ -173,15 +173,6 @@ def test_largest_representable_past_sylvester_is_immediate(k):
     assert record["bound"] == record["volume"] == Fraction(d, k * l)
 
 
-def _emit_refusal(record):
-    """The message of emit's refusal of the record, or None."""
-    try:
-        emit("json", record)
-    except ValueError as exc:
-        return str(exc)
-    return None
-
-
 _WIDE = st.one_of(st.integers(1, 9), st.integers(1, 10**4300 - 1), st.sampled_from([10**4299, 10**4300 - 1]))
 
 
@@ -206,12 +197,20 @@ def _whs_specs_that_build_quickly(draw):
 @example(WeightedHypersurfaceSpec(4300, 1, 2, 4302))  # a = 1
 @example(WeightedHypersurfaceSpec(3, 2, 3, 5))
 def test_whs_digit_check_names_the_field_that_emit_refuses(spec):
-    field = whs_field_over_digits(spec, MAX_NUMBER_DIGITS)
-    expected = _emit_refusal(whs_record(spec))
-    if field is None:
-        assert expected is None
-    else:
-        assert expected == f"the answer's {field} has a number of more than {MAX_NUMBER_DIGITS} digits"
+    # emit refuses the record that leaves an unprintable volume unbuilt as it
+    # refuses the record built in full, and one it prints was built in full.
+    refusal = emit_refusal(whs_record(spec))
+    assert refusal == emit_refusal(_whs_record(spec))
+    if refusal is None:
+        assert whs_record(spec) == _whs_record(spec)
+
+
+def _whs_record(spec):
+    """whs_record(spec) with every field built."""
+    m = largest_representable(spec.d, spec.k, spec.l)
+    bound = Fraction((spec.n - spec.r) * m, spec.k * spec.l)
+    fields = {"n": spec.n, "k": spec.k, "l": spec.l, "d": spec.d, "r": spec.r, "m": m, "bound": bound}
+    return {**fields, "equality": spec.d <= spec.k * spec.l, "volume": whs_volume(spec)}
 
 
 def test_whs_digit_check_names_the_bound_before_the_volume():
@@ -220,8 +219,10 @@ def test_whs_digit_check_names_the_bound_before_the_volume():
     n = 10**4299
     spec = WeightedHypersurfaceSpec(n, 1, 2, n // 2)
     start = time.monotonic()
-    assert whs_field_over_digits(spec, MAX_NUMBER_DIGITS) == "bound"
+    record = whs_record(spec)
+    assert emit_refusal(record) == "the answer's bound has a number of more than 4300 digits"
     assert time.monotonic() - start < 0.5
+    assert record["volume"] is TOO_LONG
 
 
 @st.composite
@@ -237,6 +238,7 @@ def _weight_vectors_that_build_quickly(draw):
 
 
 def _wps_record(w):
+    """wps_record(w) with every field built."""
     return {"weights": list(w.weights), "seshadri": wps_seshadri(w), "volume": wps_anticanonical_volume(w)}
 
 
@@ -249,12 +251,10 @@ def _wps_record(w):
 @example(WeightVector((1,) * 1372))  # all ones, 4302 digits
 @example(WeightVector((1, 1, 2)))
 def test_wps_digit_check_names_the_field_that_emit_refuses(w):
-    field = wps_field_over_digits(w, MAX_NUMBER_DIGITS)
-    expected = _emit_refusal(_wps_record(w))
-    if field is None:
-        assert expected is None
-    else:
-        assert expected == f"the answer's {field} has a number of more than {MAX_NUMBER_DIGITS} digits"
+    refusal = emit_refusal(wps_record(w))
+    assert refusal == emit_refusal(_wps_record(w))
+    if refusal is None:
+        assert wps_record(w) == _wps_record(w)
 
 
 @pytest.mark.parametrize(
@@ -268,7 +268,7 @@ def test_wps_digit_check_names_the_field_that_emit_refuses(w):
 def test_wps_digit_check_keeps_the_form_errors(weights, message):
     # Each of the first two has a volume of more than 4300 digits.
     with pytest.raises(ValueError, match=message):
-        wps_field_over_digits(WeightVector(weights), MAX_NUMBER_DIGITS)
+        wps_record(WeightVector(weights))
 
 
 def test_whs_equality_bound_never_exceeds_dimension():
