@@ -197,8 +197,11 @@ def _field(desc: dict, key: str, where: str):
         raise ValueError(f"{where}: missing field {key!r}") from None
 
 
-def _fraction_point(coords, where: str) -> tuple[Fraction, ...]:
-    return tuple(_fraction(c, f"{where}[{i}]") for i, c in enumerate(_typed(coords, list, where)))
+def _numbers(values, where: str) -> list:
+    """A JSON array of numbers: an int, whose digits `_json_int` has bounded,
+    kept as it is, and any other entry read by `_fraction`."""
+    values = _typed(values, list, where)
+    return [c if type(c) is int else _fraction(c, f"{where}[{i}]") for i, c in enumerate(values)]
 
 
 # -- subcommands --------------------------------------------------------------
@@ -233,7 +236,7 @@ def cmd_jets(args) -> tuple[object, int]:
             raise ValueError(f"unknown constraint type {c.get('type')!r}")
         constraints.append(
             (
-                _fraction_point(_field(c, "point", at), f"{at}.point"),
+                _numbers(_field(c, "point", at), f"{at}.point"),
                 _typed(_field(c, "order", at), int, f"{at}.order"),
             )
         )
@@ -268,7 +271,7 @@ def cmd_jets(args) -> tuple[object, int]:
         )
     else:
         estimate = jets.moving_seshadri_lower(
-            series, _fraction_point(point_spec, "point"), m_max, curve_bound
+            series, _numbers(point_spec, "point"), m_max, curve_bound
         )
     record = {
         "s_values": list(estimate.s_values),
@@ -341,13 +344,6 @@ def cmd_valuation(args) -> tuple[object, int]:
             "witness": result.witness,
         }, 0
     raise ValueError(f"unknown valuation op {args.op!r}")
-
-
-def _numbers(values, where: str) -> list:
-    """A JSON array of numbers: an int, whose digits `_json_int` has bounded,
-    kept as it is, and any other entry read by `_fraction`."""
-    values = _typed(values, list, where)
-    return [c if type(c) is int else _fraction(c, f"{where}[{i}]") for i, c in enumerate(values)]
 
 
 def _lattice_from_json(desc):

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import comb
-from operator import mul
-from typing import Callable, Optional, Sequence, Tuple
+from operator import mul, sub
+from typing import Callable, Iterable, Optional, Sequence, Tuple
 
 from .exactmath import Exponent, graded_lex_monomials, jet_basis_size
 from .exactmath.linalg import certified_suffix_rank, exact_suffix_ranks
@@ -64,25 +64,27 @@ class MultConstraint:
 # column suffix C'[:, |J_s|:] keeps the rank of C. An order with |J_s| > dim W
 # cannot be separated.
 #
-# Step A, one constraint. Let it be order k at p, top = min(k - 1, d) and
-# delta = p - x. Row beta of C' (|beta| <= top) has the entry
-# prod_i C(alpha_i, beta_i) delta_i^(alpha_i - beta_i) in column alpha. When
-# no delta_i is 0, multiplying row beta by delta^beta and dividing column
-# alpha by delta^alpha leaves B[beta][alpha] = prod_i C(alpha_i, beta_i): C'
-# at delta = (1, ..., 1), the same matrix for every such x. Scaling a row or a
-# column by a nonzero number changes the rank of no column suffix, so B is
-# eliminated exactly, once per system (linalg's `exact_suffix_ranks`), and
-# each of those points reads its stop order from B's suffix ranks. rank(C)
-# needs no elimination at all: B[beta][alpha] is 0 unless beta <= alpha, and
-# 1 when beta = alpha, so in graded order the columns |alpha| <= top of B
-# form a unitriangular block, and rank(C) = rank(B) = |J_top|.
+# Step A, one constraint. Let it be order k at p, top = min(k - 1, d),
+# delta = p - x and Z = {i : x_i = p_i}. Row beta of C' (|beta| <= top) has
+# the entry prod_i C(alpha_i, beta_i) delta_i^(alpha_i - beta_i) in column
+# alpha. Multiplying row beta by prod_{i not in Z} delta_i^beta_i and dividing
+# column alpha by prod_{i not in Z} delta_i^alpha_i leaves B_Z[beta][alpha] =
+# prod_{i not in Z} C(alpha_i, beta_i) * prod_{i in Z} [alpha_i = beta_i]: C'
+# at the 0/1 point e_i = [x_i != p_i] (0^0 = 1), the same matrix for every x
+# with that pattern Z. Scaling a row or a column by a nonzero number changes
+# the rank of no column suffix, so B_Z is eliminated exactly, once per system
+# and pattern (linalg's `exact_suffix_ranks`), and each point reads its stop
+# order from the suffix ranks of its B_Z. rank(C) needs no elimination at
+# all: B_Z[beta][alpha] is 0 unless beta <= alpha, and 1 when beta = alpha,
+# so in graded order the columns |alpha| <= top of B_Z form a unitriangular
+# block, and rank(C) = rank(B_Z) = |J_top|.
 #
 # No constraint: W holds every form of degree <= d, rank(C) = 0, and W
 # separates d-jets at every point. So neither case builds the monomials to
-# count them: dim W = C(n + d, n) - rank(C).
+# count them: dim W = C(n + d, n) - rank(C). Which engine runs thus depends
+# on the number of constraints alone, never on the point.
 #
-# The shifted path decides every other case: a point with some x_i = p_i
-# (x = p among them), and every system of several constraints. Every
+# The shifted path decides every system of several constraints. Every
 # row of C' is scaled to integers, which leaves each rank unchanged, and
 # linalg's `certified_suffix_rank` ranks its column suffixes against the bound
 # rank(C). It eliminates C' once modulo PRIME, taking its columns from the
@@ -97,14 +99,14 @@ class MultConstraint:
 # PRIME (the scaled rows then degenerate). In those cases fewer orders are
 # proved, and the exact suffix ranks decide the rest.
 #
-# Every row of B, of C' and of C at the origin comes from `_jet_rows`. Each
+# Every row of B_Z, of C' and of C at the origin comes from `_jet_rows`. Each
 # variable has a table of the coefficients of u^b, b <= top, in (u + x_i)^a,
 # scaled to integers; each table row is lifted once onto the exponents
 # alpha_i of the monomials, and row beta is the elementwise product of its n
 # lifted rows, one new list per row.
 
 
-def _taylor_tables(point: Point, degree: int, top: int) -> list[list[list[int]]]:
+def _taylor_tables(point: Iterable[Fraction | int], degree: int, top: int) -> list[list[list[int]]]:
     """tables[i][b][a] = C(a, b) * p^(a - b) * q^(degree - a) for x_i = p/q,
     b <= top: the coefficient of u^b in (u + x_i)^a, times q^(degree - b);
     zero for b > a."""
@@ -170,6 +172,7 @@ class LinearSystem:
             rows = self._rows_at((Fraction(0),) * nvars)
             self._rank = certified_suffix_rank(rows, len(rows))(0)
         self.dimension = jet_basis_size(nvars, degree) - self._rank
+        self._ranks_by_pattern: dict[tuple[bool, ...], list[int]] = {}  # step A, see _suffix_ranks
 
     @cached_property
     def monomials(self) -> list[Exponent]:
@@ -191,24 +194,24 @@ class LinearSystem:
     def _rows_at(self, origin: Point) -> list[list[int]]:
         """The rows of C written in the monomials of u = y - origin, each
         scaled to integers."""
-        return [row for c in self.constraints for row in self._constraint_rows(c, origin)]
+        return [row for c in self.constraints for row in self._constraint_rows(c, map(sub, c.point, origin))]
 
-    def _constraint_rows(self, constraint: MultConstraint, origin: Point) -> list[list[int]]:
+    def _constraint_rows(self, constraint: MultConstraint, delta: Iterable[Fraction | int]) -> list[list[int]]:
         top = self._top(constraint)
         betas = self.monomials[: jet_basis_size(self.nvars, top)]
-        tables = _taylor_tables(tuple(a - b for a, b in zip(constraint.point, origin)), self.degree, top)
-        return _jet_rows(tables, betas, self.monomials)
+        return _jet_rows(_taylor_tables(delta, self.degree, top), betas, self.monomials)
 
-    @cached_property
-    def _suffix_ranks(self) -> list[int]:
-        """Step A, for a system of one constraint: ranks[t] is the rank of the
-        columns [t:] of B, and so of C' at every point with no x_i equal to
-        p_i, from one exact elimination of B."""
+    def _suffix_ranks(self, point: Point) -> list[int]:
+        """Step A, one constraint at p: ranks[t] is the rank of the columns
+        [t:] of B_Z, and so of C' at every x with Z = {i : x_i = p_i}; B_Z is
+        eliminated exactly once per system and pattern."""
         (constraint,) = self.constraints
-        top = self._top(constraint)
-        betas = self.monomials[: jet_basis_size(self.nvars, top)]
-        tables = _taylor_tables((Fraction(1),) * self.nvars, self.degree, top)
-        return exact_suffix_ranks(_jet_rows(tables, betas, self.monomials))
+        pattern = tuple([p != x for p, x in zip(constraint.point, point)])
+        ranks = self._ranks_by_pattern.get(pattern)
+        if ranks is None:
+            rows = self._constraint_rows(constraint, map(int, pattern))
+            ranks = self._ranks_by_pattern[pattern] = exact_suffix_ranks(rows)
+        return ranks
 
 
 def jet_separation(system: LinearSystem, point: Sequence) -> int:
@@ -221,8 +224,8 @@ def jet_separation(system: LinearSystem, point: Sequence) -> int:
     constraints = system.constraints
     if not constraints:
         return system.degree  # all forms of degree <= d separate d-jets
-    if len(constraints) == 1 and all(p != x for p, x in zip(constraints[0].point, point)):
-        suffix_rank = system._suffix_ranks.__getitem__
+    if len(constraints) == 1:
+        suffix_rank = system._suffix_ranks(point).__getitem__
     else:
         suffix_rank = certified_suffix_rank(system._rows_at(point), system._rank)
     best = -1

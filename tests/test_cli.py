@@ -1498,15 +1498,19 @@ def _jets_like(draw):
     """A jets system: mostly n <= 3 variables, degree d <= 4 and m_max <= 2,
     with no, one or several mult constraints of order 0 to d + 1 and
     coordinates of up to 20 digits, each field then replaced by a mistyped,
-    out-of-range or 4301-digit value or dropped with some chance.  Jets has no cost cap:
-    three constraints at m_max 2 or 20-digit coordinates can take minutes, so
-    several constraints come only with m_max 1 and one-digit coordinates."""
+    out-of-range or 4301-digit value or dropped with some chance.  A single
+    constraint is also met at points that share a random subset of their
+    coordinates with its point.  Jets has no cost cap, and only several
+    constraints can take minutes (three at m_max 2, or 20-digit coordinates),
+    so several constraints come only with m_max 1 and one-digit coordinates."""
     n, d = draw(st.integers(1, 3)), draw(st.integers(0, 4))
     several = draw(st.booleans())
     vector = st.lists(_small_coordinates if several else _coordinates, min_size=n, max_size=n)
     constraint = st.fixed_dictionaries({"type": st.just("mult"), "point": vector, "order": st.integers(0, d + 1)})
     constraints = draw(st.lists(constraint, min_size=2, max_size=3) if several else st.lists(constraint, max_size=1))
     points = [st.just("random"), vector] + [st.just(c["point"]) for c in constraints]
+    if len(constraints) == 1:
+        points.append(st.tuples(*(st.just(a) | _coordinates for a in constraints[0]["point"])).map(list))
     fields = {
         "n": n,
         "d": d,

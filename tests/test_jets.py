@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 import seshadri.exactmath.linalg as linalg_module
+import seshadri.jets as jets_module
 from seshadri import cli
 from seshadri.exactmath import ExactMatrix, exact_rank, graded_lex_monomials, jet_basis_size
 from seshadri.jets import (
@@ -465,13 +466,13 @@ def test_certified_suffix_rank_is_the_rank_of_every_column_suffix(seed, monkeypa
 
 def test_full_separation_is_certified_without_exact_elimination(monkeypatch):
     calls = _count_exact_ranks(monkeypatch)
-    constraints = [MultConstraint(ORIGIN, 2)]
+    constraints = [MultConstraint(ORIGIN, 2), MultConstraint((1, 1), 1)]
     system = LinearSystem(2, 6, constraints)
-    # x sits on the axis x_1 = 0 through the double point, so the shifted
-    # path decides it. Sextics double at the origin: the stop at s = 5 comes
-    # from the rank (21 jets against dimension 25), and only that step is
-    # decided exactly; every order up to 4 is certified by the modular rank
-    # alone.
+    # Two constraints take the shifted path. Sextics double at the origin and
+    # through (1, 1), at x on the axis x_1 = 0 through the double point: the
+    # stop at s = 5 comes from the rank (21 jets against dimension 24), and
+    # only that step is decided exactly; every order up to 4 is certified by
+    # the modular rank alone.
     x = (Fraction(0), random_rational_point(random.Random(11), 1)[0])
     assert jet_separation(LinearSystem(2, 3), x) == 3
     assert calls == []
@@ -568,43 +569,60 @@ def _one_point_system(rng):
     return LinearSystem(nvars, degree, [MultConstraint(p, rng.randint(1, degree + 2))])
 
 
+def _sharing(x, p, shared):
+    """x with the coordinates i in `shared` taken from p."""
+    return tuple(b if i in shared else a for i, (a, b) in enumerate(zip(x, p)))
+
+
 @pytest.mark.parametrize("seed", range(30))
 def test_step_a_matches_the_shifted_path(seed):
     rng = random.Random(f"step-a:{seed}")
     system = _one_point_system(rng)
     (constraint,) = system.constraints
     p = constraint.point
+    n = system.nvars
     # The constraint twice cuts out the same W, and a system of two
     # constraints always takes the shifted path.
-    twin = LinearSystem(system.nvars, system.degree, [constraint, constraint])
+    twin = LinearSystem(n, system.degree, [constraint, constraint])
     assert system.dimension == twin.dimension
-    x = small_point(rng, system.nvars)
+    x = small_point(rng, n)
     while any(a == b for a, b in zip(x, p)):
-        x = small_point(rng, system.nvars)
-    i = rng.randrange(system.nvars)
-    on_hyperplane = x[:i] + (p[i],) + x[i + 1 :]
-    for y in (x, on_hyperplane, p):
+        x = small_point(rng, n)
+    # Z = {i : y_i = p_i}: none, a random subset, and all (y = p).
+    some = set(rng.sample(range(n), rng.randint(0, n)))
+    for y in (x, _sharing(x, p, some), p):
         assert jet_separation(system, y) == jet_separation(twin, y)
-    # Every column suffix of C' at x, not only the one where separation stops.
-    shifted = system._rows_at(x)
-    size = len(system.monomials)
-    expected = [exact_rank(ExactMatrix.from_integer_rows(row[t:] for row in shifted)) for t in range(size)]
-    assert system._suffix_ranks == expected + [0]
-    assert system._suffix_ranks[0] == system._rank
+        # Every column suffix of C' at y, not only the one where separation stops.
+        shifted = system._rows_at(y)
+        size = len(system.monomials)
+        expected = [exact_rank(ExactMatrix.from_integer_rows(row[t:] for row in shifted)) for t in range(size)]
+        assert system._suffix_ranks(y) == expected + [0]
+        assert system._suffix_ranks(y)[0] == system._rank
 
 
 def test_step_a_shifts_no_rows_and_ranks_nothing_exactly(monkeypatch):
+    # Step A serves every point of a one-constraint system: a very general
+    # one, one on coordinate hyperplanes through the base point p, and p.
+    # The anticanonical systems of the blowup at p are invariant under the
+    # affine maps fixing p, which move any x != p to any other, so each
+    # x != p has s = n*m.
     calls = _count_exact_ranks(monkeypatch)
 
-    def refused(self, origin):
+    def refused(*args):
         raise AssertionError("the shifted path ran")
 
     monkeypatch.setattr(LinearSystem, "_rows_at", refused)
+    monkeypatch.setattr(jets_module, "certified_suffix_rank", refused)
     rng = random.Random(31)
     for n, m in ((1, 5), (2, 4), (3, 2)):
-        series = blowup_anticanonical_series(n, random_rational_point(rng, n))
+        p = random_rational_point(rng, n)
+        system = blowup_anticanonical_series(n, p)(m)
         x = random_rational_point(rng, n)
-        assert jet_separation(series(m), x) == n * m
+        assert jet_separation(system, x) == n * m
+        for k in range(1, n):
+            for shared in itertools.combinations(range(n), k):
+                assert jet_separation(system, _sharing(x, p, shared)) == n * m
+        assert jet_separation(system, p) == -1
     assert calls == []
 
 
@@ -618,6 +636,24 @@ def test_readme_jets_example_with_m_max_8_is_quick(capsys):
     record = json.loads(capsys.readouterr().out)
     assert record["s_values"] == [2 * m for m in range(1, 9)]
     assert record["lower"] == "2"
+
+
+@pytest.mark.parametrize("degree, order, m_max", [(4, 3, 2), (3, 2, 3), (3, 2, 4)])
+def test_point_sharing_a_long_coordinate_with_the_constraint_is_quick(degree, order, m_max, capsys):
+    # x_1 = p_1 with 20-digit coordinates: step A ranks B_Z, C' at a 0/1
+    # point, whose binomial entries do not grow with the coordinates.
+    p = [
+        "12345678901234567891/98765432109876543",
+        "-31415926535897932384/27182818284590452353",
+        "16180339887498948482/14142135623730950488",
+    ]
+    x = [p[0], "-27182818284590452353/31415926535897932384", "98765432109876543210/12345678901234567"]
+    constraint = {"type": "mult", "point": p, "order": order}
+    system = json.dumps({"n": 3, "d": degree, "constraints": [constraint], "point": x, "m_max": m_max})
+    start = time.monotonic()
+    assert cli.main(["jets", system]) == 0
+    assert time.monotonic() - start < 0.5
+    assert json.loads(capsys.readouterr().out)["s_values"] == list(range(1, m_max + 1))
 
 
 # -- several constraints: the del Pezzo surfaces of degree 7, 6 and 5 -----------------
