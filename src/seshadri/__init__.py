@@ -21,8 +21,9 @@ Galois twist needs it) — no floating point.  The pieces:
 
 Importing the package loads none of these; import the module whose names you
 use (``from seshadri.jets import LinearSystem``).  ``seshadri.cli`` loads only
-``exactmath`` up front, and each subcommand imports its own module when it
-runs, so a CLI call pays for the modules it uses and no others.
+``exactmath.scalars`` up front, and each subcommand imports its own module,
+and the ``exactmath`` submodules that module uses, when it runs, so a CLI
+call pays for the modules it uses and no others.
 """
 
 # The seed of random-point sampling in the CLI and in `reproduce`.

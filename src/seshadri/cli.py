@@ -13,31 +13,36 @@ import functools
 import io
 import json
 import math
-import random
 import sys
 from fractions import Fraction
 from typing import Optional
 
 from . import DEFAULT_SEED
-from .exactmath import (
+from .exactmath.scalars import (
     MAX_NUMBER_DIGITS,
-    BudgetExceeded,
+    TOO_LONG,
     QuadExt,
-    WPolynomial,
-    format_polynomial,
     format_scalar,
-    parse_product,
+    more_digits,
+    numeral_has_more_digits,
 )
-from .exactmath.scalars import TOO_LONG, numeral_has_more_digits
 
 # -- serialization ------------------------------------------------------------
 
 
 def to_jsonable(obj):
     """Canonical JSON-ready form: exact scalars and polynomials as strings,
-    +inf as "inf".  TOO_LONG, a number left unbuilt, raises ValueError, as
-    converting a built number of more than MAX_NUMBER_DIGITS digits does."""
-    if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
+    +inf as "inf".  A number of more than MAX_NUMBER_DIGITS digits, which
+    CPython will not print, raises ValueError, built or left unbuilt as
+    TOO_LONG.  `polynomials` is loaded only for an object that no other
+    branch takes, so an answer without a polynomial does not load it."""
+    if isinstance(obj, bool) or obj is None or isinstance(obj, str):
+        return obj
+    # An int of at most 3 * MAX_NUMBER_DIGITS bits is below 10^MAX_NUMBER_DIGITS
+    # (see `more_digits`): its bit length spares the call.
+    if isinstance(obj, int) and (
+        obj.bit_length() <= 3 * MAX_NUMBER_DIGITS or not more_digits(obj, MAX_NUMBER_DIGITS)
+    ):
         return obj
     if isinstance(obj, float):
         if math.isinf(obj):
@@ -45,15 +50,34 @@ def to_jsonable(obj):
         raise TypeError("refusing to serialize a finite float: all arithmetic is exact")
     if isinstance(obj, (Fraction, QuadExt)):
         return format_scalar(obj)
-    if isinstance(obj, WPolynomial):
-        return format_polynomial(obj)
     if isinstance(obj, dict):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [to_jsonable(v) for v in obj]
-    if obj is TOO_LONG:
+    if obj is TOO_LONG or isinstance(obj, int):
         raise ValueError(f"a number of more than {MAX_NUMBER_DIGITS} digits")
+    from .exactmath.polynomials import WPolynomial, format_polynomial
+
+    if isinstance(obj, WPolynomial):
+        return format_polynomial(obj)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _jsonable_record(record):
+    """to_jsonable(record); a record that is a dict is converted field by
+    field, so that the ValueError of a number over the limit names the first
+    top-level field, in record order, that has one."""
+    if not isinstance(record, dict):
+        return to_jsonable(record)
+    data = {}
+    for key, value in record.items():
+        try:
+            data[str(key)] = to_jsonable(value)
+        except ValueError:
+            raise ValueError(
+                f"the answer's {key} has a number of more than {MAX_NUMBER_DIGITS} digits"
+            ) from None
+    return data
 
 
 def _flatten(record: dict, prefix: str = "") -> dict:
@@ -71,36 +95,27 @@ def _flatten(record: dict, prefix: str = "") -> dict:
 
 def emit(fmt: str, payload) -> str:
     """Serialize a record (or list of records) as canonical JSON or exact CSV.
-    A number of more than MAX_NUMBER_DIGITS digits, which CPython will not
-    print, or TOO_LONG in its place, is an error that names its first field
-    that has one; no other code decides which field that is."""
-    try:
-        data = to_jsonable(payload)
-        if fmt == "json":
-            return json.dumps(data, separators=(",", ":"))
-        if fmt == "csv":
-            import csv
+    Each record is converted once, by `_jsonable_record`, which alone decides
+    which field of an answer has a number too long to print."""
+    if isinstance(payload, list):
+        data = [_jsonable_record(record) for record in payload]
+    else:
+        data = _jsonable_record(payload)
+    if fmt == "json":
+        return json.dumps(data, separators=(",", ":"))
+    if fmt == "csv":
+        import csv
 
-            rows = data if isinstance(data, list) else [data]
-            rows = [_flatten(r) if isinstance(r, dict) else {"value": r} for r in rows]
-            header: list[str] = []
-            for r in rows:
-                header.extend(k for k in r if k not in header)
-            out = io.StringIO()
-            writer = csv.DictWriter(out, fieldnames=header, lineterminator="\n")
-            writer.writeheader()
-            writer.writerows(rows)
-            return out.getvalue()
-    except ValueError:
-        for record in payload if isinstance(payload, list) else [payload]:
-            for key, value in record.items() if isinstance(record, dict) else ():
-                try:
-                    json.dumps(to_jsonable(value))
-                except ValueError:
-                    raise ValueError(
-                        f"the answer's {key} has a number of more than {MAX_NUMBER_DIGITS} digits"
-                    ) from None
-        raise
+        rows = data if isinstance(data, list) else [data]
+        rows = [_flatten(r) if isinstance(r, dict) else {"value": r} for r in rows]
+        header: list[str] = []
+        for r in rows:
+            header.extend(k for k in r if k not in header)
+        out = io.StringIO()
+        writer = csv.DictWriter(out, fieldnames=header, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+        return out.getvalue()
     raise ValueError(f"unknown format {fmt!r}")
 
 
@@ -207,7 +222,8 @@ def _numbers(values, where: str) -> list:
 # -- subcommands --------------------------------------------------------------
 #
 # Each handler imports the module it runs, so that importing this module and
-# building the parser load only `exactmath`, and a call loads what it uses.
+# building the parser load only `exactmath.scalars`, and a call loads what it
+# uses.
 
 
 def cmd_wps(args) -> tuple[object, int]:
@@ -223,6 +239,8 @@ def cmd_whs(args) -> tuple[object, int]:
 
 
 def cmd_jets(args) -> tuple[object, int]:
+    import random
+
     from . import jets
 
     where = "jets system"
@@ -296,6 +314,8 @@ def cmd_valuation(args) -> tuple[object, int]:
     if args.op in ("eval", "izumi"):
         if args.f is None:
             raise ValueError(f"--f is required for op {args.op!r}")
+        from .exactmath.polynomials import BudgetExceeded, parse_product
+
         run = valuations.valuation_eval if args.op == "eval" else valuations.izumi_check
         try:
             factors = parse_product(args.f, names, sqrt2=twist is not None)

@@ -20,8 +20,8 @@ from math import comb
 from operator import mul, sub
 from typing import Callable, Iterable, Optional, Sequence, Tuple
 
-from .exactmath import Exponent, graded_lex_monomials, jet_basis_size
 from .exactmath.linalg import certified_suffix_rank, exact_suffix_ranks
+from .exactmath.polynomials import Exponent, graded_lex_monomials, jet_basis_size
 from .exactmath.scalars import as_fractions
 
 Point = Tuple[Fraction, ...]

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Tuple
 
 from . import DEFAULT_SEED, bounds, jets, surfaces, valuations, wps
-from .exactmath import WPolynomial
+from .exactmath.polynomials import WPolynomial
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ from math import lcm
 from operator import mul
 from typing import List, Tuple
 
-from .exactmath import negative_definite_solve
+from .exactmath.linalg import negative_definite_solve
 from .exactmath.scalars import as_fractions
 
 

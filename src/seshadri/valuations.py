@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
-from .exactmath import INFINITY, WPolynomial
 from .exactmath import polynomials
+from .exactmath.polynomials import INFINITY, WPolynomial
 from .exactmath.scalars import MAX_NUMBER_DIGITS, TOO_LONG, _normal, more_digits, power_has_more_digits
 
 

@@ -28,6 +28,29 @@ def _src_on_the_childrens_import_path():
 # -- helpers for several test modules -------------------------------------------
 
 
+# Each name that `seshadri.exactmath` exports, and the submodule that defines
+# it.  The package holds the `scalars` names from the start and looks up the
+# others on first access.
+EXACTMATH_EXPORTS = {
+    **dict.fromkeys(("MAX_NUMBER_DIGITS", "QuadExt", "Scalar", "format_scalar", "to_scalar"), "scalars"),
+    **dict.fromkeys(
+        (
+            "INFINITY",
+            "BudgetExceeded",
+            "Exponent",
+            "WPolynomial",
+            "format_polynomial",
+            "graded_lex_monomials",
+            "jet_basis_size",
+            "parse_polynomial",
+            "parse_product",
+        ),
+        "polynomials",
+    ),
+    **dict.fromkeys(("ExactMatrix", "exact_rank", "negative_definite_solve"), "linalg"),
+}
+
+
 def monomial(exp, c=1) -> WPolynomial:
     """The polynomial c * x^exp, in len(exp) variables."""
     return WPolynomial({tuple(exp): c}, len(exp))

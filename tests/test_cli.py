@@ -20,7 +20,7 @@ from io import StringIO
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seshadri import bounds, cli, valuations, wps
@@ -36,7 +36,7 @@ from seshadri.exactmath.polynomials import (
 )
 from seshadri.exactmath.scalars import TOO_LONG
 
-from conftest import parse_scalar
+from conftest import EXACTMATH_EXPORTS, parse_scalar
 
 
 def run_cli(capsys, *argv):
@@ -83,6 +83,14 @@ def test_to_jsonable_refuses_a_number_left_unbuilt_as_one_built():
         to_jsonable(Fraction(10**4300))
 
 
+def test_to_jsonable_refuses_an_int_too_long_to_print():
+    assert to_jsonable(10**4300 - 1) == 10**4300 - 1
+    assert to_jsonable(1 - 10**4300) == 1 - 10**4300
+    for over in (10**4300, -(10**4300), 2**20000):
+        with pytest.raises(ValueError, match="more than 4300 digits"):
+            to_jsonable(over)
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_emit_names_the_first_field_over_whether_built_or_left_unbuilt(fmt):
     over = Fraction(1, 10**4300)
@@ -90,6 +98,7 @@ def test_emit_names_the_first_field_over_whether_built_or_left_unbuilt(fmt):
         ({"a": 1, "b": TOO_LONG, "c": over}, "b"),
         ({"a": 1, "b": over, "c": TOO_LONG}, "b"),
         ({"a": [1, TOO_LONG]}, "a"),
+        ({"a": 10**4300 - 1, "b": {"c": [2, -(10**4300)]}, "d": TOO_LONG}, "b"),
     ]:
         with pytest.raises(ValueError) as excinfo:
             emit(fmt, record)
@@ -223,6 +232,25 @@ def test_wps_refuses_an_oversized_volume_before_building_it(capsys, count):
     assert time.monotonic() - start < 0.5
     assert (code, out) == (2, "")
     assert err == "error: the answer's volume has a number of more than 4300 digits\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_emit_converts_a_refused_record_once(capsys, monkeypatch, fmt):
+    # 300000 weights and a volume left unbuilt: one pass over the record
+    # converts each weight once and stops at the volume.
+    calls = 0
+    convert = cli.to_jsonable
+
+    def counted(obj):
+        nonlocal calls
+        calls += 1
+        return convert(obj)
+
+    monkeypatch.setattr(cli, "to_jsonable", counted)
+    code, out, err = run_cli(capsys, "--format", fmt, "wps", "--weights", ",".join(["1"] * 300000))
+    assert (code, out) == (2, "")
+    assert err == "error: the answer's volume has a number of more than 4300 digits\n"
+    assert 300000 < calls <= 300010
 
 
 def test_ruled_flagship_record(capsys):
@@ -986,18 +1014,57 @@ def test_console_entry_point_runs_the_same_main():
 # an eager import come back; these start the CLI as a new process.
 
 
+# The modules a fresh interpreter reports: the package, csv (which only
+# `emit`'s CSV branch imports), and dataclasses and inspect (which `linalg`
+# imports for ExactMatrix).
+_WATCHED = ("seshadri", "csv", "dataclasses", "inspect")
+
+
+def _fresh_interpreter(code: str) -> tuple[list[str], set[str]]:
+    """The lines that a new interpreter prints as it runs code, and the
+    watched modules loaded once it has run it."""
+    child = f"import sys\n{code}\nprint(*sorted(m for m in sys.modules if m.split('.')[0] in {_WATCHED!r}))"
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, check=True, text=True)
+    *printed, loaded = proc.stdout.splitlines()
+    return printed, set(loaded.split())
+
+
 def test_building_the_parser_loads_no_subcommand_module():
-    # Nor csv, which only `emit`'s CSV branch uses.
-    code = (
-        "import sys, seshadri.cli as cli; cli.build_parser(); "
-        "print(*sorted(m for m in sys.modules if m.split('.')[0] in ('seshadri', 'csv')))"
+    _, loaded = _fresh_interpreter("import seshadri.cli as cli; cli.build_parser()")
+    _, bare = _fresh_interpreter("pass")
+    assert loaded - bare == {"seshadri", "seshadri.cli", "seshadri.exactmath", "seshadri.exactmath.scalars"}
+
+
+_LAZY_EXPORTS = sorted(name for name, submodule in EXACTMATH_EXPORTS.items() if submodule != "scalars")
+
+
+@pytest.mark.parametrize(
+    "argv, submodules",
+    [
+        (("wps", "--weights", "1,1,2"), set()),
+        (("whs", "--n", "3", "--k", "2", "--l", "3", "--d", "5"), set()),
+        (("bounds", "--n", "2", "--eps", "1/2"), set()),
+        (("valuation", "--weights", "1,2", "--op", "izumi", "--f", "t^2 - 2*s^2", "--twist-e", "1"), {"polynomials"}),
+        (("valuation", "--weights", "1,1", "--op", "galois", "--m", "2", "--k", "3"), {"polynomials"}),
+        (("zariski", json.dumps(RULED_LATTICE)), {"linalg"}),
+        (("ruled", "--g", "2", "--d", "10"), {"linalg"}),
+        (("jets", '{"n":2,"d":3,"constraints":[{"type":"mult","point":[0,0],"order":1}]}'), {"polynomials", "linalg"}),
+        (("reproduce", "--filter", "ex1"), {"polynomials", "linalg"}),
+    ],
+    ids=["wps", "whs", "bounds", "valuation-izumi", "valuation-galois", "zariski", "ruled", "jets", "reproduce"],
+)
+def test_each_subcommand_loads_only_the_exactmath_modules_it_uses(argv, submodules):
+    # The package looks up none of its lazy names either: each module of the
+    # package imports from the submodule that defines the name.
+    printed, loaded = _fresh_interpreter(
+        "import seshadri.cli as cli, seshadri.exactmath as package\n"
+        f"assert cli.main({list(argv)!r}) == 0\n"
+        f"print(*[name for name in {_LAZY_EXPORTS!r} if name in vars(package)])"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, check=True, text=True)
-    loaded = proc.stdout.split()
-    assert "csv" not in loaded
-    assert {"seshadri", "seshadri.cli", "seshadri.exactmath"} <= set(loaded)
-    others = [m for m in loaded if m not in ("seshadri", "seshadri.cli")]
-    assert [m for m in others if not m.startswith("seshadri.exactmath")] == []
+    assert printed[-1] == ""
+    assert {m for m in loaded if m.startswith("seshadri.exactmath.")} == {
+        f"seshadri.exactmath.{name}" for name in {"scalars"} | submodules
+    }
 
 
 @pytest.mark.parametrize(
@@ -1563,6 +1630,25 @@ def _jets_like(draw):
     return json.dumps(desc).replace(json.dumps(_LONG_MARK), "9" * 4301)
 
 
+def _sharing_a_long_coordinate(degree: int, order: int, m_max: int) -> str:
+    """A system whose one constraint sits at a point of 20-digit coordinates,
+    met at a point that shares its first coordinate: the inputs of
+    tests/test_jets.py::test_point_sharing_a_long_coordinate_with_the_constraint_is_quick,
+    which took minutes before step A served them."""
+    p = [
+        "12345678901234567891/98765432109876543",
+        "-31415926535897932384/27182818284590452353",
+        "16180339887498948482/14142135623730950488",
+    ]
+    x = [p[0], "-27182818284590452353/31415926535897932384", "98765432109876543210/12345678901234567"]
+    constraint = {"type": "mult", "point": p, "order": order}
+    return json.dumps({"n": 3, "d": degree, "constraints": [constraint], "point": x, "m_max": m_max})
+
+
+# The costliest corner of the envelope, which the draw itself rarely reaches.
+@example(_sharing_a_long_coordinate(4, 3, 2), 0)
+@example(_sharing_a_long_coordinate(3, 2, 3), 0)
+@example(_sharing_a_long_coordinate(3, 2, 4), 0)
 @settings(max_examples=150, deadline=timedelta(seconds=2))
 @given(_jets_like(), st.integers(0, 9))
 def test_any_jets_system_exits_0_or_2_with_one_line(text, seed):

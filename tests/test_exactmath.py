@@ -2,6 +2,7 @@
 polynomials, and fraction-free linear algebra over Q."""
 
 import copy
+import importlib
 import itertools
 import math
 import pickle
@@ -38,7 +39,7 @@ from seshadri.exactmath.polynomials import (
 from seshadri.exactmath.scalars import as_fractions, more_digits, power_has_more_digits
 from seshadri.valuations import MonomialValuation, Twist, _expand_twist
 
-from conftest import monomial, parse_scalar, rational_parts
+from conftest import EXACTMATH_EXPORTS, monomial, parse_scalar, rational_parts
 
 
 def conjugate(x: QuadExt) -> QuadExt:
@@ -73,6 +74,23 @@ def polynomials(draw, nvars=2, max_degree=4, max_terms=5):
 
 def nonzero(strategy):
     return strategy.filter(lambda f: not f.is_zero())
+
+
+# -- the package ------------------------------------------------------------------
+
+
+def test_every_name_the_package_exports_is_its_submodules_object():
+    import seshadri.exactmath as package
+
+    for name, submodule in EXACTMATH_EXPORTS.items():
+        defined = getattr(importlib.import_module(f"seshadri.exactmath.{submodule}"), name)
+        assert getattr(package, name) is defined, name
+        assert vars(package)[name] is defined, name  # kept after the first access
+    # A name the package does not export is no attribute, as a traced layer
+    # such as exactmath.rref expects.
+    assert getattr(package, "rref", None) is None
+    with pytest.raises(AttributeError, match="no attribute 'certified_suffix_rank'"):
+        package.certified_suffix_rank
 
 
 # -- scalars -------------------------------------------------------------------
