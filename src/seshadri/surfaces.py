@@ -1,7 +1,7 @@
 """Exact intersection theory on surfaces given by a divisor-class lattice:
 Zariski decomposition by iterative support enlargement, Seshadri constants at
 a marked point against declared through-curves, and the ruled-surface model
-P(O + O(-D)) over a genus-g curve.
+P(O + O(-D)) over a genus-g curve in closed form.
 
 Negative curves are declared, never discovered: the declared list is asserted
 by the caller to contain every relevant negative class, and that assumption is
@@ -308,11 +308,12 @@ def seshadri_at_marked_point(lat: SurfaceLattice, ell: DivisorClass) -> Seshadri
 
 @dataclass(frozen=True)
 class RuledSurfaceModel:
-    """Full pipeline record for P(O + O(-D)) over a genus-g curve, deg D = d."""
+    """Closed-form record for P(O + O(-D)) over a genus-g curve, deg D = d:
+    -K, its Zariski decomposition against E and F, and the Seshadri constant
+    of the positive part at a very general point."""
 
     g: int
     d: int
-    lattice: SurfaceLattice
     minus_k: DivisorClass
     decomposition: ZariskiDecomposition
     seshadri: SeshadriAtPoint
@@ -334,10 +335,15 @@ def ruled_surface_lattice(d: int) -> SurfaceLattice:
 
 
 def ruled_surface_model(g: int, d: int) -> RuledSurfaceModel:
-    """Build the ruled-surface lattice, decompose -K = 2E + (d+2-2g)F, and
-    compute the moving Seshadri constant of -K at a very general point as the
-    Seshadri constant of the positive part; equals 1 - (2g-2)/d throughout the
-    admissible range."""
+    """Decompose -K = 2E + bF, b = d + 2 - 2g, and take the moving Seshadri
+    constant of -K at a very general point as the Seshadri constant of the
+    positive part, in closed form; no lattice is built.  On
+    ruled_surface_lattice(d), -K.E = 2 - 2g - d = -a with a = d - 2 + 2g >= 0
+    on the admissible range, so N = (a/d) E, supported on E unless a = 0, and
+    P = -K - N = (b/d) E + bF meets E in 0 and F in b/d.  F is the one curve
+    through the point, so eps = b/d = 1 - (2g-2)/d, certified since
+    eps^2 = b^2/d^2 <= b^2/d = P^2.  The tests hold every field to
+    zariski_decomposition and seshadri_at_marked_point on that lattice."""
     if g < 0 or d < 1:
         raise ValueError("need genus g >= 0 and degree d >= 1")
     if d <= 2 * g - 2:
@@ -347,8 +353,12 @@ def ruled_surface_model(g: int, d: int) -> RuledSurfaceModel:
             "g=0 needs d >= 2: on P(O + O(-1)) the positive part is -K itself and "
             "its Seshadri constant 2 is not computed by the 1-(2g-2)/d formula"
         )
-    lat = ruled_surface_lattice(d)
-    minus_k = DivisorClass._of_integers((2, d + 2 - 2 * g), 1)
-    decomposition = zariski_decomposition(lat, minus_k)
-    seshadri = seshadri_at_marked_point(lat, decomposition.positive)
-    return RuledSurfaceModel(g, d, lat, minus_k, decomposition, seshadri)
+    b = d + 2 - 2 * g
+    a = 2 * d - b
+    support, coefficients = (("E",), (Fraction(a, d),)) if a else ((), ())
+    decomposition = ZariskiDecomposition(
+        DivisorClass._of_integers((b, b * d), d), DivisorClass._of_integers((a, 0), d), support, coefficients
+    )
+    eps = Fraction(b, d)
+    seshadri = SeshadriAtPoint(eps, True, eps * eps, Fraction(b * b, d))
+    return RuledSurfaceModel(g, d, DivisorClass._of_integers((2, b), 1), decomposition, seshadri)

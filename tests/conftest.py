@@ -1,5 +1,6 @@
 import os
 import re
+import signal
 from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
@@ -23,6 +24,43 @@ def _src_on_the_childrens_import_path():
     with pytest.MonkeyPatch.context() as patch:
         patch.setenv("PYTHONPATH", os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH")))))
         yield
+
+
+# A test that runs longer than this fails.  The slowest test, the child run
+# of tests/test_time_limit.py, takes about 6 s and the next about 1.5 s; the
+# limit is loose so that a slow, shared machine never trips it.
+TIME_LIMIT_S = 60.0
+
+
+class TimeLimitExceeded(BaseException):
+    """Raised inside a test that ran past TIME_LIMIT_S.  Like
+    KeyboardInterrupt it is no Exception, so neither hypothesis nor code
+    under test that catches Exception takes it for an ordinary failure."""
+
+
+@pytest.fixture(autouse=True)
+def _time_limit():
+    """Turn a hang into a failure.  Hypothesis deadlines and the tests' own
+    wall-clock budgets are checked only after a call returns; this alarm
+    raises inside the running test, and again every 0.5 s after the limit
+    in case the first raise is caught.  A signal lands between bytecodes
+    only, so one long operation in C runs to its end, and a child process
+    keeps its own timeout.  Where SIGALRM does not exist, nothing is
+    armed."""
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def expire(signum, frame):
+        raise TimeLimitExceeded(f"the test ran past its {TIME_LIMIT_S} s limit")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, TIME_LIMIT_S, 0.5)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 # -- helpers for several test modules -------------------------------------------

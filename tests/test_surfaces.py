@@ -44,8 +44,7 @@ _decompose = surfaces.zariski_decomposition
 @pytest.fixture(autouse=True)
 def _every_decomposition_satisfies_the_axioms(monkeypatch):
     """zariski_decomposition does not re-check its result, so every
-    decomposition built in this file, directly or through
-    ruled_surface_model, is checked here."""
+    decomposition built in this file is checked here."""
 
     def checked(lat, divisor):
         dec = _decompose(lat, divisor)
@@ -243,11 +242,13 @@ def test_ruled_family_matches_closed_form(g):
 
 
 def test_ruled_model_meets_the_closed_form_on_a_grid():
-    # ruled_surface_model does not check its value.  From E^2 = -d, E.F = 1
-    # and -K.E = 2 - 2g - d, the whole decomposition has a closed form on the
-    # admissible range: N = (1 + (2g-2)/d) E, supported on E, when
-    # d + 2g - 2 > 0 and N = 0 otherwise; P = -K - N;
-    # P^2 = (1 - (2g-2)/d)^2 d; and eps = 1 - (2g-2)/d, certified.
+    # ruled_surface_model builds its answer from a closed form and does not
+    # check it.  From E^2 = -d, E.F = 1 and -K.E = 2 - 2g - d, the whole
+    # decomposition has a closed form on the admissible range:
+    # N = (1 + (2g-2)/d) E, supported on E, when d + 2g - 2 > 0 and N = 0
+    # otherwise; P = -K - N; P^2 = (1 - (2g-2)/d)^2 d; and
+    # eps = 1 - (2g-2)/d, certified.  Each model is also held, field by
+    # field, to the pipeline on ruled_surface_lattice(d).
     for g in range(16):
         for d in range(2 if g == 0 else max(1, 2 * g - 1), 2 * g + 41):
             model = ruled_surface_model(g, d)
@@ -267,6 +268,19 @@ def test_ruled_model_meets_the_closed_form_on_a_grid():
             assert model.seshadri.self_intersection == eps**2 * d
             assert model.epsilon_m == eps
             assert model.seshadri.certified
+
+            lat = ruled_surface_lattice(d)
+            assert_zariski_axioms(lat, model.minus_k, dec)
+            pipeline = zariski_decomposition(lat, ruled_minus_k(g, d))
+            assert dec.support == pipeline.support
+            assert dec.coefficients == pipeline.coefficients
+            assert dec.positive.coords == pipeline.positive.coords
+            assert dec.negative.coords == pipeline.negative.coords
+            marked = seshadri_at_marked_point(lat, pipeline.positive)
+            assert model.seshadri.value == marked.value
+            assert model.seshadri.certified == marked.certified
+            assert model.seshadri.value_squared == marked.value_squared
+            assert model.seshadri.self_intersection == marked.self_intersection
 
 
 def test_ruled_model_domain():
