@@ -231,9 +231,9 @@ def _case_table() -> tuple[ReproductionCase, ...]:
             inputs={"g": 2, "d": 10},
             expected=Fraction(4, 5),
             provenance="stated",
-            citation="full pipeline (decomposition, then Seshadri at the marked "
-            "point) on the (g,d)=(2,10) ruled surface",
-            run=lambda rng: surfaces.ruled_surface_model(2, 10).epsilon_m,
+            citation="closed form of the decomposition and of the Seshadri constant "
+            "of its positive part on the (g,d)=(2,10) ruled surface",
+            run=lambda rng: surfaces.ruled_surface_model(2, 10)["epsilon_m"],
         ),
         ReproductionCase(
             id="lem6.2-minmult-112-k2",

@@ -8,13 +8,13 @@ by the caller to contain every relevant negative class, and that assumption is
 echoed in the outputs.
 
 Intersection numbers are taken on integers, from construction to report.  A
-lattice is built from its Gram matrix and its curves as integer rows over one
-positive denominator each, and `_check_rows` checks them on those rows.  The
-public constructor forms the rows from its Fractions; `ruled_surface_lattice`
-and the CLI's JSON reader pass integer rows to `SurfaceLattice._of_integers`,
-which builds the Fraction fields from them, one Fraction per distinct entry.
-A class carries its coordinates as integer numerators over one positive
-denominator from birth, so a pairing is integer dots and one Fraction, and
+lattice is its generators, its declared curves and two integer matrices over
+one positive denominator each: the Gram rows and the curves' coordinate rows.
+`SurfaceLattice(generators, gram, curves)` is its one constructor: it forms
+both matrices once, checks them on those rows and keeps no Fraction copy of
+either.  A class keeps its coordinates twice: as Fractions, which are
+reported, and as integer numerators over one positive denominator, which the
+arithmetic reads.  So a pairing is integer dots and one Fraction, and
 `SurfaceLattice.curve_pairings` gives a class's pairings with every declared
 curve from G*d and one integer dot per curve.  The Zariski step takes the
 solve's integer numerators over det(-G) and forms N and P as integer rows
@@ -25,7 +25,7 @@ become Fractions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from math import lcm
 from operator import mul
@@ -44,21 +44,19 @@ def _integral_rows(rows) -> Tuple[Tuple[Tuple[int, ...], ...], int]:
     return tuple([tuple([x.numerator * (den // x.denominator) for x in row]) for row in rows]), den
 
 
-def _fraction_rows(rows, den: int) -> Tuple[Tuple[Fraction, ...], ...]:
-    """rows / den as Fractions, one Fraction built per distinct entry."""
-    entries = {x for row in rows for x in row}
-    table = {x: Fraction(x) for x in entries} if den == 1 else {x: Fraction(x, den) for x in entries}
-    return tuple([tuple(map(table.__getitem__, row)) for row in rows])
+def _rationals(row) -> list:
+    """row with each entry that is neither an int nor a Fraction read as
+    Fraction(x)."""
+    return [x if type(x) is int or type(x) is Fraction else Fraction(x) for x in row]
 
 
 def _check_rows(n: int, gram_rows, curves, curve_rows) -> None:
     """The checks of every lattice, on its integer rows: ValueError unless
-    each curve, given as (name, through, mult), has mult >= 1, the Gram rows
-    form a symmetric n x n matrix, and each curve's row has n entries and a
-    name no earlier curve has."""
-    for name, _, mult in curves:
-        if mult < 1:
-            raise ValueError(f"curve {name!r} needs multiplicity >= 1")
+    each curve has mult >= 1, the Gram rows form a symmetric n x n matrix,
+    and each curve's row has n entries and a name no earlier curve has."""
+    for c in curves:
+        if c.mult < 1:
+            raise ValueError(f"curve {c.name!r} needs multiplicity >= 1")
     if len({len(row) for row in gram_rows}) > 1:
         raise ValueError("ragged matrix")
     if len(gram_rows) != n or (gram_rows and len(gram_rows[0]) != n):
@@ -66,12 +64,12 @@ def _check_rows(n: int, gram_rows, curves, curve_rows) -> None:
     if tuple(zip(*gram_rows)) != gram_rows:
         raise ValueError("gram matrix must be symmetric")
     names = set()
-    for (name, _, _), row in zip(curves, curve_rows):
+    for c, row in zip(curves, curve_rows):
         if len(row) != n:
-            raise ValueError(f"curve {name!r} has wrong coordinate length")
-        if name in names:
-            raise ValueError(f"duplicate curve name {name!r}")
-        names.add(name)
+            raise ValueError(f"curve {c.name!r} has wrong coordinate length")
+        if c.name in names:
+            raise ValueError(f"duplicate curve name {c.name!r}")
+        names.add(c.name)
 
 
 def _dot(a, b) -> int:
@@ -95,8 +93,8 @@ class DivisorClass:
     @classmethod
     def _of_integers(cls, numerators: Tuple[int, ...], den: int) -> "DivisorClass":
         """The class numerators / den, den > 0; its Fractions are built here,
-        once, and its integer form is kept as given.  Like every trusted
-        constructor here, it fills the frozen fields directly."""
+        once, and its integer form is kept as given.  Being trusted, it fills
+        the frozen fields directly."""
         self = object.__new__(cls)
         coords = map(Fraction, numerators) if den == 1 else [Fraction(x, den) for x in numerators]
         self.__dict__.update(coords=tuple(coords), integral=(numerators, den))
@@ -105,67 +103,41 @@ class DivisorClass:
 
 @dataclass(frozen=True)
 class CurveClass:
-    """Declared irreducible curve: coordinates, whether it passes through the
-    marked point, and its multiplicity there, which the lattice checks is
-    >= 1."""
+    """Declared irreducible curve: coordinates, as given, whether it passes
+    through the marked point, and its multiplicity there, which the lattice
+    checks is >= 1."""
 
     name: str
     coords: Tuple[Fraction, ...]
     through_marked_point: bool = False
     mult: int = 1
 
-    def __post_init__(self):
-        object.__setattr__(self, "coords", as_fractions(self.coords))
-
 
 @dataclass(frozen=True)
 class SurfaceLattice:
-    """Named divisor-class basis with a symmetric intersection matrix and a
+    """Named divisor-class basis, a symmetric intersection matrix and a
     declared curve list (asserted complete for negativity purposes).
 
-    `_gram_rows` and `_curve_rows` are (rows, den): the Gram matrix is
-    rows / den, over the lcm of the denominators of its entries, and the i-th
-    declared curve's coordinates are rows[i] / den, over the lcm of the
-    curves' own denominators.  Both are formed once, at construction."""
+    The Gram matrix `gram` is kept only as `_gram_rows`, (integer rows, den)
+    with den the lcm of its entries' denominators, and the i-th declared
+    curve's coordinates only as row i of `_curve_rows`, over the lcm of the
+    curves' own denominators.  An int or a Fraction entry is taken as it is,
+    and any other is read as Fraction(x).  Both are formed once, here, and
+    `_check_rows` checks them.  Two lattices are equal when their
+    generators, curves and Gram matrices are."""
 
     generators: Tuple[str, ...]
-    gram: Tuple[Tuple[Fraction, ...], ...]
+    gram: InitVar[Tuple[Tuple[Fraction, ...], ...]]
     curves: Tuple[CurveClass, ...]
-    _gram_rows: Tuple[Tuple[Tuple[int, ...], ...], int] = field(init=False, repr=False, compare=False)
+    _gram_rows: Tuple[Tuple[Tuple[int, ...], ...], int] = field(init=False)
     _curve_rows: Tuple[Tuple[Tuple[int, ...], ...], int] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        gram = tuple(map(as_fractions, self.gram))
-        object.__setattr__(self, "gram", gram)
-        gram_rows = _integral_rows(gram)
-        curve_rows = _integral_rows([c.coords for c in self.curves])
-        curves = [(c.name, c.through_marked_point, c.mult) for c in self.curves]
-        _check_rows(len(self.generators), gram_rows[0], curves, curve_rows[0])
+    def __post_init__(self, gram):
+        gram_rows = _integral_rows(list(map(_rationals, gram)))
+        curve_rows = _integral_rows([_rationals(c.coords) for c in self.curves])
+        _check_rows(len(self.generators), gram_rows[0], self.curves, curve_rows[0])
         object.__setattr__(self, "_gram_rows", gram_rows)
         object.__setattr__(self, "_curve_rows", curve_rows)
-
-    @classmethod
-    def _of_integers(cls, generators, gram, curves, coords) -> "SurfaceLattice":
-        """The lattice whose `_gram_rows` is gram and whose `_curve_rows` is
-        coords, each (integer rows, the lcm of their denominators), with the
-        i-th curve, given as (name, through, mult), on the i-th row of coords.
-        Nothing is checked, as in `DivisorClass._of_integers`: rows from
-        outside pass `_check_rows` first.  Its Fractions are built here, one
-        per distinct entry of each matrix."""
-        declared = []
-        for (name, through, mult), row in zip(curves, _fraction_rows(*coords)):
-            curve = object.__new__(CurveClass)
-            curve.__dict__.update(name=name, coords=row, through_marked_point=through, mult=mult)
-            declared.append(curve)
-        self = object.__new__(cls)
-        self.__dict__.update(
-            generators=generators,
-            gram=_fraction_rows(*gram),
-            curves=tuple(declared),
-            _gram_rows=gram,
-            _curve_rows=coords,
-        )
-        return self
 
     def _gram_times(self, d: DivisorClass) -> Tuple[List[int], int]:
         """(numerators, den) of G*d."""
@@ -198,7 +170,6 @@ class ZariskiDecomposition:
     negative: DivisorClass
     support: Tuple[str, ...]
     coefficients: Tuple[Fraction, ...]
-    assumed_complete_curve_list: bool = True
 
 
 def zariski_decomposition(lat: SurfaceLattice, d: DivisorClass) -> ZariskiDecomposition:
@@ -276,14 +247,12 @@ def _enlarge_support(lat: SurfaceLattice, d: DivisorClass) -> ZariskiDecompositi
 
 @dataclass(frozen=True)
 class SeshadriAtPoint:
-    """min over declared through-curves of (L.C)/mult, with the square cap
-    comparison value^2 <= L^2 reported exactly."""
+    """min over declared through-curves of (L.C)/mult, certified when it
+    passes the cap value^2 <= L^2."""
 
     value: Fraction
     certified: bool
-    value_squared: Fraction
     self_intersection: Fraction
-    assumed_complete_curve_list: bool = True
 
 
 def seshadri_at_marked_point(lat: SurfaceLattice, ell: DivisorClass) -> SeshadriAtPoint:
@@ -301,49 +270,31 @@ def seshadri_at_marked_point(lat: SurfaceLattice, ell: DivisorClass) -> Seshadri
     scale = lcm(*[m for _, m in through])
     x, m = min(through, key=lambda pair: pair[0] * (scale // pair[1]))
     value = Fraction(x, den * m)
-    square = value**2
     ell2 = lat.self_intersection(ell)
-    return SeshadriAtPoint(value, square <= ell2, square, ell2)
-
-
-@dataclass(frozen=True)
-class RuledSurfaceModel:
-    """Closed-form record for P(O + O(-D)) over a genus-g curve, deg D = d:
-    -K, its Zariski decomposition against E and F, and the Seshadri constant
-    of the positive part at a very general point."""
-
-    g: int
-    d: int
-    minus_k: DivisorClass
-    decomposition: ZariskiDecomposition
-    seshadri: SeshadriAtPoint
-
-    @property
-    def epsilon_m(self) -> Fraction:
-        return self.seshadri.value
+    return SeshadriAtPoint(value, value**2 <= ell2, ell2)
 
 
 def ruled_surface_lattice(d: int) -> SurfaceLattice:
     """Lattice of P(O + O(-D)): negative section E (E^2 = -d, missing a very
     general point) and fiber F (F^2 = 0, through it with multiplicity 1)."""
-    return SurfaceLattice._of_integers(
+    return SurfaceLattice(
         ("E", "F"),
-        (((-d, 1), (1, 0)), 1),
-        (("E", False, 1), ("F", True, 1)),
-        (((1, 0), (0, 1)), 1),
+        ((-d, 1), (1, 0)),
+        (CurveClass("E", (1, 0)), CurveClass("F", (0, 1), True)),
     )
 
 
-def ruled_surface_model(g: int, d: int) -> RuledSurfaceModel:
-    """Decompose -K = 2E + bF, b = d + 2 - 2g, and take the moving Seshadri
-    constant of -K at a very general point as the Seshadri constant of the
-    positive part, in closed form; no lattice is built.  On
+def ruled_surface_model(g: int, d: int) -> dict:
+    """The `ruled` record of P(O + O(-D)) over a genus-g curve, deg D = d:
+    -K = 2E + bF, b = d + 2 - 2g, its Zariski decomposition P + N, the moving
+    Seshadri constant epsilon_m of -K at a very general point, taken as that
+    of P, and the volume P^2, in closed form; no lattice is built.  On
     ruled_surface_lattice(d), -K.E = 2 - 2g - d = -a with a = d - 2 + 2g >= 0
-    on the admissible range, so N = (a/d) E, supported on E unless a = 0, and
-    P = -K - N = (b/d) E + bF meets E in 0 and F in b/d.  F is the one curve
-    through the point, so eps = b/d = 1 - (2g-2)/d, certified since
-    eps^2 = b^2/d^2 <= b^2/d = P^2.  The tests hold every field to
-    zariski_decomposition and seshadri_at_marked_point on that lattice."""
+    on the admissible range, so N = (a/d) E and P = -K - N = (b/d) E + bF
+    meets E in 0 and F in b/d.  F is the one curve through the point, so
+    eps = b/d = 1 - (2g-2)/d, certified since eps^2 = b^2/d^2 <= b^2/d = P^2.
+    The tests hold every field to zariski_decomposition and
+    seshadri_at_marked_point on that lattice."""
     if g < 0 or d < 1:
         raise ValueError("need genus g >= 0 and degree d >= 1")
     if d <= 2 * g - 2:
@@ -355,10 +306,14 @@ def ruled_surface_model(g: int, d: int) -> RuledSurfaceModel:
         )
     b = d + 2 - 2 * g
     a = 2 * d - b
-    support, coefficients = (("E",), (Fraction(a, d),)) if a else ((), ())
-    decomposition = ZariskiDecomposition(
-        DivisorClass._of_integers((b, b * d), d), DivisorClass._of_integers((a, 0), d), support, coefficients
-    )
-    eps = Fraction(b, d)
-    seshadri = SeshadriAtPoint(eps, True, eps * eps, Fraction(b * b, d))
-    return RuledSurfaceModel(g, d, DivisorClass._of_integers((2, b), 1), decomposition, seshadri)
+    eps, fiber = Fraction(b, d), Fraction(b)
+    return {
+        "g": g,
+        "d": d,
+        "minus_K": [Fraction(2), fiber],
+        "P": [eps, fiber],
+        "N": [Fraction(a, d), Fraction(0)],
+        "epsilon_m": eps,
+        "certified": True,
+        "volume": Fraction(b * b, d),
+    }

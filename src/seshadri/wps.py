@@ -181,9 +181,9 @@ def catalog_seshadri(name: str, **params) -> tuple[Fraction, str]:
 
     Keys:
       - "X6"    (parameter n >= 2): sextic in P(1^(n-1), 2, 2, 3); value 2n/3.
-      - "ruled" (parameters g >= 0, d >= 1 with d > 2g-2): geometrically ruled
-        surface P(O + O(-D)) over a genus-g curve with deg D = d; value
-        1 - (2g-2)/d.
+      - "ruled" (parameters g >= 0, d >= 1 with d > 2g-2, and d >= 2 when
+        g = 0): geometrically ruled surface P(O + O(-D)) over a genus-g curve
+        with deg D = d; value 1 - (2g-2)/d.
     """
     key = name.lower()
     if key == "x6":
@@ -201,9 +201,14 @@ def catalog_seshadri(name: str, **params) -> tuple[Fraction, str]:
             raise ValueError("ruled catalog entry needs integers g >= 0, d >= 1")
         if d <= 2 * g - 2:
             raise ValueError("ruled catalog entry needs d > 2g - 2")
+        if g == 0 and d < 2:
+            raise ValueError(
+                "ruled catalog entry needs d >= 2 at g = 0: P(O + O(-1)) is P^2 blown "
+                "up at a point, where eps(-K) = 2, not 1-(2g-2)/d"
+            )
         return 1 - Fraction(2 * g - 2, d), (
             "moving Seshadri constant of -K on P(O + O(-D)) over a genus-g curve, "
-            "deg D = d; independently recomputed by the surfaces module via "
-            "Zariski decomposition"
+            "deg D = d; the closed form of surfaces.ruled_surface_model, which the "
+            "tests hold to the Zariski decomposition and the marked-point constant"
         )
     raise KeyError(f"unknown catalog key {name!r} (expected 'X6' or 'ruled')")

@@ -215,7 +215,7 @@ def test_ruled_pipeline_reproduces_the_closed_form_with_axioms():
                 marked = seshadri_at_marked_point(lattice, positive)
                 assert marked.value == 1 - Fraction(2 * g - 2, d)
                 assert marked.certified
-        assert ruled_surface_model(2, 10).epsilon_m == Fraction(4, 5)
+        assert ruled_surface_model(2, 10)["epsilon_m"] == Fraction(4, 5)
 
 
 # 7. Weighted hypersurface bound, its volume, and the sextic catalog entry.

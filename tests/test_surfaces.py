@@ -124,14 +124,11 @@ def test_decomposition_rejects_a_positive_part_of_negative_square():
     # A nef class on a surface has P^2 >= 0, so these declared lattices are
     # impossible: with gram -I, D = -E - F is its own positive part (P^2 = -2),
     # and D = E - F has support {E} and P = -F (P^2 = -1).
-    lat = SurfaceLattice(
-        ("E", "F"),
-        [[-1, 0], [0, -1]],
-        (CurveClass("E", (1, 0)), CurveClass("F", (0, 1))),
-    )
+    gram = [[-1, 0], [0, -1]]
+    lat = SurfaceLattice(("E", "F"), gram, (CurveClass("E", (1, 0)), CurveClass("F", (0, 1))))
     with pytest.raises(ValueError, match=r"P\^2 = -2 < 0.*declared lattice is inconsistent"):
         zariski_decomposition(lat, DivisorClass((-1, -1)))
-    only_e = SurfaceLattice(lat.generators, lat.gram, lat.curves[:1])
+    only_e = SurfaceLattice(lat.generators, gram, lat.curves[:1])
     with pytest.raises(ValueError, match=r"P\^2 = -1 < 0"):
         zariski_decomposition(only_e, DivisorClass((1, -1)))
 
@@ -156,6 +153,9 @@ def test_lattice_validation():
             [[-10, 1], [1, 0]],
             (CurveClass("E", (Fraction(1), Fraction(0))), CurveClass("E", (Fraction(0), Fraction(1)))),
         )
+    # An entry that is neither an int nor a Fraction is read as Fraction(x).
+    halves = SurfaceLattice(("E", "F"), [[0, "1/2"], [Fraction(1, 2), 0]], (CurveClass("C", ("1/2", 1)),))
+    assert (halves._gram_rows, halves._curve_rows) == ((((0, 1), (1, 0)), 2), (((1, 2),), 2))
 
 
 # -- Seshadri at the marked point --------------------------------------------------
@@ -167,7 +167,6 @@ def test_seshadri_at_marked_point_ruled_2_10():
     result = seshadri_at_marked_point(lat, p)
     assert result.value == Fraction(4, 5)
     assert result.certified
-    assert result.value_squared == Fraction(16, 25)
     assert result.self_intersection == Fraction(32, 5)
 
 
@@ -209,78 +208,72 @@ def test_seshadri_respects_multiplicity():
 
 def test_ruled_model_flagship_values():
     model = ruled_surface_model(2, 10)
-    assert model.epsilon_m == Fraction(4, 5)
-    assert model.minus_k.coords == (Fraction(2), Fraction(8))
-    assert model.decomposition.positive.coords == (Fraction(4, 5), Fraction(8))
-    assert model.decomposition.negative.coords == (Fraction(6, 5), Fraction(0))
-    assert model.seshadri.certified
+    assert model["epsilon_m"] == Fraction(4, 5)
+    assert model["minus_K"] == [Fraction(2), Fraction(8)]
+    assert model["P"] == [Fraction(4, 5), Fraction(8)]
+    assert model["N"] == [Fraction(6, 5), Fraction(0)]
+    assert model["certified"]
 
 
 def test_ruled_model_nef_boundary_case():
     model = ruled_surface_model(1, 5)
-    assert model.epsilon_m == 1
-    assert model.minus_k.coords == (Fraction(2), Fraction(5))
-    assert model.decomposition.positive.coords == (Fraction(1), Fraction(5))
-    assert model.decomposition.negative.coords == (Fraction(1), Fraction(0))
-    assert model.seshadri.value == 1
-    assert model.seshadri.certified
-    assert model.seshadri.self_intersection == 5
+    assert model["epsilon_m"] == 1
+    assert model["minus_K"] == [Fraction(2), Fraction(5)]
+    assert model["P"] == [Fraction(1), Fraction(5)]
+    assert model["N"] == [Fraction(1), Fraction(0)]
+    assert model["certified"]
+    assert model["volume"] == 5
 
 
 def test_ruled_model_half():
-    assert ruled_surface_model(3, 8).epsilon_m == Fraction(1, 2)
+    assert ruled_surface_model(3, 8)["epsilon_m"] == Fraction(1, 2)
 
 
 @pytest.mark.parametrize("g", range(0, 5))
 def test_ruled_family_matches_closed_form(g):
     for d in range(max(1, 2 * g - 1) + 1, 21):
         model = ruled_surface_model(g, d)
-        assert model.epsilon_m == 1 - Fraction(2 * g - 2, d)
+        assert model["epsilon_m"] == 1 - Fraction(2 * g - 2, d)
         # anticanonical volume through the decomposition
-        vol = model.seshadri.self_intersection
-        assert vol == (1 - Fraction(2 * g - 2, d)) ** 2 * d
+        assert model["volume"] == (1 - Fraction(2 * g - 2, d)) ** 2 * d
+
+
+RULED_KEYS = ["g", "d", "minus_K", "P", "N", "epsilon_m", "certified", "volume"]
 
 
 def test_ruled_model_meets_the_closed_form_on_a_grid():
-    # ruled_surface_model builds its answer from a closed form and does not
+    # ruled_surface_model builds its record from a closed form and does not
     # check it.  From E^2 = -d, E.F = 1 and -K.E = 2 - 2g - d, the whole
     # decomposition has a closed form on the admissible range:
-    # N = (1 + (2g-2)/d) E, supported on E, when d + 2g - 2 > 0 and N = 0
-    # otherwise; P = -K - N; P^2 = (1 - (2g-2)/d)^2 d; and
-    # eps = 1 - (2g-2)/d, certified.  Each model is also held, field by
+    # N = (1 + (2g-2)/d) E; P = -K - N; P^2 = (1 - (2g-2)/d)^2 d; and
+    # eps = 1 - (2g-2)/d, certified.  Each record is also held, field by
     # field, to the pipeline on ruled_surface_lattice(d).
     for g in range(16):
         for d in range(2 if g == 0 else max(1, 2 * g - 1), 2 * g + 41):
             model = ruled_surface_model(g, d)
-            dec = model.decomposition
-            minus_k = (Fraction(2), Fraction(d + 2 - 2 * g))
-            coefficient = 1 + Fraction(2 * g - 2, d)
-            if d + 2 * g - 2 > 0:
-                assert (dec.support, dec.coefficients) == (("E",), (coefficient,))
-                negative = (coefficient, Fraction(0))
-            else:
-                assert (dec.support, dec.coefficients) == ((), ())
-                negative = (Fraction(0), Fraction(0))
+            assert list(model) == RULED_KEYS
+            numbers = [*model["minus_K"], *model["P"], *model["N"], model["epsilon_m"], model["volume"]]
+            assert all(type(x) is Fraction for x in numbers)
+            minus_k = [Fraction(2), Fraction(d + 2 - 2 * g)]
+            negative = [1 + Fraction(2 * g - 2, d), Fraction(0)]
             eps = 1 - Fraction(2 * g - 2, d)
-            assert model.minus_k.coords == minus_k
-            assert dec.negative.coords == negative
-            assert dec.positive.coords == tuple(k - n for k, n in zip(minus_k, negative))
-            assert model.seshadri.self_intersection == eps**2 * d
-            assert model.epsilon_m == eps
-            assert model.seshadri.certified
+            assert (model["g"], model["d"]) == (g, d)
+            assert model["minus_K"] == minus_k
+            assert model["N"] == negative
+            assert model["P"] == [k - n for k, n in zip(minus_k, negative)]
+            assert model["volume"] == eps**2 * d
+            assert model["epsilon_m"] == eps
+            assert model["certified"] is True
 
             lat = ruled_surface_lattice(d)
-            assert_zariski_axioms(lat, model.minus_k, dec)
             pipeline = zariski_decomposition(lat, ruled_minus_k(g, d))
-            assert dec.support == pipeline.support
-            assert dec.coefficients == pipeline.coefficients
-            assert dec.positive.coords == pipeline.positive.coords
-            assert dec.negative.coords == pipeline.negative.coords
+            assert model["minus_K"] == list(ruled_minus_k(g, d).coords)
+            assert model["P"] == list(pipeline.positive.coords)
+            assert model["N"] == list(pipeline.negative.coords)
             marked = seshadri_at_marked_point(lat, pipeline.positive)
-            assert model.seshadri.value == marked.value
-            assert model.seshadri.certified == marked.certified
-            assert model.seshadri.value_squared == marked.value_squared
-            assert model.seshadri.self_intersection == marked.self_intersection
+            assert model["epsilon_m"] == marked.value
+            assert model["certified"] == marked.certified
+            assert model["volume"] == marked.self_intersection
 
 
 def test_ruled_model_domain():
@@ -296,6 +289,6 @@ def test_ruled_model_domain():
 def test_ruled_lattice_shape():
     lat = ruled_surface_lattice(7)
     assert lat.generators == ("E", "F")
-    assert lat.gram == ((Fraction(-7), Fraction(1)), (Fraction(1), Fraction(0)))
+    assert lat._gram_rows == (((-7, 1), (1, 0)), 1)
     through = [c.name for c in lat.curves if c.through_marked_point]
     assert through == ["F"]

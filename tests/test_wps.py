@@ -10,6 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from seshadri.exactmath.scalars import TOO_LONG
+from seshadri.surfaces import ruled_surface_model
 from seshadri.wps import (
     MAX_SCAN,
     WeightedHypersurfaceSpec,
@@ -317,6 +318,17 @@ def test_catalog_x6_general_dimension():
 def test_catalog_ruled():
     assert catalog_seshadri("ruled", g=2, d=10)[0] == Fraction(4, 5)
     assert catalog_seshadri("ruled", g=1, d=5)[0] == 1
+    # The entry refuses what the surfaces model refuses and agrees with it
+    # elsewhere.
+    for g in range(6):
+        for d in range(-1, 2 * g + 12):
+            try:
+                expected = ruled_surface_model(g, d)["epsilon_m"]
+            except ValueError:
+                with pytest.raises(ValueError):
+                    catalog_seshadri("ruled", g=g, d=d)
+            else:
+                assert catalog_seshadri("ruled", g=g, d=d)[0] == expected
 
 
 def test_catalog_errors():
@@ -326,3 +338,5 @@ def test_catalog_errors():
         catalog_seshadri("X6", n=1)
     with pytest.raises(ValueError):
         catalog_seshadri("ruled", g=2, d=2)  # d <= 2g - 2
+    with pytest.raises(ValueError, match="d >= 2 at g = 0"):
+        catalog_seshadri("ruled", g=0, d=1)  # P^2 blown up at a point: eps = 2
