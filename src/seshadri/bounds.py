@@ -10,23 +10,10 @@ integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .exactmath.scalars import more_digits, power_has_more_digits
-
-
-@dataclass(frozen=True)
-class VolumeBoundResult:
-    """Infimum of the two-term constant over the open feasible region; never
-    attained (the optimum sits on the boundary a + b + c = 1)."""
-
-    M: Fraction
-    a: Fraction
-    b: Fraction
-    c: Fraction
-    attained: bool = False
 
 
 def _closed_form(n: int, eps: Fraction) -> tuple[Fraction, Fraction, Fraction]:
@@ -46,16 +33,34 @@ def _closed_form(n: int, eps: Fraction) -> tuple[Fraction, Fraction, Fraction]:
     return a, s, (n + 1 - eps / 2) / s
 
 
-def best_volume_bound(n: int, eps: Fraction) -> VolumeBoundResult:
-    """Closed-form infimum: put a at its constraint floor, then split the
-    remaining budget s = 1 - a so the two max-terms agree, giving
-    M = ((n+1-eps/2)/s)^n."""
+def closed_form_volume_bound(n: int, eps: Fraction) -> Fraction:
+    """M(n, eps) alone, without the grid oracle of `best_volume_bound`."""
+    return _closed_form(n, Fraction(eps))[2] ** n
+
+
+def best_volume_bound(n: int, eps: Fraction) -> dict:
+    """The `bounds` record of M(n, eps), the infimum of the two-term constant
+    over the open feasible region.  Closed form: put a at its constraint
+    floor, then split the remaining budget s = 1 - a so the two max-terms
+    agree, giving M = ((n+1-eps/2)/s)^n.  The infimum is never attained (the
+    optimum sits on the boundary a + b + c = 1), and `oracle_checked` is
+    True when no point of the grid oracle at its resolution 256 beats it."""
     eps = Fraction(eps)
     a, s, base = _closed_form(n, eps)
     denom = (1 - eps / 2) + n
-    b = s * (1 - eps / 2) / denom
-    c = s * Fraction(n) / denom
-    return VolumeBoundResult(base**n, a, b, c)
+    m = base**n
+    grid = grid_volume_bound_minimum(n, eps)
+    return {
+        "n": n,
+        "eps": eps,
+        "M": m,
+        "a": a,
+        "b": s * (1 - eps / 2) / denom,
+        "c": s * Fraction(n) / denom,
+        "attained": False,
+        "oracle_checked": grid is None or grid >= m,
+        "conjectured_optimal_comparison": conjectured_optimal_comparison(n, eps),
+    }
 
 
 def volume_bound_exceeds_digits(n: int, eps: Fraction, digits: int) -> bool:
@@ -115,13 +120,6 @@ def grid_volume_bound_minimum(
             if best is None or num * best[1] < best[0] * den:
                 best = (num, den)
     return None if best is None else Fraction(*best) ** n
-
-
-def grid_confirms_best(n: int, eps: Fraction, resolution: int = 256) -> bool:
-    """True when no feasible grid point beats the closed-form infimum."""
-    closed = best_volume_bound(n, eps).M
-    grid = grid_volume_bound_minimum(n, eps, resolution)
-    return grid is None or grid >= closed
 
 
 def conjectured_optimal_comparison(n: int, eps: Fraction) -> Fraction:

@@ -229,13 +229,13 @@ def _numbers(values, where: str) -> list:
 def cmd_wps(args) -> tuple[object, int]:
     from . import wps
 
-    return wps.wps_record(wps.WeightVector(_parse_weights(args.weights))), 0
+    return wps.wps_record(_parse_weights(args.weights)), 0
 
 
 def cmd_whs(args) -> tuple[object, int]:
     from . import wps
 
-    return wps.whs_record(wps.WeightedHypersurfaceSpec(args.n, args.k, args.l, args.d)), 0
+    return wps.whs_record(args.n, args.k, args.l, args.d), 0
 
 
 def cmd_jets(args) -> tuple[object, int]:
@@ -278,25 +278,19 @@ def cmd_jets(args) -> tuple[object, int]:
     point_spec = desc.get("point", "random")
     if point_spec == "random":
         rng = random.Random(args.seed)
-        estimate = max(
+        record = max(
             (
                 jets.moving_seshadri_lower(
                     series, jets.random_rational_point(rng, nvars), m_max, curve_bound
                 )
                 for _ in range(3)
             ),
-            key=lambda e: e.lower,
+            key=lambda r: r["lower"],
         )
     else:
-        estimate = jets.moving_seshadri_lower(
+        record = jets.moving_seshadri_lower(
             series, _numbers(point_spec, "point"), m_max, curve_bound
         )
-    record = {
-        "s_values": list(estimate.s_values),
-        "lower": estimate.lower,
-        "upper": estimate.upper,
-        "certified": estimate.certified_equal,
-    }
     return record, 0
 
 
@@ -333,19 +327,11 @@ def cmd_valuation(args) -> tuple[object, int]:
         head = {"weights": list(weights), "twist": twist_record, "f": args.f}
         if args.op == "eval":
             return {**head, "value": result}, 0
-        return {
-            **head,
-            "lower": result.lower,
-            "value": result.value,
-            "upper": result.upper,
-            "holds": result.holds,
-            "note": result.note,
-        }, 0
+        return {**head, **result}, 0
     if args.op == "minmult":
         if args.k is None:
             raise ValueError("--k is required for op 'minmult'")
-        query = valuations.ValuationIdealQuery(nu, args.k)
-        min_mult, lam = valuations.ideal_min_multiplicity(query)
+        min_mult, lam = valuations.ideal_min_multiplicity(nu, args.k)
         return {
             "weights": list(weights),
             "k": args.k,
@@ -355,14 +341,7 @@ def cmd_valuation(args) -> tuple[object, int]:
     if args.op == "galois":
         if args.m is None or args.k is None:
             raise ValueError("--m and --k are required for op 'galois'")
-        result = valuations.galois_min_mult(args.m, args.k)
-        return {
-            "m": args.m,
-            "k": args.k,
-            "min_mult": result.min_mult,
-            "bound": result.bound,
-            "witness": result.witness,
-        }, 0
+        return valuations.galois_min_mult(args.m, args.k), 0
     raise ValueError(f"unknown valuation op {args.op!r}")
 
 
@@ -455,19 +434,7 @@ def cmd_bounds(args) -> tuple[object, int]:
             f"bounds with --n {args.n} --eps {args.eps} has an M of more than "
             f"{MAX_NUMBER_DIGITS} digits; lower --n"
         )
-    result = bounds.best_volume_bound(args.n, eps)
-    record = {
-        "n": args.n,
-        "eps": eps,
-        "M": result.M,
-        "a": result.a,
-        "b": result.b,
-        "c": result.c,
-        "attained": result.attained,
-        "oracle_checked": bounds.grid_confirms_best(args.n, eps),
-        "conjectured_optimal_comparison": bounds.conjectured_optimal_comparison(args.n, eps),
-    }
-    return record, 0
+    return bounds.best_volume_bound(args.n, eps), 0
 
 
 def cmd_reproduce(args) -> tuple[object, int]:

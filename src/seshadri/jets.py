@@ -13,7 +13,7 @@ PRIME, runs in `exactmath.linalg`.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import comb
@@ -259,40 +259,30 @@ def seshadri_upper_via_curve(
     return CurveBound(pairing / mult, meets_base_locus)
 
 
-@dataclass(frozen=True)
-class SeshadriEstimate:
-    """Best lower bound s(mL, x)/m over the computed m, with an optional curve
-    upper bound; certified_equal when the two meet."""
-
-    lower: Fraction
-    upper: Optional[Fraction]
-    m_values: Tuple[int, ...]
-    s_values: Tuple[int, ...]
-    certified_equal: bool = field(default=False)
-
-    def __post_init__(self):
-        if self.upper is not None and self.lower > self.upper:
-            raise ValueError("lower bound exceeds the registered upper bound")
-
-
 def moving_seshadri_lower(
     series: Callable[[int], LinearSystem],
     point: Sequence,
     m_max: int = 3,
     curve_bound: Optional[CurveBound] = None,
-) -> SeshadriEstimate:
-    """Evaluate s(series(m), x)/m for 1 <= m <= m_max and keep the best; if a
-    curve bound is registered, report it as the upper bound and certify
-    equality when reached."""
+) -> dict:
+    """The `jets` record: s_values = s(series(m), x) for 1 <= m <= m_max, the
+    best lower bound s/m over them, the upper bound of a registered curve
+    (None without one), and whether the two meet.  A curve bound below the
+    lower bound, or a strict one that it reaches, contradicts the jets and
+    raises ValueError."""
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
     point = as_fractions(point)
-    m_values = tuple(range(1, m_max + 1))
-    s_values = tuple(jet_separation(series(m), point) for m in m_values)
-    lower = max(Fraction(s, m) for m, s in zip(m_values, s_values))
-    upper = curve_bound.bound if curve_bound is not None else None
-    certified = upper is not None and lower == upper
-    return SeshadriEstimate(lower, upper, m_values, s_values, certified)
+    s_values = [jet_separation(series(m), point) for m in range(1, m_max + 1)]
+    lower = max(Fraction(s, m) for m, s in enumerate(s_values, 1))
+    upper = None
+    if curve_bound is not None:
+        upper = curve_bound.bound
+        if lower > upper:
+            raise ValueError("lower bound exceeds the registered upper bound")
+        if curve_bound.strict and lower == upper:
+            raise ValueError("lower bound reaches the registered strict upper bound")
+    return {"s_values": s_values, "lower": lower, "upper": upper, "certified": lower == upper}
 
 
 def blowup_anticanonical_series(

@@ -78,12 +78,12 @@ def _jets_blowup_n2(rng: random.Random) -> tuple:
     series = jets.blowup_anticanonical_series(2, (Fraction(0), Fraction(0)))
     point = jets.random_rational_point(rng, 2)
     estimate = jets.moving_seshadri_lower(series, point, 2, jets.blowup_line_bound(2))
-    return estimate.lower, estimate.certified_equal
+    return estimate["lower"], estimate["certified"]
 
 
 def _galois_m2k3(_rng) -> tuple:
     res = valuations.galois_min_mult(2, 3)
-    return res.min_mult, res.bound, res.witness.coeffs
+    return res["min_mult"], res["bound"], res["witness"].coeffs
 
 
 _SQUARED_NORM_FORM = WPolynomial(
@@ -101,7 +101,7 @@ def _case_table() -> tuple[ReproductionCase, ...]:
             expected=Fraction(4),
             provenance="stated",
             citation="anticanonical Seshadri constant of P^3 at a point is n+1 = 4",
-            run=lambda rng: wps.wps_seshadri(wps.WeightVector((1, 1, 1, 1))),
+            run=lambda rng: wps.wps_seshadri((1, 1, 1, 1)),
         ),
         ReproductionCase(
             id="ex1.3-wps-seshadri-n2d2",
@@ -111,7 +111,7 @@ def _case_table() -> tuple[ReproductionCase, ...]:
             expected=Fraction(2),
             provenance="stated",
             citation="P(1,1,d) family at n=2, d=2: eps(-K) = n-1+2/d = 2",
-            run=lambda rng: wps.wps_seshadri(wps.WeightVector((1, 1, 2))),
+            run=lambda rng: wps.wps_seshadri((1, 1, 2)),
         ),
         ReproductionCase(
             id="ex1.3-wps-volume-n2d2",
@@ -121,7 +121,7 @@ def _case_table() -> tuple[ReproductionCase, ...]:
             expected=Fraction(8),
             provenance="stated",
             citation="P(1,1,d) family at n=2, d=2: vol(-K) = (2+(n-1)d)^n/d^(n-1) = 8",
-            run=lambda rng: wps.wps_anticanonical_volume(wps.WeightVector((1, 1, 2))),
+            run=lambda rng: wps.wps_anticanonical_volume((1, 1, 2)),
         ),
         ReproductionCase(
             id="ex1.3-wps-family-n3d4",
@@ -131,7 +131,7 @@ def _case_table() -> tuple[ReproductionCase, ...]:
             expected=Fraction(5, 2),
             provenance="derived",
             citation="P(1,1,d,d) family at n=3, d=4: eps(-K) = n-1+2/d = 5/2",
-            run=lambda rng: wps.wps_seshadri(wps.WeightVector((1, 1, 4, 4))),
+            run=lambda rng: wps.wps_seshadri((1, 1, 4, 4)),
         ),
         ReproductionCase(
             id="ex7.1-whs-bound-n3k2l3d5",
@@ -142,7 +142,7 @@ def _case_table() -> tuple[ReproductionCase, ...]:
             provenance="stated",
             citation="degree-5 hypersurface in P(1,1,1,2,3): bound (n-r)m/(kl) = 5/2, "
             "an equality since d <= kl",
-            run=lambda rng: wps.whs_seshadri_bound(wps.WeightedHypersurfaceSpec(3, 2, 3, 5)),
+            run=lambda rng: wps.whs_seshadri_bound(3, 2, 3, 5),
         ),
         ReproductionCase(
             id="ex7.1-whs-volume-n3k2l3d5",
@@ -152,7 +152,7 @@ def _case_table() -> tuple[ReproductionCase, ...]:
             expected=Fraction(45, 2),
             provenance="stated",
             citation="degree-5 hypersurface in P(1,1,1,2,3): vol(-K) = (n-r)^n d/(kl) = 45/2",
-            run=lambda rng: wps.whs_volume(wps.WeightedHypersurfaceSpec(3, 2, 3, 5)),
+            run=lambda rng: wps.whs_volume(3, 2, 3, 5),
         ),
         ReproductionCase(
             id="ex7.2-catalog-x6-n3",
@@ -244,9 +244,7 @@ def _case_table() -> tuple[ReproductionCase, ...]:
             provenance="derived",
             citation="valuation ideal of the (1,1,2) monomial valuation at level 2: "
             "lambda = 3/2 = 1+1/m at m=2",
-            run=lambda rng: valuations.ideal_min_multiplicity(
-                valuations.ValuationIdealQuery(valuations.MonomialValuation((1, 1, 2)), 2)
-            ),
+            run=lambda rng: valuations.ideal_min_multiplicity(valuations.MonomialValuation((1, 1, 2)), 2),
         ),
         ReproductionCase(
             id="lem6.3-minmult-23-k3",
@@ -257,9 +255,7 @@ def _case_table() -> tuple[ReproductionCase, ...]:
             provenance="derived",
             citation="valuation ideal of the (2,3) monomial valuation at level 3: "
             "lambda = 4/3 = 1+(1-1/N)/b at N=2, b=3/2",
-            run=lambda rng: valuations.ideal_min_multiplicity(
-                valuations.ValuationIdealQuery(valuations.MonomialValuation((2, 3)), 3)
-            ),
+            run=lambda rng: valuations.ideal_min_multiplicity(valuations.MonomialValuation((2, 3)), 3),
         ),
         ReproductionCase(
             id="lem6.4-twist-eval",
@@ -285,7 +281,7 @@ def _case_table() -> tuple[ReproductionCase, ...]:
             citation="no rational member of (s^2, t-sqrt(2)s) has multiplicity "
             "below 2 >= 4/3",
             run=lambda rng: (
-                lambda res: (res.min_mult, res.bound)
+                lambda res: (res["min_mult"], res["bound"])
             )(valuations.galois_min_mult(2, 1)),
         ),
         ReproductionCase(
@@ -302,22 +298,22 @@ def _case_table() -> tuple[ReproductionCase, ...]:
         ReproductionCase(
             id="thm4.1-bound-n2eps1",
             module="bounds",
-            operation="best_volume_bound",
+            operation="closed_form_volume_bound",
             inputs={"n": 2, "eps": Fraction(1)},
             expected=Fraction(100),
             provenance="derived",
             citation="closed-form infimum ((n+1-eps/2)/s)^n = ((2+1/2)/(1/4))^2 = 100",
-            run=lambda rng: bounds.best_volume_bound(2, Fraction(1)).M,
+            run=lambda rng: bounds.closed_form_volume_bound(2, Fraction(1)),
         ),
         ReproductionCase(
             id="thm4.1-bound-n1eps1",
             module="bounds",
-            operation="best_volume_bound",
+            operation="closed_form_volume_bound",
             inputs={"n": 1, "eps": Fraction(1)},
             expected=Fraction(3),
             provenance="derived",
             citation="closed-form infimum ((1+1/2)/(1/2))^1 = 3",
-            run=lambda rng: bounds.best_volume_bound(1, Fraction(1)).M,
+            run=lambda rng: bounds.closed_form_volume_bound(1, Fraction(1)),
         ),
         ReproductionCase(
             id="thm1.6-jets-blowup-n2",

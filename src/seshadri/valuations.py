@@ -154,72 +154,45 @@ def maximal_ideal_valuation(nu: MonomialValuation) -> int:
     return min(w0, w1, w0 * nu.twist.e)
 
 
-@dataclass(frozen=True)
-class IzumiCheck:
-    lower: object
-    value: object
-    upper: object
-    holds: bool
-    note: Optional[str] = None
-
-
-def izumi_check(nu: MonomialValuation, f: WPolynomial | Factors) -> IzumiCheck:
+def izumi_check(nu: MonomialValuation, f: WPolynomial | Factors) -> dict:
     """Two-sided comparison nu(m_x)*mult <= nu(f) <= (sum(w)-1)*mult for a
-    valuation centered at the origin.  The zero polynomial reports all three
-    quantities as +inf and holds trivially."""
+    valuation centered at the origin, as the fields lower, value, upper,
+    holds and note of the `izumi` record.  The zero polynomial reports all
+    three quantities as +inf and holds trivially."""
     note = None
     if nu.twist is not None:
         note = "nu(m_x) computed as min over coordinate functions after the twist rewrite"
     factors = _factors(f)
     if any(g.is_zero() for g, _ in factors):
-        return IzumiCheck(INFINITY, INFINITY, INFINITY, True, note)
-    # mult is the valuation ord at the origin, additive on products too
-    mult = sum(k * g.multiplicity() for g, k in factors)
-    value = valuation_eval(nu, factors)
-    lower = maximal_ideal_valuation(nu) * mult
-    upper = discrepancy(nu) * mult
-    return IzumiCheck(lower, value, upper, lower <= value <= upper, note)
+        lower = value = upper = INFINITY
+    else:
+        # mult is the valuation ord at the origin, additive on products too
+        mult = sum(k * g.multiplicity() for g, k in factors)
+        value = valuation_eval(nu, factors)
+        lower = maximal_ideal_valuation(nu) * mult
+        upper = discrepancy(nu) * mult
+    holds = lower <= value <= upper
+    return {"lower": lower, "value": value, "upper": upper, "holds": holds, "note": note}
 
 
-@dataclass(frozen=True)
-class ValuationIdealQuery:
-    """Level-k valuation ideal I_k = {f : nu(f) >= discrepancy(nu) * k}."""
-
-    valuation: MonomialValuation
-    k: int
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("ideal level k must be >= 1")
-
-
-def ideal_min_multiplicity(query: ValuationIdealQuery) -> tuple[int, Fraction]:
-    """Minimal multiplicity of a nonzero member of I_k for an untwisted
+def ideal_min_multiplicity(nu: MonomialValuation, k: int) -> tuple[int, Fraction]:
+    """Minimal multiplicity of a nonzero member of the level-k valuation ideal
+    I_k = {f : nu(f) >= discrepancy(nu) * k}, k >= 1, for an untwisted
     monomial valuation, and lambda = min_mult / k.
 
     Closed form ceil(a*k / max(w)) with a = sum(w) - 1: a lattice point v
     has <w, v> <= |v| * max(w), and v = closed * e_max reaches a*k.
     """
-    nu = query.valuation
+    if k < 1:
+        raise ValueError("ideal level k must be >= 1")
     if nu.twist is not None:
         raise ValueError("twisted valuations: use galois_min_mult instead")
-    target = discrepancy(nu) * query.k
+    target = discrepancy(nu) * k
     closed = -(-target // max(nu.weights))  # ceil
-    return closed, Fraction(closed, query.k)
+    return closed, Fraction(closed, k)
 
 
 # -- rational members of the twisted ideal (s^m, t - sqrt(2)*s^(m-1))^k -------
-
-
-@dataclass(frozen=True)
-class GaloisMinMult:
-    """Minimal multiplicity over nonzero rational members of the twisted
-    ideal, the 2mk/(2m-1) comparison bound, and a canonical minimal witness,
-    or TOO_LONG in its place."""
-
-    min_mult: int
-    bound: Fraction
-    witness: object
 
 
 def _least_mult(m: int, k: int, level: int):
@@ -292,9 +265,11 @@ def _witness_exceeds_digits(m: int, level: int, b: int, top: int, digits: int) -
     return more_digits(2 ** (n - lo) * math.comb(n, lo) * math.comb(n - 1 - lo, b - 1 - lo), digits)
 
 
-def galois_min_mult(m: int, k: int) -> GaloisMinMult:
-    """Minimal multiplicity at the origin of a nonzero rational member of
-    I = (s^m, y)^k, y = t - sqrt(2)*s^(m-1), read off the norm form.
+def galois_min_mult(m: int, k: int) -> dict:
+    """The `galois` record: m, k, the minimal multiplicity min_mult at the
+    origin of a nonzero rational member of I = (s^m, y)^k,
+    y = t - sqrt(2)*s^(m-1), read off the norm form, the comparison bound
+    2mk/(2m-1), and a canonical minimal witness.
 
     Under wt(s) = 1, wt(t) = wt(y) = m - 1, the piece of I of weighted degree
     `level` >= k(m-1) is y^b times every form of degree level - (m-1)b, with
@@ -322,4 +297,10 @@ def galois_min_mult(m: int, k: int) -> GaloisMinMult:
         terms = {2 * i + top % 2: c for i, c in enumerate(_witness_coefficients(b, top))}
         terms[top] = 1
         witness = WPolynomial({(level - (m - 1) * d, d): x for d, x in terms.items()}, 2)
-    return GaloisMinMult(_least_mult(m, k, level), Fraction(2 * m * k, 2 * m - 1), witness)
+    return {
+        "m": m,
+        "k": k,
+        "min_mult": _least_mult(m, k, level),
+        "bound": Fraction(2 * m * k, 2 * m - 1),
+        "witness": witness,
+    }

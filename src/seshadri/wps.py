@@ -6,103 +6,68 @@ of known values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-from typing import Tuple
+from math import gcd, prod
 
 from .exactmath.scalars import MAX_NUMBER_DIGITS, TOO_LONG, power_has_more_digits
 
 
-@dataclass(frozen=True)
-class WeightVector:
-    """Weights (a0, a1, ..., an) of a weighted projective space.
-
-    For the Seshadri/volume formulas the convention is a0 = 1 and
-    a1 <= ... <= an (the distinguished point is [1:0:...:0]).
-    """
-
-    weights: Tuple[int, ...]
-
-    def __post_init__(self):
-        ws = tuple(int(w) for w in self.weights)
-        object.__setattr__(self, "weights", ws)
-        if not ws or any(w < 1 for w in ws):
-            raise ValueError(f"weights must be a nonempty tuple of positive integers: {ws}")
-
-    @property
-    def n(self) -> int:
-        return len(self.weights) - 1
-
-    def require_seshadri_form(self):
-        ws = self.weights
-        if len(ws) < 2:
-            raise ValueError("need at least one weight beyond the leading 1")
-        if ws[0] != 1:
-            raise ValueError(f"weight vector must be led by 1, got {ws}")
-        if any(ws[i] > ws[i + 1] for i in range(1, len(ws) - 1)):
-            raise ValueError(f"weights a1..an must be sorted ascending, got {ws}")
+def _check_weights(ws: tuple[int, ...]) -> None:
+    """ValueError unless ws are the weights (1, a1, ..., an) of the formulas
+    below: positive, with n >= 1, led by 1 and a1 <= ... <= an (the
+    distinguished point is [1:0:...:0]), checked in that order."""
+    if not ws or any(w < 1 for w in ws):
+        raise ValueError(f"weights must be a nonempty tuple of positive integers: {ws}")
+    if len(ws) < 2:
+        raise ValueError("need at least one weight beyond the leading 1")
+    if ws[0] != 1:
+        raise ValueError(f"weight vector must be led by 1, got {ws}")
+    if any(ws[i] > ws[i + 1] for i in range(1, len(ws) - 1)):
+        raise ValueError(f"weights a1..an must be sorted ascending, got {ws}")
 
 
-def wps_seshadri(w: WeightVector) -> Fraction:
+def wps_seshadri(ws: tuple[int, ...]) -> Fraction:
     """Anticanonical Seshadri constant of P(1, a1, ..., an) at [1:0:...:0]:
     (1 + a1 + ... + an) / an."""
-    w.require_seshadri_form()
-    ws = w.weights
+    _check_weights(ws)
     return Fraction(sum(ws), ws[-1])
 
 
-def wps_anticanonical_volume(w: WeightVector) -> Fraction:
+def wps_anticanonical_volume(ws: tuple[int, ...]) -> Fraction:
     """Anticanonical self-intersection of P(1, a1, ..., an):
     (1 + a1 + ... + an)^n / (a1 * ... * an)."""
-    w.require_seshadri_form()
-    ws = w.weights
-    n = w.n
-    prod = 1
-    for a in ws[1:]:
-        prod *= a
-    return Fraction(sum(ws) ** n, prod)
+    _check_weights(ws)
+    return _wps_volume(ws)
 
 
-def wps_record(w: WeightVector) -> dict:
+def _wps_volume(ws: tuple[int, ...]) -> Fraction:
+    return Fraction(sum(ws) ** (len(ws) - 1), prod(ws[1:]))
+
+
+def wps_record(ws: tuple[int, ...]) -> dict:
     """CLI-facing record for a weighted projective space, its form checked
-    first, with the messages of wps_seshadri.  A volume that
-    `power_has_more_digits` shows is over MAX_NUMBER_DIGITS digits is left
-    as TOO_LONG: its product a1 * ... * an has at most bits(a1) + ... +
-    bits(an) bits."""
-    seshadri = wps_seshadri(w)
-    ws = w.weights
-    over = power_has_more_digits(sum(ws), w.n, MAX_NUMBER_DIGITS, sum(map(int.bit_length, ws[1:])))
+    once, by wps_seshadri.  A volume that `power_has_more_digits` shows is
+    over MAX_NUMBER_DIGITS digits is left as TOO_LONG: its product
+    a1 * ... * an has at most bits(a1) + ... + bits(an) bits."""
+    seshadri = wps_seshadri(ws)
+    over = power_has_more_digits(sum(ws), len(ws) - 1, MAX_NUMBER_DIGITS, sum(map(int.bit_length, ws[1:])))
     return {
         "weights": list(ws),
         "seshadri": seshadri,
-        "volume": TOO_LONG if over else wps_anticanonical_volume(w),
+        "volume": TOO_LONG if over else _wps_volume(ws),
     }
 
 
-@dataclass(frozen=True)
-class WeightedHypersurfaceSpec:
-    """General degree-d hypersurface X_d in P(1^n, k, l) with l >= max(2, k)
-    and n + k + l > d (so -K_X is ample of degree n - r, r = d - k - l)."""
-
-    n: int
-    k: int
-    l: int
-    d: int
-
-    def __post_init__(self):
-        if self.n < 1 or self.k < 1 or self.l < 1 or self.d < 1:
-            raise ValueError("n, k, l, d must be positive integers")
-        if self.l < max(2, self.k):
-            raise ValueError(f"need l >= max(2, k), got k={self.k}, l={self.l}")
-        if self.d >= self.n + self.k + self.l:
-            raise ValueError(
-                f"need d < n + k + l for an ample anticanonical class, got d={self.d}"
-            )
-
-    @property
-    def r(self) -> int:
-        return self.d - self.k - self.l
+def _check_whs(n: int, k: int, l: int, d: int) -> None:
+    """ValueError unless (n, k, l, d) specify a general degree-d hypersurface
+    X_d in P(1^n, k, l) with l >= max(2, k) and n + k + l > d (so -K_X is
+    ample of degree n - r, r = d - k - l)."""
+    if n < 1 or k < 1 or l < 1 or d < 1:
+        raise ValueError("n, k, l, d must be positive integers")
+    if l < max(2, k):
+        raise ValueError(f"need l >= max(2, k), got k={k}, l={l}")
+    if d >= n + k + l:
+        raise ValueError(f"need d < n + k + l for an ample anticanonical class, got d={d}")
 
 
 # The most values of b that `largest_representable` scans: about 0.2 s at
@@ -132,46 +97,54 @@ def largest_representable(d: int, k: int, l: int) -> int:
     return d - min((d - b * big) % small for b in range(top + 1))
 
 
-def whs_seshadri_bound(spec: WeightedHypersurfaceSpec) -> tuple[Fraction, bool]:
+def whs_seshadri_bound(n: int, k: int, l: int, d: int) -> tuple[Fraction, bool]:
     """Upper bound (n - r) * m / (k * l) for the anticanonical Seshadri constant
     of X_d, with m the largest integer <= d representable by the weights k, l.
     The flag is True exactly when d <= k*l, the regime where the bound is an
     equality."""
-    return _whs_bound(spec, largest_representable(spec.d, spec.k, spec.l))
+    _check_whs(n, k, l, d)
+    return _whs_bound(n, k, l, d, largest_representable(d, k, l))
 
 
-def _whs_bound(spec: WeightedHypersurfaceSpec, m: int) -> tuple[Fraction, bool]:
-    return Fraction((spec.n - spec.r) * m, spec.k * spec.l), spec.d <= spec.k * spec.l
+def _whs_bound(n: int, k: int, l: int, d: int, m: int) -> tuple[Fraction, bool]:
+    return Fraction((n + k + l - d) * m, k * l), d <= k * l
 
 
-def whs_volume(spec: WeightedHypersurfaceSpec) -> Fraction:
+def whs_volume(n: int, k: int, l: int, d: int) -> Fraction:
     """Anticanonical volume (n - r)^n * d / (k * l) of X_d."""
-    return Fraction((spec.n - spec.r) ** spec.n * spec.d, spec.k * spec.l)
+    _check_whs(n, k, l, d)
+    return _whs_volume(n, k, l, d)
 
 
-def whs_record(spec: WeightedHypersurfaceSpec) -> dict:
-    """CLI-facing record for a weighted hypersurface.  The volume is
-    a^n d / (kl) with a = n - r >= 1, and its numerator in lowest terms is at
-    least that of a^n / (kl); one that `power_has_more_digits` shows is over
-    MAX_NUMBER_DIGITS digits is left as TOO_LONG.
+def _whs_volume(n: int, k: int, l: int, d: int) -> Fraction:
+    return Fraction((n + k + l - d) ** n * d, k * l)
+
+
+def whs_record(n: int, k: int, l: int, d: int) -> dict:
+    """CLI-facing record for a weighted hypersurface, its spec checked first.
+    The volume is a^n d / (kl) with a = n - r >= 1, and its numerator in
+    lowest terms is at least that of a^n / (kl); one that
+    `power_has_more_digits` shows is over MAX_NUMBER_DIGITS digits is left as
+    TOO_LONG.
 
     `largest_representable` may refuse before emit reads r, but no n, k, l,
     d below 10^MAX_NUMBER_DIGITS, as the CLI reads them, meet both refusals:
     an r that is over needs k + l >= 10^MAX_NUMBER_DIGITS, and then a scan
     that is over needs d >= MAX_SCAN * max(k, l) > 10^MAX_NUMBER_DIGITS."""
-    m = largest_representable(spec.d, spec.k, spec.l)
-    bound, equality = _whs_bound(spec, m)
-    over = power_has_more_digits(spec.n - spec.r, spec.n, MAX_NUMBER_DIGITS, (spec.k * spec.l).bit_length())
+    _check_whs(n, k, l, d)
+    m = largest_representable(d, k, l)
+    bound, equality = _whs_bound(n, k, l, d, m)
+    over = power_has_more_digits(n + k + l - d, n, MAX_NUMBER_DIGITS, (k * l).bit_length())
     return {
-        "n": spec.n,
-        "k": spec.k,
-        "l": spec.l,
-        "d": spec.d,
-        "r": spec.r,
+        "n": n,
+        "k": k,
+        "l": l,
+        "d": d,
+        "r": d - k - l,
         "m": m,
         "bound": bound,
         "equality": equality,
-        "volume": TOO_LONG if over else whs_volume(spec),
+        "volume": TOO_LONG if over else _whs_volume(n, k, l, d),
     }
 
 

@@ -433,17 +433,17 @@ def test_valuation_galois_refuses_as_emit_would_after_building(capsys, monkeypat
     [
         (
             ("wps", "--weights", ",".join(["1"] * 10001)),
-            lambda: wps.wps_record(wps.WeightVector((1,) * 10001))["volume"],
+            lambda: wps.wps_record((1,) * 10001)["volume"],
             "volume",
         ),
         (
             ("whs", "--n", "1000000", "--k", "1", "--l", "2", "--d", "1"),
-            lambda: wps.whs_record(wps.WeightedHypersurfaceSpec(10**6, 1, 2, 1))["volume"],
+            lambda: wps.whs_record(10**6, 1, 2, 1)["volume"],
             "volume",
         ),
         (
             ("valuation", "--weights", "1,1", "--op", "galois", "--m", "2", "--k", "15000"),
-            lambda: valuations.galois_min_mult(2, 15000).witness,
+            lambda: valuations.galois_min_mult(2, 15000)["witness"],
             "witness",
         ),
     ],
@@ -1015,8 +1015,9 @@ def test_console_entry_point_runs_the_same_main():
 
 
 # The modules a fresh interpreter reports: the package, csv (which only
-# `emit`'s CSV branch imports), and dataclasses and inspect (which `linalg`
-# imports for ExactMatrix).
+# `emit`'s CSV branch imports), and dataclasses and inspect (which a module
+# that declares a dataclass imports: `jets`, `valuations`, `surfaces`,
+# `reproduce` and `linalg`).
 _WATCHED = ("seshadri", "csv", "dataclasses", "inspect")
 
 
@@ -1065,6 +1066,10 @@ def test_each_subcommand_loads_only_the_exactmath_modules_it_uses(argv, submodul
     assert {m for m in loaded if m.startswith("seshadri.exactmath.")} == {
         f"seshadri.exactmath.{name}" for name in {"scalars"} | submodules
     }
+    if argv[0] in ("wps", "whs", "bounds"):
+        # Their modules declare no dataclass.
+        _, bare = _fresh_interpreter("pass")
+        assert loaded & {"dataclasses", "inspect"} <= bare
 
 
 @pytest.mark.parametrize(
@@ -1107,6 +1112,23 @@ def test_jets_point_arity_mismatch_exits_2(capsys, system):
     assert err == "error: point arity mismatch\n"
 
 
+@pytest.mark.parametrize("point", [[1, 1], "random"])
+@pytest.mark.parametrize(
+    "curve_bound, message",
+    [
+        ({"pairing": 2, "mult": 1, "meets_base_locus": False}, "lower bound exceeds the registered upper bound"),
+        ({"pairing": 3, "mult": 1, "meets_base_locus": True}, "lower bound reaches the registered strict upper bound"),
+    ],
+    ids=["below-lower", "strict-reached"],
+)
+def test_jets_refuses_a_curve_bound_that_the_jets_contradict(capsys, curve_bound, message, point):
+    # The plane cubics separate 3-jets at every point, so lower = s(W_1, x) = 3.
+    # A curve bound of 2 lies below it, and a strict bound keeps every
+    # s(W_m, x) below m * 3, which s(W_1, x) = 3 reaches.
+    system = {"n": 2, "d": 3, "point": point, "m_max": 1, "curve_bound": curve_bound}
+    assert run_cli(capsys, "jets", json.dumps(system)) == (2, "", f"error: {message}\n")
+
+
 def test_bounds_output_over_the_digit_limit_exits_2_without_a_traceback():
     proc = subprocess.run(
         [sys.executable, "-m", "seshadri.cli", "bounds", "--n", "100000", "--eps", "1"],
@@ -1129,7 +1151,7 @@ def test_bounds_with_a_huge_m_exits_2_with_its_own_message(capsys, n):
     assert time.monotonic() - start < 1.0
     if n == 700:
         assert code == 0 and err == ""
-        assert json.loads(out)["M"] == str(bounds.best_volume_bound(700, Fraction(1)).M)
+        assert json.loads(out)["M"] == str(bounds.best_volume_bound(700, Fraction(1))["M"])
         return
     assert code == 2
     assert out == ""

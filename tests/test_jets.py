@@ -19,7 +19,6 @@ from seshadri.jets import (
     CurveBound,
     LinearSystem,
     MultConstraint,
-    SeshadriEstimate,
     _jet_rows,
     _taylor_tables,
     blowup_anticanonical_series,
@@ -120,9 +119,9 @@ def test_complete_series_lower_bound_is_the_degree():
     rng = random.Random(5)
     x = small_point(rng, 2)
     est = moving_seshadri_lower(lambda m: LinearSystem(2, 3 * m), x, 2)
-    assert est.lower == 3
-    assert est.s_values == (3, 6)
-    assert est.upper is None and not est.certified_equal
+    assert est["lower"] == 3
+    assert est["s_values"] == [3, 6]
+    assert est["upper"] is None and not est["certified"]
 
 
 def test_blowup_series_lower_bound_certified_by_line():
@@ -130,10 +129,10 @@ def test_blowup_series_lower_bound_certified_by_line():
     series = blowup_anticanonical_series(2, ORIGIN)
     x = random_rational_point(rng, 2)
     est = moving_seshadri_lower(series, x, 3, blowup_line_bound(2))
-    assert est.s_values == (2, 4, 6)
-    assert est.lower == 2
-    assert est.upper == 2
-    assert est.certified_equal
+    assert est["s_values"] == [2, 4, 6]
+    assert est["lower"] == 2
+    assert est["upper"] == 2
+    assert est["certified"]
 
 
 def test_empty_series_gives_minus_one():
@@ -146,7 +145,7 @@ def test_empty_series_gives_minus_one():
 
     x = (Fraction(1), Fraction(1))
     est = moving_seshadri_lower(starved, x, 1)
-    assert est.lower == -1
+    assert est["lower"] == -1
     del series
 
 
@@ -157,7 +156,7 @@ def test_blowup_lower_never_exceeds_ambient_seshadri():
     x = random_rational_point(rng, 2)
     for m_max in (1, 2, 3, 4):
         est = moving_seshadri_lower(series, x, m_max)
-        assert est.lower <= 3
+        assert est["lower"] <= 3
 
 
 def test_strict_curve_bound_holds_per_multiple():
@@ -170,19 +169,9 @@ def test_strict_curve_bound_holds_per_multiple():
     bound = seshadri_upper_via_curve(Fraction(3), 1, True)
     est = moving_seshadri_lower(series, x, 3, bound)
     assert bound.strict
-    for m, s in zip(est.m_values, est.s_values):
+    for m, s in enumerate(est["s_values"], 1):
         assert s < m * bound.bound
-    assert not est.certified_equal
-
-
-def test_estimate_rejects_lower_above_upper():
-    with pytest.raises(ValueError):
-        SeshadriEstimate(
-            lower=Fraction(3),
-            upper=Fraction(2),
-            m_values=(1,),
-            s_values=(3,),
-        )
+    assert not est["certified"]
 
 
 def test_linear_system_dimension_bound():
@@ -676,6 +665,6 @@ def test_plane_blown_up_at_r_points_has_epsilon_two(r):
     start = time.monotonic()
     est = moving_seshadri_lower(series, x, 3, seshadri_upper_via_curve(Fraction(2), 1, False))
     assert time.monotonic() - start < 2.0
-    assert est.s_values[0] == 2
-    assert est.lower == est.upper == 2
-    assert est.certified_equal
+    assert est["s_values"][0] == 2
+    assert est["lower"] == est["upper"] == 2
+    assert est["certified"]

@@ -1,8 +1,10 @@
 """Every function, class, method and module-level name in src/seshadri is
 used by the package itself: by the CLI, the reproduce table, or a function
 that one of them reaches.  A helper or a constant that only the tests read
-belongs in the tests.  And no two functions or methods in src/seshadri have
-the same body: a helper is written once and imported.
+belongs in the tests.  No two functions or methods in src/seshadri have
+the same body: a helper is written once and imported.  And every name that an
+import binds is read by its module: an import left behind still loads its
+module.
 
 A name counts as used when another part of the package reads it, as a name
 or as an attribute, or when the parser stores it as a subcommand's handler.
@@ -80,6 +82,23 @@ def _same_bodies(sources: dict[str, str]) -> list[list[str]]:
             body = node.body[1:] if ast.get_docstring(node) is not None else node.body
             by_body.setdefault(ast.dump(ast.Module(body, [])), []).append(f"{path}: {qualname}")
     return [names for names in by_body.values() if len(names) > 1]
+
+
+def _unread_imports(sources: dict[str, str]) -> list[str]:
+    """'module: name' of each name that an import in sources, a map of module
+    path to text, binds and that its module never reads.  An __init__ module
+    is skipped: its imports are re-exports."""
+    unread = []
+    for path, text in sources.items():
+        if Path(path).name == "__init__.py":
+            continue
+        tree = ast.parse(text)
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                bound = [(alias.asname or alias.name).split(".")[0] for alias in node.names]
+                unread.extend(f"{path}: {name}" for name in bound if name not in read)
+    return unread
 
 
 def _package_sources() -> dict[str, str]:
@@ -162,3 +181,20 @@ def test_the_same_body_guard_sees_a_copied_helper_and_skips_dunders():
         "    def third(self, y):\n        return y / 3\n"
     )
     assert _same_bodies({"m.py": tree}) == [["m.py: halve", "m.py: A.half"]]
+
+
+def test_every_import_in_the_package_is_read_by_its_module():
+    assert _unread_imports(_package_sources()) == []
+
+
+def test_the_guard_sees_an_import_its_module_never_reads():
+    sources = _package_sources()
+    sources["bounds.py"] += (
+        "\nfrom dataclasses import field\n"
+        "\n\ndef _load(text):\n"
+        "    import inspect as _inspect\n"
+        "    from json import dumps, loads\n"
+        "    return loads(text)\n"
+    )
+    sources["exactmath/__init__.py"] += "from .scalars import TOO_LONG\n"
+    assert _unread_imports(sources) == ["bounds.py: field", "bounds.py: _inspect", "bounds.py: dumps"]

@@ -25,7 +25,6 @@ from seshadri.exactmath.scalars import TOO_LONG
 from seshadri.valuations import (
     MonomialValuation,
     Twist,
-    ValuationIdealQuery,
     _expand_twist,
     discrepancy,
     galois_min_mult,
@@ -208,63 +207,58 @@ def test_maximal_ideal_valuation():
 
 def test_izumi_example_upper_attained():
     check = izumi_check(MonomialValuation((1, 3)), poly("t^2 + s^7"))
-    assert (check.lower, check.value, check.upper, check.holds) == (2, 6, 6, True)
+    assert (check["lower"], check["value"], check["upper"], check["holds"]) == (2, 6, 6, True)
 
 
 def test_izumi_example_equality_throughout():
     check = izumi_check(MonomialValuation((1, 1)), poly("s"))
-    assert (check.lower, check.value, check.upper, check.holds) == (1, 1, 1, True)
+    assert (check["lower"], check["value"], check["upper"], check["holds"]) == (1, 1, 1, True)
 
 
 def test_izumi_example_linear_form():
     check = izumi_check(MonomialValuation((2, 5)), poly("s + t"))
-    assert (check.lower, check.value, check.upper, check.holds) == (2, 2, 6, True)
+    assert (check["lower"], check["value"], check["upper"], check["holds"]) == (2, 2, 6, True)
 
 
 def test_izumi_zero_polynomial_holds_trivially():
     check = izumi_check(MonomialValuation((2, 5)), WPolynomial({}, 2))
-    assert check.holds
-    assert check.value == INFINITY
+    assert check["holds"]
+    assert check["value"] == INFINITY
 
 
 def test_izumi_constant_polynomial():
     check = izumi_check(MonomialValuation((2, 5)), WPolynomial.constant(7, 2))
-    assert (check.lower, check.value, check.upper, check.holds) == (0, 0, 0, True)
+    assert (check["lower"], check["value"], check["upper"], check["holds"]) == (0, 0, 0, True)
 
 
 def test_izumi_twisted_flags_the_convention():
     check = izumi_check(MonomialValuation((1, 2), Twist(1)), poly("t^2 - 2*s^2"))
-    assert check.holds
-    assert check.note is not None
+    assert check["holds"]
+    assert check["note"] is not None
 
 
 @given(monomial_valuations(), st.data())
 @settings(max_examples=100)
 def test_izumi_holds_for_random_pairs(nu, data):
     f = data.draw(nonzero_polys(nvars=len(nu.weights), max_degree=6))
-    assert izumi_check(nu, f).holds
+    assert izumi_check(nu, f)["holds"]
 
 
 # -- minimal multiplicity in valuation ideals -------------------------------------
 
 
 def test_min_mult_examples():
-    assert ideal_min_multiplicity(
-        ValuationIdealQuery(MonomialValuation((1, 2)), 3)
-    ) == (3, Fraction(1))
-    assert ideal_min_multiplicity(
-        ValuationIdealQuery(MonomialValuation((2, 3)), 3)
-    ) == (4, Fraction(4, 3))
-    assert ideal_min_multiplicity(
-        ValuationIdealQuery(MonomialValuation((1, 1, 2)), 2)
-    ) == (3, Fraction(3, 2))
+    assert ideal_min_multiplicity(MonomialValuation((1, 2)), 3) == (3, Fraction(1))
+    assert ideal_min_multiplicity(MonomialValuation((2, 3)), 3) == (4, Fraction(4, 3))
+    assert ideal_min_multiplicity(MonomialValuation((1, 1, 2)), 2) == (3, Fraction(3, 2))
 
 
 def test_min_mult_rejects_twisted_and_restricted_queries():
     with pytest.raises(ValueError):
-        ideal_min_multiplicity(
-            ValuationIdealQuery(MonomialValuation((1, 2), Twist(1)), 1)
-        )
+        ideal_min_multiplicity(MonomialValuation((1, 2), Twist(1)), 1)
+    # the level is checked before the twist
+    with pytest.raises(ValueError, match="ideal level k must be >= 1"):
+        ideal_min_multiplicity(MonomialValuation((1, 2), Twist(1)), 0)
 
 
 def exhaustive_min_mult(weights, k):
@@ -284,8 +278,7 @@ def exhaustive_min_mult(weights, k):
 def test_min_mult_matches_exhaustive_lattice_scan(k):
     for n in (2, 3):
         for weights in product(range(1, 6), repeat=n):
-            query = ValuationIdealQuery(MonomialValuation(weights), k)
-            min_mult, lam = ideal_min_multiplicity(query)
+            min_mult, lam = ideal_min_multiplicity(MonomialValuation(weights), k)
             assert min_mult == exhaustive_min_mult(weights, k)
             assert lam == Fraction(min_mult, k)
 
@@ -294,18 +287,14 @@ def test_min_mult_matches_exhaustive_lattice_scan(k):
 def test_lambda_closed_form_at_multiples_of_the_top_weight(w1, w2):
     # at k = w2 and 2*w2 the ratio hits 1 + (w1 - 1)/w2 exactly
     for k in (w2, 2 * w2):
-        _, lam = ideal_min_multiplicity(
-            ValuationIdealQuery(MonomialValuation((w1, w2)), k)
-        )
+        _, lam = ideal_min_multiplicity(MonomialValuation((w1, w2)), k)
         assert lam == 1 + Fraction(w1 - 1, w2)
 
 
 @pytest.mark.parametrize("m", range(1, 6))
 def test_sharp_case_ratio_one_for_1_m_valuations(m):
     for k in (m, 2 * m, 3 * m):
-        min_mult, lam = ideal_min_multiplicity(
-            ValuationIdealQuery(MonomialValuation((1, m)), k)
-        )
+        min_mult, lam = ideal_min_multiplicity(MonomialValuation((1, m)), k)
         assert lam == 1
         assert min_mult == k
 
@@ -322,10 +311,10 @@ def twisted_ideal_contains(m: int, k: int, f: WPolynomial) -> bool:
 
 def test_galois_min_mult_m2_k1():
     result = galois_min_mult(2, 1)
-    assert result.min_mult == 2
-    assert result.bound == Fraction(4, 3)
-    assert result.witness.multiplicity() == 2
-    assert twisted_ideal_contains(2, 1, result.witness)
+    assert result["min_mult"] == 2
+    assert result["bound"] == Fraction(4, 3)
+    assert result["witness"].multiplicity() == 2
+    assert twisted_ideal_contains(2, 1, result["witness"])
 
 
 def test_galois_m2_k1_norm_form_is_a_member():
@@ -341,28 +330,28 @@ def test_galois_m2_k1_norm_form_is_a_member():
 
 def test_galois_min_mult_m2_k3_attains_the_bound():
     result = galois_min_mult(2, 3)
-    assert result.min_mult == 4
-    assert result.bound == Fraction(4)
-    assert result.witness == poly("(t^2 - 2*s^2)^2")
-    assert twisted_ideal_contains(2, 3, result.witness)
+    assert result["min_mult"] == 4
+    assert result["bound"] == Fraction(4)
+    assert result["witness"] == poly("(t^2 - 2*s^2)^2")
+    assert twisted_ideal_contains(2, 3, result["witness"])
 
 
 def test_galois_min_mult_m3_k2():
     result = galois_min_mult(3, 2)
-    assert result.bound == Fraction(12, 5)
-    assert result.min_mult >= 3  # ceil(12/5)
-    assert twisted_ideal_contains(3, 2, result.witness)
+    assert result["bound"] == Fraction(12, 5)
+    assert result["min_mult"] >= 3  # ceil(12/5)
+    assert twisted_ideal_contains(3, 2, result["witness"])
 
 
 @pytest.mark.parametrize("m", (2, 3))
 @pytest.mark.parametrize("k", (1, 2, 3))
 def test_galois_lower_bound_all_small_cases(m, k):
     result = galois_min_mult(m, k)
-    assert result.bound == Fraction(2 * m * k, 2 * m - 1)
-    assert result.min_mult >= math.ceil(result.bound)
-    assert result.witness.multiplicity() == result.min_mult
-    assert all(isinstance(c, Fraction) for c in result.witness.coeffs.values())
-    assert twisted_ideal_contains(m, k, result.witness)
+    assert result["bound"] == Fraction(2 * m * k, 2 * m - 1)
+    assert result["min_mult"] >= math.ceil(result["bound"])
+    assert result["witness"].multiplicity() == result["min_mult"]
+    assert all(isinstance(c, Fraction) for c in result["witness"].coeffs.values())
+    assert twisted_ideal_contains(m, k, result["witness"])
 
 
 def test_galois_rejects_bad_parameters():
@@ -391,7 +380,7 @@ def test_galois_min_mult_m200_k200_within_budget():
     start = time.perf_counter()
     result = galois_min_mult(200, 200)
     elapsed = time.perf_counter() - start
-    assert result.witness.multiplicity() == result.min_mult
+    assert result["witness"].multiplicity() == result["min_mult"]
     assert elapsed < 0.5, f"galois_min_mult(200, 200) took {elapsed:.2f}s"
 
 
@@ -438,8 +427,7 @@ def test_norm_form_multiples_span_the_rational_members():
 
 
 def test_single_weight_min_mult():
-    query = ValuationIdealQuery(MonomialValuation((3,)), 5)
-    assert ideal_min_multiplicity(query) == (4, Fraction(4, 5))
+    assert ideal_min_multiplicity(MonomialValuation((3,)), 5) == (4, Fraction(4, 5))
 
 
 @pytest.mark.parametrize("weights", [(3,), (1, 1), (2, 5), (1, 2, 3), (5, 1, 4), (1, 1, 1, 2)])
@@ -450,8 +438,7 @@ def test_lattice_scan_raises_on_a_closed_form_one_too_large(weights, k):
     target = (sum(weights) - 1) * k
     closed = -(-target // max(weights))
     assert exhaustive_min_mult(weights, k) == closed
-    query = ValuationIdealQuery(MonomialValuation(weights), k)
-    assert ideal_min_multiplicity(query) == (closed, Fraction(closed, k))
+    assert ideal_min_multiplicity(MonomialValuation(weights), k) == (closed, Fraction(closed, k))
 
 
 # -- the integer-pair rewrite and Galois scan against their field forms -------------
@@ -595,8 +582,8 @@ def _galois_by_field_linear_algebra(m, k):
 def test_galois_scan_matches_field_linear_algebra(m):
     for k in range(1, 13):
         result = galois_min_mult(m, k)
-        assert (result.min_mult, result.witness) == _galois_by_field_linear_algebra(m, k)
-        coefficients = result.witness.coeffs.values()
+        assert (result["min_mult"], result["witness"]) == _galois_by_field_linear_algebra(m, k)
+        coefficients = result["witness"].coeffs.values()
         assert all(type(c) is Fraction and c.denominator == 1 for c in coefficients)
 
 
@@ -638,8 +625,8 @@ def test_galois_closed_forms_match_the_scan_and_the_long_division():
     for m, k in pairs + [(2, 700), (3, 500), (7, 300), (200, 200), (31, 97)]:
         result = galois_min_mult(m, k)
         min_mult, witness = _galois_by_long_division(m, k)
-        assert result.min_mult == min_mult, (m, k)
-        assert list(result.witness.coeffs.items()) == list(witness.coeffs.items()), (m, k)
+        assert result["min_mult"] == min_mult, (m, k)
+        assert list(result["witness"].coeffs.items()) == list(witness.coeffs.items()), (m, k)
 
 
 def _galois_record(m, k):
@@ -650,13 +637,7 @@ def _galois_record(m, k):
     terms[top] = 1
     witness = WPolynomial({(level - (m - 1) * d, d): x for d, x in terms.items()}, 2)
     bound = Fraction(2 * m * k, 2 * m - 1)
-    return {"min_mult": valuations._least_mult(m, k, level), "bound": bound, "witness": witness}
-
-
-def _guarded_record(m, k):
-    """The fields of galois_min_mult(m, k), in its order."""
-    result = galois_min_mult(m, k)
-    return {"min_mult": result.min_mult, "bound": result.bound, "witness": result.witness}
+    return {"m": m, "k": k, "min_mult": valuations._least_mult(m, k, level), "bound": bound, "witness": witness}
 
 
 def _fields_over(m, k, digits):
@@ -679,7 +660,7 @@ def test_the_galois_digit_check_matches_the_built_answer(m, k, digits):
     # limit of 4300 digits none of these witnesses is over.
     over = valuations._witness_exceeds_digits(m, *valuations._galois_shape(m, k), digits)
     assert over == ("witness" in _fields_over(m, k, digits))
-    assert _guarded_record(m, k) == _galois_record(m, k)
+    assert galois_min_mult(m, k) == _galois_record(m, k)
 
 
 @pytest.mark.parametrize(
@@ -704,18 +685,19 @@ def test_the_galois_digit_check_decides_huge_parameters_at_once(m, k, field):
     # k = 2 it is -2*s^(2m-1) + s*t^2, whose exponent 2m - 1 is below the
     # bound's 4m.
     start = time.perf_counter()
-    refusal = emit_refusal(_guarded_record(m, k))
+    refusal = emit_refusal(galois_min_mult(m, k))
     assert time.perf_counter() - start < 0.1
     assert refusal == (field and f"the answer's {field} has a number of more than 4300 digits")
 
 
 def test_the_witness_digit_check_reads_its_exponents():
-    # At m = 10^4300, k = 2 the witness is -2*s^(2m-1) + s*t^2: only its
-    # exponent 2m - 1 is too long, and it is left unbuilt.  The answer names
-    # the bound, 4m, first, as it does with the witness built.
-    m = 10**4300
+    # At m = 10^4300 - 1, the largest m of at most 4300 digits, and k = 2 the
+    # witness is -2*s^(2m-1) + s*t^2: only its exponent 2m - 1 is too long,
+    # and it is left unbuilt.  The answer names the bound, 4m, first, as it
+    # does with the witness built.
+    m = 10**4300 - 1
     assert valuations._witness_exceeds_digits(m, *valuations._galois_shape(m, 2), 4300)
-    record = _guarded_record(m, 2)
+    record = galois_min_mult(m, 2)
     assert record["witness"] is TOO_LONG
     refusal = "the answer's bound has a number of more than 4300 digits"
     assert emit_refusal(record) == emit_refusal(_galois_record(m, 2)) == refusal

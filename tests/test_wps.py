@@ -13,8 +13,6 @@ from seshadri.exactmath.scalars import TOO_LONG
 from seshadri.surfaces import ruled_surface_model
 from seshadri.wps import (
     MAX_SCAN,
-    WeightedHypersurfaceSpec,
-    WeightVector,
     catalog_seshadri,
     largest_representable,
     whs_record,
@@ -31,38 +29,38 @@ from conftest import emit_refusal
 
 
 def test_seshadri_projective_space():
-    assert wps_seshadri(WeightVector((1, 1, 1, 1))) == 4
+    assert wps_seshadri((1, 1, 1, 1)) == 4
 
 
 def test_seshadri_n2_d2():
-    assert wps_seshadri(WeightVector((1, 1, 2))) == 2
+    assert wps_seshadri((1, 1, 2)) == 2
 
 
 def test_seshadri_generic_weights():
-    assert wps_seshadri(WeightVector((1, 2, 3))) == 2
+    assert wps_seshadri((1, 2, 3)) == 2
 
 
 def test_volume_examples():
-    assert wps_anticanonical_volume(WeightVector((1, 1, 2))) == 8
-    assert wps_anticanonical_volume(WeightVector((1, 1, 1))) == 9
-    assert wps_anticanonical_volume(WeightVector((1, 2, 3))) == 6
+    assert wps_anticanonical_volume((1, 1, 2)) == 8
+    assert wps_anticanonical_volume((1, 1, 1)) == 9
+    assert wps_anticanonical_volume((1, 2, 3)) == 6
 
 
 def test_weight_vector_validation():
     with pytest.raises(ValueError):
-        wps_seshadri(WeightVector((2, 1, 1)))  # not led by 1
+        wps_seshadri((2, 1, 1))  # not led by 1
     with pytest.raises(ValueError):
-        wps_seshadri(WeightVector((1, 3, 2)))  # unsorted tail
+        wps_seshadri((1, 3, 2))  # unsorted tail
     with pytest.raises(ValueError):
-        WeightVector((1, 0, 2))  # nonpositive weight
+        wps_seshadri((1, 0, 2))  # nonpositive weight
     with pytest.raises(ValueError):
-        wps_seshadri(WeightVector((1,)))  # no weights beyond the leading 1
+        wps_seshadri((1,))  # no weights beyond the leading 1
 
 
 @pytest.mark.parametrize("n", range(2, 6))
 @pytest.mark.parametrize("d", range(1, 51))
 def test_family_1_1_d_closed_forms(n, d):
-    w = WeightVector((1, 1) + (d,) * (n - 1))
+    w = (1, 1) + (d,) * (n - 1)
     assert wps_seshadri(w) == n - 1 + Fraction(2, d)
     assert wps_anticanonical_volume(w) == Fraction((2 + (n - 1) * d) ** n, d ** (n - 1))
 
@@ -70,7 +68,7 @@ def test_family_1_1_d_closed_forms(n, d):
 @pytest.mark.parametrize("n", range(2, 6))
 def test_family_volume_strictly_increasing_beyond_n(n):
     def vol(d):
-        return wps_anticanonical_volume(WeightVector((1, 1) + (d,) * (n - 1)))
+        return wps_anticanonical_volume((1, 1) + (d,) * (n - 1))
 
     for d in range(n, 50):
         assert vol(d + 1) > vol(d)
@@ -78,7 +76,7 @@ def test_family_volume_strictly_increasing_beyond_n(n):
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_unit_weights_give_projective_space_values(n):
-    w = WeightVector((1,) * (n + 1))
+    w = (1,) * (n + 1)
     assert wps_seshadri(w) == n + 1
     assert wps_anticanonical_volume(w) == (n + 1) ** n
 
@@ -87,30 +85,34 @@ def test_unit_weights_give_projective_space_values(n):
 
 
 def test_whs_bound_equality_case():
-    bound, equality = whs_seshadri_bound(WeightedHypersurfaceSpec(3, 2, 3, 5))
+    bound, equality = whs_seshadri_bound(3, 2, 3, 5)
     assert (bound, equality) == (Fraction(5, 2), True)
 
 
 def test_whs_bound_inequality_cases():
-    assert whs_seshadri_bound(WeightedHypersurfaceSpec(3, 1, 2, 4)) == (Fraction(4), False)
-    assert whs_seshadri_bound(WeightedHypersurfaceSpec(2, 1, 2, 4)) == (Fraction(2), False)
+    assert whs_seshadri_bound(3, 1, 2, 4) == (Fraction(4), False)
+    assert whs_seshadri_bound(2, 1, 2, 4) == (Fraction(2), False)
 
 
 def test_whs_volume_examples():
-    assert whs_volume(WeightedHypersurfaceSpec(3, 2, 3, 5)) == Fraction(45, 2)
-    assert whs_volume(WeightedHypersurfaceSpec(3, 1, 2, 4)) == 16
-    assert whs_volume(WeightedHypersurfaceSpec(2, 1, 2, 4)) == 2
+    assert whs_volume(3, 2, 3, 5) == Fraction(45, 2)
+    assert whs_volume(3, 1, 2, 4) == 16
+    assert whs_volume(2, 1, 2, 4) == 2
 
 
 def test_whs_spec_validation():
     with pytest.raises(ValueError):
-        WeightedHypersurfaceSpec(3, 3, 2, 4)  # l < k
+        whs_record(3, 3, 2, 4)  # l < k
     with pytest.raises(ValueError):
-        WeightedHypersurfaceSpec(3, 1, 1, 2)  # l < 2
+        whs_record(3, 1, 1, 2)  # l < 2
     with pytest.raises(ValueError):
-        WeightedHypersurfaceSpec(3, 2, 3, 8)  # d >= n + k + l
+        whs_record(3, 2, 3, 8)  # d >= n + k + l
     with pytest.raises(ValueError):
-        WeightedHypersurfaceSpec(3, 2, 3, 0)
+        whs_record(3, 2, 3, 0)
+    # The spec is checked before the residue scan, which would refuse too.
+    k, l = 2**16 + 1, 2**16 + 3
+    with pytest.raises(ValueError, match=r"need d < n \+ k \+ l"):
+        whs_record(1, k, l, MAX_SCAN * l)
 
 
 @pytest.mark.parametrize(
@@ -168,7 +170,7 @@ def test_largest_representable_past_sylvester_is_immediate(k):
     # a residue scan would take about k steps.
     l, d = k + 2, k * k + 2
     start = time.monotonic()
-    record = whs_record(WeightedHypersurfaceSpec((k - 1) ** 2, k, l, d))
+    record = whs_record((k - 1) ** 2, k, l, d)
     assert time.monotonic() - start < 0.5
     assert (record["r"], record["m"], record["equality"]) == (k * k - 2 * k, d, True)
     assert record["bound"] == record["volume"] == Fraction(d, k * l)
@@ -187,40 +189,40 @@ def _whs_specs_that_build_quickly(draw):
     top = n + k + l - 1
     d = draw(st.one_of(st.integers(1, 9), st.integers(max(1, top - 30), top), st.integers(1, top)))
     assume(d <= top and l < 10**4300 and d < 10**4300 and (n + k + l - d).bit_length() * n <= 100_000)
-    return WeightedHypersurfaceSpec(n, k, l, d)
+    return n, k, l, d
 
 
 @settings(max_examples=50, deadline=timedelta(seconds=5))
 @given(_whs_specs_that_build_quickly())
-@example(WeightedHypersurfaceSpec(1, 10**4300 - 1, 10**4300 - 1, 1))  # r has 4301 digits
-@example(WeightedHypersurfaceSpec(4296, 1, 2, 4289))  # a volume of 4300 digits
-@example(WeightedHypersurfaceSpec(4297, 1, 2, 4290))  # and of 4301
-@example(WeightedHypersurfaceSpec(4300, 1, 2, 4302))  # a = 1
-@example(WeightedHypersurfaceSpec(3, 2, 3, 5))
+@example((1, 10**4300 - 1, 10**4300 - 1, 1))  # r has 4301 digits
+@example((4296, 1, 2, 4289))  # a volume of 4300 digits
+@example((4297, 1, 2, 4290))  # and of 4301
+@example((4300, 1, 2, 4302))  # a = 1
+@example((3, 2, 3, 5))
 def test_whs_digit_check_names_the_field_that_emit_refuses(spec):
     # emit refuses the record that leaves an unprintable volume unbuilt as it
     # refuses the record built in full, and one it prints was built in full.
-    refusal = emit_refusal(whs_record(spec))
-    assert refusal == emit_refusal(_whs_record(spec))
+    refusal = emit_refusal(whs_record(*spec))
+    assert refusal == emit_refusal(_whs_record(*spec))
     if refusal is None:
-        assert whs_record(spec) == _whs_record(spec)
+        assert whs_record(*spec) == _whs_record(*spec)
 
 
-def _whs_record(spec):
-    """whs_record(spec) with every field built."""
-    m = largest_representable(spec.d, spec.k, spec.l)
-    bound = Fraction((spec.n - spec.r) * m, spec.k * spec.l)
-    fields = {"n": spec.n, "k": spec.k, "l": spec.l, "d": spec.d, "r": spec.r, "m": m, "bound": bound}
-    return {**fields, "equality": spec.d <= spec.k * spec.l, "volume": whs_volume(spec)}
+def _whs_record(n, k, l, d):
+    """whs_record(n, k, l, d) with every field built."""
+    m = largest_representable(d, k, l)
+    r = d - k - l
+    bound = Fraction((n - r) * m, k * l)
+    fields = {"n": n, "k": k, "l": l, "d": d, "r": r, "m": m, "bound": bound}
+    return {**fields, "equality": d <= k * l, "volume": whs_volume(n, k, l, d)}
 
 
 def test_whs_digit_check_names_the_bound_before_the_volume():
     # d = n/2 with n of 4300 digits: the bound (n - r) m / 2 has about 8600
     # digits, and the volume (n - r)^n d / 2 could never be built.
     n = 10**4299
-    spec = WeightedHypersurfaceSpec(n, 1, 2, n // 2)
     start = time.monotonic()
-    record = whs_record(spec)
+    record = whs_record(n, 1, 2, n // 2)
     assert emit_refusal(record) == "the answer's bound has a number of more than 4300 digits"
     assert time.monotonic() - start < 0.5
     assert record["volume"] is TOO_LONG
@@ -235,22 +237,22 @@ def _weight_vectors_that_build_quickly(draw):
     rest = sorted(draw(st.lists(_WIDE, min_size=0 if ones else 1, max_size=4)))
     weights = (1,) * (1 + ones) + tuple(rest)
     assume(sum(weights).bit_length() * (len(weights) - 1) <= 100_000)
-    return WeightVector(weights)
+    return weights
 
 
 def _wps_record(w):
     """wps_record(w) with every field built."""
-    return {"weights": list(w.weights), "seshadri": wps_seshadri(w), "volume": wps_anticanonical_volume(w)}
+    return {"weights": list(w), "seshadri": wps_seshadri(w), "volume": wps_anticanonical_volume(w)}
 
 
 @settings(max_examples=50, deadline=timedelta(seconds=5))
 @given(_weight_vectors_that_build_quickly())
-@example(WeightVector((1, 10**4300 - 1, 10**4300 - 1)))  # seshadri has 4301 digits
-@example(WeightVector((1, 10**4300 - 1)))  # s = 10^4300: seshadri and volume of 4301 digits
-@example(WeightVector((1,) * 1370 + (6,)))  # a volume of 4300 digits
-@example(WeightVector((1,) * 1370 + (7,)))  # and of 4301
-@example(WeightVector((1,) * 1372))  # all ones, 4302 digits
-@example(WeightVector((1, 1, 2)))
+@example((1, 10**4300 - 1, 10**4300 - 1))  # seshadri has 4301 digits
+@example((1, 10**4300 - 1))  # s = 10^4300: seshadri and volume of 4301 digits
+@example((1,) * 1370 + (6,))  # a volume of 4300 digits
+@example((1,) * 1370 + (7,))  # and of 4301
+@example((1,) * 1372)  # all ones, 4302 digits
+@example((1, 1, 2))
 def test_wps_digit_check_names_the_field_that_emit_refuses(w):
     refusal = emit_refusal(wps_record(w))
     assert refusal == emit_refusal(_wps_record(w))
@@ -269,7 +271,7 @@ def test_wps_digit_check_names_the_field_that_emit_refuses(w):
 def test_wps_digit_check_keeps_the_form_errors(weights, message):
     # Each of the first two has a volume of more than 4300 digits.
     with pytest.raises(ValueError, match=message):
-        wps_record(WeightVector(weights))
+        wps_record(weights)
 
 
 def test_whs_equality_bound_never_exceeds_dimension():
@@ -281,14 +283,13 @@ def test_whs_equality_bound_never_exceeds_dimension():
         for k in range(1, 4):
             for l in range(max(2, k), 6):
                 for d in range(k + l, n + k + l):
-                    spec = WeightedHypersurfaceSpec(n, k, l, d)
-                    bound, equality = whs_seshadri_bound(spec)
+                    bound, equality = whs_seshadri_bound(n, k, l, d)
                     if equality:
-                        assert bound <= n - spec.r <= n
+                        assert bound <= n - (d - k - l) <= n
 
 
 def test_whs_record_fields():
-    record = whs_record(WeightedHypersurfaceSpec(3, 2, 3, 5))
+    record = whs_record(3, 2, 3, 5)
     assert record == {
         "n": 3,
         "k": 2,
