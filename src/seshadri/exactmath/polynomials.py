@@ -357,6 +357,13 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
     return tokens
 
 
+def _unexpected(token) -> ValueError:
+    """The parse error at token, naming its text or the end of the text."""
+    if token == _END:
+        return ValueError("unexpected end of polynomial")
+    return ValueError(f"unexpected {token[1]!r} in polynomial")
+
+
 class _Parser:
     """Recursive-descent parser for +, -, *, /, ^ over variables and rational
     or sqrt(2) literals; no implicit multiplication.  A unary minus negates
@@ -385,7 +392,7 @@ class _Parser:
     def expect(self, kind, value=None):
         tok = self.take()
         if tok[0] != kind or (value is not None and tok[1] != value):
-            raise ValueError(f"unexpected token {tok} in polynomial")
+            raise _unexpected(tok)
         return tok
 
     def spend(self, work: int, what: str):
@@ -563,7 +570,7 @@ class _Parser:
             out = self.expr()
             self.expect("op", ")")
             return out
-        raise ValueError(f"unexpected token {(kind, value)} in polynomial")
+        raise _unexpected((kind, value))
 
 
 def parse_polynomial(

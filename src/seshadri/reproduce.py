@@ -28,7 +28,9 @@ class ReproductionCase:
     expected: object
     provenance: str  # "stated" | "derived" | "trivial"
     citation: str
-    run: Callable[[random.Random], object]
+    # Called with the case's seed text, f"{seed}:{id}"; a case that draws
+    # random points seeds its own random.Random with it.
+    run: Callable[[str], object]
 
     def __post_init__(self):
         if self.provenance not in ("stated", "derived", "trivial"):
@@ -60,7 +62,7 @@ def _ruled_g2d10_positive_part() -> surfaces.DivisorClass:
     return surfaces.DivisorClass((Fraction(4, 5), Fraction(8)))
 
 
-def _zariski_g2d10(_rng) -> tuple:
+def _zariski_g2d10(_seed) -> tuple:
     lat = surfaces.ruled_surface_lattice(10)
     dec = surfaces.zariski_decomposition(
         lat, surfaces.DivisorClass((Fraction(2), Fraction(8)))
@@ -68,20 +70,20 @@ def _zariski_g2d10(_rng) -> tuple:
     return dec.positive.coords, dec.negative.coords
 
 
-def _seshadri_marked_g2d10(_rng) -> tuple:
+def _seshadri_marked_g2d10(_seed) -> tuple:
     lat = surfaces.ruled_surface_lattice(10)
     res = surfaces.seshadri_at_marked_point(lat, _ruled_g2d10_positive_part())
     return res.value, res.certified
 
 
-def _jets_blowup_n2(rng: random.Random) -> tuple:
+def _jets_blowup_n2(seed: str) -> tuple:
     series = jets.blowup_anticanonical_series(2, (Fraction(0), Fraction(0)))
-    point = jets.random_rational_point(rng, 2)
+    point = jets.random_rational_point(random.Random(seed), 2)
     estimate = jets.moving_seshadri_lower(series, point, 2, jets.blowup_line_bound(2))
     return estimate["lower"], estimate["certified"]
 
 
-def _galois_m2k3(_rng) -> tuple:
+def _galois_m2k3(_seed) -> tuple:
     res = valuations.galois_min_mult(2, 3)
     return res["min_mult"], res["bound"], res["witness"].coeffs
 
@@ -101,7 +103,7 @@ def _case_table() -> tuple[ReproductionCase, ...]:
             expected=Fraction(4),
             provenance="stated",
             citation="anticanonical Seshadri constant of P^3 at a point is n+1 = 4",
-            run=lambda rng: wps.wps_seshadri((1, 1, 1, 1)),
+            run=lambda _seed: wps.wps_seshadri((1, 1, 1, 1)),
         ),
         ReproductionCase(
             id="ex1.3-wps-seshadri-n2d2",
@@ -111,7 +113,7 @@ def _case_table() -> tuple[ReproductionCase, ...]:
             expected=Fraction(2),
             provenance="stated",
             citation="P(1,1,d) family at n=2, d=2: eps(-K) = n-1+2/d = 2",
-            run=lambda rng: wps.wps_seshadri((1, 1, 2)),
+            run=lambda _seed: wps.wps_seshadri((1, 1, 2)),
         ),
         ReproductionCase(
             id="ex1.3-wps-volume-n2d2",
@@ -121,7 +123,7 @@ def _case_table() -> tuple[ReproductionCase, ...]:
             expected=Fraction(8),
             provenance="stated",
             citation="P(1,1,d) family at n=2, d=2: vol(-K) = (2+(n-1)d)^n/d^(n-1) = 8",
-            run=lambda rng: wps.wps_anticanonical_volume((1, 1, 2)),
+            run=lambda _seed: wps.wps_anticanonical_volume((1, 1, 2)),
         ),
         ReproductionCase(
             id="ex1.3-wps-family-n3d4",
@@ -131,7 +133,7 @@ def _case_table() -> tuple[ReproductionCase, ...]:
             expected=Fraction(5, 2),
             provenance="derived",
             citation="P(1,1,d,d) family at n=3, d=4: eps(-K) = n-1+2/d = 5/2",
-            run=lambda rng: wps.wps_seshadri((1, 1, 4, 4)),
+            run=lambda _seed: wps.wps_seshadri((1, 1, 4, 4)),
         ),
         ReproductionCase(
             id="ex7.1-whs-bound-n3k2l3d5",
@@ -142,7 +144,7 @@ def _case_table() -> tuple[ReproductionCase, ...]:
             provenance="stated",
             citation="degree-5 hypersurface in P(1,1,1,2,3): bound (n-r)m/(kl) = 5/2, "
             "an equality since d <= kl",
-            run=lambda rng: wps.whs_seshadri_bound(3, 2, 3, 5),
+            run=lambda _seed: wps.whs_seshadri_bound(3, 2, 3, 5),
         ),
         ReproductionCase(
             id="ex7.1-whs-volume-n3k2l3d5",
@@ -152,7 +154,7 @@ def _case_table() -> tuple[ReproductionCase, ...]:
             expected=Fraction(45, 2),
             provenance="stated",
             citation="degree-5 hypersurface in P(1,1,1,2,3): vol(-K) = (n-r)^n d/(kl) = 45/2",
-            run=lambda rng: wps.whs_volume(3, 2, 3, 5),
+            run=lambda _seed: wps.whs_volume(3, 2, 3, 5),
         ),
         ReproductionCase(
             id="ex7.2-catalog-x6-n3",
@@ -162,7 +164,7 @@ def _case_table() -> tuple[ReproductionCase, ...]:
             expected=Fraction(2),
             provenance="stated",
             citation="sextic in P(1^(n-1),2,2,3) at n=3: eps(-K) = 2n/3 = 2",
-            run=lambda rng: wps.catalog_seshadri("X6", n=3)[0],
+            run=lambda _seed: wps.catalog_seshadri("X6", n=3)[0],
         ),
         ReproductionCase(
             id="ex7.4-catalog-ruled-g2d10",
@@ -173,7 +175,7 @@ def _case_table() -> tuple[ReproductionCase, ...]:
             provenance="stated",
             citation="ruled surface over a genus-2 curve, deg D = 10: "
             "eps_m(-K) = 1-(2g-2)/d = 4/5",
-            run=lambda rng: wps.catalog_seshadri("ruled", g=2, d=10)[0],
+            run=lambda _seed: wps.catalog_seshadri("ruled", g=2, d=10)[0],
         ),
         ReproductionCase(
             id="lem3.7-curve-bound-line",
@@ -184,7 +186,7 @@ def _case_table() -> tuple[ReproductionCase, ...]:
             provenance="stated",
             citation="line through the base point of a plane-cubic system: "
             "s(W,x) <= (L.C)/mult = 3, strict",
-            run=lambda rng: (
+            run=lambda _seed: (
                 lambda cb: (cb.bound, cb.strict)
             )(jets.seshadri_upper_via_curve(3, 1, True)),
         ),
@@ -197,7 +199,7 @@ def _case_table() -> tuple[ReproductionCase, ...]:
             provenance="stated",
             citation="monomial valuation nu(s)=1, nu(t)=m has discrepancy "
             "Nb+N-1 = m at N=1, b=m (instance m=4)",
-            run=lambda rng: valuations.discrepancy(valuations.MonomialValuation((1, 4))),
+            run=lambda _seed: valuations.discrepancy(valuations.MonomialValuation((1, 4))),
         ),
         ReproductionCase(
             id="ex7.4-zariski-g2d10",
@@ -233,7 +235,7 @@ def _case_table() -> tuple[ReproductionCase, ...]:
             provenance="stated",
             citation="closed form of the decomposition and of the Seshadri constant "
             "of its positive part on the (g,d)=(2,10) ruled surface",
-            run=lambda rng: surfaces.ruled_surface_model(2, 10)["epsilon_m"],
+            run=lambda _seed: surfaces.ruled_surface_model(2, 10)["epsilon_m"],
         ),
         ReproductionCase(
             id="lem6.2-minmult-112-k2",
@@ -244,7 +246,7 @@ def _case_table() -> tuple[ReproductionCase, ...]:
             provenance="derived",
             citation="valuation ideal of the (1,1,2) monomial valuation at level 2: "
             "lambda = 3/2 = 1+1/m at m=2",
-            run=lambda rng: valuations.ideal_min_multiplicity(valuations.MonomialValuation((1, 1, 2)), 2),
+            run=lambda _seed: valuations.ideal_min_multiplicity(valuations.MonomialValuation((1, 1, 2)), 2),
         ),
         ReproductionCase(
             id="lem6.3-minmult-23-k3",
@@ -255,7 +257,7 @@ def _case_table() -> tuple[ReproductionCase, ...]:
             provenance="derived",
             citation="valuation ideal of the (2,3) monomial valuation at level 3: "
             "lambda = 4/3 = 1+(1-1/N)/b at N=2, b=3/2",
-            run=lambda rng: valuations.ideal_min_multiplicity(valuations.MonomialValuation((2, 3)), 3),
+            run=lambda _seed: valuations.ideal_min_multiplicity(valuations.MonomialValuation((2, 3)), 3),
         ),
         ReproductionCase(
             id="lem6.4-twist-eval",
@@ -266,7 +268,7 @@ def _case_table() -> tuple[ReproductionCase, ...]:
             provenance="derived",
             citation="(1,2) valuation twisted by y = t-sqrt(2)s: "
             "nu(t^2-2s^2) = nu(y^2+2*sqrt(2)*s*y) = 3",
-            run=lambda rng: valuations.valuation_eval(
+            run=lambda _seed: valuations.valuation_eval(
                 valuations.MonomialValuation((1, 2), valuations.Twist(1)),
                 WPolynomial({(0, 2): Fraction(1), (2, 0): Fraction(-2)}, 2),
             ),
@@ -280,7 +282,7 @@ def _case_table() -> tuple[ReproductionCase, ...]:
             provenance="derived",
             citation="no rational member of (s^2, t-sqrt(2)s) has multiplicity "
             "below 2 >= 4/3",
-            run=lambda rng: (
+            run=lambda _seed: (
                 lambda res: (res["min_mult"], res["bound"])
             )(valuations.galois_min_mult(2, 1)),
         ),
@@ -303,7 +305,7 @@ def _case_table() -> tuple[ReproductionCase, ...]:
             expected=Fraction(100),
             provenance="derived",
             citation="closed-form infimum ((n+1-eps/2)/s)^n = ((2+1/2)/(1/4))^2 = 100",
-            run=lambda rng: bounds.closed_form_volume_bound(2, Fraction(1)),
+            run=lambda _seed: bounds.closed_form_volume_bound(2, Fraction(1)),
         ),
         ReproductionCase(
             id="thm4.1-bound-n1eps1",
@@ -313,7 +315,7 @@ def _case_table() -> tuple[ReproductionCase, ...]:
             expected=Fraction(3),
             provenance="derived",
             citation="closed-form infimum ((1+1/2)/(1/2))^1 = 3",
-            run=lambda rng: bounds.closed_form_volume_bound(1, Fraction(1)),
+            run=lambda _seed: bounds.closed_form_volume_bound(1, Fraction(1)),
         ),
         ReproductionCase(
             id="thm1.6-jets-blowup-n2",
@@ -337,17 +339,17 @@ CASES: tuple[ReproductionCase, ...] = _case_table()
 
 
 def run_reproduction(filter_prefix: Optional[str] = None, seed: int = DEFAULT_SEED) -> Report:
-    """Execute all (or id-prefix filtered) cases with a fresh seeded RNG per
-    case; results are assembled in case-id order, so equal seeds give equal
+    """Execute all (or id-prefix filtered) cases, each given its own seed
+    text f"{seed}:{case id}"; only a case that draws builds a generator from
+    it.  Results are assembled in case-id order, so equal seeds give equal
     reports."""
     start = time.perf_counter()
     results = []
     for case in CASES:
         if filter_prefix is not None and not case.id.startswith(filter_prefix):
             continue
-        rng = random.Random(f"{seed}:{case.id}")
         try:
-            actual = case.run(rng)
+            actual = case.run(f"{seed}:{case.id}")
         except Exception as exc:  # a crashing case is a failure, not an abort
             actual = f"error: {exc}"
         results.append(CaseResult(case.id, actual == case.expected, case.expected, actual))

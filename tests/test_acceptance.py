@@ -280,6 +280,39 @@ def test_reproduction_report_passes_every_case():
     assert report.passes == report.cases_run
 
 
+@pytest.mark.parametrize("seed", [DEFAULT_SEED, 5])
+def test_reproduce_seeds_a_generator_only_for_the_case_that_draws(monkeypatch, seed):
+    from seshadri import jets, reproduce
+
+    seeds, points = [], []
+
+    class Counted(random.Random):
+        def __init__(self, x=None):
+            seeds.append(x)
+            super().__init__(x)
+
+    def recorded(rng, nvars):
+        points.append(random_rational_point(rng, nvars))
+        return points[-1]
+
+    monkeypatch.setattr(reproduce.random, "Random", Counted)
+    monkeypatch.setattr(jets, "random_rational_point", recorded)
+    assert run_reproduction("ex7", seed).cases_run > 0
+    assert seeds == []
+    report = run_reproduction(seed=seed)
+    assert report.ok
+    case_id = "thm1.6-jets-blowup-n2"
+    assert seeds == [f"{seed}:{case_id}"]
+    monkeypatch.undo()
+
+    point = random_rational_point(random.Random(f"{seed}:{case_id}"), 2)
+    assert points == [point]
+    series = blowup_anticanonical_series(2, (Fraction(0), Fraction(0)))
+    estimate = moving_seshadri_lower(series, point, 2, blowup_line_bound(2))
+    (result,) = [r for r in report.results if r.id == case_id]
+    assert result.actual == (estimate["lower"], estimate["certified"])
+
+
 def test_stated_cases_cover_the_frozen_manifest_exactly():
     assert set(STATED_CASE_IDS) == set(STATED_MANIFEST)
     by_id = {case.id: case for case in CASES}

@@ -33,8 +33,9 @@ from seshadri.exactmath.polynomials import (
     BudgetExceeded,
     _Parser,
     _tokenize,
+    format_polynomial,
 )
-from seshadri.exactmath.scalars import TOO_LONG
+from seshadri.exactmath.scalars import TOO_LONG, format_scalar, more_digits
 
 from conftest import EXACTMATH_EXPORTS, parse_scalar
 
@@ -117,6 +118,149 @@ def test_emit_csv_flattens_nested_keys_and_joins_lists():
 def test_emit_rejects_unknown_format():
     with pytest.raises(ValueError, match="format"):
         emit("yaml", {})
+
+
+def test_emit_csv_heads_rows_of_different_keys_with_their_union():
+    rows = [{"a": 1, "b": Fraction(1, 2)}, {"c": True, "a": None}, {"b": 3}]
+    assert emit("csv", rows) == "a,b,c\n1,1/2,\n,,True\n,3,\n"
+
+
+# -- emit against the isinstance chain that it once ran -------------------------
+
+
+def _chain_to_jsonable(obj):
+    """to_jsonable as one isinstance chain, without its exact-type branches:
+    the oracle of the test below."""
+    if isinstance(obj, bool) or obj is None or isinstance(obj, str):
+        return obj
+    if isinstance(obj, int) and not more_digits(obj, 4300):
+        return obj
+    if isinstance(obj, float):
+        if math.isinf(obj):
+            return "inf"
+        raise TypeError("refusing to serialize a finite float: all arithmetic is exact")
+    if isinstance(obj, (Fraction, QuadExt)):
+        return format_scalar(obj)
+    if isinstance(obj, dict):
+        return {str(k): _chain_to_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_chain_to_jsonable(v) for v in obj]
+    if obj is TOO_LONG or isinstance(obj, int):
+        raise ValueError("a number of more than 4300 digits")
+    if isinstance(obj, WPolynomial):
+        return format_polynomial(obj)
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _chain_emit(fmt: str, payload) -> str:
+    """emit built on `_chain_to_jsonable`, writing CSV with csv.DictWriter."""
+
+    def convert(record):
+        if not isinstance(record, dict):
+            return _chain_to_jsonable(record)
+        data = {}
+        for key, value in record.items():
+            try:
+                data[str(key)] = _chain_to_jsonable(value)
+            except ValueError:
+                raise ValueError(f"the answer's {key} has a number of more than 4300 digits") from None
+        return data
+
+    data = [convert(r) for r in payload] if isinstance(payload, list) else convert(payload)
+    if fmt == "json":
+        return json.dumps(data, separators=(",", ":"))
+    rows = data if isinstance(data, list) else [data]
+    rows = [cli._flatten(r) if isinstance(r, dict) else {"value": r} for r in rows]
+    header: list[str] = []
+    for r in rows:
+        header.extend(k for k in r if k not in header)
+    out = io.StringIO()
+    writer = csv.DictWriter(out, fieldnames=header, lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    return out.getvalue()
+
+
+class _Text(str):
+    pass
+
+
+class _Count(int):
+    pass
+
+
+class _Long:
+    """Stands in for a number that CPython will not print, so that hypothesis
+    can print an example that holds one; `_unmark` puts the number in."""
+
+    NUMBERS = {
+        "10**4300": 10**4300,
+        "-10**4300": -(10**4300),
+        "Fraction(10**4300)": Fraction(10**4300),
+        "Fraction(1, 10**4300)": Fraction(1, 10**4300),
+    }
+
+    def __init__(self, text: str):
+        self.text = text
+
+    def __repr__(self):
+        return self.text
+
+
+def _unmark(obj):
+    if isinstance(obj, _Long):
+        return _Long.NUMBERS[obj.text]
+    if type(obj) is dict:
+        return {k: _unmark(v) for k, v in obj.items()}
+    if type(obj) in (list, tuple):
+        return type(obj)(map(_unmark, obj))
+    return obj
+
+
+_LEAVES = st.one_of(
+    st.fractions(),
+    st.builds(QuadExt, st.fractions(max_denominator=100), st.fractions(max_denominator=100)),
+    st.integers(),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=4),
+    st.sampled_from([INFINITY, -INFINITY, WPolynomial({(2, 0): Fraction(-2), (0, 2): Fraction(1)}, 2)]),
+    st.sampled_from([10**4300 - 1, 1 - 10**4300, TOO_LONG, 0.5, _Text("t"), _Count(7)]),
+    st.sampled_from(sorted(_Long.NUMBERS)).map(_Long),
+)
+_VALUES = st.recursive(
+    _LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    ),
+    max_leaves=8,
+)
+_RECORDS = st.dictionaries(st.sampled_from("abcd"), _VALUES, max_size=4)
+
+
+def _outcome(convert):
+    try:
+        return convert()
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=100, deadline=timedelta(seconds=1))
+@given(st.one_of(_RECORDS, st.lists(_RECORDS, max_size=3), _VALUES))
+@example({"a": True, "b": 1, "c": [1, True], "d": {"e": (True, 1)}})
+@example({"a": 10**4300 - 1})
+@example({"a": _Long("10**4300")})
+@example({"a": _Long("Fraction(10**4300)")})
+@example({"a": 1, "b": [2, {"c": TOO_LONG}], "c": TOO_LONG})
+@example({"a": Fraction(1, 3), "b": 0.5})
+@example({"a": _Text("x"), "b": [_Text("y")]})
+@example([{"a": 1, "b": Fraction(1, 2)}, {"c": True, "a": None}, {"b": [QuadExt(1, 2)]}])
+def test_emit_matches_the_isinstance_chain(payload):
+    payload = _unmark(payload)
+    for fmt in ("json", "csv"):
+        assert _outcome(lambda: emit(fmt, payload)) == _outcome(lambda: _chain_emit(fmt, payload))
 
 
 WHS_RECORD = {
@@ -355,6 +499,15 @@ def test_whitespace_around_f_is_read(capsys, f):
     [("s t", "trailing tokens in polynomial: [('name', 't')]"), ("s $", "cannot tokenize polynomial at: ' $'")],
 )
 def test_a_bad_token_after_whitespace_is_still_refused(capsys, f, message):
+    code, out, err = run_cli(capsys, "valuation", "--weights", "1,2", "--op", "eval", "--f", f)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "f,message",
+    [("s+", "unexpected end of polynomial"), ("s*)", "unexpected ')' in polynomial")],
+)
+def test_a_parse_error_names_the_text_it_met(capsys, f, message):
     code, out, err = run_cli(capsys, "valuation", "--weights", "1,2", "--op", "eval", "--f", f)
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
@@ -939,6 +1092,44 @@ def test_reproduce_exits_1_and_lists_each_failing_case(capsys, monkeypatch):
         {"id": "b-raises", "passed": False},
         {"id": "c-finite-float", "passed": False},
     ]
+
+
+def _csv_list_items(cell: str) -> list:
+    return [json.loads(item) for item in cell.split(";")] if cell else []
+
+
+def test_csv_reproduce_writes_each_listed_case_as_json(capsys, monkeypatch):
+    code, out, _ = run_cli(capsys, "--format", "csv", "reproduce", "--filter", "thm4")
+    assert code == 0
+    (row,) = csv.DictReader(io.StringIO(out))
+    assert _csv_list_items(row["results"]) == [
+        {"id": "thm4.1-bound-n1eps1", "passed": True},
+        {"id": "thm4.1-bound-n2eps1", "passed": True},
+    ]
+    assert row["failures"] == ""
+
+    from seshadri import reproduce
+
+    def case(case_id, expected, run):
+        return reproduce.ReproductionCase(case_id, "test", "test", {}, expected, "derived", "", run)
+
+    monkeypatch.setattr(
+        reproduce,
+        "CASES",
+        (
+            case("a-wrong-value", Fraction(5), lambda seed: (Fraction(4), [1, None])),
+            case("b-passes", 1, lambda seed: 1),
+            case("c-finite-float", Fraction(1, 3), lambda seed: 0.5),
+        ),
+    )
+    code, out, _ = run_cli(capsys, "reproduce")
+    assert code == 1
+    payload = json.loads(out)
+    code, out, _ = run_cli(capsys, "--format", "csv", "reproduce")
+    assert code == 1
+    (row,) = csv.DictReader(io.StringIO(out))
+    assert _csv_list_items(row["failures"]) == payload["failures"]
+    assert _csv_list_items(row["results"]) == payload["results"]
 
 
 # -- determinism ---------------------------------------------------------------
