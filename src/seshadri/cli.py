@@ -30,44 +30,49 @@ from .exactmath.scalars import (
 # -- serialization ------------------------------------------------------------
 
 
+# The types that to_jsonable converts by a branch of their own.  An object of
+# a subclass takes the branch of the first that it is an instance of; other
+# objects are left to the end of to_jsonable.
+_CONVERTED_TYPES = dict.fromkeys(
+    (dict, list, tuple, bool, str, type(None), int, Fraction, QuadExt, float)
+)
+
+
 def to_jsonable(obj):
     """Canonical JSON-ready form: exact scalars and polynomials as strings,
     +inf as "inf".  A number of more than MAX_NUMBER_DIGITS digits, which
     CPython will not print, raises ValueError, built or left unbuilt as
     TOO_LONG.  `polynomials` is loaded only for an object that no other
     branch takes, so an answer without a polynomial does not load it."""
-    # The types of nearly every field of an answer, by exact type; a subclass,
-    # and every other type, goes down the isinstance chain below.
+    # Branches test the exact type: a failed isinstance against Fraction, an
+    # abc class, costs several times a type test, and most fields are not
+    # Fractions.
     kind = type(obj)
+    if kind not in _CONVERTED_TYPES:
+        kind = next((t for t in _CONVERTED_TYPES if isinstance(obj, t)), kind)
     if kind is Fraction:
-        return str(obj)  # format_scalar's form of a Fraction
+        # format_scalar's form of a Fraction, str(obj), without its call: on
+        # the `ruled` answer, 4.7 us in place of 5.8 us (BENCH_34.json).
+        return str(obj)
     if kind is dict:
         return {str(k): to_jsonable(v) for k, v in obj.items()}
     if kind is list or kind is tuple:
         return [to_jsonable(v) for v in obj]
     if kind is str or kind is bool or obj is None:
         return obj
-    if kind is int and obj.bit_length() <= 3 * MAX_NUMBER_DIGITS:
-        return obj
-    if isinstance(obj, bool) or obj is None or isinstance(obj, str):
-        return obj
-    # An int of at most 3 * MAX_NUMBER_DIGITS bits is below 10^MAX_NUMBER_DIGITS
-    # (see `more_digits`): its bit length spares the call.
-    if isinstance(obj, int) and (
-        obj.bit_length() <= 3 * MAX_NUMBER_DIGITS or not more_digits(obj, MAX_NUMBER_DIGITS)
-    ):
-        return obj
-    if isinstance(obj, float):
+    if kind is int:
+        # An int of at most 3 * MAX_NUMBER_DIGITS bits is below
+        # 10^MAX_NUMBER_DIGITS (see `more_digits`): its bit length spares the call.
+        if obj.bit_length() <= 3 * MAX_NUMBER_DIGITS or not more_digits(obj, MAX_NUMBER_DIGITS):
+            return obj
+        raise ValueError(f"a number of more than {MAX_NUMBER_DIGITS} digits")
+    if kind is QuadExt:
+        return format_scalar(obj)
+    if kind is float:
         if math.isinf(obj):
             return "inf"
         raise TypeError("refusing to serialize a finite float: all arithmetic is exact")
-    if isinstance(obj, (Fraction, QuadExt)):
-        return format_scalar(obj)
-    if isinstance(obj, dict):
-        return {str(k): to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [to_jsonable(v) for v in obj]
-    if obj is TOO_LONG or isinstance(obj, int):
+    if obj is TOO_LONG:
         raise ValueError(f"a number of more than {MAX_NUMBER_DIGITS} digits")
     from .exactmath.polynomials import WPolynomial, format_polynomial
 

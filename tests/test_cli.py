@@ -129,8 +129,8 @@ def test_emit_csv_heads_rows_of_different_keys_with_their_union():
 
 
 def _chain_to_jsonable(obj):
-    """to_jsonable as one isinstance chain, without its exact-type branches:
-    the oracle of the test below."""
+    """to_jsonable as one isinstance chain, before it branched on the exact
+    type: the oracle of the test below."""
     if isinstance(obj, bool) or obj is None or isinstance(obj, str):
         return obj
     if isinstance(obj, int) and not more_digits(obj, 4300):
@@ -189,6 +189,10 @@ class _Count(int):
     pass
 
 
+class _Ratio(Fraction):
+    pass
+
+
 class _Long:
     """Stands in for a number that CPython will not print, so that hypothesis
     can print an example that holds one; `_unmark` puts the number in."""
@@ -225,7 +229,7 @@ _LEAVES = st.one_of(
     st.none(),
     st.text(max_size=4),
     st.sampled_from([INFINITY, -INFINITY, WPolynomial({(2, 0): Fraction(-2), (0, 2): Fraction(1)}, 2)]),
-    st.sampled_from([10**4300 - 1, 1 - 10**4300, TOO_LONG, 0.5, _Text("t"), _Count(7)]),
+    st.sampled_from([10**4300 - 1, 1 - 10**4300, TOO_LONG, 0.5, _Text("t"), _Count(7), _Ratio(1, 3)]),
     st.sampled_from(sorted(_Long.NUMBERS)).map(_Long),
 )
 _VALUES = st.recursive(
