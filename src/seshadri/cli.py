@@ -105,10 +105,15 @@ def _flatten(record: dict, prefix: str = "") -> dict:
         if isinstance(value, dict):
             flat.update(_flatten(value, f"{name}."))
         elif isinstance(value, list):
-            flat[name] = ";".join(
-                json.dumps(v, separators=(",", ":")) if isinstance(v, (dict, list)) else str(v)
-                for v in value
-            )
+            items = [
+                json.dumps(v, separators=(",", ":")) if isinstance(v, (dict, list)) else str(v) for v in value
+            ]
+            if any(";" in item for item in items):
+                # The cell could not be split back into its items.
+                raise ValueError(
+                    f"{name}: a list item holds ';', which joins the items of a CSV cell; use --format json"
+                )
+            flat[name] = ";".join(items)
         else:
             flat[name] = value
     return flat

@@ -1,16 +1,20 @@
 """Exact linear algebra on integer rows: the one module that eliminates, over
 Q or modulo PRIME.  A caller scales rational values to one denominator first.
 
-One fraction-free kernel (Bareiss, Math. Comp. 22, 1968), `_bareiss`,
-eliminates the rows in place; a step replaces each row below the pivot by
-(lead * row - row[col] * pivot_row) // previous_lead, so every entry is a
-minor of the input and each division is exact.  It yields (source row, pivot
-column, pivot) at each step:
-- `exact_rank` counts the steps;
-- `exact_suffix_ranks` runs it once on the columns reversed, so the rank of
-  every column suffix is its number of pivot columns;
-- `negative_definite_solve` wants n positive pivots taken from the diagonal
-  without a swap, then back-substitutes on the echelon rows, fraction-free.
+Two kernels eliminate over Q, in place, and take the same row swaps and pivot
+columns:
+- `_primitive_pivots`, the rank kernel, keeps every row it changes primitive
+  (divided by the gcd of its entries), so its entries stay no larger than the
+  Bareiss minors; its docstring gives the argument.  `exact_rank` counts its
+  pivot columns, and `exact_suffix_ranks` runs it once on the columns
+  reversed, so the rank of every column suffix is its number of pivot
+  columns.
+- `_bareiss` (Bareiss, Math. Comp. 22, 1968) replaces each row below the
+  pivot by (lead * row - row[col] * pivot_row) // previous_lead, so every
+  entry is a minor of the input and each division is exact.  Only
+  `negative_definite_solve` runs it, because it reads those minors: it wants
+  n positive pivots taken from the diagonal without a swap, then
+  back-substitutes on the echelon rows, fraction-free.
 
 `_pivot_columns` eliminates modulo PRIME from the last column down, and
 `certified_suffix_rank` rests on it: the modular rank of a column suffix is
@@ -21,6 +25,7 @@ proves the rank, and only the other suffixes go to `exact_rank`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import Callable, Iterable, Iterator, List, Sequence
 
 Row = List[int]
@@ -71,17 +76,62 @@ def _bareiss(a: list[Row]) -> Iterator[tuple[int, int, int]]:
         r, prev = r + 1, lead
 
 
+def _primitive_pivots(a: list[Row]) -> list[int]:
+    """Pivot columns over Q of the integer rows a, eliminated in place.
+
+    Step r takes the next column with a nonzero entry in rows r.. and moves
+    the first such row to row r, as `_bareiss` does.  A row below it whose
+    entry f in the pivot column is nonzero becomes (lead/g) * row - (f/g) *
+    pivot_row with g = gcd(lead, f), divided by the gcd of its entries; a row
+    with f = 0 is left as it is.
+
+    Each row is a nonzero rational multiple of the `_bareiss` row at the same
+    step.  By induction: say row i is a * B_i and the pivot row is b * B_r,
+    with B the `_bareiss` rows and lead_B, f_B their entries in the pivot
+    column.  `_bareiss` makes row i (lead_B * B_i - f_B * B_r) / prev.  With
+    f != 0 the new row here is a * b * prev / (g * content) times that; with
+    f = 0 the row stays, a * prev / lead_B times it.  So the rows have the
+    same zero entries, the same swaps follow, and the pivot columns, hence
+    every rank, are those of `_bareiss`.  A row changed here is primitive, so
+    it is +-(the `_bareiss` row divided by its content); a row never changed is
+    the `_bareiss` row divided by the last pivot, an integer.  No entry is
+    therefore larger than the `_bareiss` entry, a minor of the input, which
+    Hadamard's bound caps."""
+    nrows, ncols = len(a), (len(a[0]) if a else 0)
+    pivots: list[int] = []
+    for col in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        source = next((i for i in range(r, nrows) if a[i][col]), None)
+        if source is None:
+            continue
+        a[r], a[source] = a[source], a[r]
+        top = a[r][col:]
+        lead = top[0]
+        pivots.append(col)
+        for i in range(r + 1, nrows):
+            f = a[i][col]
+            if f:
+                g = gcd(lead, f)
+                u, v = lead // g, f // g
+                row = [u * x - v * y for x, y in zip(a[i][col:], top)]
+                content = gcd(*row)
+                a[i][col:] = [x // content for x in row] if content > 1 else row
+    return pivots
+
+
 def exact_rank(m: ExactMatrix) -> int:
-    """Rank over Q: the number of Bareiss steps."""
-    return sum(1 for _ in _bareiss([list(r) for r in m.entries]))
+    """Rank over Q: the number of pivot columns."""
+    return len(_primitive_pivots([list(r) for r in m.entries]))
 
 
 def exact_suffix_ranks(rows: Sequence[Row]) -> list[int]:
     """ranks[t] = the rank over Q of the columns [t:] of the integer rows, for
-    t = 0..ncols: one Bareiss pass with the columns reversed, after which the
+    t = 0..ncols: one elimination with the columns reversed, after which the
     rank of the suffix [t:] is its number of pivot columns."""
     ncols = len(rows[0]) if rows else 0
-    pivots = {ncols - 1 - col for _, col, _ in _bareiss([row[::-1] for row in rows])}
+    pivots = {ncols - 1 - col for col in _primitive_pivots([row[::-1] for row in rows])}
     ranks = [0] * (ncols + 1)
     for t in range(ncols - 1, -1, -1):
         ranks[t] = ranks[t + 1] + (t in pivots)

@@ -91,9 +91,11 @@ class MultConstraint:
 # last one down. The rank of a suffix modulo PRIME is then its number of pivot
 # columns, and it is at most the rank over Q. So when the modular rank equals
 # rank(C), every order with |J_s| <= the lowest pivot column is proved. Each
-# later order is decided by the exact rank of its suffix over Q. Usually that
-# is one rank, at the order where separation truly stops. The rank of C itself
-# comes from the same kernel, with the number of rows as the bound, at t = 0.
+# later order is decided by the exact rank of its suffix over Q, from linalg's
+# primitive-row elimination, whose entries stay within the Bareiss minors of
+# C' (hundreds of bits). Usually that is one rank, at the order where
+# separation truly stops. The rank of C itself comes from the same kernel,
+# with the number of rows as the bound, at t = 0.
 # Reduction modulo PRIME can also lose rank that Q keeps: x congruent to a
 # constraint point, C losing rank modulo PRIME, or a denominator divisible by
 # PRIME (the scaled rows then degenerate). In those cases fewer orders are

@@ -464,6 +464,19 @@ def test_zariski_accepts_at_file_input(capsys, tmp_path):
     assert json.loads(out)["support"] == ["E"]
 
 
+def test_csv_refuses_a_list_item_holding_the_item_separator(capsys):
+    # A curve named E;F would read as two curves in the support cell.
+    lattice = json.loads(json.dumps(RULED_LATTICE))
+    lattice["generators"][0] = lattice["curves"][0]["name"] = "E;F"
+    code, out, err = run_cli(capsys, "--format", "csv", "zariski", json.dumps(lattice))
+    assert (code, out) == (2, "")
+    assert err == "error: support: a list item holds ';', which joins the items of a CSV cell; use --format json\n"
+    code, out, _ = run_cli(capsys, "zariski", json.dumps(lattice))
+    assert code == 0 and json.loads(out)["support"] == ["E;F"]
+    code, out, _ = run_cli(capsys, "--format", "csv", "zariski", json.dumps(RULED_LATTICE))
+    assert code == 0 and next(csv.DictReader(io.StringIO(out)))["support"] == "E"
+
+
 def test_valuation_eval_twisted(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -1785,8 +1798,10 @@ def _jets_like(draw):
     out-of-range or 4301-digit value or dropped with some chance.  A single
     constraint is also met at points that share a random subset of their
     coordinates with its point.  Jets has no cost cap, and only several
-    constraints can take minutes (three at m_max 2, or 20-digit coordinates),
-    so several constraints come only with m_max 1 and one-digit coordinates."""
+    constraints can take long (three at m_max 2; two at 20-digit coordinates
+    took minutes before the primitive-row rank kernel, and are pinned as
+    examples below), so several constraints come only with m_max 1 and
+    one-digit coordinates."""
     n, d = draw(st.integers(1, 3)), draw(st.integers(0, 4))
     several = draw(st.booleans())
     vector = st.lists(_small_coordinates if several else _coordinates, min_size=n, max_size=n)
@@ -1847,25 +1862,47 @@ def _jets_like(draw):
     return json.dumps(desc).replace(json.dumps(_LONG_MARK), "9" * 4301)
 
 
+_LONG_P = [
+    "12345678901234567891/98765432109876543",
+    "-31415926535897932384/27182818284590452353",
+    "16180339887498948482/14142135623730950488",
+]
+_LONG_Q = [
+    "27182818284590452353/31415926535897932384",
+    "14142135623730950488/16180339887498948482",
+    "-98765432109876543210/12345678901234567",
+]
+_LONG_X = [
+    "-27182818284590452353/31415926535897932384",
+    "98765432109876543210/12345678901234567",
+    "31415926535897932384/16180339887498948482",
+]
+
+
 def _sharing_a_long_coordinate(degree: int, order: int, m_max: int) -> str:
     """A system whose one constraint sits at a point of 20-digit coordinates,
     met at a point that shares its first coordinate: the inputs of
     tests/test_jets.py::test_point_sharing_a_long_coordinate_with_the_constraint_is_quick,
     which took minutes before step A served them."""
-    p = [
-        "12345678901234567891/98765432109876543",
-        "-31415926535897932384/27182818284590452353",
-        "16180339887498948482/14142135623730950488",
-    ]
-    x = [p[0], "-27182818284590452353/31415926535897932384", "98765432109876543210/12345678901234567"]
-    constraint = {"type": "mult", "point": p, "order": order}
+    x = [_LONG_P[0], *_LONG_X[:2]]
+    constraint = {"type": "mult", "point": _LONG_P, "order": order}
     return json.dumps({"n": 3, "d": degree, "constraints": [constraint], "point": x, "m_max": m_max})
+
+
+def _two_long_constraints(point) -> str:
+    """n = 3, d = 3, m_max 2 with two order-2 constraints at points of
+    20-digit coordinates: the shifted path's exact ranks on entries of
+    hundreds of bits, which took 70-250 s under Bareiss."""
+    constraints = [{"type": "mult", "point": p, "order": 2} for p in (_LONG_P, _LONG_Q)]
+    return json.dumps({"n": 3, "d": 3, "constraints": constraints, "point": point, "m_max": 2})
 
 
 # The costliest corner of the envelope, which the draw itself rarely reaches.
 @example(_sharing_a_long_coordinate(4, 3, 2), 0)
 @example(_sharing_a_long_coordinate(3, 2, 3), 0)
 @example(_sharing_a_long_coordinate(3, 2, 4), 0)
+@example(_two_long_constraints(_LONG_X), 0)
+@example(_two_long_constraints("random"), 0)
 @settings(max_examples=150, deadline=timedelta(seconds=2))
 @given(_jets_like(), st.integers(0, 9))
 def test_any_jets_system_exits_0_or_2_with_one_line(text, seed):

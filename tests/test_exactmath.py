@@ -28,6 +28,7 @@ from seshadri.exactmath import (
     parse_polynomial,
     parse_product,
 )
+from seshadri.exactmath import linalg as linalg_module
 from seshadri.exactmath.polynomials import (
     MAX_WORK,
     OPERATION_WORK,
@@ -982,16 +983,65 @@ def _random_rank_deficient(rng, nrows, ncols, rank):
     return rows
 
 
-@pytest.mark.parametrize("seed", range(12))
-def test_integer_and_field_bareiss_agree_on_rank_deficient_matrices(seed):
-    # Rational entries are scaled to integer rows and eliminated with floor
-    # division by the previous pivot; the rank must be sympy's.
-    sympy = pytest.importorskip("sympy")
+def _large_rank_deficient(rng):
+    """A product of random rational matrices whose numerators have a few
+    hundred bits, with one row and one column made zero."""
+    nrows, ncols = rng.randint(2, 8), rng.randint(2, 8)
+    rank = rng.randint(1, min(nrows, ncols))
+
+    def entry():
+        return Fraction(rng.randint(-(2**200), 2**200), rng.randint(1, 2**40))
+
+    left = [[entry() for _ in range(rank)] for _ in range(nrows)]
+    right = [[entry() for _ in range(ncols)] for _ in range(rank)]
+    zero_col = rng.randrange(ncols)
+    for row in right:
+        row[zero_col] = Fraction(0)
+    rows = [
+        [sum((row[k] * right[k][j] for k in range(rank)), Fraction(0)) for j in range(ncols)]
+        for row in left
+    ]
+    rows[rng.randrange(nrows)] = [Fraction(0)] * ncols
+    return rows
+
+
+def _seeded_rank_deficient(seed):
+    """Seeds 0..11: small entries; seeds 12..23: `_large_rank_deficient`."""
     rng = random.Random(seed)
+    if seed >= 12:
+        return _large_rank_deficient(rng)
     nrows, ncols = rng.randint(1, 8), rng.randint(1, 8)
-    rows = _random_rank_deficient(rng, nrows, ncols, rng.randint(0, min(nrows, ncols)))
-    expected = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in rows]).rank()
+    return _random_rank_deficient(rng, nrows, ncols, rng.randint(0, min(nrows, ncols)))
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_integer_and_field_bareiss_agree_on_rank_deficient_matrices(seed):
+    # Rational entries are scaled to integer rows and eliminated by primitive
+    # rows: each changed row is divided by the gcd of its entries.  The rank,
+    # and the rank of every column suffix, must be sympy's.
+    sympy = pytest.importorskip("sympy")
+    rows = _seeded_rank_deficient(seed)
+    matrix = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in rows])
+    expected = matrix.rank()
     assert _rank(rows) == expected
+    suffix_ranks = [matrix[:, t:].rank() for t in range(matrix.cols)] + [0]
+    assert linalg_module.exact_suffix_ranks(_integer_rows(rows)) == suffix_ranks
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_primitive_rows_never_outgrow_the_bareiss_rows(seed):
+    # The bound in linalg._primitive_pivots's docstring: on the same rows the
+    # primitive elimination takes the pivot columns of Bareiss, and each of its
+    # final entries is at most the Bareiss entry in size, so in bits.
+    rows = _integer_rows(_seeded_rank_deficient(seed))
+    primitive, bareiss = [list(row) for row in rows], [list(row) for row in rows]
+    pivots = linalg_module._primitive_pivots(primitive)
+    assert pivots == [col for _, col, _ in linalg_module._bareiss(bareiss)]
+    for ours, theirs in zip(primitive, bareiss):
+        assert all(abs(x) <= abs(y) for x, y in zip(ours, theirs))
+    assert max(abs(x).bit_length() for row in primitive for x in row) <= max(
+        abs(x).bit_length() for row in bareiss for x in row
+    )
 
 
 def _as_fractions(solution):
