@@ -168,14 +168,14 @@ def _case_table() -> tuple[ReproductionCase, ...]:
         ),
         ReproductionCase(
             id="ex7.4-catalog-ruled-g2d10",
-            module="wps",
-            operation="catalog_seshadri",
-            inputs={"name": "ruled", "g": 2, "d": 10},
+            module="surfaces",
+            operation="ruled_surface_model",
+            inputs={"g": 2, "d": 10},
             expected=Fraction(4, 5),
             provenance="stated",
             citation="ruled surface over a genus-2 curve, deg D = 10: "
             "eps_m(-K) = 1-(2g-2)/d = 4/5",
-            run=lambda _seed: wps.catalog_seshadri("ruled", g=2, d=10)[0],
+            run=lambda _seed: surfaces.ruled_surface_model(2, 10)["epsilon_m"],
         ),
         ReproductionCase(
             id="lem3.7-curve-bound-line",

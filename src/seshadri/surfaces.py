@@ -17,10 +17,10 @@ reported, and as integer numerators over one positive denominator, which the
 arithmetic reads.  So a pairing is integer dots and one Fraction, and
 `SurfaceLattice.curve_pairings` gives a class's pairings with every declared
 curve from G*d and one integer dot per curve.  The Zariski step takes the
-solve's integer numerators over det(-G) and forms N and P as integer rows
-over one denominator.  The signs that steer the support scan, the nef test
-and the P^2 check are read off integer numerators; only reported values
-become Fractions.
+solve's integer numerators over its positive denominator and forms N and P
+as integer rows over one denominator.  The signs that steer the support
+scan, the nef test and the P^2 check are read off integer numerators; only
+reported values become Fractions.
 """
 
 from __future__ import annotations

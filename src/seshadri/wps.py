@@ -149,39 +149,20 @@ def whs_record(n: int, k: int, l: int, d: int) -> dict:
 
 
 def catalog_seshadri(name: str, **params) -> tuple[Fraction, str]:
-    """Known Seshadri-constant values that are stored rather than recomputed
-    from first principles here.
+    """A known Seshadri-constant value that is stored rather than recomputed
+    from first principles here, with its citation.
 
-    Keys:
-      - "X6"    (parameter n >= 2): sextic in P(1^(n-1), 2, 2, 3); value 2n/3.
-      - "ruled" (parameters g >= 0, d >= 1 with d > 2g-2, and d >= 2 when
-        g = 0): geometrically ruled surface P(O + O(-D)) over a genus-g curve
-        with deg D = d; value 1 - (2g-2)/d.
+    Key "X6" (parameter n >= 2): the sextic in P(1^(n-1), 2, 2, 3); value
+    2n/3.  The ruled surfaces have their closed form in
+    `surfaces.ruled_surface_model`.
     """
-    key = name.lower()
-    if key == "x6":
-        n = params.get("n")
-        if not isinstance(n, int) or n < 2:
-            raise ValueError("X6 catalog entry needs an integer parameter n >= 2")
-        return Fraction(2 * n, 3), (
-            "sextic hypersurface in P(1^(n-1),2,2,3): -K ~ nH and eps(H) = 2/3, "
-            "via eps(-K_S) = 4/3 for its degree-2 Gorenstein del Pezzo surface "
-            "section (Broustet, Theoreme 1.3)"
-        )
-    if key in ("ruled", "ruled_surface"):
-        g, d = params.get("g"), params.get("d")
-        if not isinstance(g, int) or not isinstance(d, int) or g < 0 or d < 1:
-            raise ValueError("ruled catalog entry needs integers g >= 0, d >= 1")
-        if d <= 2 * g - 2:
-            raise ValueError("ruled catalog entry needs d > 2g - 2")
-        if g == 0 and d < 2:
-            raise ValueError(
-                "ruled catalog entry needs d >= 2 at g = 0: P(O + O(-1)) is P^2 blown "
-                "up at a point, where eps(-K) = 2, not 1-(2g-2)/d"
-            )
-        return 1 - Fraction(2 * g - 2, d), (
-            "moving Seshadri constant of -K on P(O + O(-D)) over a genus-g curve, "
-            "deg D = d; the closed form of surfaces.ruled_surface_model, which the "
-            "tests hold to the Zariski decomposition and the marked-point constant"
-        )
-    raise KeyError(f"unknown catalog key {name!r} (expected 'X6' or 'ruled')")
+    if name.lower() != "x6":
+        raise KeyError(f"unknown catalog key {name!r} (expected 'X6')")
+    n = params.get("n")
+    if not isinstance(n, int) or n < 2:
+        raise ValueError("X6 catalog entry needs an integer parameter n >= 2")
+    return Fraction(2 * n, 3), (
+        "sextic hypersurface in P(1^(n-1),2,2,3): -K ~ nH and eps(H) = 2/3, "
+        "via eps(-K_S) = 4/3 for its degree-2 Gorenstein del Pezzo surface "
+        "section (Broustet, Theoreme 1.3)"
+    )

@@ -201,8 +201,8 @@ def test_ruled_pipeline_reproduces_the_closed_form_with_axioms():
                         [b.numerator for b in rhs],
                     )
                     assert solution is not None
-                    numerators, det = solution
-                    solution = [Fraction(x, det) for x in numerators]
+                    numerators, q = solution
+                    solution = [Fraction(x, q) for x in numerators]
                     assert dict(zip((c.name for c in support), solution)) == dict(
                         zip(dec.support, dec.coefficients)
                     )
@@ -251,7 +251,7 @@ STATED_MANIFEST = {
     "ex7.1-whs-bound-n3k2l3d5": ("wps", "whs_seshadri_bound", (Fraction(5, 2), True)),
     "ex7.1-whs-volume-n3k2l3d5": ("wps", "whs_volume", Fraction(45, 2)),
     "ex7.2-catalog-x6-n3": ("wps", "catalog_seshadri", Fraction(2)),
-    "ex7.4-catalog-ruled-g2d10": ("wps", "catalog_seshadri", Fraction(4, 5)),
+    "ex7.4-catalog-ruled-g2d10": ("surfaces", "ruled_surface_model", Fraction(4, 5)),
     "ex7.4-ruled-model-g2d10": ("surfaces", "ruled_surface_model", Fraction(4, 5)),
     "ex7.4-seshadri-marked-g2d10": (
         "surfaces",
@@ -328,5 +328,5 @@ def test_stated_manifest_values_recompute_from_first_principles():
     assert wps_seshadri((1, 1, 1, 1)) == 4
     assert wps_seshadri((1, 1, 2)) == 2
     assert wps_anticanonical_volume((1, 1, 2)) == 8
-    assert catalog_seshadri("ruled", g=2, d=10)[0] == Fraction(4, 5)
+    assert ruled_surface_model(2, 10)["epsilon_m"] == Fraction(4, 5)
     assert discrepancy(MonomialValuation((1, 4))) == 4

@@ -1028,15 +1028,39 @@ def test_integer_and_field_bareiss_agree_on_rank_deficient_matrices(seed):
     assert linalg_module.exact_suffix_ranks(_integer_rows(rows)) == suffix_ranks
 
 
+def _bareiss(a):
+    """Forward fraction-free elimination of the integer rows a, in place
+    (Bareiss, Math. Comp. 22, 1968): each row below the pivot becomes
+    (lead * row - row[col] * pivot_row) // previous_lead, so every entry is a
+    minor of the input.  Yields (source, column, pivot) at each step, with
+    the pivot rows taken as `linalg._primitive_pivots` takes them."""
+    nrows, ncols = len(a), (len(a[0]) if a else 0)
+    r, prev = 0, 1
+    for col in range(ncols):
+        if r == nrows:
+            return
+        source = next((i for i in range(r, nrows) if a[i][col]), None)
+        if source is None:
+            continue
+        a[r], a[source] = a[source], a[r]
+        top, lead = a[r][col:], a[r][col]
+        yield source, col, lead
+        for i in range(r + 1, nrows):
+            factor = a[i][col]
+            a[i][col:] = [(lead * x - factor * y) // prev for x, y in zip(a[i][col:], top)]
+        r, prev = r + 1, lead
+
+
 @pytest.mark.parametrize("seed", range(24))
 def test_primitive_rows_never_outgrow_the_bareiss_rows(seed):
     # The bound in linalg._primitive_pivots's docstring: on the same rows the
-    # primitive elimination takes the pivot columns of Bareiss, and each of its
-    # final entries is at most the Bareiss entry in size, so in bits.
+    # primitive elimination takes the row swaps and pivot columns of Bareiss,
+    # and each of its final entries is at most the Bareiss entry in size, so
+    # in bits.
     rows = _integer_rows(_seeded_rank_deficient(seed))
     primitive, bareiss = [list(row) for row in rows], [list(row) for row in rows]
-    pivots = linalg_module._primitive_pivots(primitive)
-    assert pivots == [col for _, col, _ in linalg_module._bareiss(bareiss)]
+    steps = [(source, col) for source, col, _ in linalg_module._primitive_pivots(primitive)]
+    assert steps == [(source, col) for source, col, _ in _bareiss(bareiss)]
     for ours, theirs in zip(primitive, bareiss):
         assert all(abs(x) <= abs(y) for x, y in zip(ours, theirs))
     assert max(abs(x).bit_length() for row in primitive for x in row) <= max(
@@ -1045,11 +1069,14 @@ def test_primitive_rows_never_outgrow_the_bareiss_rows(seed):
 
 
 def _as_fractions(solution):
-    """A solve's (numerators, det) as the Fractions numerators / det."""
+    """A solve's (numerators, q) as the Fractions numerators / q, after
+    checking that they are integers in lowest terms with q > 0."""
     if solution is None:
         return None
-    numerators, det = solution
-    return [Fraction(x, det) for x in numerators]
+    numerators, q = solution
+    assert all(type(x) is int for x in [*numerators, q])
+    assert q > 0 and math.gcd(q, *numerators) == 1
+    return [Fraction(x, q) for x in numerators]
 
 
 def _solve(g, rhs):
@@ -1058,10 +1085,16 @@ def _solve(g, rhs):
 
 
 def test_solve_unique():
-    numerators, det = negative_definite_solve([[-2, 1], [1, -3]], [0, 5])
-    sol = _as_fractions((numerators, det))
+    numerators, q = negative_definite_solve([[-2, 1], [1, -3]], [0, 5])
+    sol = _as_fractions((numerators, q))
     assert sol == [Fraction(-1), Fraction(-2)]
-    assert all(type(x) is int for x in numerators) and det == 5
+    # (-1, -2) is integral, so its denominator in lowest terms is 1.
+    assert all(type(x) is int for x in numerators) and q == 1
+    assert negative_definite_solve([[-2, 1], [1, -2]], [1, 0]) == ([-2, -1], 3)
+    assert negative_definite_solve([[-1, -2], [-2, -5]], [1, 2]) == ([-1, 0], 1)
+    assert negative_definite_solve([[-6]], [4]) == ([-2], 3)
+    assert negative_definite_solve([[-6]], [0]) == ([0], 1)
+    assert negative_definite_solve([], []) == ([], 1)
     # -x/2 = 1/3 over the denominator 6: -3x = 2.
     assert _solve([[Fraction(-1, 2)]], [Fraction(1, 3)]) == [Fraction(-2, 3)]
     assert negative_definite_solve([[-1, -1], [-2, -2]], [1, 1]) is None
@@ -1088,6 +1121,14 @@ def test_negative_definiteness():
     # pivots in the first, and the second has no pivot in its last column.
     assert not definite([[0, -1], [-1, 0]])
     assert not definite([[-1, 0], [0, 0]])
+    # Semidefinite: -(v v^T) for v = (1, 2) has the leading minors 1 and 0;
+    # taking 1 more off its last entry makes it definite.
+    assert not definite([[-1, -2], [-2, -4]])
+    assert definite([[-1, -2], [-2, -5]])
+    # 1 x 1, and the empty form, which is negative definite.
+    assert definite([[-6]])
+    assert not definite([[6]])
+    assert definite([])
 
 
 # -- definiteness and solve against sympy ------------------------------------------

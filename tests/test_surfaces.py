@@ -281,9 +281,18 @@ def test_ruled_model_domain():
         ruled_surface_model(2, 2)  # d <= 2g - 2
     with pytest.raises(ValueError):
         ruled_surface_model(-1, 5)
-    with pytest.raises(ValueError):
-        ruled_surface_model(0, 1)  # genus 0 needs degree >= 2
+    with pytest.raises(ValueError, match="g=0 needs d >= 2"):
+        ruled_surface_model(0, 1)  # P^2 blown up at a point: eps = 2
     ruled_surface_model(0, 2)
+    # The admissible range is d >= 1, d > 2g - 2 and d >= 2 at g = 0; every
+    # (g, d) outside it is refused.
+    for g in range(6):
+        for d in range(-1, 2 * g + 12):
+            if d >= 1 and d > 2 * g - 2 and (g or d >= 2):
+                assert ruled_surface_model(g, d)["epsilon_m"] == 1 - Fraction(2 * g - 2, d)
+            else:
+                with pytest.raises(ValueError):
+                    ruled_surface_model(g, d)
 
 
 def test_ruled_lattice_shape():
